@@ -629,11 +629,16 @@ pub fn reliability_threaded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    // Engine runs record into the process-global event journal; every
+    // such test holds the shared switch lock so the capture tests
+    // (observability, profile, forensics) see only their own events.
+    use sies_telemetry::switch_lock;
 
     /// End-to-end smoke test of every experiment at tiny scale. The full
     /// parameterization runs from the `repro` binary.
     #[test]
     fn experiments_run_at_fast_settings() {
+        let _guard = switch_lock();
         let opts = Options::fast();
         let costs = PrimitiveCosts::PAPER;
 
@@ -676,6 +681,7 @@ mod tests {
 
     #[test]
     fn lifetime_table_orders_schemes_by_bytes() {
+        let _guard = switch_lock();
         let rows = lifetime_table(&Options::fast());
         assert_eq!(rows.len(), 4);
         // TAG < CMT < SIES << SECOA in drain; reversed in lifetime.
@@ -691,6 +697,7 @@ mod tests {
 
     #[test]
     fn reliability_scenarios_are_sound_at_small_scale() {
+        let _guard = switch_lock();
         // `reliability` asserts soundness internally; 100 epochs across
         // the five scenarios keeps the test quick. The full ≥2000-epoch
         // run happens in `repro reliability`.
@@ -718,12 +725,24 @@ mod tests {
 
     #[test]
     fn querier_experiment_shapes() {
+        let _guard = switch_lock();
+        // The batched PRFs cost ~0.3 µs per contributor beside a fixed
+        // ~50 µs per epoch, so the two sizes are far apart (64 and the
+        // paper's 1024) and each point averages eight epochs: one
+        // descheduling on a shared host must not reorder them.
         let mut opts = Options::fast();
-        opts.epochs = 2;
+        opts.epochs = 8;
         let costs = PrimitiveCosts::PAPER;
         let rsa = shared_rsa(&opts);
         let small = querier_point(&costs, &opts, &rsa, 64, DomainScale::DEFAULT, "64".into());
-        let large = querier_point(&costs, &opts, &rsa, 256, DomainScale::DEFAULT, "256".into());
+        let large = querier_point(
+            &costs,
+            &opts,
+            &rsa,
+            1024,
+            DomainScale::DEFAULT,
+            "1024".into(),
+        );
         // Querier cost grows with N for every scheme.
         assert!(large.sies_ms > small.sies_ms);
         assert!(large.cmt_ms > small.cmt_ms);

@@ -240,14 +240,7 @@ pub fn forensic_timeline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard, OnceLock};
-
-    fn switch_lock() -> MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-    }
+    use sies_telemetry::switch_lock;
 
     #[test]
     fn forensic_timeline_reconciles_receipts_with_events() {

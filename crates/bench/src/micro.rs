@@ -691,6 +691,10 @@ pub fn regressions_against(current: &MicroReport, baseline: &MicroReport) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    // Engine runs record into the process-global event journal; every
+    // such test holds the shared switch lock so the capture tests
+    // (observability, profile, forensics) see only their own events.
+    use sies_telemetry::switch_lock;
 
     #[test]
     fn fixtures_are_valid_keys() {
@@ -702,6 +706,7 @@ mod tests {
 
     #[test]
     fn oracles_pass_at_1_2_8_threads() {
+        let _guard = switch_lock();
         for t in [1, 2, 8] {
             run_oracles(t).unwrap_or_else(|e| panic!("{t} thread(s): {e}"));
         }

@@ -311,15 +311,7 @@ pub fn overhead_suite(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard, OnceLock};
-
-    /// Tests here flip the process-global kill-switch; serialize them.
-    fn switch_lock() -> MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-    }
+    use sies_telemetry::switch_lock;
 
     #[test]
     fn trace_captures_events_and_metrics() {

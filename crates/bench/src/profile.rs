@@ -464,17 +464,7 @@ pub struct ProfileReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard, OnceLock};
-
-    /// These tests flip the process-global kill-switch and journal
-    /// capacity; serialize them (shared with nothing else — bench unit
-    /// tests run in this binary only).
-    fn switch_lock() -> MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-    }
+    use sies_telemetry::switch_lock;
 
     #[test]
     fn profiled_run_captures_stacks_and_timeline() {

@@ -263,9 +263,14 @@ pub fn recovery_suite(
 #[cfg(test)]
 mod tests {
     use super::*;
+    // Engine runs record into the process-global event journal; every
+    // such test holds the shared switch lock so the capture tests
+    // (observability, profile, forensics) see only their own events.
+    use sies_telemetry::switch_lock;
 
     #[test]
     fn recovery_suite_asserts_identity_on_a_short_run() {
+        let _guard = switch_lock();
         let report = recovery_suite(5, 40, Threads::serial(), 2, None);
         assert_eq!(report.epochs, 40);
         assert_eq!(report.kill_epochs.len(), 2);

@@ -619,9 +619,14 @@ pub fn soa_vs_legacy(seed: u64, n: u64, epochs_per_round: u64, rounds: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    // Engine runs record into the process-global event journal; every
+    // such test holds the shared switch lock so the capture tests
+    // (observability, profile, forensics) see only their own events.
+    use sies_telemetry::switch_lock;
 
     #[test]
     fn suite_digests_agree_across_thread_counts() {
+        let _guard = switch_lock();
         // The suite panics internally if any digest diverges; this run is
         // the small-scale differential oracle. Keep it tiny — larger
         // sweeps run from `repro throughput`.
@@ -641,6 +646,7 @@ mod tests {
 
     #[test]
     fn lane_widths_do_not_change_results() {
+        let _guard = switch_lock();
         let digests = lane_width_sweep(3, 2);
         assert_eq!(digests.len(), 4);
         assert_eq!(digests[3].0, 16, "the AVX-512 request is swept too");
@@ -649,6 +655,7 @@ mod tests {
 
     #[test]
     fn scale_suite_matches_legacy_at_small_n() {
+        let _guard = switch_lock();
         // One small population exercises the full legacy-vs-SoA digest
         // assertion matrix (threads × streaming); the internal
         // assert_eq! is the oracle, the shape checks are bookkeeping.
@@ -669,6 +676,7 @@ mod tests {
 
     #[test]
     fn prewarm_suite_digests_agree_on_and_off() {
+        let _guard = switch_lock();
         // The internal assert_eq! is the oracle; shape checks are
         // bookkeeping. Small n/epochs — the full matrix runs 12 configs.
         let points = prewarm_suite(17, 48, 3);
@@ -686,6 +694,7 @@ mod tests {
 
     #[test]
     fn soa_comparison_produces_paired_medians() {
+        let _guard = switch_lock();
         let cmp = soa_vs_legacy(13, 200, 2, 3);
         assert_eq!(cmp.n, 200);
         assert!(cmp.legacy_median_ms > 0.0 && cmp.soa_median_ms > 0.0);
@@ -694,6 +703,7 @@ mod tests {
 
     #[test]
     fn run_config_is_seed_stable() {
+        let _guard = switch_lock();
         let a = run_config(7, 100, 1, 2);
         let b = run_config(7, 100, 2, 2);
         assert_eq!(a.result_digest, b.result_digest);

@@ -123,8 +123,7 @@ impl Broadcaster {
             .iter()
             .zip(hmac_many::<Sha256>(&chain_keys, b"mutesla-mac"))
         {
-            self.prewarmed
-                .push((i, mk.try_into().expect("SHA-256 output is 32 bytes")));
+            self.prewarmed.push((i, mk));
         }
         self.prewarmed.sort_by_key(|(i, _)| *i);
         tel::count!("core.mutesla.prewarmed_keys", fresh.len() as u64);
@@ -294,10 +293,7 @@ impl Receiver {
             .rev()
             .zip(hmac_many::<Sha256>(&chain_keys, b"mutesla-mac"))
         {
-            self.window.push((
-                disclosure.interval - d,
-                mk.try_into().expect("SHA-256 output is 32 bytes"),
-            ));
+            self.window.push((disclosure.interval - d, mk));
         }
         if self.window.len() > self.window_cap {
             self.window.drain(..self.window.len() - self.window_cap);

@@ -14,6 +14,7 @@ use crate::params::SystemParams;
 use rand::RngCore;
 use sies_crypto::prf::{self, KeyedPrf};
 use sies_crypto::u256::U256;
+use std::sync::Arc;
 
 /// Length of the long-term keys `K` and `k_i` in bytes (paper §IV-A: "in
 /// our implementation we set this size to 20 bytes").
@@ -72,15 +73,33 @@ pub struct SourceCredentials {
 
 /// A source sensor: runs the initialization phase each epoch.
 ///
-/// Holds its long-term keys with the HMAC pads pre-absorbed
-/// ([`KeyedPrf`]), so every epoch's PRF evaluations skip the per-call
-/// key-block setup. All fields are plain owned data — a `&Source` is
+/// Holds its own key `k_i` with the HMAC pads pre-absorbed
+/// ([`KeyedPrf`], 104 bytes), so every epoch's PRF evaluations skip the
+/// per-call key-block setup. What every source shares — the global key
+/// `K` and the public parameters — sits behind one [`Arc`] per
+/// deployment ([`Source::new_many`]), not in each source. A `&Source` is
 /// `Sync` and can be shared freely across epoch-pipeline workers.
 #[derive(Clone)]
 pub struct Source {
-    creds: SourceCredentials,
-    global_prf: KeyedPrf,
+    id: SourceId,
     source_prf: KeyedPrf,
+    shared: Arc<SourceShared>,
+}
+
+/// The part of a source's credentials every source of one deployment
+/// holds in common.
+struct SourceShared {
+    global_prf: KeyedPrf,
+    params: SystemParams,
+}
+
+impl SourceShared {
+    fn new(creds: &SourceCredentials) -> Arc<Self> {
+        Arc::new(SourceShared {
+            global_prf: KeyedPrf::new(&creds.global_key),
+            params: creds.params.clone(),
+        })
+    }
 }
 
 /// An aggregator sensor: holds only the public prime `p` (it has no keys —
@@ -141,7 +160,7 @@ pub fn setup(
     };
     let querier = Querier {
         global_prf: KeyedPrf::new(&global_key),
-        source_prfs: source_keys.iter().map(|k| KeyedPrf::new(k)).collect(),
+        source_prfs: KeyedPrf::new_many(&source_keys),
         params,
     };
     (querier, creds, aggregator)
@@ -162,18 +181,50 @@ impl SourceCredentials {
 impl Source {
     /// Instantiates a source from its registered credentials.
     pub fn new(creds: SourceCredentials) -> Self {
-        let global_prf = KeyedPrf::new(&creds.global_key);
-        let source_prf = KeyedPrf::new(&creds.source_key);
         Source {
-            creds,
-            global_prf,
-            source_prf,
+            id: creds.id,
+            source_prf: KeyedPrf::new(&creds.source_key),
+            shared: SourceShared::new(&creds),
         }
+    }
+
+    /// Instantiates every source of one deployment (the credentials of
+    /// one [`setup`]) at once: the `k_i` pads are absorbed in hash-lane
+    /// batches, and all sources share one copy of `K`'s pads and the
+    /// parameters. Element-wise equivalent to [`Source::new`].
+    ///
+    /// # Panics
+    /// If the credentials do not all carry the same `K` and parameters.
+    pub fn new_many(creds: &[SourceCredentials]) -> Vec<Source> {
+        let Some(first) = creds.first() else {
+            return Vec::new();
+        };
+        assert!(
+            creds
+                .iter()
+                .all(|c| c.global_key == first.global_key && c.params == first.params),
+            "credentials from more than one deployment"
+        );
+        let shared = SourceShared::new(first);
+        let keys: Vec<LongTermKey> = creds.iter().map(|c| c.source_key).collect();
+        creds
+            .iter()
+            .zip(KeyedPrf::new_many(&keys))
+            .map(|(c, source_prf)| Source {
+                id: c.id,
+                source_prf,
+                shared: Arc::clone(&shared),
+            })
+            .collect()
     }
 
     /// The source's identifier.
     pub fn id(&self) -> SourceId {
-        self.creds.id
+        self.id
+    }
+
+    fn params(&self) -> &SystemParams {
+        &self.shared.params
     }
 
     /// The initialization phase `I`: derives the epoch keys and share,
@@ -183,14 +234,14 @@ impl Source {
     /// 32-byte modular multiplication and one modular addition (`C^𝒮_SIES`,
     /// Equation 3).
     pub fn initialize(&self, epoch: Epoch, value: u64) -> Result<Psr, SiesError> {
-        let p = self.creds.params.prime();
+        let p = self.params().prime();
         // K_t = HM256(K, t), shared by all sources.
-        let k_t = self.global_prf.derive_mod_nonzero(epoch, p);
+        let k_t = self.shared.global_prf.derive_mod_nonzero(epoch, p);
         // k_{i,t} = HM256(k_i, t), known only to S_i (and the querier).
         let k_it = self.source_prf.derive_mod(epoch, p);
         // ss_{i,t} = HM1(k_i, t).
         let ss: SecretShare = self.source_prf.hm1_epoch(epoch);
-        let m = codec::encode_message(&self.creds.params, value, &ss)?;
+        let m = codec::encode_message(self.params(), value, &ss)?;
         Ok(Psr {
             ciphertext: hom::encrypt(&m, &k_t, &k_it, p),
         })
@@ -201,8 +252,8 @@ impl Source {
     /// the *same* `K_t`, so one [`EpochCipher`] (built by any source, or
     /// one per shard worker) serves the whole population for the epoch.
     pub fn epoch_cipher(&self, epoch: Epoch) -> EpochCipher {
-        let p = self.creds.params.prime();
-        EpochCipher::new(&self.global_prf.derive_mod_nonzero(epoch, p), p)
+        let p = self.params().prime();
+        EpochCipher::new(&self.shared.global_prf.derive_mod_nonzero(epoch, p), p)
     }
 
     /// The initialization phase with the epoch-shared work hoisted out:
@@ -216,11 +267,11 @@ impl Source {
         epoch: Epoch,
         value: u64,
     ) -> Result<Psr, SiesError> {
-        let p = self.creds.params.prime();
+        let p = self.params().prime();
         debug_assert_eq!(cipher.prime(), p, "cipher built for a different modulus");
         let k_it = self.source_prf.derive_mod(epoch, p);
         let ss: SecretShare = self.source_prf.hm1_epoch(epoch);
-        let m = codec::encode_message(&self.creds.params, value, &ss)?;
+        let m = codec::encode_message(self.params(), value, &ss)?;
         Ok(Psr {
             ciphertext: cipher.encrypt(&m, &k_it),
         })
@@ -228,48 +279,57 @@ impl Source {
 
     /// Initialization for a whole shard of sources at once: both
     /// per-source PRF sweeps (`k_{i,t}` and `ss_{i,t}`) run through the
-    /// multi-lane batch pipeline — one sensor per hash lane — then each
-    /// reading is encoded and encrypted under the shared `cipher`.
-    /// Element-wise identical to calling [`Source::initialize_with`] per
-    /// job (asserted by `batched_initialize_matches_serial` below).
-    pub fn initialize_batch(
+    /// multi-lane batch pipeline ([`prf::for_each_epoch_key`], one sensor
+    /// per hash lane), then each reading is encoded and encrypted under
+    /// the shared `cipher` and handed to `emit`, in job order. Allocates
+    /// nothing. Element-wise identical to calling
+    /// [`Source::initialize_with`] per job (asserted by
+    /// `batched_initialize_matches_serial` below).
+    pub fn initialize_batch_into<'a, J>(
         cipher: &EpochCipher,
         epoch: Epoch,
-        jobs: &[(&Source, u64)],
-    ) -> Vec<Result<Psr, SiesError>> {
+        jobs: J,
+        mut emit: impl FnMut(Result<Psr, SiesError>),
+    ) where
+        J: Iterator<Item = (&'a Source, u64)> + Clone,
+    {
         let p = cipher.prime();
-        let k_its = prf::derive_mod_p_many(jobs.iter().map(|(s, _)| &s.source_prf), epoch, p);
-        let sss = prf::hm1_epoch_many(jobs.iter().map(|(s, _)| &s.source_prf), epoch);
-        jobs.iter()
-            .zip(k_its)
-            .zip(sss)
-            .map(|(((source, value), k_it), ss)| {
-                debug_assert_eq!(
-                    cipher.prime(),
-                    source.creds.params.prime(),
-                    "cipher built for a different modulus"
-                );
-                let m = codec::encode_message(&source.creds.params, *value, &ss)?;
-                Ok(Psr {
+        let mut values = jobs.clone();
+        let prfs = jobs.map(|(source, _)| &source.source_prf);
+        prf::for_each_epoch_key(prfs, epoch, p, |_, k_it, ss| {
+            let (source, value) = values.next().expect("one job per key");
+            debug_assert_eq!(
+                p,
+                source.params().prime(),
+                "cipher built for a different modulus"
+            );
+            emit(
+                codec::encode_message(source.params(), value, &ss).map(|m| Psr {
                     ciphertext: cipher.encrypt(&m, &k_it),
-                })
-            })
-            .collect()
+                }),
+            );
+        });
     }
 
     /// Derives one epoch's complete key material — the shared cipher plus
     /// every source's `k_{i,t}` and `ss_{i,t}` — ahead of the epoch, so a
     /// precompute pool can do the PRF sweeps during the inter-epoch idle
-    /// gap. Both sweeps run through the same multi-lane batch pipeline as
-    /// [`Source::initialize_batch`], so consuming the material via
+    /// gap. Both sweeps write straight into the material's tables through
+    /// the same multi-lane batch pipeline as
+    /// [`Source::initialize_batch_into`], so consuming the material via
     /// [`Source::initialize_prewarmed`] is bit-identical to deriving on
     /// demand. Returns `None` for an empty deployment.
     pub fn derive_epoch_keys(sources: &[Source], epoch: Epoch) -> Option<EpochKeyMaterial> {
         let first = sources.first()?;
         let cipher = first.epoch_cipher(epoch);
-        let p = first.creds.params.prime();
-        let k_its = prf::derive_mod_p_many(sources.iter().map(|s| &s.source_prf), epoch, p);
-        let sss = prf::hm1_epoch_many(sources.iter().map(|s| &s.source_prf), epoch);
+        let p = first.params().prime();
+        let mut k_its = vec![U256::ZERO; sources.len()];
+        let mut sss = vec![[0u8; 20]; sources.len()];
+        let prfs = sources.iter().map(|s| &s.source_prf);
+        prf::for_each_epoch_key(prfs, epoch, p, |i, k_it, ss| {
+            k_its[i] = k_it;
+            sss[i] = ss;
+        });
         Some(EpochKeyMaterial {
             epoch,
             cipher,
@@ -292,15 +352,15 @@ impl Source {
         keys: &EpochKeyMaterial,
         value: u64,
     ) -> Result<Psr, SiesError> {
-        let idx = self.creds.id as usize;
+        let idx = self.id as usize;
         debug_assert_eq!(
             keys.cipher.prime(),
-            self.creds.params.prime(),
+            self.params().prime(),
             "key material built for a different modulus"
         );
         let k_it = &keys.k_its[idx];
         let ss = &keys.sss[idx];
-        let m = codec::encode_message(&self.creds.params, value, ss)?;
+        let m = codec::encode_message(self.params(), value, ss)?;
         Ok(Psr {
             ciphertext: keys.cipher.encrypt(&m, k_it),
         })
@@ -392,34 +452,31 @@ impl Querier {
 
     /// Per-chunk half of evaluation: `(Σ k_{i,t} mod p, Σ ss_{i,t})` over
     /// one contiguous slice of the contributor list, or the first error in
-    /// slice order.
+    /// slice order. Both PRF sweeps run through the multi-lane batch
+    /// pipeline ([`prf::for_each_epoch_key`]).
     fn contributor_partial(
         &self,
         epoch: Epoch,
         ids: &[SourceId],
     ) -> Result<(U256, U256), SiesError> {
         let p = self.params.prime();
-        // Resolve every id first (the first unknown id in slice order is
-        // the error, exactly as the old per-id loop reported it), then
-        // run both PRF sweeps through the multi-lane batch pipeline.
-        let mut prfs = Vec::with_capacity(ids.len());
-        for &id in ids {
-            prfs.push(
-                self.source_prfs
-                    .get(id as usize)
-                    .ok_or(SiesError::UnknownSource(id))?,
-            );
+        // Resolve every id first: the first unknown id in slice order is
+        // the error.
+        if let Some(&id) = ids
+            .iter()
+            .find(|&&id| id as usize >= self.source_prfs.len())
+        {
+            return Err(SiesError::UnknownSource(id));
         }
-        let k_its = prf::derive_mod_p_many(prfs.iter().copied(), epoch, p);
-        let sss = prf::hm1_epoch_many(prfs.iter().copied(), epoch);
         let mut k_sum = U256::ZERO;
         let mut secret = U256::ZERO;
-        for (k_it, ss) in k_its.iter().zip(&sss) {
-            k_sum = k_sum.add_mod(k_it, p);
+        let prfs = ids.iter().map(|&id| &self.source_prfs[id as usize]);
+        prf::for_each_epoch_key(prfs, epoch, p, |_, k_it, ss| {
+            k_sum = k_sum.add_mod(&k_it, p);
             secret = secret
-                .checked_add(&codec::share_to_u256(ss))
+                .checked_add(&codec::share_to_u256(&ss))
                 .expect("share sum fits 256 bits");
-        }
+        });
         Ok((k_sum, secret))
     }
 
@@ -715,7 +772,10 @@ mod tests {
                 .map(|(i, s)| (s, (i as u64) * 31 + epoch % 97))
                 .collect();
             for n in [0usize, 1, 5, 12] {
-                let batch = Source::initialize_batch(&cipher, epoch, &jobs[..n]);
+                let mut batch = Vec::new();
+                Source::initialize_batch_into(&cipher, epoch, jobs[..n].iter().copied(), |r| {
+                    batch.push(r)
+                });
                 assert_eq!(batch.len(), n);
                 for (i, got) in batch.iter().enumerate() {
                     assert_eq!(
@@ -726,6 +786,53 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "credentials from more than one deployment")]
+    fn new_many_rejects_mixed_deployments() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let (_, mut creds, _) = setup(&mut rng, SystemParams::new(2).unwrap());
+        let (_, other, _) = setup(&mut rng, SystemParams::new(2).unwrap());
+        creds.push(other[1].clone());
+        Source::new_many(&creds);
+    }
+
+    #[test]
+    fn tiled_paths_match_serial_across_tile_boundaries() {
+        // More than two tiles of sources: the batch init and the
+        // querier's Σss sweep must walk every tile boundary, and sources
+        // built together must encrypt exactly like sources built alone.
+        // Two full 64-key PRF tiles and a ragged third.
+        let n = 131;
+        let mut rng = StdRng::seed_from_u64(31);
+        let (querier, creds, agg) = setup(&mut rng, SystemParams::new(n).unwrap());
+        let alone: Vec<Source> = creds.iter().cloned().map(Source::new).collect();
+        let together = Source::new_many(&creds);
+        let epoch = 77;
+        let cipher = together[0].epoch_cipher(epoch);
+        let jobs: Vec<(&Source, u64)> = together.iter().map(|s| (s, s.id() as u64 * 3)).collect();
+        let mut psrs = Vec::new();
+        Source::initialize_batch_into(&cipher, epoch, jobs.iter().copied(), |r| {
+            psrs.push(r.unwrap())
+        });
+        assert_eq!(psrs.len(), n as usize);
+        for (i, psr) in psrs.iter().enumerate() {
+            assert_eq!(
+                *psr,
+                alone[i].initialize(epoch, i as u64 * 3).unwrap(),
+                "source {i}"
+            );
+        }
+        // Contributors out of table order, spanning every tile.
+        let contributors: Vec<SourceId> = (0..n as SourceId).rev().filter(|i| i % 7 != 3).collect();
+        let picked: Vec<Psr> = contributors.iter().map(|&i| psrs[i as usize]).collect();
+        let merged = agg.merge(&picked).unwrap();
+        let expected: u64 = contributors.iter().map(|&i| i as u64 * 3).sum();
+        let res = querier
+            .evaluate_with_contributors(&merged, epoch, &contributors)
+            .unwrap();
+        assert_eq!(res.sum, expected);
     }
 
     #[test]

@@ -33,37 +33,33 @@ pub trait HashFunction: Clone {
 
 /// Merkle–Damgård internals exposed for the multi-lane batch pipeline.
 ///
-/// The batched HMAC layer ([`crate::hmac::HmacState::finalize_many`])
-/// needs three things the plain [`HashFunction`] interface hides: the
-/// chaining state (to hand W of them to an interleaved kernel), the
-/// pending partial block (to build each lane's padded final block), and
-/// the lane kernels themselves. Lane registers are uniformly `[u32; 8]`;
-/// SHA-1 only uses the first five words.
+/// The tiled HMAC finalize behind [`crate::hmac::hmac_many`] and the
+/// [`crate::prf`] batch functions works on bare chaining states and
+/// 64-byte blocks, never on hasher objects: it needs the initial state,
+/// the lane kernels, and a fixed-size digest to write each lane's result
+/// into. Lane registers are uniformly `[u32; 8]`; SHA-1 only uses the
+/// first five words.
 pub trait LaneHash: HashFunction {
     /// Live chaining words per lane register (5 for SHA-1, 8 for SHA-256).
     const STATE_WORDS: usize;
 
-    /// Snapshot of the chaining state, zero-padded to 8 words.
-    fn chain_state(&self) -> [u32; 8];
+    /// The initial chaining state as a lane register.
+    const INITIAL_STATE: [u32; 8];
 
-    /// Rebuilds a hasher from a chaining state sitting at a block
-    /// boundary: `length` bytes absorbed, nothing buffered.
-    fn from_midstate(state: [u32; 8], length: u64) -> Self;
-
-    /// The buffered partial-block tail (< 64 bytes) and the total
-    /// absorbed length in bytes.
-    fn pending(&self) -> (&[u8], u64);
+    /// The digest as a fixed-size array (`[u8; OUTPUT_SIZE]`).
+    type Digest: Copy + Default + AsRef<[u8]> + AsMut<[u8]>;
 
     /// Advances `states[l]` by the single 64-byte block `blocks[l]` for
-    /// every lane, scheduling x8/x4/scalar kernel passes at the runtime
-    /// lane width ([`crate::lanes::lane_width`]).
-    fn compress_lanes(states: &mut [[u32; 8]], blocks: &[[u8; 64]]);
+    /// every lane, scheduling x16/x8/x4/scalar kernel passes capped at
+    /// `width`. Output is independent of `width`.
+    fn compress_lanes_with(width: usize, states: &mut [[u32; 8]], blocks: &[[u8; 64]]);
 
     /// Serializes a chaining state to the big-endian digest bytes.
-    fn digest_from_state(state: &[u32; 8]) -> Vec<u8> {
-        state[..Self::STATE_WORDS]
-            .iter()
-            .flat_map(|w| w.to_be_bytes())
-            .collect()
+    fn digest_from_state(state: &[u32; 8]) -> Self::Digest {
+        let mut digest = Self::Digest::default();
+        for (out, word) in digest.as_mut().chunks_exact_mut(4).zip(state) {
+            out.copy_from_slice(&word.to_be_bytes());
+        }
+        digest
     }
 }

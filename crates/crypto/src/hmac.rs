@@ -4,8 +4,22 @@
 //! cost `C_HM1`) and `HM256(K, m)` (HMAC-SHA-256, 32-byte output, cost
 //! `C_HM256`). Both are used as PRFs keyed by long-term secrets and applied
 //! to the epoch counter.
+//!
+//! Two paths, bit-identical:
+//!
+//! * **Scalar** — [`hmac`] and the incremental [`HmacState`] re-derive
+//!   the key schedule per call; the reference every batch path is tested
+//!   against.
+//! * **Batched** — a key is reduced once to its two chaining states
+//!   (`Pads`, built in lane batches), after which every HMAC under it is
+//!   one inner block plus one outer block. One tiled finalize runs both
+//!   blocks of up to 64 HMACs at a time through the multi-lane kernels,
+//!   with states, blocks and digests in fixed-size stack arrays: no lane
+//!   clones a hasher or allocates. [`hmac_many`] and every batch
+//!   function of [`crate::prf`] end in it.
 
 use crate::hash::{HashFunction, LaneHash};
+use crate::lanes::effective_lane_width;
 use sies_telemetry as tel;
 
 /// Computes `HMAC_H(key, message)`.
@@ -18,26 +32,35 @@ pub fn hmac<H: HashFunction>(key: &[u8], message: &[u8]) -> Vec<u8> {
 }
 
 /// Batch one-shot HMAC: the same `message` under many `keys` — the shape
-/// of μTesla's MAC-key window. All four compressions of every HMAC (the
-/// two pad absorptions and the two finishing blocks) run through the
-/// multi-lane kernels. Bit-identical to mapping [`hmac`] over `keys`.
-pub fn hmac_many<H: LaneHash>(keys: &[&[u8]], message: &[u8]) -> Vec<Vec<u8>> {
-    let mut macs = HmacState::<H>::new_many(keys);
-    for mac in &mut macs {
-        mac.update(message);
+/// of μTesla's MAC-key window. Both pad absorptions and both finishing
+/// blocks of every HMAC run through the multi-lane kernels.
+/// Bit-identical to mapping [`hmac`] over `keys`.
+pub fn hmac_many<H: LaneHash>(keys: &[&[u8]], message: &[u8]) -> Vec<H::Digest> {
+    let mut out = vec![H::Digest::default(); keys.len()];
+    hmac_many_into_with::<H>(effective_lane_width(), keys, message, &mut out);
+    out
+}
+
+/// [`hmac_many`] at an explicit lane width, into `out` (one digest per
+/// key).
+pub fn hmac_many_into_with<H: LaneHash>(
+    width: usize,
+    keys: &[&[u8]],
+    message: &[u8],
+    out: &mut [H::Digest],
+) {
+    assert_eq!(keys.len(), out.len(), "one output digest per key");
+    tel::observe!("crypto.hmac.batch", keys.len() as u64);
+    let mut pads = [Pads::default(); TILE];
+    for (keys, out) in keys.chunks(TILE).zip(out.chunks_mut(TILE)) {
+        let pads = &mut pads[..keys.len()];
+        pads_into_with::<H, _>(width, keys, pads);
+        finalize_into_with::<H, _, _>(width, pads.iter().map(|&p| (p, message)), out);
     }
-    HmacState::finalize_many(macs)
 }
 
 /// Incremental HMAC state, for callers that assemble the message from
 /// several parts (e.g. `value || epoch` in the SECOA inflation certificate).
-///
-/// Both pad blocks are absorbed at construction, so a cached, cloned
-/// state pays exactly **two** compression calls per short (≤ 55-byte)
-/// message: the inner hash's padded final block and the outer hash's
-/// digest block. Those two are what [`HmacState::finalize_many`] batches
-/// across lanes.
-#[derive(Clone)]
 pub struct HmacState<H: HashFunction> {
     /// Inner hash with `key ⊕ ipad` already absorbed.
     inner: H,
@@ -88,104 +111,174 @@ impl<H: HashFunction> HmacState<H> {
     }
 }
 
-impl<H: LaneHash> HmacState<H> {
-    /// Prepares many HMAC states at once, batching the `key ⊕ ipad` and
-    /// `key ⊕ opad` absorptions (2 compressions per key) across lanes.
-    /// Bit-identical to mapping [`HmacState::new`] over `keys`.
-    pub fn new_many(keys: &[&[u8]]) -> Vec<HmacState<H>> {
-        debug_assert_eq!(H::BLOCK_SIZE, 64, "lane kernels assume 64-byte blocks");
-        let fresh = H::new().chain_state();
-        let mut states = vec![fresh; 2 * keys.len()];
-        let mut blocks = Vec::with_capacity(2 * keys.len());
-        for key in keys {
-            let mut key_block = [0u8; 64];
-            if key.len() > 64 {
-                let digest = H::digest(key);
-                key_block[..digest.len()].copy_from_slice(&digest);
-            } else {
-                key_block[..key.len()].copy_from_slice(key);
-            }
-            let mut ipad_block = key_block;
-            let mut opad_block = key_block;
-            for b in ipad_block.iter_mut() {
-                *b ^= 0x36;
-            }
-            for b in opad_block.iter_mut() {
-                *b ^= 0x5c;
-            }
-            blocks.push(ipad_block);
-            blocks.push(opad_block);
-        }
-        H::compress_lanes(&mut states, &blocks);
-        states
-            .chunks_exact(2)
-            .map(|pair| HmacState {
-                inner: H::from_midstate(pair[0], 64),
-                outer: H::from_midstate(pair[1], 64),
-            })
-            .collect()
-    }
+/// HMACs per tile of the batched paths. Each tile's chaining states,
+/// blocks and digests live in fixed-size stack arrays (8 KiB for a
+/// finalize tile), and a tile is a whole number of x16 kernel passes.
+pub(crate) const TILE: usize = 64;
 
-    /// Finalizes a batch of independent MACs, running the two trailing
-    /// compressions of every HMAC through the multi-lane kernels.
-    /// Bit-identical to mapping [`HmacState::finalize`] over the batch,
-    /// in order.
-    ///
-    /// Lanes whose buffered message tail does not fit a single padded
-    /// block (> 55 bytes — never the case for the 8–13 byte epoch and
-    /// certificate messages) fall back to the scalar finalize for the
-    /// inner hash; the outer digest block is single-block by construction
-    /// and always batches.
-    pub fn finalize_many(macs: Vec<HmacState<H>>) -> Vec<Vec<u8>> {
-        let n = macs.len();
-        tel::observe!("crypto.hmac.batch", n as u64);
-        // Stage 1: the padded final block of every inner hash.
-        let mut inner_digests: Vec<Vec<u8>> = Vec::with_capacity(n);
-        let mut lane_states: Vec<[u32; 8]> = Vec::with_capacity(n);
-        let mut lane_blocks: Vec<[u8; 64]> = Vec::with_capacity(n);
-        let mut lane_idx: Vec<usize> = Vec::with_capacity(n);
-        let mut outers: Vec<H> = Vec::with_capacity(n);
-        for (k, mac) in macs.into_iter().enumerate() {
-            let HmacState { inner, outer } = mac;
-            outers.push(outer);
-            let (tail, length) = inner.pending();
-            if tail.len() <= 55 {
-                let mut block = [0u8; 64];
-                block[..tail.len()].copy_from_slice(tail);
-                block[tail.len()] = 0x80;
-                block[56..].copy_from_slice(&length.wrapping_mul(8).to_be_bytes());
-                lane_states.push(inner.chain_state());
-                lane_blocks.push(block);
-                lane_idx.push(k);
-                inner_digests.push(Vec::new()); // patched after the batch pass
-            } else {
-                inner_digests.push(inner.finalize());
-            }
-        }
-        H::compress_lanes(&mut lane_states, &lane_blocks);
-        for (state, &k) in lane_states.iter().zip(&lane_idx) {
-            inner_digests[k] = H::digest_from_state(state);
-        }
+/// One HMAC key reduced to its two chaining states: `inner` has absorbed
+/// the block `key ⊕ ipad` and `outer` the block `key ⊕ opad`. Lane
+/// registers are `[u32; 8]`; for SHA-1 only the first five words are
+/// live. Every HMAC under the key then costs one inner block plus one
+/// outer block (messages ≤ 55 bytes).
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Pads {
+    /// Inner chaining state after `key ⊕ ipad`.
+    pub(crate) inner: [u32; 8],
+    /// Outer chaining state after `key ⊕ opad`.
+    pub(crate) outer: [u32; 8],
+}
 
-        // Stage 2: the outer hash of every lane has exactly one block
-        // left — the opad block was absorbed at construction and
-        // digest + padding (≤ 32 + 9 bytes) fits a single block.
-        let mut out_states: Vec<[u32; 8]> = Vec::with_capacity(n);
-        let mut out_blocks: Vec<[u8; 64]> = Vec::with_capacity(n);
-        for (outer, digest) in outers.iter().zip(&inner_digests) {
-            let (tail, length) = outer.pending();
-            debug_assert!(tail.is_empty(), "outer state must sit at a block boundary");
-            let total_bits = (length + digest.len() as u64).wrapping_mul(8);
-            let mut block = [0u8; 64];
-            block[..digest.len()].copy_from_slice(digest);
-            block[digest.len()] = 0x80;
-            block[56..].copy_from_slice(&total_bits.to_be_bytes());
-            out_states.push(outer.chain_state());
-            out_blocks.push(block);
-        }
-        H::compress_lanes(&mut out_states, &out_blocks);
-        out_states.iter().map(H::digest_from_state).collect()
+impl Pads {
+    /// Absorbs one key's two pad blocks (two scalar compressions).
+    pub(crate) fn new<H: LaneHash>(key: &[u8]) -> Pads {
+        let mut out = [Pads::default()];
+        pads_into_with::<H, _>(1, [key], &mut out);
+        out[0]
     }
+}
+
+/// The RFC 2104 key block: `key` zero-padded to the block size, or its
+/// digest when the key is longer than a block.
+fn key_block<H: HashFunction>(key: &[u8]) -> [u8; 64] {
+    debug_assert_eq!(H::BLOCK_SIZE, 64, "lane kernels assume 64-byte blocks");
+    let mut block = [0u8; 64];
+    if key.len() > 64 {
+        let digest = H::digest(key);
+        block[..digest.len()].copy_from_slice(&digest);
+    } else {
+        block[..key.len()].copy_from_slice(key);
+    }
+    block
+}
+
+/// Builds the [`Pads`] of every key in `keys` (exactly `out.len()` of
+/// them) at lane width `width`: per tile, one kernel sweep over the
+/// `key ⊕ ipad` blocks and one over the `key ⊕ opad` blocks.
+/// Bit-identical to [`Pads::new`] per key.
+pub(crate) fn pads_into_with<H, I>(width: usize, keys: I, out: &mut [Pads])
+where
+    H: LaneHash,
+    I: IntoIterator,
+    I::Item: AsRef<[u8]>,
+{
+    let mut keys = keys.into_iter();
+    let mut inner = [[0u32; 8]; TILE];
+    let mut outer = [[0u32; 8]; TILE];
+    let mut ipad = [[0u8; 64]; TILE];
+    let mut opad = [[0u8; 64]; TILE];
+    for out in out.chunks_mut(TILE) {
+        let n = out.len();
+        for l in 0..n {
+            let block = key_block::<H>(keys.next().expect("one key per output slot").as_ref());
+            ipad[l] = block.map(|b| b ^ 0x36);
+            opad[l] = block.map(|b| b ^ 0x5c);
+        }
+        inner[..n].fill(H::INITIAL_STATE);
+        outer[..n].fill(H::INITIAL_STATE);
+        H::compress_lanes_with(width, &mut inner[..n], &ipad[..n]);
+        H::compress_lanes_with(width, &mut outer[..n], &opad[..n]);
+        for (l, pads) in out.iter_mut().enumerate() {
+            *pads = Pads {
+                inner: inner[l],
+                outer: outer[l],
+            };
+        }
+    }
+    assert!(keys.next().is_none(), "one output slot per key");
+}
+
+/// The inner hash's last block for `message`: the message tail, the
+/// `0x80` terminator and the bit length of `ipad block || message`.
+/// Whatever does not fit that one block — whole 64-byte message blocks,
+/// and the terminator block of a 56–63 byte tail — is compressed into
+/// `state` here, one scalar lane at a time; epoch and certificate
+/// messages (8–13 bytes) never take that path.
+fn final_block<H: LaneHash>(state: &mut [u32; 8], message: &[u8]) -> [u8; 64] {
+    let mut chunks = message.chunks_exact(64);
+    for chunk in &mut chunks {
+        let block: [u8; 64] = chunk.try_into().expect("64-byte chunk");
+        H::compress_lanes_with(1, std::slice::from_mut(state), &[block]);
+    }
+    let tail = chunks.remainder();
+    let mut block = [0u8; 64];
+    block[..tail.len()].copy_from_slice(tail);
+    block[tail.len()] = 0x80;
+    if tail.len() > 55 {
+        H::compress_lanes_with(1, std::slice::from_mut(state), &[block]);
+        block = [0u8; 64];
+    }
+    let bits = (64 + message.len() as u64).wrapping_mul(8);
+    block[56..].copy_from_slice(&bits.to_be_bytes());
+    block
+}
+
+/// The outer hash's only block: the inner digest, padded. The opad block
+/// was absorbed into the pads, and digest + padding (≤ 32 + 9 bytes)
+/// always fits one block.
+fn digest_block<H: LaneHash>(inner: &[u32; 8]) -> [u8; 64] {
+    let len = 4 * H::STATE_WORDS;
+    let mut block = [0u8; 64];
+    for (out, word) in block[..len].chunks_exact_mut(4).zip(inner) {
+        out.copy_from_slice(&word.to_be_bytes());
+    }
+    block[len] = 0x80;
+    block[56..].copy_from_slice(&((64 + len as u64) * 8).to_be_bytes());
+    block
+}
+
+/// The tiled finalize over `T`-lane stack tiles (see
+/// [`finalize_into_with`]).
+fn finalize_tiled<H, I, M, const T: usize>(width: usize, lanes: I, out: &mut [H::Digest])
+where
+    H: LaneHash,
+    I: IntoIterator<Item = (Pads, M)>,
+    M: AsRef<[u8]>,
+{
+    let mut lanes = lanes.into_iter();
+    let mut inner = [[0u32; 8]; T];
+    let mut outer = [[0u32; 8]; T];
+    let mut blocks = [[0u8; 64]; T];
+    for out in out.chunks_mut(T) {
+        let n = out.len();
+        for l in 0..n {
+            let (pads, message) = lanes.next().expect("one lane per output digest");
+            inner[l] = pads.inner;
+            outer[l] = pads.outer;
+            blocks[l] = final_block::<H>(&mut inner[l], message.as_ref());
+        }
+        H::compress_lanes_with(width, &mut inner[..n], &blocks[..n]);
+        for l in 0..n {
+            blocks[l] = digest_block::<H>(&inner[l]);
+        }
+        H::compress_lanes_with(width, &mut outer[..n], &blocks[..n]);
+        for (digest, state) in out.iter_mut().zip(&outer) {
+            *digest = H::digest_from_state(state);
+        }
+    }
+    assert!(lanes.next().is_none(), "one output digest per lane");
+}
+
+/// Finishes one HMAC per `(pads, message)` lane into `out` (exactly
+/// `out.len()` lanes), [`TILE`] lanes at a time at lane width `width`:
+/// the inner hashes' final blocks in one kernel sweep, then the outer
+/// hashes' digest blocks in another. Bit-identical to [`hmac`] under the
+/// key each `pads` was built from. Records no telemetry: callers run it
+/// per tile, so batch sizes are observed by the public entry points.
+pub(crate) fn finalize_into_with<H, I, M>(width: usize, lanes: I, out: &mut [H::Digest])
+where
+    H: LaneHash,
+    I: IntoIterator<Item = (Pads, M)>,
+    M: AsRef<[u8]>,
+{
+    finalize_tiled::<H, I, M, TILE>(width, lanes, out);
+}
+
+/// One HMAC under `pads`, on a one-lane tile (no tile-sized buffers).
+pub(crate) fn finalize_one<H: LaneHash>(pads: Pads, message: &[u8]) -> H::Digest {
+    let mut out = [H::Digest::default()];
+    finalize_tiled::<H, _, _, 1>(1, [(pads, message)], &mut out);
+    out[0]
 }
 
 /// Constant-time byte-slice equality, for MAC verification.
@@ -287,33 +380,41 @@ mod tests {
         assert_ne!(m1, m2);
     }
 
-    /// Batched construction + finalize must be bit-identical to the
-    /// scalar path for ragged batch sizes, long keys, and messages that
-    /// straddle block boundaries (the > 55-byte scalar-fallback lanes).
+    #[test]
+    fn tile_is_what_the_boundary_tests_assume() {
+        // tests/batched_hmac.rs probes the tile boundaries at 63/64/65
+        // and 131 keys without seeing this private constant.
+        assert_eq!(TILE, 64);
+    }
+
+    /// The pads + tiled finalize path must be bit-identical to the
+    /// scalar HMAC for long keys and for messages that straddle the
+    /// single-block limit (the scalar-prefix lanes), at every width.
     #[test]
     fn batch_paths_match_scalar() {
-        fn check<H: crate::hash::LaneHash>() {
-            for n in [0usize, 1, 3, 4, 5, 7, 8, 9, 17] {
+        fn check<H: LaneHash>() {
+            for n in [0usize, 1, 3, 17, TILE + 1] {
                 let keys: Vec<Vec<u8>> = (0..n).map(|i| vec![0x10 + i as u8; 1 + 9 * i]).collect();
                 let msgs: Vec<Vec<u8>> = (0..n)
-                    .map(|i| vec![0x60 + i as u8; (11 * i) % 71])
+                    .map(|i| vec![0x60 + i as u8; (11 * i) % 140])
                     .collect();
                 let key_refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-
-                let mut macs = HmacState::<H>::new_many(&key_refs);
-                assert_eq!(macs.len(), n);
-                for (mac, msg) in macs.iter_mut().zip(&msgs) {
-                    mac.update(msg);
-                }
-                let batched = HmacState::finalize_many(macs);
-                for (i, got) in batched.iter().enumerate() {
-                    assert_eq!(*got, hmac::<H>(&keys[i], &msgs[i]), "lane {i} of {n}");
-                }
-
-                // Same message under every key (the hmac_many shape).
-                let same = hmac_many::<H>(&key_refs, b"window message");
-                for (i, got) in same.iter().enumerate() {
-                    assert_eq!(*got, hmac::<H>(&keys[i], b"window message"), "lane {i}");
+                for width in [1, 4, 8, 16] {
+                    let mut pads = vec![Pads::default(); n];
+                    pads_into_with::<H, _>(width, &key_refs, &mut pads);
+                    let mut got = vec![H::Digest::default(); n];
+                    finalize_into_with::<H, _, _>(width, pads.iter().copied().zip(&msgs), &mut got);
+                    for (i, got) in got.iter().enumerate() {
+                        assert_eq!(
+                            got.as_ref(),
+                            hmac::<H>(&keys[i], &msgs[i]),
+                            "lane {i} of {n}"
+                        );
+                        assert_eq!(
+                            finalize_one::<H>(Pads::new::<H>(&keys[i]), &msgs[i]).as_ref(),
+                            got.as_ref()
+                        );
+                    }
                 }
             }
         }

@@ -22,12 +22,15 @@
 //!   CIOS: `pow_mod_many` / `chain_pow_mod_many` / `fold_many`) behind
 //!   the RSA/Paillier batch paths and the SECOA seed products;
 //! * [`mod@hmac`] — RFC 2104 HMAC generic over the hash, the paper's
-//!   `HM1(·)`/`HM256(·)`, with cached-pad states and the lane-batched
-//!   [`hmac::HmacState::finalize_many`] / [`hmac::hmac_many`];
+//!   `HM1(·)`/`HM256(·)`: the scalar reference, and per-key chaining
+//!   states with the tiled single-block finalize every batched HMAC
+//!   ([`hmac::hmac_many`], the [`prf`] batch functions) runs through;
 //! * [`prf`] — epoch-keyed PRF helpers with derive-to-range rejection
-//!   sampling: scalar free functions, the cached [`prf::KeyedPrf`], and
-//!   the cross-key batch API ([`prf::hm1_epoch_many`],
-//!   [`prf::hm256_epoch_many`], [`prf::derive_mod_p_many`]);
+//!   sampling: scalar free functions, the 104-byte cached
+//!   [`prf::KeyedPrf`], and the cross-key batch API
+//!   ([`prf::hm1_epoch_many`], [`prf::hm256_epoch_many`],
+//!   [`prf::derive_mod_p_many`]; [`prf::for_each_epoch_key`] runs both
+//!   per-source epoch sweeps without allocating);
 //! * [`rsa`] — textbook RSA for the SECOA baseline's SEAL one-way chains.
 //!
 //! ## Example

@@ -9,17 +9,26 @@
 //! * **Scalar free functions** — [`hm1_epoch`], [`hm256_epoch`],
 //!   [`derive_mod`], … re-derive the HMAC key schedule on every call;
 //!   fine for setup and cold paths.
-//! * **[`KeyedPrf`]** — one key's ipad/opad states cached, so each PRF
-//!   call costs exactly two compressions; the per-source hot path.
+//! * **[`KeyedPrf`]** — one key reduced to its four HMAC chaining states
+//!   (SHA-256 and SHA-1, ipad and opad): 104 bytes of `Copy` data, built
+//!   in lane batches by [`KeyedPrf::new_many`]. Each PRF call then costs
+//!   exactly two compressions and touches no heap.
 //! * **Cross-key batch functions** — [`hm1_epoch_many`],
-//!   [`hm256_epoch_many`], [`derive_mod_p_many`] evaluate one epoch
-//!   under *many* cached keys at once, pushing both compressions of
-//!   every HMAC through the multi-lane kernels
-//!   ([`crate::sha1xn`]/[`crate::sha256xn`]): the shape of the source
-//!   fan-out and the querier's Σss recomputation.
+//!   [`hm256_epoch_many`], [`derive_mod_p_many`], [`hm1_many`] evaluate
+//!   one message shape under *many* keys at once through the tiled
+//!   single-block finalize of [`mod@crate::hmac`], one key per hash lane at
+//!   the CPU's full lane width ([`crate::lanes`]); the `_into_with`
+//!   forms write into caller-owned buffers at a pinned lane width.
+//!   [`for_each_epoch_key`] runs both per-source sweeps of a SIES epoch
+//!   (`k_{i,t}` and `ss_{i,t}`) tile by tile in stack buffers and hands
+//!   each key's pair to a closure, allocating nothing: the shape of
+//!   source batch init, prewarm derivation and the querier's Σss
+//!   recomputation. Only rejected derive-to-range draws (probability
+//!   189 · 2⁻²⁵⁶ per key under the default prime) take a scalar tail.
 
 use crate::biguint::BigUint;
-use crate::hmac::{hmac, HmacState};
+use crate::hmac::{finalize_into_with, finalize_one, hmac, pads_into_with, Pads, TILE};
+use crate::lanes::effective_lane_width;
 use crate::sha1::Sha1;
 use crate::sha256::Sha256;
 use crate::u256::U256;
@@ -131,37 +140,80 @@ pub fn derive_biguint_mod(key: &[u8], epoch: u64, modulus: &BigUint) -> BigUint 
 /// A long-term key with its HMAC pads pre-absorbed: the batched hot path
 /// for deriving many per-epoch values under one key.
 ///
-/// [`HmacState::new`] hashes the 64-byte `key ⊕ ipad` block on every
-/// call; over an epoch pipeline that evaluates thousands of PRFs per key
-/// (e.g. the querier recomputing `k_{i,t}` and `ss_{i,t}` for every
-/// contributor, or one source across many epochs), caching the
-/// ipad-absorbed state and cloning it per message removes one compression
-/// function call per PRF invocation and all per-call key-block setup.
+/// Holds nothing but the four chaining states an HMAC under the key
+/// starts from — SHA-256 and SHA-1, after `key ⊕ ipad` and after
+/// `key ⊕ opad` — so it is 104 bytes of `Copy` data. Every PRF call
+/// finishes from these states in two compressions (the inner hash's
+/// padded message block and the outer hash's digest block); the batch
+/// functions below read them straight into kernel lanes.
 ///
 /// Every method is bit-identical to the corresponding free function —
 /// asserted by `batched_prf_matches_oneshot` below — so callers can adopt
 /// the batched path without changing any derived key, share, or
 /// ciphertext.
-#[derive(Clone)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct KeyedPrf {
-    hm1: HmacState<Sha1>,
-    hm256: HmacState<Sha256>,
+    /// HMAC-SHA-256 inner and outer chaining states.
+    hm256: [[u32; 8]; 2],
+    /// HMAC-SHA-1 inner and outer chaining states (five words each).
+    hm1: [[u32; 5]; 2],
 }
 
 impl KeyedPrf {
-    /// Absorbs `key` into both HMAC instances.
+    /// Absorbs `key` into both HMAC instances (four scalar compressions).
     pub fn new(key: &[u8]) -> Self {
+        Self::from_pads(&Pads::new::<Sha1>(key), &Pads::new::<Sha256>(key))
+    }
+
+    /// [`KeyedPrf::new`] for every key, with the four pad compressions
+    /// of each key batched across hash lanes.
+    pub fn new_many<K: AsRef<[u8]>>(keys: &[K]) -> Vec<KeyedPrf> {
+        let width = effective_lane_width();
+        let mut hm1 = [Pads::default(); TILE];
+        let mut hm256 = [Pads::default(); TILE];
+        let mut out = Vec::with_capacity(keys.len());
+        for tile in keys.chunks(TILE) {
+            let n = tile.len();
+            pads_into_with::<Sha1, _>(width, tile, &mut hm1[..n]);
+            pads_into_with::<Sha256, _>(width, tile, &mut hm256[..n]);
+            out.extend(
+                hm1[..n]
+                    .iter()
+                    .zip(&hm256[..n])
+                    .map(|(a, b)| Self::from_pads(a, b)),
+            );
+        }
+        out
+    }
+
+    fn from_pads(hm1: &Pads, hm256: &Pads) -> Self {
+        let five = |s: &[u32; 8]| -> [u32; 5] { [s[0], s[1], s[2], s[3], s[4]] };
         KeyedPrf {
-            hm1: HmacState::<Sha1>::new(key),
-            hm256: HmacState::<Sha256>::new(key),
+            hm256: [hm256.inner, hm256.outer],
+            hm1: [five(&hm1.inner), five(&hm1.outer)],
+        }
+    }
+
+    /// The HMAC-SHA-1 chaining states as lane registers.
+    fn hm1_pads(&self) -> Pads {
+        let eight = |s: &[u32; 5]| -> [u32; 8] { [s[0], s[1], s[2], s[3], s[4], 0, 0, 0] };
+        Pads {
+            inner: eight(&self.hm1[0]),
+            outer: eight(&self.hm1[1]),
+        }
+    }
+
+    /// The HMAC-SHA-256 chaining states as lane registers.
+    fn hm256_pads(&self) -> Pads {
+        Pads {
+            inner: self.hm256[0],
+            outer: self.hm256[1],
         }
     }
 
     /// `HM1(key, msg)` — identical to [`hm1`].
     pub fn hm1(&self, message: &[u8]) -> [u8; 20] {
-        let mut mac = self.hm1.clone();
-        mac.update(message);
-        mac.finalize().try_into().expect("SHA-1 digest is 20 bytes")
+        finalize_one::<Sha1>(self.hm1_pads(), message)
     }
 
     /// `HM1(key, t)` — identical to [`hm1_epoch`].
@@ -171,11 +223,7 @@ impl KeyedPrf {
 
     /// `HM256(key, msg)` — identical to [`hm256`].
     fn hm256_raw(&self, message: &[u8]) -> [u8; 32] {
-        let mut mac = self.hm256.clone();
-        mac.update(message);
-        mac.finalize()
-            .try_into()
-            .expect("SHA-256 digest is 32 bytes")
+        finalize_one::<Sha256>(self.hm256_pads(), message)
     }
 
     /// `HM256(key, t)` — identical to [`hm256_epoch`].
@@ -186,18 +234,18 @@ impl KeyedPrf {
     /// Derives a value in `[0, p)` — identical to [`derive_mod`].
     pub fn derive_mod(&self, epoch: u64, p: &U256) -> U256 {
         let mask = U256::low_mask(p.bit_len());
-        let candidate = U256::from_be_bytes(&self.hm256_epoch(epoch)).and(&mask);
-        if &candidate < p {
-            candidate
-        } else {
-            self.derive_mod_rejected(epoch, p, &mask)
-        }
+        self.derive_from_draw(&self.hm256_epoch(epoch), epoch, p, &mask)
     }
 
-    /// The rare rejection tail of [`derive_mod`]: continues the
-    /// counter-suffixed draws from `counter = 1` (the counter-0 draw is
-    /// the plain epoch message and has already been rejected).
-    fn derive_mod_rejected(&self, epoch: u64, p: &U256, mask: &U256) -> U256 {
+    /// Finishes [`derive_mod`] from the counter-0 draw `HM256(key, t)`:
+    /// the masked draw if it lands below `p`, else the rare rejection
+    /// tail, which continues the counter-suffixed draws from
+    /// `counter = 1`.
+    fn derive_from_draw(&self, draw: &[u8; 32], epoch: u64, p: &U256, mask: &U256) -> U256 {
+        let candidate = U256::from_be_bytes(draw).and(mask);
+        if &candidate < p {
+            return candidate;
+        }
         let mut counter: u32 = 1;
         loop {
             let mut msg = [0u8; 12];
@@ -217,13 +265,13 @@ impl KeyedPrf {
         let mask = U256::low_mask(p.bit_len());
         let mut counter: u32 = 0;
         loop {
-            let mut msg = Vec::with_capacity(16);
-            msg.extend_from_slice(&epoch.to_be_bytes());
-            msg.extend_from_slice(b"nz");
-            if counter > 0 {
-                msg.extend_from_slice(&counter.to_be_bytes());
-            }
-            let candidate = U256::from_be_bytes(&self.hm256_raw(&msg)).and(&mask);
+            // `epoch || "nz"`, then `|| counter` from the first retry on.
+            let mut msg = [0u8; 14];
+            msg[..8].copy_from_slice(&epoch.to_be_bytes());
+            msg[8..10].copy_from_slice(b"nz");
+            msg[10..].copy_from_slice(&counter.to_be_bytes());
+            let len = if counter > 0 { 14 } else { 10 };
+            let candidate = U256::from_be_bytes(&self.hm256_raw(&msg[..len])).and(&mask);
             if !candidate.is_zero() && &candidate < p {
                 return candidate;
             }
@@ -245,20 +293,22 @@ pub fn hm1_epoch_many<'a, I>(prfs: I, epoch: u64) -> Vec<[u8; 20]>
 where
     I: IntoIterator<Item = &'a KeyedPrf>,
 {
+    let prfs: Vec<&KeyedPrf> = prfs.into_iter().collect();
+    let mut out = vec![[0u8; 20]; prfs.len()];
+    hm1_epoch_into_with(effective_lane_width(), prfs, epoch, &mut out);
+    out
+}
+
+/// [`hm1_epoch_many`] into `out` (exactly `out.len()` keys) at an
+/// explicit lane width.
+pub fn hm1_epoch_into_with<'a, I>(width: usize, prfs: I, epoch: u64, out: &mut [[u8; 20]])
+where
+    I: IntoIterator<Item = &'a KeyedPrf>,
+{
+    tel::observe!("crypto.prf.hm1_batch", out.len() as u64);
     let msg = epoch.to_be_bytes();
-    let macs: Vec<_> = prfs
-        .into_iter()
-        .map(|p| {
-            let mut mac = p.hm1.clone();
-            mac.update(&msg);
-            mac
-        })
-        .collect();
-    tel::observe!("crypto.prf.hm1_batch", macs.len() as u64);
-    HmacState::finalize_many(macs)
-        .into_iter()
-        .map(|d| d.try_into().expect("SHA-1 digest is 20 bytes"))
-        .collect()
+    let lanes = prfs.into_iter().map(|p| (p.hm1_pads(), msg));
+    finalize_into_with::<Sha1, _, _>(width, lanes, out);
 }
 
 /// Batched `HM1(key_i, msg_i)` over arbitrary per-lane `(key, message)`
@@ -270,18 +320,21 @@ where
     I: IntoIterator<Item = (&'a KeyedPrf, M)>,
     M: AsRef<[u8]>,
 {
-    let macs: Vec<_> = pairs
-        .into_iter()
-        .map(|(p, msg)| {
-            let mut mac = p.hm1.clone();
-            mac.update(msg.as_ref());
-            mac
-        })
-        .collect();
-    HmacState::finalize_many(macs)
-        .into_iter()
-        .map(|d| d.try_into().expect("SHA-1 digest is 20 bytes"))
-        .collect()
+    let pairs: Vec<(&KeyedPrf, M)> = pairs.into_iter().collect();
+    let mut out = vec![[0u8; 20]; pairs.len()];
+    hm1_many_into_with(effective_lane_width(), pairs, &mut out);
+    out
+}
+
+/// [`hm1_many`] into `out` at an explicit lane width.
+pub fn hm1_many_into_with<'a, I, M>(width: usize, pairs: I, out: &mut [[u8; 20]])
+where
+    I: IntoIterator<Item = (&'a KeyedPrf, M)>,
+    M: AsRef<[u8]>,
+{
+    tel::observe!("crypto.prf.hm1_batch", out.len() as u64);
+    let lanes = pairs.into_iter().map(|(p, m)| (p.hm1_pads(), m));
+    finalize_into_with::<Sha1, _, _>(width, lanes, out);
 }
 
 /// Batched `HM256(key_i, t)` across many cached keys. Element-wise
@@ -290,20 +343,21 @@ pub fn hm256_epoch_many<'a, I>(prfs: I, epoch: u64) -> Vec<[u8; 32]>
 where
     I: IntoIterator<Item = &'a KeyedPrf>,
 {
+    let prfs: Vec<&KeyedPrf> = prfs.into_iter().collect();
+    let mut out = vec![[0u8; 32]; prfs.len()];
+    hm256_epoch_into_with(effective_lane_width(), prfs, epoch, &mut out);
+    out
+}
+
+/// [`hm256_epoch_many`] into `out` at an explicit lane width.
+pub fn hm256_epoch_into_with<'a, I>(width: usize, prfs: I, epoch: u64, out: &mut [[u8; 32]])
+where
+    I: IntoIterator<Item = &'a KeyedPrf>,
+{
+    tel::observe!("crypto.prf.hm256_batch", out.len() as u64);
     let msg = epoch.to_be_bytes();
-    let macs: Vec<_> = prfs
-        .into_iter()
-        .map(|p| {
-            let mut mac = p.hm256.clone();
-            mac.update(&msg);
-            mac
-        })
-        .collect();
-    tel::observe!("crypto.prf.hm256_batch", macs.len() as u64);
-    HmacState::finalize_many(macs)
-        .into_iter()
-        .map(|d| d.try_into().expect("SHA-256 digest is 32 bytes"))
-        .collect()
+    let lanes = prfs.into_iter().map(|p| (p.hm256_pads(), msg));
+    finalize_into_with::<Sha256, _, _>(width, lanes, out);
 }
 
 /// Batched derive-to-range across many cached keys at one epoch: the
@@ -315,20 +369,110 @@ where
     I: IntoIterator<Item = &'a KeyedPrf>,
 {
     let prfs: Vec<&KeyedPrf> = prfs.into_iter().collect();
-    tel::observe!("crypto.prf.derive_batch", prfs.len() as u64);
+    let mut out = vec![U256::ZERO; prfs.len()];
+    derive_mod_p_into_with(effective_lane_width(), prfs, epoch, p, &mut out);
+    out
+}
+
+/// [`derive_mod_p_many`] into `out` (exactly `out.len()` keys) at an
+/// explicit lane width.
+pub fn derive_mod_p_into_with<'a, I>(width: usize, prfs: I, epoch: u64, p: &U256, out: &mut [U256])
+where
+    I: IntoIterator<Item = &'a KeyedPrf>,
+{
+    tel::observe!("crypto.prf.derive_batch", out.len() as u64);
     let mask = U256::low_mask(p.bit_len());
-    hm256_epoch_many(prfs.iter().copied(), epoch)
-        .into_iter()
-        .zip(&prfs)
-        .map(|(digest, prf)| {
-            let candidate = U256::from_be_bytes(&digest).and(&mask);
-            if &candidate < p {
-                candidate
-            } else {
-                prf.derive_mod_rejected(epoch, p, &mask)
-            }
-        })
-        .collect()
+    let msg = epoch.to_be_bytes();
+    let mut draws = [[0u8; 32]; TILE];
+    let mut slots = out.iter_mut();
+    for_each_tile(prfs, |keys| {
+        let draws = &mut draws[..keys.len()];
+        let lanes = keys.iter().map(|prf| (prf.hm256_pads(), msg));
+        finalize_into_with::<Sha256, _, _>(width, lanes, draws);
+        for (prf, draw) in keys.iter().zip(&*draws) {
+            *slots.next().expect("one output slot per key") =
+                prf.derive_from_draw(draw, epoch, p, &mask);
+        }
+    });
+    assert!(slots.next().is_none(), "one key per output slot");
+}
+
+/// One SIES epoch's two per-source PRF sweeps — the key share
+/// `k_{i,t} = derive_mod(k_i, t, p)` and the secret share
+/// `ss_{i,t} = HM1(k_i, t)` — over every key of `prfs`, calling
+/// `f(i, k_{i,t}, ss_{i,t})` for the `i`-th key, in order. Both sweeps
+/// run through the multi-lane kernels a tile of keys at a time, in
+/// stack buffers: nothing is allocated. Element-wise identical to
+/// [`KeyedPrf::derive_mod`] and [`KeyedPrf::hm1_epoch`].
+pub fn for_each_epoch_key<'a, I>(
+    prfs: I,
+    epoch: u64,
+    p: &U256,
+    f: impl FnMut(usize, U256, [u8; 20]),
+) where
+    I: IntoIterator<Item = &'a KeyedPrf>,
+{
+    for_each_epoch_key_with(effective_lane_width(), prfs, epoch, p, f);
+}
+
+/// [`for_each_epoch_key`] at an explicit lane width.
+pub fn for_each_epoch_key_with<'a, I>(
+    width: usize,
+    prfs: I,
+    epoch: u64,
+    p: &U256,
+    mut f: impl FnMut(usize, U256, [u8; 20]),
+) where
+    I: IntoIterator<Item = &'a KeyedPrf>,
+{
+    let mask = U256::low_mask(p.bit_len());
+    let msg = epoch.to_be_bytes();
+    let mut draws = [[0u8; 32]; TILE];
+    let mut sss = [[0u8; 20]; TILE];
+    let mut i = 0;
+    for_each_tile(prfs, |keys| {
+        let n = keys.len();
+        let lanes = keys.iter().map(|prf| (prf.hm256_pads(), msg));
+        finalize_into_with::<Sha256, _, _>(width, lanes, &mut draws[..n]);
+        let lanes = keys.iter().map(|prf| (prf.hm1_pads(), msg));
+        finalize_into_with::<Sha1, _, _>(width, lanes, &mut sss[..n]);
+        for ((prf, draw), ss) in keys.iter().zip(&draws).zip(&sss) {
+            f(i, prf.derive_from_draw(draw, epoch, p, &mask), *ss);
+            i += 1;
+        }
+    });
+    tel::observe!("crypto.prf.derive_batch", i as u64);
+    tel::observe!("crypto.prf.hm1_batch", i as u64);
+}
+
+/// Hands `prfs` to `f` a tile of up to [`TILE`] keys at a time, the
+/// tile gathered in a stack array, so a batch sweep can run each tile
+/// through the lane kernels without collecting the keys.
+fn for_each_tile<'a, I>(prfs: I, mut f: impl FnMut(&[&'a KeyedPrf]))
+where
+    I: IntoIterator<Item = &'a KeyedPrf>,
+{
+    // Fills the slots a short last tile leaves empty; never hashed.
+    const UNUSED: KeyedPrf = KeyedPrf {
+        hm256: [[0; 8]; 2],
+        hm1: [[0; 5]; 2],
+    };
+    let mut prfs = prfs.into_iter();
+    let mut tile = [&UNUSED; TILE];
+    loop {
+        let mut n = 0;
+        while n < TILE {
+            let Some(prf) = prfs.next() else { break };
+            tile[n] = prf;
+            n += 1;
+        }
+        if n > 0 {
+            f(&tile[..n]);
+        }
+        if n < TILE {
+            return;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -121,32 +121,11 @@ impl HashFunction for Sha1 {
 
 impl LaneHash for Sha1 {
     const STATE_WORDS: usize = 5;
+    const INITIAL_STATE: [u32; 8] = [H0[0], H0[1], H0[2], H0[3], H0[4], 0, 0, 0];
+    type Digest = [u8; 20];
 
-    fn chain_state(&self) -> [u32; 8] {
-        let mut out = [0u32; 8];
-        out[..5].copy_from_slice(&self.state);
-        out
-    }
-
-    fn from_midstate(state: [u32; 8], length: u64) -> Self {
-        debug_assert!(
-            length.is_multiple_of(64),
-            "midstate must sit on a block boundary"
-        );
-        Sha1 {
-            state: state[..5].try_into().unwrap(),
-            buffer: [0; 64],
-            buffered: 0,
-            length,
-        }
-    }
-
-    fn pending(&self) -> (&[u8], u64) {
-        (&self.buffer[..self.buffered], self.length)
-    }
-
-    fn compress_lanes(states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
-        crate::sha1xn::compress_many(states, blocks);
+    fn compress_lanes_with(width: usize, states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
+        crate::sha1xn::compress_many_with(width, states, blocks);
     }
 }
 

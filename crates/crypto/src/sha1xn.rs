@@ -7,7 +7,6 @@
 //! registers are `[u32; 8]` with only the first five words live, so the
 //! batched HMAC layer can treat both hashes uniformly.
 
-use crate::lanes::effective_lane_width;
 use crate::sha1::H0;
 use sies_telemetry as tel;
 
@@ -267,12 +266,6 @@ pub fn compress_many_with(width: usize, states: &mut [[u32; 8]], blocks: &[[u8; 
     tel::count!("crypto.sha1.passes_x8", p8);
     tel::count!("crypto.sha1.passes_x4", p4);
     tel::count!("crypto.sha1.passes_x1", p1);
-}
-
-/// [`compress_many_with`] at the hardware-clamped runtime width
-/// ([`crate::lanes::effective_lane_width`]).
-pub fn compress_many(states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
-    compress_many_with(effective_lane_width(), states, blocks);
 }
 
 #[cfg(test)]

@@ -132,30 +132,11 @@ impl HashFunction for Sha256 {
 
 impl LaneHash for Sha256 {
     const STATE_WORDS: usize = 8;
+    const INITIAL_STATE: [u32; 8] = H0;
+    type Digest = [u8; 32];
 
-    fn chain_state(&self) -> [u32; 8] {
-        self.state
-    }
-
-    fn from_midstate(state: [u32; 8], length: u64) -> Self {
-        debug_assert!(
-            length.is_multiple_of(64),
-            "midstate must sit on a block boundary"
-        );
-        Sha256 {
-            state,
-            buffer: [0; 64],
-            buffered: 0,
-            length,
-        }
-    }
-
-    fn pending(&self) -> (&[u8], u64) {
-        (&self.buffer[..self.buffered], self.length)
-    }
-
-    fn compress_lanes(states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
-        crate::sha256xn::compress_many(states, blocks);
+    fn compress_lanes_with(width: usize, states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
+        crate::sha256xn::compress_many_with(width, states, blocks);
     }
 }
 

@@ -13,7 +13,6 @@
 //! bit-identical to [`crate::sha256::Sha256`]'s compression — pinned by
 //! the KAT suite against the FIPS 180-4 vectors lane by lane.
 
-use crate::lanes::effective_lane_width;
 use crate::sha256::{H0, K};
 use sies_telemetry as tel;
 
@@ -276,13 +275,6 @@ pub fn compress_many_with(width: usize, states: &mut [[u32; 8]], blocks: &[[u8; 
     tel::count!("crypto.sha256.passes_x8", p8);
     tel::count!("crypto.sha256.passes_x4", p4);
     tel::count!("crypto.sha256.passes_x1", p1);
-}
-
-/// [`compress_many_with`] at the hardware-clamped runtime width
-/// ([`crate::lanes::effective_lane_width`]): a 16-lane request without
-/// AVX-512 runs as x8 passes, with the fallback counted.
-pub fn compress_many(states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
-    compress_many_with(effective_lane_width(), states, blocks);
 }
 
 #[cfg(test)]

@@ -586,11 +586,13 @@ proptest! {
 
     // ---- Batched PRFs vs the mapped scalar oracle -----------------------
     //
-    // The multi-lane fan-out (hm1_epoch_many / hm256_epoch_many /
-    // derive_mod_p_many, plus the generic HMAC batch constructors) must
-    // be element-wise identical to the scalar PRFs for any key material,
-    // any epoch, and any batch size — including ragged tails where
-    // n % 4 and n % 8 ≠ 0 — at every scheduling width.
+    // The multi-lane fan-out (hm1_epoch / hm256_epoch / derive_mod_p /
+    // hm1_many, plus the generic HMAC batch) must be element-wise
+    // identical to the scalar PRFs for any key material, any epoch, and
+    // any batch size — including ragged tails where n % 4, n % 8 and
+    // n % 16 ≠ 0 — at every kernel width. Each case names its width
+    // through the `_into_with` entry points, so concurrently running
+    // tests cannot change it.
 
     #[test]
     fn batched_epoch_prfs_match_scalar(
@@ -600,13 +602,13 @@ proptest! {
     ) {
         use sies_crypto::prf::{self, KeyedPrf};
         let width = [1usize, 4, 8, 16][width_sel];
-        sies_crypto::lanes::set_lane_width(width);
-        let prfs: Vec<KeyedPrf> = keys.iter().map(|k| KeyedPrf::new(k)).collect();
-        let hm1s = prf::hm1_epoch_many(&prfs, epoch);
-        let hm256s = prf::hm256_epoch_many(&prfs, epoch);
-        let derived = prf::derive_mod_p_many(&prfs, epoch, &DEFAULT_PRIME_256);
-        sies_crypto::lanes::clear_lane_width();
-        prop_assert_eq!(hm1s.len(), keys.len());
+        let prfs = KeyedPrf::new_many(&keys);
+        let mut hm1s = vec![[0u8; 20]; keys.len()];
+        let mut hm256s = vec![[0u8; 32]; keys.len()];
+        let mut derived = vec![U256::ZERO; keys.len()];
+        prf::hm1_epoch_into_with(width, &prfs, epoch, &mut hm1s);
+        prf::hm256_epoch_into_with(width, &prfs, epoch, &mut hm256s);
+        prf::derive_mod_p_into_with(width, &prfs, epoch, &DEFAULT_PRIME_256, &mut derived);
         for (i, key) in keys.iter().enumerate() {
             prop_assert_eq!(hm1s[i], prf::hm1_epoch(key, epoch));
             prop_assert_eq!(hm256s[i], prf::hm256_epoch(key, epoch));
@@ -620,17 +622,18 @@ proptest! {
         msg in proptest::collection::vec(any::<u8>(), 0..=120),
         width_sel in 0usize..4,
     ) {
-        use sies_crypto::hmac::{hmac, hmac_many};
+        use sies_crypto::hmac::{hmac, hmac_many_into_with};
         use sies_crypto::sha1::Sha1;
         use sies_crypto::sha256::Sha256;
+        let width = [1usize, 4, 8, 16][width_sel];
         let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-        sies_crypto::lanes::set_lane_width([1usize, 4, 8, 16][width_sel]);
-        let got1 = hmac_many::<Sha1>(&refs, &msg);
-        let got256 = hmac_many::<Sha256>(&refs, &msg);
-        sies_crypto::lanes::clear_lane_width();
+        let mut got1 = vec![[0u8; 20]; keys.len()];
+        let mut got256 = vec![[0u8; 32]; keys.len()];
+        hmac_many_into_with::<Sha1>(width, &refs, &msg, &mut got1);
+        hmac_many_into_with::<Sha256>(width, &refs, &msg, &mut got256);
         for (i, key) in keys.iter().enumerate() {
-            prop_assert_eq!(&got1[i], &hmac::<Sha1>(key, &msg));
-            prop_assert_eq!(&got256[i], &hmac::<Sha256>(key, &msg));
+            prop_assert_eq!(&got1[i][..], &hmac::<Sha1>(key, &msg)[..]);
+            prop_assert_eq!(&got256[i][..], &hmac::<Sha256>(key, &msg)[..]);
         }
     }
 

@@ -18,17 +18,10 @@ use sies_net::radio::LossyRadio;
 use sies_net::recovery::{RecoveryConfig, RecoveryReport};
 use sies_net::{SiesDeployment, Topology};
 use sies_telemetry as tel;
+use sies_telemetry::switch_lock;
 use std::collections::HashSet;
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
 const N: u64 = 16;
-
-fn switch_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-}
 
 fn sies(seed: u64) -> SiesDeployment {
     let mut rng = StdRng::seed_from_u64(seed);

@@ -29,7 +29,7 @@ impl SiesDeployment {
     /// Runs the setup phase for `params.num_sources()` sources.
     pub fn new(rng: &mut dyn RngCore, params: SystemParams) -> Self {
         let (querier, creds, aggregator) = setup(rng, params);
-        let sources = creds.into_iter().map(Source::new).collect();
+        let sources = Source::new_many(&creds);
         SiesDeployment {
             sources,
             aggregator,
@@ -151,65 +151,9 @@ impl AggregationScheme for SiesDeployment {
         epoch: Epoch,
         jobs: &[(SourceId, u64)],
     ) -> Vec<Result<Psr, SchemeError>> {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        // Prewarm fast path: when a warmer already derived this epoch's
-        // key material during the idle gap, every job collapses to a
-        // table lookup + encode + one CIOS multiply — zero PRF calls on
-        // the critical path. Results (and error shapes) are identical to
-        // the derive-on-demand path below, so digests never depend on
-        // pool state.
-        if let Some(keys) = self.prewarm_lookup(epoch) {
-            return jobs
-                .iter()
-                .map(|&(source, value)| match self.sources.get(source as usize) {
-                    None => Err(SchemeError::Malformed(format!("unknown source {source}"))),
-                    Some(src) => src
-                        .initialize_prewarmed(&keys, value)
-                        .map_err(|e| SchemeError::Malformed(e.to_string())),
-                })
-                .collect();
-        }
-        // Hoist the epoch-shared work: K_t derived once and entered into
-        // the Montgomery domain once per shard, so each job costs one
-        // HM256, one HM1 and a single CIOS multiply. Ciphertexts are
-        // bit-identical to `try_source_init` (the EpochCipher contract).
-        let Some(&(first, _)) = jobs.first() else {
-            return Vec::new();
-        };
-        let Some(template) = self.sources.get(first as usize) else {
-            // Fall back to the per-job path, which reports the error in
-            // the same shape as the serial loop.
-            return jobs
-                .iter()
-                .map(|&(s, v)| self.try_source_init(s, epoch, v))
-                .collect();
-        };
-        let cipher = template.epoch_cipher(epoch);
-        // Resolve ids first (unknown ids keep the per-job error shape),
-        // then derive every resolved job's k_{i,t} and ss_{i,t} through
-        // the lane-batched PRF pass in `Source::initialize_batch`.
-        let resolved: Vec<Option<&Source>> = jobs
-            .iter()
-            .map(|&(s, _)| self.sources.get(s as usize))
-            .collect();
-        let batch_jobs: Vec<(&Source, u64)> = jobs
-            .iter()
-            .zip(&resolved)
-            .filter_map(|(&(_, v), src)| src.map(|s| (s, v)))
-            .collect();
-        let mut batched = Source::initialize_batch(&cipher, epoch, &batch_jobs).into_iter();
-        jobs.iter()
-            .zip(&resolved)
-            .map(|(&(source, _), src)| match src {
-                None => Err(SchemeError::Malformed(format!("unknown source {source}"))),
-                Some(_) => batched
-                    .next()
-                    .expect("one result per resolved job")
-                    .map_err(|e| SchemeError::Malformed(e.to_string())),
-            })
-            .collect()
+        let mut out = Vec::with_capacity(jobs.len());
+        self.batch_source_init_into(epoch, jobs, &mut out);
+        out
     }
 
     fn batch_source_init_into(
@@ -218,13 +162,43 @@ impl AggregationScheme for SiesDeployment {
         jobs: &[(SourceId, u64)],
         out: &mut Vec<Result<Psr, SchemeError>>,
     ) {
-        // Keep the lane-batched fast path. The batched kernels build
-        // intermediate vectors internally, so this override trades the
-        // trait default's zero-allocation property for SIES' ~4x PRF
-        // speedup; the reused `out` buffer still absorbs the outer
-        // allocation.
         out.clear();
-        out.extend(self.batch_source_init(epoch, jobs));
+        let Some(&(first, _)) = jobs.first() else {
+            return;
+        };
+        // Prewarm fast path: when a warmer already derived this epoch's
+        // key material during the idle gap, every job collapses to a
+        // table lookup + encode + one CIOS multiply — zero PRF calls on
+        // the critical path. Results (and error shapes) are identical to
+        // the derive-on-demand path below, so digests never depend on
+        // pool state.
+        if let Some(keys) = self.prewarm_lookup(epoch) {
+            out.extend(jobs.iter().map(|&(source, value)| {
+                match self.sources.get(source as usize) {
+                    None => Err(SchemeError::Malformed(format!("unknown source {source}"))),
+                    Some(src) => src
+                        .initialize_prewarmed(&keys, value)
+                        .map_err(|e| SchemeError::Malformed(e.to_string())),
+                }
+            }));
+            return;
+        }
+        // An unknown id sends the whole shard down the per-job path,
+        // which reports it in the same shape as the serial loop.
+        if jobs.iter().any(|&(s, _)| s as usize >= self.sources.len()) {
+            out.extend(jobs.iter().map(|&(s, v)| self.try_source_init(s, epoch, v)));
+            return;
+        }
+        // Hoist the epoch-shared work: K_t derived once and entered into
+        // the Montgomery domain once per shard; then every job's k_{i,t}
+        // and ss_{i,t} come from the lane-batched, allocation-free PRF
+        // sweeps of `Source::initialize_batch_into`. Ciphertexts are
+        // bit-identical to `try_source_init` (the EpochCipher contract).
+        let cipher = self.sources[first as usize].epoch_cipher(epoch);
+        let jobs = jobs.iter().map(|&(s, v)| (&self.sources[s as usize], v));
+        Source::initialize_batch_into(&cipher, epoch, jobs, |r| {
+            out.push(r.map_err(|e| SchemeError::Malformed(e.to_string())))
+        });
     }
 
     fn prewarm_enabled(&self) -> bool {

@@ -25,14 +25,19 @@
 //!   Digests cannot change: the scheme's pool contract requires pooled
 //!   material to reproduce on-demand derivation bit-for-bit, so the
 //!   warmer may lag, race, or be absent without observable effect.
-//! * **Zero steady-state allocation.** All per-epoch state (values,
-//!   jobs, init results, merge stacks, shard outputs) lives in the two
-//!   reused [`EpochBuf`]s; schemes write init results through
+//! * **No per-source allocation in steady state.** All per-epoch state
+//!   (values, jobs, init results, merge stacks, shard outputs) lives in
+//!   the two reused `EpochBuf`s; schemes write init results through
 //!   [`AggregationScheme::batch_source_init_into`]. After a warm-up
-//!   epoch per buffer, a `threads = 1` run performs no heap allocation
-//!   per epoch (the `alloc_free` integration test pins this down with a
-//!   counting allocator). With `threads > 1` the scoped-worker spawn is
-//!   the one remaining O(threads) allocation per epoch.
+//!   epoch per buffer, the pipeline itself performs no heap allocation
+//!   per epoch at `threads = 1` (the `alloc_free` integration test pins
+//!   this with a counting allocator and a trivial scheme). A scheme's
+//!   own work may still allocate a fixed amount per epoch: SIES's
+//!   evaluation makes one chunk-result vector and inverts `K_t` through
+//!   `BigUint` extended Euclid (~700 allocations per epoch), but its
+//!   PRF sweeps allocate nothing, so the count does not grow with the
+//!   population (the `sies_alloc` test). With `threads > 1` the
+//!   scoped-worker spawn adds O(threads) allocations per epoch.
 //!
 //! ## Digest identity with the serial engine
 //!

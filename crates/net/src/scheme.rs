@@ -99,10 +99,9 @@ pub trait AggregationScheme: Sync {
     ///
     /// Must leave `out` element-wise equal to what
     /// [`batch_source_init`](Self::batch_source_init) returns for the
-    /// same jobs. Schemes whose batched path inherently allocates (SIES'
-    /// lane-batched kernels build intermediate vectors) may still
-    /// override this for the epoch-shared-work hoist; the buffer then
-    /// only saves the outer allocation.
+    /// same jobs. Schemes override this to hoist epoch-shared work and
+    /// batch across sources; SIES does both with stack-tiled PRF sweeps
+    /// and allocates nothing here either.
     fn batch_source_init_into(
         &self,
         epoch: Epoch,

@@ -129,6 +129,16 @@ pub fn clear_enabled() {
     FORCED.store(0, Ordering::Relaxed);
 }
 
+/// The one lock for code that flips the process-global kill switch or
+/// drains and audits the global event [`journal`] — tests and capture
+/// harnesses. Holding it keeps another holder from switching telemetry
+/// off mid-capture or draining events away. It is poison-tolerant: a
+/// holder that panicked does not wedge the rest.
+pub fn switch_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 /// The process-wide event journal.
 pub fn journal() -> &'static Journal {
     static JOURNAL: OnceLock<Journal> = OnceLock::new();
@@ -294,16 +304,9 @@ macro_rules! span {
 mod tests {
     use super::*;
 
-    // The kill-switch toggles process-global state, so the tests that
-    // flip it share one lock to stay parallel-safe.
-    fn switch_lock() -> &'static std::sync::Mutex<()> {
-        static LOCK: OnceLock<std::sync::Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| std::sync::Mutex::new(()))
-    }
-
     #[test]
     fn kill_switch_gates_macros() {
-        let _g = switch_lock().lock().unwrap();
+        let _g = switch_lock();
         set_enabled(true);
         count!("test.lib.gated", 2);
         observe!("test.lib.gated_hist", 5);
@@ -322,7 +325,7 @@ mod tests {
 
     #[test]
     fn event_helper_respects_switch() {
-        let _g = switch_lock().lock().unwrap();
+        let _g = switch_lock();
         set_enabled(false);
         event(1, EventKind::NackSent, 1, 1);
         set_enabled(true);
@@ -337,7 +340,7 @@ mod tests {
 
     #[test]
     fn event_buf_respects_switch_and_flushes_once() {
-        let _g = switch_lock().lock().unwrap();
+        let _g = switch_lock();
         let mut buf = EventBuf::new();
         set_enabled(false);
         buf.push(1, EventKind::NackSent, 1, 1);
@@ -360,7 +363,7 @@ mod tests {
 
     #[test]
     fn macro_handles_are_the_registry_handles() {
-        let _g = switch_lock().lock().unwrap();
+        let _g = switch_lock();
         set_enabled(true);
         count!("test.lib.shared_handle", 1);
         clear_enabled();
