@@ -115,11 +115,12 @@ impl AggregationScheme for CmtDeployment {
         Ok(self.source_init(source, epoch, value))
     }
 
-    fn batch_source_init(
+    fn batch_source_init_into(
         &self,
         epoch: Epoch,
         jobs: &[(SourceId, u64)],
-    ) -> Vec<Result<CmtPsr, SchemeError>> {
+        out: &mut Vec<Result<CmtPsr, SchemeError>>,
+    ) {
         // One multi-lane pass derives every job's pad; unknown ids keep
         // the per-job error of the scalar path.
         let known: Vec<&KeyedPrf> = jobs
@@ -127,17 +128,16 @@ impl AggregationScheme for CmtDeployment {
             .filter_map(|&(source, _)| self.prfs.get(source as usize))
             .collect();
         let mut pads = prf::hm1_epoch_many(known, epoch).into_iter();
-        jobs.iter()
-            .map(|&(source, value)| {
-                if source as usize >= self.prfs.len() {
-                    return Err(SchemeError::Malformed(format!("unknown source {source}")));
-                }
-                let k = Self::key_from_digest(&pads.next().expect("one pad per known job"));
-                Ok(CmtPsr {
-                    ciphertext: U256::from_u64(value).add_mod(&k, &self.modulus),
-                })
+        out.clear();
+        out.extend(jobs.iter().map(|&(source, value)| {
+            if source as usize >= self.prfs.len() {
+                return Err(SchemeError::Malformed(format!("unknown source {source}")));
+            }
+            let k = Self::key_from_digest(&pads.next().expect("one pad per known job"));
+            Ok(CmtPsr {
+                ciphertext: U256::from_u64(value).add_mod(&k, &self.modulus),
             })
-            .collect()
+        }));
     }
 
     fn merge(&self, psrs: &[CmtPsr]) -> CmtPsr {

@@ -121,7 +121,7 @@ fn digest_epoch(
     }
 }
 
-/// Runs `epochs` clean epochs through the legacy [`Engine`] on an
+/// Runs `epochs` clean epochs through [`Engine::run_epoch`] on an
 /// existing deployment, timing and digesting every result. Values come
 /// from the canonical per-N RNG (`seed ^ n ^ 0xEB0C`) so every runner
 /// replays the same readings.
@@ -301,8 +301,9 @@ pub fn throughput_suite(seed: u64, epochs: u64, thread_sweep: &[usize]) -> Vec<T
 pub struct ScalePoint {
     /// Source population size.
     pub n: u64,
-    /// `"legacy"` (pointer-tree engine, the serial reference) or
-    /// `"soa"` (flat-arena pipeline).
+    /// `"legacy"` ([`Engine::run_epoch`] at one thread, the serial
+    /// reference; it runs the same shard walk as the pipeline) or
+    /// `"soa"` (the [`EpochPipeline`]).
     pub layout: String,
     /// Worker threads.
     pub threads: usize,
@@ -336,10 +337,10 @@ pub struct ScalePoint {
 }
 
 /// Runs the struct-of-arrays scale sweep: for each population in `ns`,
-/// one legacy-engine serial reference plus the SoA pipeline at every
-/// thread count in [`SCALE_THREADS`] with streaming off and on — and
-/// asserts every configuration's digest equals the legacy reference's
-/// (old vs new layout, every thread count, streaming on/off).
+/// one serial engine reference plus the SoA pipeline at every thread
+/// count in [`SCALE_THREADS`] with streaming off and on — and asserts
+/// every configuration's digest equals the reference's (engine vs
+/// pipeline, every thread count, streaming on/off).
 ///
 /// `epochs_for(n)` lets callers shrink the epoch count as `n` grows.
 ///
@@ -503,8 +504,8 @@ pub fn prewarm_suite(seed: u64, n: u64, epochs: u64) -> Vec<PrewarmPoint> {
     points
 }
 
-/// Paired comparison of the committed baseline layout (legacy engine)
-/// against the SoA pipeline, ready for `BENCH_throughput.json`.
+/// Paired comparison of the engine's per-epoch path (the `legacy`
+/// layout) against the SoA pipeline, ready for `BENCH_throughput.json`.
 #[derive(Debug, Clone, Serialize)]
 pub struct SoaComparison {
     /// Population compared at.

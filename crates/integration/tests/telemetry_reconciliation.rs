@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sies_core::{SystemParams, Threads};
 use sies_net::chaos::{run_chaos, ChaosConfig};
-use sies_net::engine::Engine;
+use sies_net::engine::{metric, Engine, EpochStats};
 use sies_net::radio::LossyRadio;
 use sies_net::recovery::{RecoveryConfig, RecoveryReport};
 use sies_net::{SiesDeployment, Topology};
@@ -263,4 +263,86 @@ fn epoch_stats_identical_with_switch_on_and_off() {
     assert_eq!(off.stats.energy_rx, on.stats.energy_rx);
     assert!(off.result.is_ok() && on.result.is_ok());
     assert_eq!(off.stats.sources_run, N);
+}
+
+/// Each engine epoch adds its stats to the global registry exactly once,
+/// under the `metric` names, and journals one verdict event — a wrong
+/// reading count included, as a lost epoch.
+#[test]
+fn engine_counters_reconcile_with_epoch_stats() {
+    let _guard = switch_lock();
+    let dep = sies(5);
+    let topo = Topology::complete_tree(N, 4);
+    let values = vec![11u64; N as usize];
+    let failed = HashSet::from([topo.source_node(3).unwrap()]);
+
+    tel::set_enabled(true);
+    let _ = tel::journal().drain();
+    let before = tel::global().snapshot();
+    let mut engine = Engine::new(&dep, &topo).with_threads(Threads::fixed(2));
+    let a = engine.run_epoch(0, &values).stats;
+    let b = engine.run_epoch_with(1, &values, &failed, &[]).stats;
+    let lost = engine.run_epoch(2, &values[1..]);
+    let d = tel::global().snapshot().diff(&before);
+    let events = tel::journal().drain();
+    tel::clear_enabled();
+
+    assert!(lost.result.is_err());
+    let sum = |f: fn(&EpochStats) -> u64| f(&a) + f(&b) + f(&lost.stats);
+    assert_eq!(d.counter(metric::SOURCES_RUN), sum(|s| s.sources_run));
+    assert_eq!(
+        d.counter(metric::AGGREGATORS_RUN),
+        sum(|s| s.aggregators_run)
+    );
+    assert_eq!(d.counter(metric::SA_BYTES), sum(|s| s.bytes.source_to_agg));
+    assert_eq!(
+        d.counter(metric::SA_EDGES),
+        sum(|s| s.bytes.source_to_agg_edges)
+    );
+    assert_eq!(d.counter(metric::AA_BYTES), sum(|s| s.bytes.agg_to_agg));
+    assert_eq!(
+        d.counter(metric::AA_EDGES),
+        sum(|s| s.bytes.agg_to_agg_edges)
+    );
+    assert_eq!(d.counter(metric::AQ_BYTES), sum(|s| s.bytes.agg_to_querier));
+    let ns = |f: fn(&EpochStats) -> std::time::Duration| {
+        (f(&a) + f(&b) + f(&lost.stats)).as_nanos() as u64
+    };
+    assert_eq!(d.counter(metric::SOURCE_CPU_NS), ns(|s| s.source_cpu));
+    assert_eq!(
+        d.counter(metric::AGGREGATOR_CPU_NS),
+        ns(|s| s.aggregator_cpu)
+    );
+    assert_eq!(d.counter(metric::QUERIER_CPU_NS), ns(|s| s.querier_cpu));
+    // The global float counters are cumulative, so their diff carries
+    // the rounding of every earlier epoch in the process.
+    let close = |x: f64, y: f64| (x - y).abs() <= 1e-12 * y.abs();
+    assert!(close(
+        d.float(metric::ENERGY_TX_J),
+        a.energy_tx + b.energy_tx
+    ));
+    assert!(close(
+        d.float(metric::ENERGY_RX_J),
+        a.energy_rx + b.energy_rx
+    ));
+    assert_eq!(d.counter(metric::EPOCHS_ACCEPTED), 2);
+    assert_eq!(d.counter(metric::EPOCHS_LOST), 1);
+    let verdicts: Vec<(u64, tel::EventKind)> = events
+        .iter()
+        .filter(|e| {
+            matches!(
+                e.kind,
+                tel::EventKind::EpochAccepted | tel::EventKind::EpochLost
+            )
+        })
+        .map(|e| (e.epoch, e.kind))
+        .collect();
+    assert_eq!(
+        verdicts,
+        [
+            (0, tel::EventKind::EpochAccepted),
+            (1, tel::EventKind::EpochAccepted),
+            (2, tel::EventKind::EpochLost)
+        ]
+    );
 }

@@ -146,16 +146,6 @@ impl AggregationScheme for SiesDeployment {
             .map_err(|e| SchemeError::Malformed(e.to_string()))
     }
 
-    fn batch_source_init(
-        &self,
-        epoch: Epoch,
-        jobs: &[(SourceId, u64)],
-    ) -> Vec<Result<Psr, SchemeError>> {
-        let mut out = Vec::with_capacity(jobs.len());
-        self.batch_source_init_into(epoch, jobs, &mut out);
-        out
-    }
-
     fn batch_source_init_into(
         &self,
         epoch: Epoch,

@@ -1,10 +1,26 @@
 //! The epoch-driven aggregation engine: plays every role in-process,
-//! walking the tree bottom-up each epoch, with timing, byte, and energy
-//! accounting plus failure and attack injection.
+//! with timing, byte and energy accounting plus failure and attack
+//! injection.
+//!
+//! [`Engine::run_epoch`] and [`Engine::run_epoch_with`] run an epoch
+//! through the same subtree-sharded post-order walk as
+//! [`crate::pipeline::EpochPipeline`]: honest failures and covert
+//! attacks are translated to post-order positions once per epoch, so
+//! they change only which PSRs reach a merge, never how a merge works.
+//! [`Engine::run_epoch_recovering`] shares the walk's source phase and
+//! keeps its own serial merge over the repaired tree, because its
+//! per-uplink loss draws must happen in one fixed order.
+//!
+//! Each epoch's stats come from plain per-epoch counters; when
+//! telemetry is on they are added to the global registry once per
+//! epoch under the [`metric`] names.
 
 use crate::energy::RadioModel;
 use crate::flat::FlatTopology;
 use crate::journal::ReceiptJournal;
+use crate::pipeline::{
+    nothing_reached_querier, now_ns, plan_shards, EpochBuf, Exec, Mark, Marked, Shard,
+};
 use crate::radio::LossyRadio;
 use crate::recovery::{
     RecoveryConfig, RecoveryReport, UplinkTally, ACK_BYTES, FAILURE_REPORT_BYTES, NACK_BYTES,
@@ -14,12 +30,12 @@ use crate::scheme::{AggregationScheme, EvaluatedSum, SchemeError};
 use crate::topology::{NodeId, RepairPlan, Topology};
 use rand::RngCore;
 use serde::{Content, Serialize};
-use sies_core::{parallel, Epoch, SourceId, Threads};
+use sies_core::{Epoch, SourceId, Threads};
 use sies_receipts::{EpochReceipt, Verdict as ReceiptVerdict};
 use sies_telemetry as tel;
-use sies_telemetry::{Counter, EventKind, FloatCounter, Registry, Snapshot};
+use sies_telemetry::EventKind;
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// An adversarial action injected into one epoch. All attacks are *covert*:
@@ -128,7 +144,8 @@ pub struct EpochStats {
     pub source_cpu: Duration,
     /// Number of sources that ran initialization.
     pub sources_run: u64,
-    /// Total CPU time spent merging at aggregators.
+    /// Total CPU time of the merge phase (the merge walk below the
+    /// sink, then the sink's merge and finalize).
     pub aggregator_cpu: Duration,
     /// Number of aggregators that merged at least one PSR.
     pub aggregators_run: u64,
@@ -162,33 +179,6 @@ impl EpochStats {
             self.aggregator_cpu / self.aggregators_run as u32
         }
     }
-
-    /// Rebuilds epoch stats from a telemetry snapshot diff (the metrics
-    /// recorded between [`EpochMeter::begin`] and now). This is *the*
-    /// constructor the engine uses: the accounting lives in named
-    /// counters, and this struct is a typed view over their deltas.
-    pub fn from_diff(epoch: Epoch, contributors: Vec<SourceId>, d: &Snapshot) -> Self {
-        EpochStats {
-            epoch,
-            source_cpu: Duration::from_nanos(d.counter(metric::SOURCE_CPU_NS)),
-            sources_run: d.counter(metric::SOURCES_RUN),
-            aggregator_cpu: Duration::from_nanos(d.counter(metric::AGGREGATOR_CPU_NS)),
-            aggregators_run: d.counter(metric::AGGREGATORS_RUN),
-            querier_cpu: Duration::from_nanos(d.counter(metric::QUERIER_CPU_NS)),
-            bytes: EdgeBytes {
-                source_to_agg: d.counter(metric::SA_BYTES),
-                source_to_agg_edges: d.counter(metric::SA_EDGES),
-                agg_to_agg: d.counter(metric::AA_BYTES),
-                agg_to_agg_edges: d.counter(metric::AA_EDGES),
-                agg_to_querier: d.counter(metric::AQ_BYTES),
-                retransmit: d.counter(metric::RETRANSMIT_BYTES),
-                control: d.counter(metric::CONTROL_BYTES),
-            },
-            energy_tx: d.float(metric::ENERGY_TX_J),
-            energy_rx: d.float(metric::ENERGY_RX_J),
-            contributors,
-        }
-    }
 }
 
 // Serializes only the seed-deterministic fields: `sim --json` promises
@@ -218,9 +208,9 @@ impl Serialize for EpochStats {
     }
 }
 
-/// Canonical metric names the engine records under — shared by the
-/// epoch meter, [`EpochStats::from_diff`], and the harnesses that read
-/// global snapshots.
+/// Canonical metric names the engine records under in the global
+/// registry — each epoch's counters are added under these names when
+/// telemetry is on, and harnesses read them from global snapshots.
 pub mod metric {
     /// Summed in-worker source-init CPU (ns).
     pub const SOURCE_CPU_NS: &str = "engine.source_cpu_ns";
@@ -297,141 +287,120 @@ pub mod metric {
     }
 }
 
-/// The engine's private always-on metric registry plus cached handles
-/// for every hot-path counter.
-///
-/// `EpochStats` is **derived** from this meter: the epoch's activity is
-/// the diff between the registry snapshot at epoch start and at each
-/// exit point. The meter is private to the engine (not the global
-/// registry), so per-epoch stats stay exact even when the global
-/// telemetry kill-switch is off; when the switch is on, each epoch's
-/// diff is absorbed into the global registry under the same names.
-struct EpochMeter {
-    reg: Registry,
-    source_cpu_ns: Arc<Counter>,
-    sources_run: Arc<Counter>,
-    aggregator_cpu_ns: Arc<Counter>,
-    aggregators_run: Arc<Counter>,
-    querier_cpu_ns: Arc<Counter>,
-    sa_bytes: Arc<Counter>,
-    sa_edges: Arc<Counter>,
-    aa_bytes: Arc<Counter>,
-    aa_edges: Arc<Counter>,
-    aq_bytes: Arc<Counter>,
-    retransmit_bytes: Arc<Counter>,
-    control_bytes: Arc<Counter>,
-    energy_tx: Arc<FloatCounter>,
-    energy_rx: Arc<FloatCounter>,
-    mirror: GlobalMirror,
+/// One epoch's activity in plain integers. The walk accumulates it
+/// shard-locally and folds the shards in order; the recovering walk
+/// accumulates it directly. [`finish`](Self::finish) turns it into
+/// [`EpochStats`] once per epoch.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct EpochCounts {
+    /// In-worker source-init CPU.
+    pub(crate) source_ns: u64,
+    /// Sources that ran initialization.
+    pub(crate) sources_run: u64,
+    /// Merge and sink-finalize CPU.
+    pub(crate) aggregator_ns: u64,
+    /// Aggregators that merged at least one PSR.
+    pub(crate) aggregators_run: u64,
+    /// Querier evaluation CPU.
+    pub(crate) querier_ns: u64,
+    /// Byte totals per edge class.
+    pub(crate) bytes: EdgeBytes,
+    /// Bytes received by parents: what receive energy is charged on.
+    pub(crate) rx_bytes: u64,
 }
 
-/// Cached handles into the *global* registry for every meter metric.
-///
-/// Absorbing an epoch's diff through these is a handful of atomic adds;
-/// [`Registry::absorb`] would instead re-intern every metric name and
-/// walk the registry map under its mutex once per metric per epoch.
-struct GlobalMirror {
-    counters: [(&'static str, Arc<Counter>); 12],
-    floats: [(&'static str, Arc<FloatCounter>); 2],
-}
+impl EpochCounts {
+    /// Adds `other`'s activity to this one.
+    pub(crate) fn add(&mut self, other: &EpochCounts) {
+        self.source_ns += other.source_ns;
+        self.sources_run += other.sources_run;
+        self.aggregator_ns += other.aggregator_ns;
+        self.aggregators_run += other.aggregators_run;
+        self.querier_ns += other.querier_ns;
+        let (b, o) = (&mut self.bytes, &other.bytes);
+        b.source_to_agg += o.source_to_agg;
+        b.source_to_agg_edges += o.source_to_agg_edges;
+        b.agg_to_agg += o.agg_to_agg;
+        b.agg_to_agg_edges += o.agg_to_agg_edges;
+        b.agg_to_querier += o.agg_to_querier;
+        b.retransmit += o.retransmit;
+        b.control += o.control;
+        self.rx_bytes += other.rx_bytes;
+    }
 
-impl GlobalMirror {
-    fn new() -> Self {
-        let g = tel::global();
-        let c = |n: &'static str| (n, g.counter(n));
-        GlobalMirror {
-            counters: [
-                c(metric::SOURCE_CPU_NS),
-                c(metric::SOURCES_RUN),
-                c(metric::AGGREGATOR_CPU_NS),
-                c(metric::AGGREGATORS_RUN),
-                c(metric::QUERIER_CPU_NS),
-                c(metric::SA_BYTES),
-                c(metric::SA_EDGES),
-                c(metric::AA_BYTES),
-                c(metric::AA_EDGES),
-                c(metric::AQ_BYTES),
-                c(metric::RETRANSMIT_BYTES),
-                c(metric::CONTROL_BYTES),
-            ],
-            floats: [
-                (metric::ENERGY_TX_J, g.float(metric::ENERGY_TX_J)),
-                (metric::ENERGY_RX_J, g.float(metric::ENERGY_RX_J)),
-            ],
+    /// Charges the first copy of one uplink transmission of `size`
+    /// bytes to its Table V class.
+    pub(crate) fn uplink(&mut self, from_source: bool, size: u64) {
+        if from_source {
+            self.bytes.source_to_agg += size;
+            self.bytes.source_to_agg_edges += 1;
+        } else {
+            self.bytes.agg_to_agg += size;
+            self.bytes.agg_to_agg_edges += 1;
         }
     }
 
-    fn absorb(&self, d: &Snapshot) {
-        for (name, h) in &self.counters {
-            let v = d.counter(name);
-            if v > 0 {
-                h.add(v);
-            }
-        }
-        for (name, h) in &self.floats {
-            let v = d.float(name);
-            if v != 0.0 {
-                h.add(v);
-            }
-        }
-    }
-}
-
-impl EpochMeter {
-    fn new() -> Self {
-        let reg = Registry::new();
-        EpochMeter {
-            source_cpu_ns: reg.counter(metric::SOURCE_CPU_NS),
-            sources_run: reg.counter(metric::SOURCES_RUN),
-            aggregator_cpu_ns: reg.counter(metric::AGGREGATOR_CPU_NS),
-            aggregators_run: reg.counter(metric::AGGREGATORS_RUN),
-            querier_cpu_ns: reg.counter(metric::QUERIER_CPU_NS),
-            sa_bytes: reg.counter(metric::SA_BYTES),
-            sa_edges: reg.counter(metric::SA_EDGES),
-            aa_bytes: reg.counter(metric::AA_BYTES),
-            aa_edges: reg.counter(metric::AA_EDGES),
-            aq_bytes: reg.counter(metric::AQ_BYTES),
-            retransmit_bytes: reg.counter(metric::RETRANSMIT_BYTES),
-            control_bytes: reg.counter(metric::CONTROL_BYTES),
-            energy_tx: reg.float(metric::ENERGY_TX_J),
-            energy_rx: reg.float(metric::ENERGY_RX_J),
-            mirror: GlobalMirror::new(),
-            reg,
+    /// The epoch's stats, added to the global registry when telemetry
+    /// is on. Radio energy is linear in bytes, so it is computed once
+    /// from the epoch's byte totals: the same at every thread count and
+    /// after any number of earlier epochs.
+    fn finish(&self, epoch: Epoch, contributors: Vec<SourceId>, radio: &RadioModel) -> EpochStats {
+        let sent = self.bytes.data_total() + self.bytes.retransmit;
+        let energy_tx = radio.tx_energy(sent as usize);
+        let energy_rx = radio.rx_energy(self.rx_bytes as usize);
+        self.publish(energy_tx, energy_rx);
+        EpochStats {
+            epoch,
+            source_cpu: Duration::from_nanos(self.source_ns),
+            sources_run: self.sources_run,
+            aggregator_cpu: Duration::from_nanos(self.aggregator_ns),
+            aggregators_run: self.aggregators_run,
+            querier_cpu: Duration::from_nanos(self.querier_ns),
+            bytes: self.bytes,
+            energy_tx,
+            energy_rx,
+            contributors,
         }
     }
 
-    /// Marks an epoch boundary: everything recorded after this snapshot
-    /// belongs to the new epoch.
-    fn begin(&self) -> Snapshot {
-        self.reg.snapshot()
+    /// Adds the epoch to the global registry under the [`metric`] names
+    /// (cached handles, one atomic add each) when telemetry is on.
+    fn publish(&self, energy_tx: f64, energy_rx: f64) {
+        let b = &self.bytes;
+        tel::count!("engine.source_cpu_ns", self.source_ns);
+        tel::count!("engine.sources_run", self.sources_run);
+        tel::count!("engine.aggregator_cpu_ns", self.aggregator_ns);
+        tel::count!("engine.aggregators_run", self.aggregators_run);
+        tel::count!("engine.querier_cpu_ns", self.querier_ns);
+        tel::count!("net.bytes.source_to_agg", b.source_to_agg);
+        tel::count!("net.edges.source_to_agg", b.source_to_agg_edges);
+        tel::count!("net.bytes.agg_to_agg", b.agg_to_agg);
+        tel::count!("net.edges.agg_to_agg", b.agg_to_agg_edges);
+        tel::count!("net.bytes.agg_to_querier", b.agg_to_querier);
+        tel::count!("net.bytes.retransmit", b.retransmit);
+        tel::count!("net.bytes.control", b.control);
+        tel::count_float!("energy.tx_joules", energy_tx);
+        tel::count_float!("energy.rx_joules", energy_rx);
     }
-
-    /// Derives the epoch's stats from the diff against `t0`, absorbing
-    /// the diff into the global registry when telemetry is enabled.
-    fn finish(&self, epoch: Epoch, contributors: Vec<SourceId>, t0: &Snapshot) -> EpochStats {
-        let d = self.reg.snapshot().diff(t0);
-        if tel::enabled() {
-            self.mirror.absorb(&d);
-        }
-        EpochStats::from_diff(epoch, contributors, &d)
-    }
-}
-
-/// Saturating nanosecond conversion for counter arithmetic.
-#[inline]
-fn ns(d: Duration) -> u64 {
-    d.as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
 /// Journals the epoch's verdict event and bumps the matching global
-/// verdict counter.
-fn verdict_event(epoch: Epoch, kind: EventKind, a: u64) {
-    tel::event(epoch, kind, a, 0);
-    match kind {
-        EventKind::EpochAccepted => tel::count!("engine.epochs_accepted"),
-        EventKind::EpochRejected => tel::count!("engine.epochs_rejected"),
-        EventKind::EpochLost => tel::count!("engine.epochs_lost"),
-        _ => {}
+/// verdict counter: accepted, rejected (an integrity failure), or lost
+/// (no verifiable result).
+fn verdict_event(epoch: Epoch, result: &Result<EvaluatedSum, SchemeError>, contributors: usize) {
+    match result {
+        Ok(_) => {
+            tel::event(epoch, EventKind::EpochAccepted, contributors as u64, 0);
+            tel::count!("engine.epochs_accepted");
+        }
+        Err(SchemeError::VerificationFailed(_)) => {
+            tel::event(epoch, EventKind::EpochRejected, 0, 0);
+            tel::count!("engine.epochs_rejected");
+        }
+        Err(SchemeError::Malformed(_)) => {
+            tel::event(epoch, EventKind::EpochLost, 0, 0);
+            tel::count!("engine.epochs_lost");
+        }
     }
 }
 
@@ -546,48 +515,82 @@ impl RecoveredEpoch {
     }
 }
 
-/// Reusable per-epoch working buffers. Every epoch clears them (capacity
-/// retained) instead of reallocating, so after the first epoch on a given
-/// topology the engine's own bookkeeping is allocation-free: repeated
-/// epochs only allocate inside the scheme's crypto.
-struct EpochScratch<P> {
-    /// `(source, value)` jobs in walk order.
-    jobs: Vec<(SourceId, u64)>,
-    /// The tree node each job belongs to, aligned with `jobs`.
-    job_nodes: Vec<NodeId>,
-    /// Per-node precomputed source-phase results.
-    precomputed: Vec<Option<Result<P, SchemeError>>>,
-    /// Per-node outgoing PSR queues (the duplicate attack deposits two).
-    outputs: Vec<Vec<P>>,
-    /// Gathered child PSRs for the aggregator currently merging —
-    /// reused so the merge loop does not allocate once warmed up.
-    merge_inputs: Vec<P>,
+/// The engine's buffers for the shared walk, allocated by its first
+/// epoch.
+struct Walk<P> {
+    shards: Vec<Shard>,
+    buf: EpochBuf<P>,
+    /// The epoch's failures and attacks by post-order position.
+    marks: Vec<Marked>,
 }
 
-impl<P> EpochScratch<P> {
-    fn new() -> Self {
-        EpochScratch {
-            jobs: Vec::new(),
-            job_nodes: Vec::new(),
-            precomputed: Vec::new(),
-            outputs: Vec::new(),
-            merge_inputs: Vec::new(),
+impl<P> Walk<P> {
+    fn new(flat: &FlatTopology, threads: usize) -> Self {
+        let shards = plan_shards(flat, threads);
+        Walk {
+            buf: EpochBuf::new(flat, &shards, 0),
+            shards,
+            marks: Vec::new(),
         }
     }
 
-    /// Clears all buffers and sizes the per-node ones for `n_nodes`.
-    fn reset(&mut self, n_nodes: usize) {
-        self.jobs.clear();
-        self.job_nodes.clear();
-        self.precomputed.clear();
-        self.precomputed.resize_with(n_nodes, || None);
-        for queue in &mut self.outputs {
-            queue.clear();
-        }
-        self.outputs.resize_with(n_nodes, Vec::new);
-        self.outputs.truncate(n_nodes);
-        self.merge_inputs.clear();
+    /// Translates the epoch's `failed` nodes and `attacks` to marks by
+    /// post-order position (ids outside the tree are ignored); returns
+    /// whether the final PSR is replayed.
+    fn mark(&mut self, flat: &FlatTopology, failed: &HashSet<NodeId>, attacks: &[Attack]) -> bool {
+        let mark = |failed, dropped, tampers, duplicates| Mark {
+            failed,
+            dropped,
+            tampers,
+            duplicates,
+        };
+        let on_nodes = attacks.iter().filter_map(|attack| match *attack {
+            Attack::TamperAtNode(id) => Some((id, mark(false, false, 1, 0))),
+            Attack::DropAtNode(id) => Some((id, mark(false, true, 0, 0))),
+            Attack::DuplicateAtNode(id) => Some((id, mark(false, false, 0, 1))),
+            Attack::ReplayFinal => None,
+        });
+        let down = failed.iter().map(|&id| (id, mark(true, false, 0, 0)));
+        self.marks.clear();
+        self.marks.extend(
+            down.chain(on_nodes)
+                .filter(|&(id, _)| id < flat.num_nodes())
+                .map(|(id, m)| (flat.post_position(id) as u32, m)),
+        );
+        self.marks.sort_unstable_by_key(|&(pos, _)| pos);
+        self.marks.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1.absorb(later.1);
+            }
+            same
+        });
+        attacks.contains(&Attack::ReplayFinal)
     }
+}
+
+/// The sources with no failed node between them and the sink,
+/// ascending: the contributor set an honest querier is told.
+fn contributors(flat: &FlatTopology, marks: &[Marked]) -> Vec<SourceId> {
+    // Failed subtrees as disjoint post-order ranges, ascending. A node
+    // follows its descendants in post-order, so its range swallows the
+    // ones already collected from its subtree.
+    let mut cut: Vec<Range<usize>> = Vec::new();
+    for &(pos, _) in marks.iter().filter(|(_, m)| m.failed) {
+        let range = flat.subtree_range(flat.post_order()[pos as usize] as usize);
+        while cut.last().is_some_and(|r| r.start >= range.start) {
+            cut.pop();
+        }
+        cut.push(range);
+    }
+    (0..flat.num_sources() as SourceId)
+        .filter(|&sid| {
+            let node = flat.source_node(sid).expect("every source id has a node");
+            let pos = flat.post_position(node);
+            let i = cut.partition_point(|r| r.end <= pos);
+            cut.get(i).is_none_or(|r| !r.contains(&pos))
+        })
+        .collect()
 }
 
 /// The simulation engine for one deployed scheme on one topology.
@@ -599,15 +602,13 @@ pub struct Engine<'a, S: AggregationScheme> {
     /// of re-deriving them from the pointer-based node list.
     flat: FlatTopology,
     radio: RadioModel,
-    /// Worker count for the sharded source phase (1 = fully serial).
+    /// Worker count for the sharded walk (1 = fully serial).
     threads: usize,
     /// Cached final PSR of the previous epoch, for replay attacks.
     prev_final: Option<S::Psr>,
-    /// Per-epoch buffers, reused across epochs.
-    scratch: EpochScratch<S::Psr>,
-    /// Always-on private metric registry; `EpochStats` is a snapshot
-    /// diff over it.
-    meter: EpochMeter,
+    /// The shared walk's shards and buffers: `None` until the first
+    /// epoch needs them, then reused across epochs.
+    walk: Option<Walk<S::Psr>>,
     /// Reusable journal-event buffer for the per-uplink hot loop.
     evbuf: tel::EventBuf,
     /// Durable receipt journal: when attached, every epoch run through
@@ -625,8 +626,7 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
             radio: RadioModel::default(),
             threads: 1,
             prev_final: None,
-            scratch: EpochScratch::new(),
-            meter: EpochMeter::new(),
+            walk: None,
             evbuf: tel::EventBuf::new(),
             journal: None,
         }
@@ -659,13 +659,17 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
         self
     }
 
-    /// Shards each epoch's source phase (and SIES evaluation) across this
-    /// many scoped workers. Results are byte-identical for every thread
-    /// count: sources are precomputed in deterministic post-order chunks,
-    /// the tree walk itself stays serial, and partial evaluation sums
-    /// combine under exactly associative modular arithmetic.
+    /// Shards each epoch across this many scoped workers: the sink's
+    /// child subtrees split into at most `threads` contiguous post-order
+    /// shards, each initialised and merged by one worker, and SIES
+    /// evaluation splits the same way. Results are byte-identical for
+    /// every thread count: every merge sees the serial walk's inputs in
+    /// the serial order, the sink merges the shard results in tree
+    /// order, and partial evaluation sums combine under exactly
+    /// associative modular arithmetic.
     pub fn with_threads(mut self, threads: Threads) -> Self {
         self.threads = threads.resolve();
+        self.walk = None;
         self
     }
 
@@ -690,34 +694,6 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
         self.prev_final.as_ref()
     }
 
-    /// Shards `jobs` (one `(source, value)` pair per live source, in walk
-    /// order) across the worker pool, returning per-job results aligned
-    /// with `jobs` plus the summed in-worker CPU time. Chunk boundaries
-    /// only affect how much epoch-shared setup ([`batch_source_init`]'s
-    /// amortization) is repeated — never the bytes produced.
-    ///
-    /// [`batch_source_init`]: AggregationScheme::batch_source_init
-    fn shard_source_init(
-        scheme: &S,
-        threads: usize,
-        epoch: Epoch,
-        jobs: &[(SourceId, u64)],
-    ) -> (Vec<Result<S::Psr, SchemeError>>, Duration) {
-        let shards = parallel::map_chunks(threads, jobs, |chunk| {
-            let t0 = Instant::now();
-            let out = scheme.batch_source_init(epoch, chunk);
-            debug_assert_eq!(out.len(), chunk.len(), "one result per job required");
-            (out, t0.elapsed())
-        });
-        let mut results = Vec::with_capacity(jobs.len());
-        let mut cpu = Duration::ZERO;
-        for (out, elapsed) in shards {
-            results.extend(out);
-            cpu += elapsed;
-        }
-        (results, cpu)
-    }
-
     /// Runs a clean epoch: no failures, no attacks.
     pub fn run_epoch(&mut self, epoch: Epoch, values: &[u64]) -> EpochOutcome {
         self.run_epoch_with(epoch, values, &HashSet::new(), &[])
@@ -727,7 +703,13 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
     /// the querier and excluded from the contributor set) and adversarial
     /// `attacks` (covert).
     ///
-    /// `values[i]` is source `i`'s reading this epoch.
+    /// `values[i]` is source `i`'s reading this epoch; a wrong number of
+    /// values is a lost epoch (`SchemeError::Malformed`).
+    ///
+    /// A failed node sends nothing and discards what its children sent;
+    /// its descendants still initialise, merge and transmit. Attacks act
+    /// on a node's outgoing PSR after its merge (after the sink pass at
+    /// the sink) and before its bytes are charged.
     ///
     /// When a journal is attached ([`Self::attach_journal`]), one signed
     /// receipt is committed per call — covering every exit path,
@@ -740,7 +722,7 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
         failed: &HashSet<NodeId>,
         attacks: &[Attack],
     ) -> EpochOutcome {
-        let out = self.run_epoch_inner(epoch, values, failed, attacks);
+        let out = self.walk_epoch(epoch, values, failed, attacks);
         if let Some(journal) = self.journal.as_mut() {
             let mut receipt = receipt_base(epoch, &out.result, &out.stats, values, false);
             receipt.crash_injected = !failed.is_empty();
@@ -750,32 +732,11 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
         out
     }
 
-    fn run_epoch_inner(
-        &mut self,
-        epoch: Epoch,
-        values: &[u64],
-        failed: &HashSet<NodeId>,
-        attacks: &[Attack],
-    ) -> EpochOutcome {
-        assert_eq!(
-            values.len() as u64,
-            self.topology.num_sources(),
-            "one value per source required"
-        );
-
-        // Everything recorded from here on is this epoch's activity; the
-        // stats structs handed back below are diffs against `q0`. The
-        // RAII span covers every exit path (including early aborts), so
-        // `engine.epoch` is a complete wall-clock latency histogram and
-        // the profiler's outermost stack frame.
-        let q0 = self.meter.begin();
-        let _epoch_span = tel::span!("engine.epoch");
-        tel::event(
-            epoch,
-            EventKind::QueryDisseminated,
-            self.topology.num_sources(),
-            0,
-        );
+    /// Journals the epoch's dissemination and lane-dispatch events and
+    /// checks that `values` holds one reading per source.
+    fn begin(&self, epoch: Epoch, values: &[u64]) -> Result<(), SchemeError> {
+        let n = self.flat.num_sources();
+        tel::event(epoch, EventKind::QueryDisseminated, n, 0);
         // a = requested lane width (what SIES_LANES asked for), b = the
         // hardware-clamped width actually dispatched; they differ when a
         // 16-lane request lands on a machine without AVX-512.
@@ -785,198 +746,62 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
             sies_crypto::lanes::lane_width() as u64,
             sies_crypto::lanes::effective_lane_width() as u64,
         );
-
-        // Honest failures remove whole subtrees from the contributor set.
-        let mut excluded: HashSet<SourceId> = HashSet::new();
-        for &node in failed {
-            for s in self.flat.sources_under(node) {
-                excluded.insert(s);
-            }
+        if values.len() as u64 == n {
+            Ok(())
+        } else {
+            Err(SchemeError::Malformed(format!(
+                "{} values for {n} sources",
+                values.len()
+            )))
         }
-        let contributors: Vec<SourceId> = (0..self.topology.num_sources() as SourceId)
-            .filter(|s| !excluded.contains(s))
-            .collect();
+    }
 
-        // Per-node buffers come from the reusable scratch: cleared, not
-        // reallocated (the `outputs` queues model the duplicate attack).
-        let n_nodes = self.flat.num_nodes();
-        self.scratch.reset(n_nodes);
-
-        // Source phase, sharded: every live source's PSR is precomputed
-        // across the worker pool before the (serial) tree walk consumes
-        // them in post-order (the arena's cached order — nothing is
-        // re-derived per epoch). `source_cpu` therefore covers the whole
-        // population even when a rejected reading aborts the walk early.
-        for &id32 in self.flat.post_order() {
-            let id = id32 as usize;
-            if failed.contains(&id) {
-                continue;
-            }
-            if let Some(sid) = self.flat.source_id(id) {
-                self.scratch.job_nodes.push(id);
-                self.scratch.jobs.push((sid, values[sid as usize]));
-            }
-        }
-        let (results, source_cpu) = {
-            let _phase = tel::span!("engine.source_phase");
-            Self::shard_source_init(self.scheme, self.threads, epoch, &self.scratch.jobs)
-        };
-        self.meter.source_cpu_ns.add(ns(source_cpu));
-        tel::event(
-            epoch,
-            EventKind::SourceInit,
-            self.scratch.jobs.len() as u64,
-            0,
-        );
-        for (&id, res) in self.scratch.job_nodes.iter().zip(results) {
-            self.scratch.precomputed[id] = Some(res);
-        }
-
-        let merge_span = tel::span!("engine.merge_phase");
-        for &id32 in self.flat.post_order() {
-            let id = id32 as usize;
-            if failed.contains(&id) {
-                continue;
-            }
-            let is_source = self.flat.is_source(id);
-            let produced: Option<S::Psr> = if is_source {
-                let psr = self.scratch.precomputed[id]
-                    .take()
-                    .expect("every live source was precomputed");
-                self.meter.sources_run.incr();
-                match psr {
-                    Ok(psr) => Some(psr),
-                    // A rejected reading aborts the epoch as a
-                    // malformed outcome rather than panicking.
-                    Err(e) => {
-                        verdict_event(epoch, EventKind::EpochLost, id as u64);
-                        return EpochOutcome {
-                            result: Err(e),
-                            stats: self.meter.finish(epoch, contributors, &q0),
-                        };
-                    }
-                }
-            } else {
-                let inputs = &mut self.scratch.merge_inputs;
-                inputs.clear();
-                for &c in self.flat.children(id) {
-                    inputs.append(&mut self.scratch.outputs[c as usize]);
-                }
-                if inputs.is_empty() {
-                    None
-                } else {
-                    let t0 = Instant::now();
-                    let merged = self.scheme.try_merge(inputs);
-                    self.meter.aggregator_cpu_ns.add(ns(t0.elapsed()));
-                    self.meter.aggregators_run.incr();
-                    tel::event(epoch, EventKind::PsrMerged, id as u64, inputs.len() as u64);
-                    match merged {
-                        Ok(merged) => Some(merged),
-                        Err(e) => {
-                            verdict_event(epoch, EventKind::EpochLost, id as u64);
-                            return EpochOutcome {
-                                result: Err(e),
-                                stats: self.meter.finish(epoch, contributors, &q0),
-                            };
-                        }
-                    }
-                }
-            };
-
-            let Some(mut psr) = produced else { continue };
-
-            // The sink's extra pass (e.g. SECOA same-position SEAL
-            // folding) happens before the aggregator→querier edge and is
-            // charged to aggregator CPU.
-            let parent = self.flat.parent(id);
-            if parent.is_none() {
-                let t0 = Instant::now();
-                psr = self.scheme.sink_finalize(psr);
-                self.meter.aggregator_cpu_ns.add(ns(t0.elapsed()));
-            }
-
-            // Apply covert attacks on this node's outgoing PSR.
-            let mut copies = 1usize;
-            let mut dropped = false;
-            for attack in attacks {
-                match *attack {
-                    Attack::TamperAtNode(n) if n == id => self.scheme.tamper(&mut psr),
-                    Attack::DropAtNode(n) if n == id => dropped = true,
-                    Attack::DuplicateAtNode(n) if n == id => copies += 1,
-                    _ => {}
-                }
-            }
-            if dropped {
-                continue;
-            }
-
-            // Account the transmission to the parent (or querier). Each
-            // node deposits its outgoing PSR(s) in its own slot; the
-            // parent drains its children's slots when it runs.
-            let size = self.scheme.psr_wire_size(&psr) * copies;
-            match parent {
-                Some(_) => {
-                    if is_source {
-                        self.meter.sa_bytes.add(size as u64);
-                        self.meter.sa_edges.incr();
-                    } else {
-                        self.meter.aa_bytes.add(size as u64);
-                        self.meter.aa_edges.incr();
-                    }
-                    self.meter.energy_tx.add(self.radio.tx_energy(size));
-                    self.meter.energy_rx.add(self.radio.rx_energy(size));
-                }
-                None => {
-                    // The sink transmits the final PSR to the querier.
-                    self.meter.aq_bytes.add(size as u64);
-                    self.meter.energy_tx.add(self.radio.tx_energy(size));
-                }
-            }
-            for _ in 0..copies {
-                self.scratch.outputs[id].push(psr.clone());
-            }
-        }
-        drop(merge_span);
-
-        // Collect the final PSR at the root.
-        let root = self.topology.root();
-        let mut final_psr = match self.scratch.outputs[root].pop() {
-            Some(p) => p,
-            None => {
-                verdict_event(epoch, EventKind::EpochLost, root as u64);
-                return EpochOutcome {
-                    result: Err(SchemeError::Malformed(
-                        "no PSR reached the querier (all subtrees failed)".into(),
-                    )),
-                    stats: self.meter.finish(epoch, contributors, &q0),
-                };
-            }
-        };
-
-        // Replay attack: substitute the previous epoch's final PSR.
-        if attacks.contains(&Attack::ReplayFinal) {
-            if let Some(prev) = &self.prev_final {
-                final_psr = prev.clone();
-            }
-        }
-        self.prev_final = Some(final_psr.clone());
-
-        let t0 = Instant::now();
-        let result = {
-            let _phase = tel::span!("engine.evaluate");
-            self.scheme
-                .evaluate_par(&final_psr, epoch, &contributors, self.threads)
-        };
-        self.meter.querier_cpu_ns.add(ns(t0.elapsed()));
-        match &result {
-            Ok(_) => verdict_event(epoch, EventKind::EpochAccepted, contributors.len() as u64),
-            Err(_) => verdict_event(epoch, EventKind::EpochRejected, 0),
-        }
-
+    /// The epoch's outcome: its verdict event, then its stats.
+    fn outcome(
+        &self,
+        epoch: Epoch,
+        result: Result<EvaluatedSum, SchemeError>,
+        counts: &EpochCounts,
+        contributors: Vec<SourceId>,
+    ) -> EpochOutcome {
+        verdict_event(epoch, &result, contributors.len());
         EpochOutcome {
             result,
-            stats: self.meter.finish(epoch, contributors, &q0),
+            stats: counts.finish(epoch, contributors, &self.radio),
         }
+    }
+
+    fn walk_epoch(
+        &mut self,
+        epoch: Epoch,
+        values: &[u64],
+        failed: &HashSet<NodeId>,
+        attacks: &[Attack],
+    ) -> EpochOutcome {
+        // The RAII span covers every exit path, so `engine.epoch` is a
+        // complete wall-clock latency histogram and the profiler's
+        // outermost stack frame.
+        let _epoch_span = tel::span!("engine.epoch");
+        if let Err(e) = self.begin(epoch, values) {
+            return self.outcome(epoch, Err(e), &EpochCounts::default(), Vec::new());
+        }
+        let (flat, threads) = (&self.flat, self.threads);
+        let walk = self.walk.get_or_insert_with(|| Walk::new(flat, threads));
+        let replay = walk.mark(flat, failed, attacks);
+        let contributors = contributors(flat, &walk.marks);
+        let exec = Exec {
+            scheme: self.scheme,
+            flat,
+            shards: &walk.shards,
+            contributors: &contributors,
+            marks: &walk.marks,
+            replay,
+            threads,
+        };
+        exec.produce(epoch, values, &mut walk.buf.shards);
+        tel::event(epoch, EventKind::SourceInit, walk.buf.live_sources(), 0);
+        let (counts, result) = exec.consume(epoch, &mut walk.buf, &mut self.prev_final);
+        self.outcome(epoch, result, &counts, contributors)
     }
 
     /// Runs one epoch under the full fault-tolerance stack: lossy links
@@ -1015,30 +840,19 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
         recovery: &RecoveryConfig,
         rng: &mut dyn RngCore,
     ) -> RecoveredEpoch {
-        assert_eq!(
-            values.len() as u64,
-            self.topology.num_sources(),
-            "one value per source required"
-        );
-
-        let q0 = self.meter.begin();
         let _epoch_span = tel::span!("engine.epoch");
-        tel::event(
-            epoch,
-            EventKind::QueryDisseminated,
-            self.topology.num_sources(),
-            0,
-        );
-        // a = requested lane width (what SIES_LANES asked for), b = the
-        // hardware-clamped width actually dispatched; they differ when a
-        // 16-lane request lands on a machine without AVX-512.
-        tel::event(
-            epoch,
-            EventKind::LaneDispatch,
-            sies_crypto::lanes::lane_width() as u64,
-            sies_crypto::lanes::effective_lane_width() as u64,
-        );
         let mut report = RecoveryReport::default();
+        let mut counts = EpochCounts::default();
+        let recovered = |outcome, report, repairs, corrupted| RecoveredEpoch {
+            outcome,
+            report,
+            repairs,
+            aggregate_corrupted: corrupted,
+        };
+        if let Err(e) = self.begin(epoch, values) {
+            let outcome = self.outcome(epoch, Err(e), &counts, Vec::new());
+            return recovered(outcome, report, RepairPlan::default(), false);
+        }
         let mut tally = UplinkTally::default();
         let repairs = self.flat.repair_plan(crashed);
         report.adoptions = repairs.adoptions.len() as u64;
@@ -1056,23 +870,17 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
 
         // A crashed sink means nothing can reach the querier: the epoch
         // is an availability loss, never a false accept or reject.
-        if crashed.contains(&self.topology.root()) {
-            verdict_event(epoch, EventKind::EpochLost, self.topology.root() as u64);
-            return RecoveredEpoch {
-                outcome: EpochOutcome {
-                    result: Err(SchemeError::Malformed("sink crashed; epoch lost".into())),
-                    stats: self.meter.finish(epoch, Vec::new(), &q0),
-                },
-                report,
-                repairs,
-                aggregate_corrupted: false,
-            };
+        let root = self.flat.root();
+        if crashed.contains(&root) {
+            let lost = Err(SchemeError::Malformed("sink crashed; epoch lost".into()));
+            let outcome = self.outcome(epoch, lost, &counts, Vec::new());
+            return recovered(outcome, report, repairs, false);
         }
 
         // Re-attach handshake: request up, ACK back, per orphan.
         let reattach_cost = (REATTACH_BYTES + ACK_BYTES) as u64 * report.adoptions;
         report.control_bytes += reattach_cost;
-        self.meter.control_bytes.add(reattach_cost);
+        counts.bytes.control += reattach_cost;
         for (&orphan, &adopter) in &repairs.adoptions {
             tel::event(epoch, EventKind::Reattach, orphan as u64, adopter as u64);
         }
@@ -1093,7 +901,7 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
                     let cost = FAILURE_REPORT_BYTES as u64 * (self.flat.depth(id) as u64 + 1);
                     report.failure_reports += 1;
                     report.control_bytes += cost;
-                    self.meter.control_bytes.add(cost);
+                    counts.bytes.control += cost;
                     tel::count!("engine.failure_reports");
                     tel::event(epoch, EventKind::FailureReport, c as u64, id as u64);
                 } else {
@@ -1110,7 +918,6 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
         }
 
         // Post-order over the repaired tree.
-        let root = self.topology.root();
         let mut order = Vec::with_capacity(n_nodes);
         let mut stack = vec![(root, false)];
         while let Some((id, expanded)) = stack.pop() {
@@ -1130,203 +937,177 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
         let mut contrib_slot: Vec<Vec<SourceId>> = vec![Vec::new(); n_nodes];
         let mut poison_slot: Vec<bool> = vec![false; n_nodes];
 
-        // Source phase, sharded over the worker pool (see run_epoch_with):
-        // the repaired-tree walk below stays serial, so the per-uplink RNG
-        // draw order — and with it every recovery decision — is untouched
-        // by the thread count.
-        self.scratch.reset(n_nodes);
-        for &id in &order {
-            if let Some(sid) = self.flat.source_id(id) {
-                self.scratch.job_nodes.push(id);
-                self.scratch.jobs.push((sid, values[sid as usize]));
+        // Source phase: the shared walk's sharded init of every live
+        // source. Its results depend only on the source and its reading,
+        // so the repaired-tree walk below stays serial, and its
+        // per-uplink RNG draw order — and with it every recovery
+        // decision — is untouched by the thread count.
+        let (flat, threads) = (&self.flat, self.threads);
+        let walk = self.walk.get_or_insert_with(|| Walk::new(flat, threads));
+        walk.mark(flat, crashed, &[]);
+        let exec = Exec {
+            scheme: self.scheme,
+            flat,
+            shards: &walk.shards,
+            contributors: &[],
+            marks: &walk.marks,
+            replay: false,
+            threads,
+        };
+        counts.source_ns = {
+            let _phase = tel::span!("engine.source_phase");
+            exec.init(epoch, values, &mut walk.buf.shards)
+        };
+        for ((sid, _), init) in walk.buf.take_inits() {
+            counts.sources_run += 1;
+            let id = flat.source_node(sid).expect("every source id has a node");
+            match init {
+                Ok(psr) => {
+                    psr_slot[id] = Some(psr);
+                    contrib_slot[id].push(sid);
+                }
+                // The reading was rejected; this source sits the epoch
+                // out like an honest failure.
+                Err(_) => report.init_failures += 1,
             }
         }
-        let (results, source_cpu) = {
-            let _phase = tel::span!("engine.source_phase");
-            Self::shard_source_init(self.scheme, self.threads, epoch, &self.scratch.jobs)
-        };
-        self.meter.source_cpu_ns.add(ns(source_cpu));
-        tel::event(
-            epoch,
-            EventKind::SourceInit,
-            self.scratch.jobs.len() as u64,
-            0,
-        );
-        for (&id, res) in self.scratch.job_nodes.iter().zip(results) {
-            self.scratch.precomputed[id] = Some(res);
-        }
+        tel::event(epoch, EventKind::SourceInit, counts.sources_run, 0);
 
         for &id in &order {
+            if self.flat.is_source(id) {
+                continue;
+            }
             let depth = self.flat.depth(id);
-            match self.flat.source_id(id) {
-                Some(sid) => {
-                    let produced = self.scratch.precomputed[id]
-                        .take()
-                        .expect("every live source was precomputed");
-                    self.meter.sources_run.incr();
-                    match produced {
-                        Ok(psr) => {
-                            psr_slot[id] = Some(psr);
-                            contrib_slot[id].push(sid);
-                        }
-                        Err(_) => {
-                            // The reading was rejected; this source sits
-                            // the epoch out like an honest failure.
-                            report.init_failures += 1;
-                        }
-                    }
-                }
-                None => {
-                    let mut inputs: Vec<S::Psr> = Vec::new();
-                    let mut contrib: Vec<SourceId> = Vec::new();
-                    let mut poisoned = false;
-                    for &c in &eff_children[id] {
-                        let Some(child_psr) = psr_slot[c].take() else {
-                            // Silent child (crashed source or an empty
-                            // subtree): report the failure upward.
-                            let cost = FAILURE_REPORT_BYTES as u64 * (depth as u64 + 1);
-                            report.failure_reports += 1;
-                            report.control_bytes += cost;
-                            self.meter.control_bytes.add(cost);
-                            tel::count!("engine.failure_reports");
-                            self.evbuf
-                                .push(epoch, EventKind::FailureReport, c as u64, id as u64);
-                            continue;
-                        };
-                        let size = self.scheme.psr_wire_size(&child_psr);
-                        let uplink = recovery.simulate_uplink(radio, rng);
-                        tally.add(&uplink);
-
-                        // Accounting: first copy in the Table V classes,
-                        // retransmissions and control separately.
-                        if self.flat.is_source(c) {
-                            self.meter.sa_bytes.add(size as u64);
-                            self.meter.sa_edges.incr();
-                        } else {
-                            self.meter.aa_bytes.add(size as u64);
-                            self.meter.aa_edges.incr();
-                        }
-                        self.meter
-                            .retransmit_bytes
-                            .add(size as u64 * (uplink.data_attempts as u64 - 1));
-                        let ctl = uplink.acks as u64 * ACK_BYTES as u64
-                            + uplink.nacks as u64 * NACK_BYTES as u64
-                            + uplink.resolicit_rounds_used as u64
-                                * RESOLICIT_BYTES as u64
-                                * (depth as u64 + 1);
-                        report.control_bytes += ctl;
-                        self.meter.control_bytes.add(ctl);
-                        for _ in 0..uplink.data_attempts {
-                            self.meter.energy_tx.add(self.radio.tx_energy(size));
-                        }
-                        self.meter
-                            .energy_rx
-                            .add(self.radio.rx_energy(size) * uplink.acks as f64);
-                        report.link.attempts += uplink.data_attempts as u64;
-                        if uplink.data_attempts > 1 {
-                            report.link.retransmitted_links += 1;
-                            self.evbuf.push(
-                                epoch,
-                                EventKind::Retransmit,
-                                c as u64,
-                                uplink.data_attempts as u64 - 1,
-                            );
-                        }
-                        report.acks += uplink.acks as u64;
-                        report.nacks += uplink.nacks as u64;
-                        report.resolicitations += uplink.resolicit_rounds_used as u64;
-                        report.backoff_ms += uplink.backoff_ms;
-                        if uplink.nacks > 0 {
-                            self.evbuf.push(
-                                epoch,
-                                EventKind::NackSent,
-                                c as u64,
-                                uplink.nacks as u64,
-                            );
-                        }
-                        if uplink.resolicit_rounds_used > 0 {
-                            self.evbuf.push(
-                                epoch,
-                                EventKind::Resolicit,
-                                c as u64,
-                                uplink.resolicit_rounds_used as u64,
-                            );
-                        }
-
-                        if !uplink.delivered {
-                            // Permanent honest loss: exclude the subtree
-                            // and tell the querier.
-                            report.link.failed_links += 1;
-                            report.lost_links += 1;
-                            let cost = FAILURE_REPORT_BYTES as u64 * (depth as u64 + 1);
-                            report.failure_reports += 1;
-                            report.control_bytes += cost;
-                            self.meter.control_bytes.add(cost);
-                            tel::count!("engine.failure_reports");
-                            self.evbuf
-                                .push(epoch, EventKind::FailureReport, c as u64, id as u64);
-                            continue;
-                        }
-                        report.delivered_links += 1;
-                        if uplink.resolicit_rounds_used > 0 {
-                            report.recovered_by_resolicit += 1;
-                        }
-
-                        // Covert attacks at this (compromised) merge
-                        // point: contribution reporting is unchanged.
-                        let mut copies = 1usize;
-                        let mut child_psr = child_psr;
-                        for attack in attacks {
-                            match *attack {
-                                Attack::TamperAtNode(n) if n == c => {
-                                    self.scheme.tamper(&mut child_psr);
-                                    poisoned = true;
-                                }
-                                Attack::DropAtNode(n) if n == c => {
-                                    copies = 0;
-                                    poisoned = true;
-                                }
-                                Attack::DuplicateAtNode(n) if n == c => {
-                                    copies += 1;
-                                    poisoned = true;
-                                }
-                                _ => {}
-                            }
-                        }
-                        contrib.append(&mut contrib_slot[c]);
-                        if copies > 0 {
-                            poisoned |= poison_slot[c];
-                        }
-                        for _ in 0..copies {
-                            inputs.push(child_psr.clone());
-                        }
-                    }
-
-                    if inputs.is_empty() {
-                        // Nothing to send (every child lost, crashed, or
-                        // covertly dropped). Contributions that survived
-                        // to this point are lost with the silent parent.
-                        continue;
-                    }
-                    let t0 = Instant::now();
-                    let merged = self.scheme.try_merge(&inputs);
-                    self.meter.aggregator_cpu_ns.add(ns(t0.elapsed()));
-                    self.meter.aggregators_run.incr();
+            let mut inputs: Vec<S::Psr> = Vec::new();
+            let mut contrib: Vec<SourceId> = Vec::new();
+            let mut poisoned = false;
+            for &c in &eff_children[id] {
+                let Some(child_psr) = psr_slot[c].take() else {
+                    // Silent child (crashed source or an empty
+                    // subtree): report the failure upward.
+                    let cost = FAILURE_REPORT_BYTES as u64 * (depth as u64 + 1);
+                    report.failure_reports += 1;
+                    report.control_bytes += cost;
+                    counts.bytes.control += cost;
+                    tel::count!("engine.failure_reports");
                     self.evbuf
-                        .push(epoch, EventKind::PsrMerged, id as u64, inputs.len() as u64);
-                    match merged {
-                        Ok(m) => {
-                            psr_slot[id] = Some(m);
-                            contrib_slot[id] = contrib;
-                            poison_slot[id] = poisoned;
+                        .push(epoch, EventKind::FailureReport, c as u64, id as u64);
+                    continue;
+                };
+                let size = self.scheme.psr_wire_size(&child_psr) as u64;
+                let uplink = recovery.simulate_uplink(radio, rng);
+                tally.add(&uplink);
+
+                // Accounting: first copy in the Table V classes,
+                // retransmissions and control separately; every ACKed
+                // copy is received.
+                counts.uplink(self.flat.is_source(c), size);
+                counts.bytes.retransmit += size * (uplink.data_attempts as u64 - 1);
+                counts.rx_bytes += size * uplink.acks as u64;
+                let ctl = uplink.acks as u64 * ACK_BYTES as u64
+                    + uplink.nacks as u64 * NACK_BYTES as u64
+                    + uplink.resolicit_rounds_used as u64
+                        * RESOLICIT_BYTES as u64
+                        * (depth as u64 + 1);
+                report.control_bytes += ctl;
+                counts.bytes.control += ctl;
+                report.link.attempts += uplink.data_attempts as u64;
+                if uplink.data_attempts > 1 {
+                    report.link.retransmitted_links += 1;
+                    self.evbuf.push(
+                        epoch,
+                        EventKind::Retransmit,
+                        c as u64,
+                        uplink.data_attempts as u64 - 1,
+                    );
+                }
+                report.acks += uplink.acks as u64;
+                report.nacks += uplink.nacks as u64;
+                report.resolicitations += uplink.resolicit_rounds_used as u64;
+                report.backoff_ms += uplink.backoff_ms;
+                if uplink.nacks > 0 {
+                    self.evbuf
+                        .push(epoch, EventKind::NackSent, c as u64, uplink.nacks as u64);
+                }
+                if uplink.resolicit_rounds_used > 0 {
+                    self.evbuf.push(
+                        epoch,
+                        EventKind::Resolicit,
+                        c as u64,
+                        uplink.resolicit_rounds_used as u64,
+                    );
+                }
+
+                if !uplink.delivered {
+                    // Permanent honest loss: exclude the subtree and
+                    // tell the querier.
+                    report.link.failed_links += 1;
+                    report.lost_links += 1;
+                    let cost = FAILURE_REPORT_BYTES as u64 * (depth as u64 + 1);
+                    report.failure_reports += 1;
+                    report.control_bytes += cost;
+                    counts.bytes.control += cost;
+                    tel::count!("engine.failure_reports");
+                    self.evbuf
+                        .push(epoch, EventKind::FailureReport, c as u64, id as u64);
+                    continue;
+                }
+                report.delivered_links += 1;
+                if uplink.resolicit_rounds_used > 0 {
+                    report.recovered_by_resolicit += 1;
+                }
+
+                // Covert attacks at this (compromised) merge point:
+                // contribution reporting is unchanged.
+                let mut copies = 1usize;
+                let mut child_psr = child_psr;
+                for attack in attacks {
+                    match *attack {
+                        Attack::TamperAtNode(n) if n == c => {
+                            self.scheme.tamper(&mut child_psr);
+                            poisoned = true;
                         }
-                        Err(_) => {
-                            // A merge the scheme itself rejects excludes
-                            // this subtree instead of panicking.
-                            report.merge_failures += 1;
+                        Attack::DropAtNode(n) if n == c => {
+                            copies = 0;
+                            poisoned = true;
                         }
+                        Attack::DuplicateAtNode(n) if n == c => {
+                            copies += 1;
+                            poisoned = true;
+                        }
+                        _ => {}
                     }
                 }
+                contrib.append(&mut contrib_slot[c]);
+                if copies > 0 {
+                    poisoned |= poison_slot[c];
+                }
+                for _ in 0..copies {
+                    inputs.push(child_psr.clone());
+                }
+            }
+
+            if inputs.is_empty() {
+                // Nothing to send (every child lost, crashed, or
+                // covertly dropped). Contributions that survived to this
+                // point are lost with the silent parent.
+                continue;
+            }
+            let t0 = Instant::now();
+            let merged = self.scheme.try_merge(&inputs);
+            counts.aggregator_ns += now_ns(t0);
+            counts.aggregators_run += 1;
+            self.evbuf
+                .push(epoch, EventKind::PsrMerged, id as u64, inputs.len() as u64);
+            match merged {
+                Ok(m) => {
+                    psr_slot[id] = Some(m);
+                    contrib_slot[id] = contrib;
+                    poison_slot[id] = poisoned;
+                }
+                // A merge the scheme itself rejects excludes this
+                // subtree instead of panicking.
+                Err(_) => report.merge_failures += 1,
             }
         }
 
@@ -1335,24 +1116,15 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
 
         // Sink → querier.
         let Some(mut final_psr) = psr_slot[root].take() else {
-            verdict_event(epoch, EventKind::EpochLost, root as u64);
-            return RecoveredEpoch {
-                outcome: EpochOutcome {
-                    result: Err(SchemeError::Malformed(
-                        "no PSR reached the querier (all subtrees failed)".into(),
-                    )),
-                    stats: self.meter.finish(epoch, Vec::new(), &q0),
-                },
-                report,
-                repairs,
-                aggregate_corrupted: false,
-            };
+            let lost = Err(nothing_reached_querier());
+            let outcome = self.outcome(epoch, lost, &counts, Vec::new());
+            return recovered(outcome, report, repairs, false);
         };
         let mut corrupted = poison_slot[root];
 
         let t0 = Instant::now();
         final_psr = self.scheme.sink_finalize(final_psr);
-        self.meter.aggregator_cpu_ns.add(ns(t0.elapsed()));
+        counts.aggregator_ns += now_ns(t0);
 
         // Attacks on the sink's own outgoing PSR (no parent exists to
         // model them at): tampering corrupts the final aggregate; a
@@ -1365,18 +1137,11 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
                     corrupted = true;
                 }
                 Attack::DropAtNode(n) if n == root => {
-                    verdict_event(epoch, EventKind::EpochLost, root as u64);
-                    return RecoveredEpoch {
-                        outcome: EpochOutcome {
-                            result: Err(SchemeError::Malformed(
-                                "final PSR never reached the querier".into(),
-                            )),
-                            stats: self.meter.finish(epoch, Vec::new(), &q0),
-                        },
-                        report,
-                        repairs,
-                        aggregate_corrupted: false,
-                    };
+                    let lost = Err(SchemeError::Malformed(
+                        "final PSR never reached the querier".into(),
+                    ));
+                    let outcome = self.outcome(epoch, lost, &counts, Vec::new());
+                    return recovered(outcome, report, repairs, false);
                 }
                 _ => {}
             }
@@ -1388,11 +1153,8 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
                 corrupted = true;
             }
         }
-        self.prev_final = Some(final_psr.clone());
-
-        let size = self.scheme.psr_wire_size(&final_psr);
-        self.meter.aq_bytes.add(size as u64);
-        self.meter.energy_tx.add(self.radio.tx_energy(size));
+        counts.bytes.agg_to_querier += self.scheme.psr_wire_size(&final_psr) as u64;
+        let final_psr = self.prev_final.insert(final_psr);
 
         let mut contributors = std::mem::take(&mut contrib_slot[root]);
         contributors.sort_unstable();
@@ -1400,29 +1162,21 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
         let t0 = Instant::now();
         let result = self
             .scheme
-            .evaluate_par(&final_psr, epoch, &contributors, self.threads);
-        self.meter.querier_cpu_ns.add(ns(t0.elapsed()));
-        match &result {
-            Ok(_) => verdict_event(epoch, EventKind::EpochAccepted, contributors.len() as u64),
-            Err(_) => verdict_event(epoch, EventKind::EpochRejected, 0),
-        }
-
-        RecoveredEpoch {
-            outcome: EpochOutcome {
-                result,
-                stats: self.meter.finish(epoch, contributors, &q0),
-            },
-            report,
-            repairs,
-            aggregate_corrupted: corrupted,
-        }
+            .evaluate_par(final_psr, epoch, &contributors, self.threads);
+        counts.querier_ns = now_ns(t0);
+        let outcome = self.outcome(epoch, result, &counts, contributors);
+        recovered(outcome, report, repairs, corrupted)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::radio::LossyRadio;
+    use crate::recovery::RecoveryConfig;
     use crate::topology::Role;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     /// A transparent scheme for engine-level tests: the PSR is the plain
     /// sum plus a contribution count, so every engine behaviour is
@@ -1617,11 +1371,53 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one value per source")]
-    fn wrong_value_count_panics() {
+    fn wrong_value_count_is_a_lost_epoch() {
+        use crate::journal::{replay, JournalConfig};
+        use sies_receipts::Verdict;
+
         let (topo, scheme) = engine_fixture(4, 2);
+        let lost = |out: &EpochOutcome| {
+            assert!(
+                matches!(&out.result, Err(SchemeError::Malformed(m)) if m == "3 values for 4 sources"),
+                "{:?}",
+                out.result
+            );
+            assert_eq!(out.stats.bytes, EdgeBytes::default());
+            assert_eq!(out.stats.sources_run, 0);
+            assert!(out.stats.contributors.is_empty());
+        };
+        let path = std::env::temp_dir().join(format!(
+            "sies-engine-{}-wrong-count.journal",
+            std::process::id()
+        ));
+        let cfg = JournalConfig::default();
         let mut engine = Engine::new(&scheme, &topo);
-        engine.run_epoch(0, &[1; 3]);
+        engine.attach_journal(ReceiptJournal::create(&path, &cfg).unwrap());
+        lost(&engine.run_epoch(0, &[1; 3]));
+        lost(&engine.run_epoch_with(1, &[1; 3], &HashSet::from([topo.root()]), &[]));
+        let mut rng = StdRng::seed_from_u64(0);
+        let none = HashSet::new();
+        let radio = LossyRadio::new(0.0, 3);
+        let cfg_r = RecoveryConfig::default();
+        let run = engine.run_epoch_recovering(2, &[1; 3], &none, &[], &radio, &cfg_r, &mut rng);
+        lost(&run.outcome);
+        assert!(run.repairs.is_empty() && !run.aggregate_corrupted);
+        assert!(engine.last_final_psr().is_none());
+        // The engine still runs a well-formed epoch afterwards.
+        assert_eq!(engine.run_epoch(3, &[1; 4]).result.unwrap().sum, 4.0);
+
+        engine.take_journal().unwrap().finish().unwrap();
+        let receipts = replay(&path, &cfg).unwrap().summary.receipts;
+        let _ = std::fs::remove_file(&path);
+        let verdicts: Vec<_> = receipts.iter().map(|r| (r.epoch, r.verdict)).collect();
+        assert_eq!(
+            verdicts,
+            [
+                (0, Verdict::Lost),
+                (1, Verdict::Lost),
+                (3, Verdict::Accepted)
+            ]
+        );
     }
 
     #[test]
@@ -1640,15 +1436,51 @@ mod tests {
             assert_eq!(out.stats.bytes, base.stats.bytes, "threads = {threads}");
             assert_eq!(out.stats.contributors, base.stats.contributors);
             assert_eq!(out.stats.sources_run, base.stats.sources_run);
+            assert_eq!(out.stats.aggregators_run, base.stats.aggregators_run);
+            assert_eq!(out.stats.energy_tx, base.stats.energy_tx);
+            assert_eq!(out.stats.energy_rx, base.stats.energy_rx);
         }
+    }
+
+    #[test]
+    fn epoch_stats_do_not_depend_on_engine_history() {
+        let (topo, scheme) = engine_fixture(16, 4);
+        let values: Vec<u64> = (1..=16).collect();
+        let same = |a: &EpochStats, b: &EpochStats| {
+            assert_eq!(a.bytes, b.bytes);
+            assert_eq!(a.sources_run, b.sources_run);
+            assert_eq!(a.aggregators_run, b.aggregators_run);
+            assert_eq!(a.energy_tx, b.energy_tx);
+            assert_eq!(a.energy_rx, b.energy_rx);
+        };
+
+        let mut warm = Engine::new(&scheme, &topo);
+        for epoch in 0..1000 {
+            warm.run_epoch(epoch, &values);
+        }
+        let fresh = Engine::new(&scheme, &topo).run_epoch(1000, &values);
+        same(&fresh.stats, &warm.run_epoch(1000, &values).stats);
+
+        let radio = LossyRadio::new(0.0, 3);
+        let cfg = RecoveryConfig::default();
+        let recover = |engine: &mut Engine<'_, PlainSum>, epoch: Epoch| {
+            let mut rng = StdRng::seed_from_u64(epoch);
+            let none = HashSet::new();
+            engine.run_epoch_recovering(epoch, &values, &none, &[], &radio, &cfg, &mut rng)
+        };
+        let mut warm = Engine::new(&scheme, &topo);
+        for epoch in 0..1000 {
+            recover(&mut warm, epoch);
+        }
+        let fresh = recover(&mut Engine::new(&scheme, &topo), 1000);
+        same(
+            &fresh.outcome.stats,
+            &recover(&mut warm, 1000).outcome.stats,
+        );
     }
 
     mod recovering {
         use super::*;
-        use crate::radio::LossyRadio;
-        use crate::recovery::RecoveryConfig;
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
 
         fn lossless() -> LossyRadio {
             LossyRadio::new(0.0, 3)

@@ -12,6 +12,14 @@
 //! `sies-baselines` all run under the same engine and are measured
 //! identically — the setup the paper's §VI experiments need.
 //!
+//! Every epoch runs through one subtree-sharded post-order walk over the
+//! [`flat::FlatTopology`] arena: [`engine::Engine`] drives it one epoch
+//! at a time with failures, attacks and a receipt journal, and
+//! [`pipeline::EpochPipeline`] drives it over runs of clean epochs with
+//! streaming and precompute-ahead. [`engine::Engine::run_epoch_recovering`]
+//! shares the walk's source phase and merges serially over the repaired
+//! tree.
+//!
 //! ```
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;

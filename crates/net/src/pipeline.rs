@@ -1,17 +1,25 @@
-//! Streamed struct-of-arrays epoch pipeline for million-sensor
-//! populations.
+//! The epoch walk, and the streamed struct-of-arrays epoch pipeline for
+//! million-sensor populations built on it.
 //!
-//! [`EpochPipeline`] is the clean-path (no failures, no attacks)
-//! counterpart of [`crate::engine::Engine`], rebuilt around the
-//! [`FlatTopology`] arena for scale:
+//! The walk (`Exec`: `produce` then `consume`) is the one execution
+//! path of an epoch: [`EpochPipeline::run`] drives it on the clean path,
+//! and [`crate::engine::Engine::run_epoch_with`] drives it with the
+//! epoch's honest failures and covert attacks, translated once per
+//! epoch to marks on post-order positions. Over the [`FlatTopology`]
+//! arena it gives:
 //!
 //! * **Subtree sharding.** The sink's child subtrees are contiguous
 //!   segments of the arena's post-order, so the tree splits into at most
 //!   `threads` contiguous shards. Each worker walks its segment exactly
-//!   as the serial engine would — batched source init, then a stack
-//!   merge in post-order — and the main thread fuses the shard results
-//!   in deterministic tree order. The final PSR is bit-identical for
-//!   every thread count.
+//!   as a serial post-order walk would — batched source init, then a
+//!   stack merge — and the main thread fuses the shard results in
+//!   deterministic tree order. The final PSR is bit-identical for every
+//!   thread count.
+//! * **Exact accounting.** Run counts and per-class bytes accumulate in
+//!   shard-local integers and fold in shard order; the fold stops at the
+//!   first shard that hit a scheme error, so an aborted epoch reports
+//!   what the serial walk had done when it stopped. No global counter or
+//!   journal event runs per node.
 //! * **Epoch streaming.** With `streaming` enabled, two epoch buffers
 //!   alternate through a one-producer hand-off: while the main thread
 //!   merges/evaluates epoch `t`, a producer thread runs source init for
@@ -26,8 +34,8 @@
 //!   material to reproduce on-demand derivation bit-for-bit, so the
 //!   warmer may lag, race, or be absent without observable effect.
 //! * **No per-source allocation in steady state.** All per-epoch state
-//!   (values, jobs, init results, merge stacks, shard outputs) lives in
-//!   the two reused `EpochBuf`s; schemes write init results through
+//!   (values, jobs, init results, merge stacks) lives in the two reused
+//!   `EpochBuf`s; schemes write init results through
 //!   [`AggregationScheme::batch_source_init_into`]. After a warm-up
 //!   epoch per buffer, the pipeline itself performs no heap allocation
 //!   per epoch at `threads = 1` (the `alloc_free` integration test pins
@@ -39,17 +47,20 @@
 //!   population (the `sies_alloc` test). With `threads > 1` the
 //!   scoped-worker spawn adds O(threads) allocations per epoch.
 //!
-//! ## Digest identity with the serial engine
+//! ## Merge order
 //!
-//! The merge inputs seen by every aggregator are byte-identical to the
-//! engine's: a post-order walk pushes child results on a stack in
-//! *reverse child order* (post-order visits subtrees last-child-first),
-//! so each merge window is reversed before the scheme sees it, and the
-//! sink's shard remnants are concatenated in shard order then reversed
-//! into child order. The `flat_equivalence` and `soa_determinism` tests
-//! assert the resulting SHA-256 digests match the legacy engine across
-//! thread counts and streaming modes.
+//! Every aggregator merges the PSR copies its children sent, in child
+//! order: a post-order walk pushes child results on a stack in *reverse
+//! child order* (post-order visits subtrees last-child-first), so each
+//! merge window — the copies its children left, one per child unless
+//! the child failed, was dropped or was duplicated — is reversed before
+//! the scheme sees it, and the sink's shard remnants are concatenated
+//! in shard order then reversed into child order. The `flat_equivalence`
+//! tests hold the engine and the pipeline to an independent recursive
+//! fold over the pointer `Topology`; `soa_determinism` pins the digests
+//! across thread counts and streaming modes.
 
+use crate::engine::EpochCounts;
 use crate::flat::FlatTopology;
 use crate::scheme::{AggregationScheme, EvaluatedSum, SchemeError};
 use sies_core::{parallel, Epoch, SourceId, Threads};
@@ -61,28 +72,82 @@ use std::time::Instant;
 /// One contiguous run of sink-child subtrees in the post-order array,
 /// walked serially by one worker.
 #[derive(Debug, Clone)]
-struct Shard {
+pub(crate) struct Shard {
     /// Post-order positions this shard covers.
     range: Range<usize>,
     /// Sources inside the range (pre-sizes the job buffers).
     sources: usize,
 }
 
+/// What one epoch does to a node besides the clean path: an honest
+/// failure, or covert attacks on the PSR it sends.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Mark {
+    /// The node is down: it is not initialised or merged, sends
+    /// nothing, and discards what its children sent.
+    pub(crate) failed: bool,
+    /// Its outgoing PSR is silently discarded.
+    pub(crate) dropped: bool,
+    /// How many times its outgoing PSR is tampered with.
+    pub(crate) tampers: u32,
+    /// Extra copies of its outgoing PSR delivered to its parent.
+    pub(crate) duplicates: u32,
+}
+
+impl Mark {
+    /// Folds another mark on the same node into this one.
+    pub(crate) fn absorb(&mut self, other: Mark) {
+        self.failed |= other.failed;
+        self.dropped |= other.dropped;
+        self.tampers += other.tampers;
+        self.duplicates += other.duplicates;
+    }
+}
+
+/// A node's post-order position and its mark. An epoch's marks are
+/// sorted by position, one entry per marked node.
+pub(crate) type Marked = (u32, Mark);
+
+/// Reads the marks of ascending post-order positions.
+struct Marks<'m>(&'m [Marked]);
+
+impl Marks<'_> {
+    /// The mark at `pos` (the default mark when none); skips entries
+    /// before `pos`, so callers may visit any ascending subset.
+    fn at(&mut self, pos: usize) -> Mark {
+        while let Some((&(p, mark), rest)) = self.0.split_first() {
+            if p as usize > pos {
+                break;
+            }
+            self.0 = rest;
+            if p as usize == pos {
+                return mark;
+            }
+        }
+        Mark::default()
+    }
+}
+
 /// Reusable per-shard working state.
-struct ShardState<P> {
-    /// `(source, value)` jobs in shard post-order.
+pub(crate) struct ShardState<P> {
+    /// `(source, value)` jobs of the shard's live sources, in post-order.
     jobs: Vec<(SourceId, u64)>,
     /// Per-job init results, aligned with `jobs`.
     inits: Vec<Result<P, SchemeError>>,
-    /// The post-order merge stack.
+    /// The post-order merge stack: the PSR copies every finished
+    /// subtree sent up; the sink children's copies remain at the end.
     stack: Vec<P>,
-    /// Subtree-root PSRs left on the stack, in shard post-order.
-    out: Vec<P>,
+    /// Nodes whose parent receives other than one copy (a failed,
+    /// dropped or duplicated node, or an aggregator whose window was
+    /// empty), as `(parent's post-order position, copies)`: an
+    /// aggregator's merge window is one copy per child, corrected by the
+    /// entries its children left on top.
+    uneven: Vec<(u32, u32)>,
     /// First scheme error hit in the walk (aborts the epoch exactly
-    /// where the serial engine would).
+    /// where the serial walk would).
     err: Option<SchemeError>,
-    source_ns: u64,
-    merge_ns: u64,
+    /// The shard's activity up to the end of its walk or its error.
+    counts: EpochCounts,
 }
 
 impl<P> ShardState<P> {
@@ -91,10 +156,9 @@ impl<P> ShardState<P> {
             jobs: Vec::with_capacity(shard.sources),
             inits: Vec::with_capacity(shard.sources),
             stack: Vec::new(),
-            out: Vec::new(),
+            uneven: Vec::new(),
             err: None,
-            source_ns: 0,
-            merge_ns: 0,
+            counts: EpochCounts::default(),
         }
     }
 
@@ -102,22 +166,48 @@ impl<P> ShardState<P> {
         use std::mem::size_of;
         self.jobs.capacity() * size_of::<(SourceId, u64)>()
             + self.inits.capacity() * size_of::<Result<P, SchemeError>>()
-            + (self.stack.capacity() + self.out.capacity()) * size_of::<P>()
+            + self.stack.capacity() * size_of::<P>()
+            + self.uneven.capacity() * size_of::<(u32, u32)>()
     }
 }
 
 /// One epoch's worth of reusable buffers. The pipeline owns two and
-/// alternates them when streaming.
-struct EpochBuf<P> {
+/// alternates them when streaming; the engine owns one and leaves
+/// `values` empty, reading its caller's slice instead.
+pub(crate) struct EpochBuf<P> {
     /// `values[i]` is source `i`'s reading, filled by the caller.
     values: Vec<u64>,
     /// One state block per shard, written by the producer.
-    shards: Vec<ShardState<P>>,
+    pub(crate) shards: Vec<ShardState<P>>,
     /// Shard remnants gathered for the sink merge.
     root_inputs: Vec<P>,
 }
 
 impl<P> EpochBuf<P> {
+    /// Buffers for `shards` over `flat`, with `values` slots.
+    pub(crate) fn new(flat: &FlatTopology, shards: &[Shard], values: usize) -> Self {
+        EpochBuf {
+            values: vec![0u64; values],
+            shards: shards.iter().map(ShardState::with_capacity).collect(),
+            root_inputs: Vec::with_capacity(flat.children(flat.root()).len()),
+        }
+    }
+
+    /// Sources the last source phase initialised.
+    pub(crate) fn live_sources(&self) -> u64 {
+        self.shards.iter().map(|st| st.jobs.len() as u64).sum()
+    }
+
+    /// The last source phase's jobs with their init results, moved out,
+    /// in shard order: the recovering walk's view of the source phase.
+    pub(crate) fn take_inits(
+        &mut self,
+    ) -> impl Iterator<Item = ((SourceId, u64), Result<P, SchemeError>)> + '_ {
+        self.shards
+            .iter_mut()
+            .flat_map(|st| st.jobs.iter().copied().zip(st.inits.drain(..)))
+    }
+
     fn bytes(&self) -> usize {
         use std::mem::size_of;
         self.values.capacity() * size_of::<u64>()
@@ -297,168 +387,298 @@ fn warm_loop<S: AggregationScheme>(scheme: &S, gate: &WarmGate, first_epoch: Epo
     }
 }
 
-/// The immutable execution view shared between the main thread and the
-/// streaming producer.
-struct Exec<'a, S: AggregationScheme> {
-    scheme: &'a S,
-    flat: &'a FlatTopology,
-    shards: &'a [Shard],
-    contributors: &'a [SourceId],
-    threads: usize,
+/// The epoch walk's immutable view: the one execution path behind
+/// [`EpochPipeline::run`] and [`crate::engine::Engine::run_epoch_with`],
+/// shared between the main thread and the streaming producer.
+pub(crate) struct Exec<'a, S: AggregationScheme> {
+    pub(crate) scheme: &'a S,
+    pub(crate) flat: &'a FlatTopology,
+    pub(crate) shards: &'a [Shard],
+    /// The sources the querier is told contributed.
+    pub(crate) contributors: &'a [SourceId],
+    /// The epoch's failures and attacks (empty on the clean path).
+    pub(crate) marks: &'a [Marked],
+    /// Whether the querier is handed the previous final PSR.
+    pub(crate) replay: bool,
+    pub(crate) threads: usize,
 }
 
-fn now_ns(t0: Instant) -> u64 {
+/// Nanoseconds since `t0`.
+pub(crate) fn now_ns(t0: Instant) -> u64 {
     t0.elapsed().as_nanos() as u64
+}
+
+/// The epoch's outcome when no PSR reaches the querier.
+pub(crate) fn nothing_reached_querier() -> SchemeError {
+    SchemeError::Malformed("no PSR reached the querier (all subtrees failed)".into())
 }
 
 impl<S: AggregationScheme> Exec<'_, S> {
     /// Source init + in-shard merges for one epoch, sharded across the
     /// scoped pool. Allocation-free once the buffers are warm.
-    fn produce(&self, epoch: Epoch, buf: &mut EpochBuf<S::Psr>) {
-        let EpochBuf { values, shards, .. } = buf;
-        let values: &[u64] = values;
-        parallel::for_each_pair_mut(self.threads, self.shards, shards, |i, shard, state| {
-            let _ = i;
-            Self::produce_shard(self.scheme, self.flat, epoch, shard, values, state);
+    pub(crate) fn produce(&self, epoch: Epoch, values: &[u64], shards: &mut [ShardState<S::Psr>]) {
+        parallel::for_each_pair_mut(self.threads, self.shards, shards, |_, shard, st| {
+            let _shard_span = tel::span!("pipeline.shard");
+            self.init_shard(epoch, shard, values, st);
+            if self.marks.is_empty() {
+                self.merge_shard::<false>(shard, st);
+            } else {
+                self.merge_shard::<true>(shard, st);
+            }
         });
     }
 
-    fn produce_shard(
-        scheme: &S,
-        flat: &FlatTopology,
+    /// The source phase of [`produce`](Self::produce) alone; returns
+    /// its summed in-worker CPU time (ns).
+    pub(crate) fn init(
+        &self,
         epoch: Epoch,
-        shard: &Shard,
         values: &[u64],
-        st: &mut ShardState<S::Psr>,
-    ) {
-        let _shard_span = tel::span!("pipeline.shard");
+        shards: &mut [ShardState<S::Psr>],
+    ) -> u64 {
+        parallel::for_each_pair_mut(self.threads, self.shards, shards, |_, shard, st| {
+            self.init_shard(epoch, shard, values, st);
+        });
+        shards.iter().map(|st| st.counts.source_ns).sum()
+    }
+
+    /// The marks from post-order position `start` on.
+    fn marks_from(&self, start: usize) -> Marks<'_> {
+        let skip = self.marks.partition_point(|m| (m.0 as usize) < start);
+        Marks(&self.marks[skip..])
+    }
+
+    /// The shard's positions paired with their node ids.
+    fn walk<'f>(&'f self, shard: &Shard) -> impl Iterator<Item = (usize, usize)> + 'f {
+        let post = &self.flat.post_order()[shard.range.clone()];
+        shard.range.clone().zip(post.iter().map(|&id| id as usize))
+    }
+
+    /// Batched init of the shard's live (not failed) sources.
+    fn init_shard(&self, epoch: Epoch, shard: &Shard, values: &[u64], st: &mut ShardState<S::Psr>) {
         st.err = None;
-        st.out.clear();
-        st.stack.clear();
+        st.counts = EpochCounts::default();
         st.jobs.clear();
-        let post = &flat.post_order()[shard.range.clone()];
-        for &id in post {
-            if let Some(sid) = flat.source_id(id as usize) {
-                st.jobs.push((sid, values[sid as usize]));
+        let mut marks = self.marks_from(shard.range.start);
+        for (pos, id) in self.walk(shard) {
+            if let Some(sid) = self.flat.source_id(id) {
+                if !marks.at(pos).failed {
+                    st.jobs.push((sid, values[sid as usize]));
+                }
             }
         }
-
         let t0 = Instant::now();
-        scheme.batch_source_init_into(epoch, &st.jobs, &mut st.inits);
-        st.source_ns = now_ns(t0);
+        self.scheme
+            .batch_source_init_into(epoch, &st.jobs, &mut st.inits);
+        st.counts.source_ns = now_ns(t0);
         debug_assert_eq!(st.inits.len(), st.jobs.len(), "one result per job");
+    }
 
-        let t1 = Instant::now();
-        let mut next_init = 0usize;
-        for &id in post {
-            let id = id as usize;
-            if flat.is_source(id) {
-                match &st.inits[next_init] {
-                    Ok(psr) => st.stack.push(psr.clone()),
-                    Err(e) => {
-                        st.err = Some(e.clone());
-                        st.merge_ns = now_ns(t1);
-                        return;
-                    }
-                }
-                next_init += 1;
+    /// The shard's post-order merge walk over its init results.
+    /// `MARKED` is false when the epoch has no marks: the clean path
+    /// then compiles without mark lookups or attack branches.
+    fn merge_shard<const MARKED: bool>(&self, shard: &Shard, st: &mut ShardState<S::Psr>) {
+        let ShardState {
+            inits,
+            stack,
+            uneven,
+            err,
+            counts,
+            ..
+        } = st;
+        stack.clear();
+        uneven.clear();
+        let t0 = Instant::now();
+        // Counted in a local, so the per-node updates stay in registers.
+        let mut walked = EpochCounts {
+            source_ns: counts.source_ns,
+            ..EpochCounts::default()
+        };
+        let uneven_to_parent = |id: usize, copies: u32| {
+            let parent = self.flat.parent(id).expect("shards hold no sink");
+            (self.flat.post_position(parent) as u32, copies)
+        };
+        let mut marks = self.marks_from(shard.range.start);
+        let mut inits = inits.iter();
+        for (pos, id) in self.walk(shard) {
+            let mark = if MARKED {
+                marks.at(pos)
             } else {
-                let k = flat.children(id).len();
-                debug_assert!(st.stack.len() >= k, "stack underflow at node {id}");
-                let base = st.stack.len() - k;
-                // Post-order visits subtrees last-child-first, so the
-                // children's results sit on the stack in reverse child
-                // order; restore child order so the scheme merges the
-                // exact input sequence the serial engine produces.
-                st.stack[base..].reverse();
-                match scheme.try_merge(&st.stack[base..]) {
-                    Ok(merged) => {
-                        st.stack.truncate(base);
-                        st.stack.push(merged);
-                    }
+                Mark::default()
+            };
+            let from_source = self.flat.is_source(id);
+            let mut psr = if from_source {
+                if mark.failed {
+                    uneven.push(uneven_to_parent(id, 0));
+                    continue;
+                }
+                walked.sources_run += 1;
+                match inits.next().expect("one init per live source") {
+                    Ok(psr) => psr.clone(),
                     Err(e) => {
-                        st.err = Some(e);
-                        st.merge_ns = now_ns(t1);
-                        return;
+                        *err = Some(e.clone());
+                        break;
                     }
                 }
+            } else {
+                let mut window = self.flat.children(id).len();
+                while let Some(&(parent, copies)) = uneven.last() {
+                    if parent as usize != pos {
+                        break;
+                    }
+                    window = window + copies as usize - 1;
+                    uneven.pop();
+                }
+                let base = stack.len() - window;
+                if mark.failed || window == 0 {
+                    stack.truncate(base);
+                    uneven.push(uneven_to_parent(id, 0));
+                    continue;
+                }
+                // The children's copies sit on the stack last child
+                // first (post-order visits subtrees in reverse); restore
+                // child order so the scheme merges exactly the sequence
+                // a parent gathering its children in order would.
+                stack[base..].reverse();
+                walked.aggregators_run += 1;
+                match self.scheme.try_merge(&stack[base..]) {
+                    Ok(merged) => {
+                        stack.truncate(base);
+                        merged
+                    }
+                    Err(e) => {
+                        *err = Some(e);
+                        break;
+                    }
+                }
+            };
+            let copies = if mark == Mark::default() {
+                1
+            } else {
+                self.attack(&mut psr, mark)
+            };
+            if copies != 1 {
+                uneven.push(uneven_to_parent(id, copies));
+            }
+            if copies > 0 {
+                let size = self.scheme.psr_wire_size(&psr) as u64 * u64::from(copies);
+                walked.uplink(from_source, size);
+                for _ in 1..copies {
+                    stack.push(psr.clone());
+                }
+                stack.push(psr);
             }
         }
-        st.merge_ns = now_ns(t1);
-        st.out.append(&mut st.stack);
+        // Every uplink copy is received by its parent.
+        walked.rx_bytes = walked.bytes.source_to_agg + walked.bytes.agg_to_agg;
+        walked.aggregator_ns = now_ns(t0);
+        *counts = walked;
+    }
+
+    /// Applies `mark`'s covert attacks to an outgoing PSR; returns how
+    /// many copies reach the parent.
+    #[cold]
+    fn attack(&self, psr: &mut S::Psr, mark: Mark) -> u32 {
+        for _ in 0..mark.tampers {
+            self.scheme.tamper(psr);
+        }
+        if mark.dropped {
+            0
+        } else {
+            1 + mark.duplicates
+        }
     }
 
     /// Sink merge + finalize + evaluation for one produced epoch.
-    /// `last_final` mirrors the engine's replay cache: set *before*
-    /// evaluation, left stale on early aborts.
-    fn consume<F>(
+    /// `last_final` is the replay cache: set before evaluation, left
+    /// stale on early aborts. Shard counts fold in shard order and stop
+    /// at the first shard that hit a scheme error, so an aborted epoch
+    /// reports what the serial walk had done when it stopped.
+    pub(crate) fn consume(
         &self,
         epoch: Epoch,
         buf: &mut EpochBuf<S::Psr>,
         last_final: &mut Option<S::Psr>,
-        sink: &mut F,
-    ) where
-        F: FnMut(&EpochReport, Option<&S::Psr>, &Result<EvaluatedSum, SchemeError>, &[SourceId]),
-    {
+    ) -> (EpochCounts, Result<EvaluatedSum, SchemeError>) {
         let _consume_span = tel::span!("pipeline.consume");
         let EpochBuf {
             shards,
             root_inputs,
             ..
         } = buf;
-        let mut report = EpochReport {
-            epoch,
-            ..EpochReport::default()
-        };
-        for st in shards.iter() {
-            report.source_cpu_ns += st.source_ns;
-            report.merge_cpu_ns += st.merge_ns;
-        }
-        // The first error in shard order is the first the serial walk
-        // would have hit (shards partition the post-order in order).
-        for st in shards.iter_mut() {
-            if let Some(e) = st.err.take() {
-                sink(&report, last_final.as_ref(), &Err(e), self.contributors);
-                return;
-            }
-        }
-
+        let mut counts = EpochCounts::default();
         root_inputs.clear();
         for st in shards.iter_mut() {
-            root_inputs.append(&mut st.out);
+            counts.add(&st.counts);
+            if let Some(e) = st.err.take() {
+                return (counts, Err(e));
+            }
+            root_inputs.append(&mut st.stack);
         }
-        // Shard remnants arrive in post order = reverse child order;
-        // the sink's merge expects child order (engine gather loop).
+        // Shard remnants arrive in post order = reverse child order.
         root_inputs.reverse();
 
+        let root = self.flat.post_order().len() - 1;
+        let mark = self.marks_from(root).at(root);
+        if mark.failed || root_inputs.is_empty() {
+            return (counts, Err(nothing_reached_querier()));
+        }
+        counts.aggregators_run += 1;
         let t0 = Instant::now();
-        let merged = match self.scheme.try_merge(root_inputs) {
-            Ok(m) => m,
-            Err(e) => {
-                report.merge_cpu_ns += now_ns(t0);
-                sink(&report, last_final.as_ref(), &Err(e), self.contributors);
-                return;
-            }
+        let merged = self.scheme.try_merge(root_inputs);
+        let merged = merged.map(|psr| self.scheme.sink_finalize(psr));
+        counts.aggregator_ns += now_ns(t0);
+        let mut final_psr = match merged {
+            Ok(psr) => psr,
+            Err(e) => return (counts, Err(e)),
         };
-        let final_psr = self.scheme.sink_finalize(merged);
-        report.merge_cpu_ns += now_ns(t0);
-        *last_final = Some(final_psr);
+        for _ in 0..mark.tampers {
+            self.scheme.tamper(&mut final_psr);
+        }
+        if mark.dropped {
+            return (counts, Err(nothing_reached_querier()));
+        }
+        counts.bytes.agg_to_querier +=
+            self.scheme.psr_wire_size(&final_psr) as u64 * u64::from(1 + mark.duplicates);
+        if self.replay {
+            if let Some(prev) = last_final {
+                final_psr = prev.clone();
+            }
+        }
 
         let t1 = Instant::now();
-        let result = self.scheme.evaluate_par(
-            last_final.as_ref().expect("just set"),
+        let final_psr = last_final.insert(final_psr);
+        let result = self
+            .scheme
+            .evaluate_par(final_psr, epoch, self.contributors, self.threads);
+        counts.querier_ns = now_ns(t1);
+        (counts, result)
+    }
+
+    /// Consumes one produced epoch and hands its outcome to `sink`.
+    fn deliver<G>(
+        &self,
+        epoch: Epoch,
+        buf: &mut EpochBuf<S::Psr>,
+        last_final: &mut Option<S::Psr>,
+        sink: &mut G,
+    ) where
+        G: FnMut(&EpochReport, Option<&S::Psr>, &Result<EvaluatedSum, SchemeError>, &[SourceId]),
+    {
+        let (counts, result) = self.consume(epoch, buf, last_final);
+        let report = EpochReport {
             epoch,
-            self.contributors,
-            self.threads,
-        );
-        report.querier_cpu_ns = now_ns(t1);
+            source_cpu_ns: counts.source_ns,
+            merge_cpu_ns: counts.aggregator_ns,
+            querier_cpu_ns: counts.querier_ns,
+        };
         sink(&report, last_final.as_ref(), &result, self.contributors);
     }
 }
 
 /// Splits the sink's child subtrees (contiguous post-order segments)
 /// into at most `threads` contiguous, size-balanced shards.
-fn plan_shards(flat: &FlatTopology, threads: usize) -> Vec<Shard> {
+pub(crate) fn plan_shards(flat: &FlatTopology, threads: usize) -> Vec<Shard> {
     let root = flat.root();
     let mut segments: Vec<Range<usize>> = flat
         .children(root)
@@ -551,13 +771,10 @@ impl<'a, S: AggregationScheme> EpochPipeline<'a, S> {
         let threads = threads.resolve();
         let shards = plan_shards(flat, threads);
         let n_sources = flat.num_sources() as usize;
-        let root_children = flat.children(flat.root()).len();
-        let mk_buf = |shards: &[Shard]| EpochBuf {
-            values: vec![0u64; n_sources],
-            shards: shards.iter().map(ShardState::with_capacity).collect(),
-            root_inputs: Vec::with_capacity(root_children),
-        };
-        let bufs = Some((mk_buf(&shards), mk_buf(&shards)));
+        let bufs = Some((
+            EpochBuf::new(flat, &shards, n_sources),
+            EpochBuf::new(flat, &shards, n_sources),
+        ));
         EpochPipeline {
             scheme,
             flat,
@@ -628,6 +845,8 @@ impl<'a, S: AggregationScheme> EpochPipeline<'a, S> {
             flat: self.flat,
             shards: &self.shards,
             contributors: &self.contributors,
+            marks: &[],
+            replay: false,
             threads: self.threads,
         };
         let last = first_epoch + epochs - 1;
@@ -647,16 +866,16 @@ impl<'a, S: AggregationScheme> EpochPipeline<'a, S> {
                     let _close = WarmGateGuard(&gate);
                     for epoch in first_epoch..=last {
                         fill(epoch, &mut front.values);
-                        exec.produce(epoch, &mut front);
-                        exec.consume(epoch, &mut front, &mut last_final, &mut sink);
+                        exec.produce(epoch, &front.values, &mut front.shards);
+                        exec.deliver(epoch, &mut front, &mut last_final, &mut sink);
                         gate.advance(epoch);
                     }
                 });
             } else {
                 for epoch in first_epoch..=last {
                     fill(epoch, &mut front.values);
-                    exec.produce(epoch, &mut front);
-                    exec.consume(epoch, &mut front, &mut last_final, &mut sink);
+                    exec.produce(epoch, &front.values, &mut front.shards);
+                    exec.deliver(epoch, &mut front, &mut last_final, &mut sink);
                 }
             }
             self.bufs = Some((front, back));
@@ -678,7 +897,7 @@ impl<'a, S: AggregationScheme> EpochPipeline<'a, S> {
                 // Closing on exit (or panic) unblocks the consumer.
                 let _close = CloseOnDrop(tc);
                 while let Some((epoch, mut buf)) = tp.recv() {
-                    exec.produce(epoch, &mut buf);
+                    exec.produce(epoch, &buf.values, &mut buf.shards);
                     tc.send((epoch, buf));
                 }
             });
@@ -705,7 +924,7 @@ impl<'a, S: AggregationScheme> EpochPipeline<'a, S> {
                     .recv()
                     .expect("producer terminated before the last epoch");
                 debug_assert_eq!(produced_epoch, epoch, "epochs hand off in order");
-                exec.consume(epoch, &mut buf, &mut last_final, &mut sink);
+                exec.deliver(epoch, &mut buf, &mut last_final, &mut sink);
                 gate.advance(epoch);
                 pool.push(buf);
             }

@@ -73,35 +73,33 @@ pub trait AggregationScheme: Sync {
     /// Batched initialization over one shard of an epoch's job list:
     /// returns one result per `(source, value)` pair, in input order,
     /// element-wise equal to calling
-    /// [`try_source_init`](Self::try_source_init) in a loop (which is
-    /// exactly what the default does).
-    ///
-    /// Schemes override this to hoist epoch-shared work out of the
-    /// per-source loop — SIES derives `K_t` and builds its Montgomery
-    /// context once per shard. The engine hands each scoped worker one
-    /// contiguous chunk of the epoch's jobs through this hook.
+    /// [`try_source_init`](Self::try_source_init) in a loop. Fills a
+    /// fresh vector through
+    /// [`batch_source_init_into`](Self::batch_source_init_into), the one
+    /// batching hook schemes override.
     fn batch_source_init(
         &self,
         epoch: Epoch,
         jobs: &[(SourceId, u64)],
     ) -> Vec<Result<Self::Psr, SchemeError>> {
-        jobs.iter()
-            .map(|&(source, value)| self.try_source_init(source, epoch, value))
-            .collect()
+        let mut out = Vec::with_capacity(jobs.len());
+        self.batch_source_init_into(epoch, jobs, &mut out);
+        out
     }
 
-    /// Allocation-aware variant of
-    /// [`batch_source_init`](Self::batch_source_init): writes the results
-    /// into `out` (cleared first, capacity retained) instead of returning
-    /// a fresh vector. The streamed epoch pipeline calls this every epoch
-    /// with a reused buffer, so once `out` has grown to the shard size the
-    /// default implementation allocates nothing in steady state.
+    /// Batched initialization into `out` (cleared first, capacity
+    /// retained): one result per `(source, value)` pair, in input order,
+    /// element-wise equal to calling
+    /// [`try_source_init`](Self::try_source_init) in a loop (which is
+    /// exactly what the default does). The epoch walk calls this once
+    /// per shard and epoch with a reused buffer, so once `out` has grown
+    /// to the shard size the default allocates nothing in steady state.
     ///
-    /// Must leave `out` element-wise equal to what
-    /// [`batch_source_init`](Self::batch_source_init) returns for the
-    /// same jobs. Schemes override this to hoist epoch-shared work and
-    /// batch across sources; SIES does both with stack-tiled PRF sweeps
-    /// and allocates nothing here either.
+    /// Schemes override this to hoist epoch-shared work out of the
+    /// per-source loop and batch across sources: SIES derives `K_t` and
+    /// builds its Montgomery context once per shard, and runs its PRF
+    /// sweeps stack-tiled, allocating nothing here either; CMT derives
+    /// every pad in one multi-lane pass.
     fn batch_source_init_into(
         &self,
         epoch: Epoch,

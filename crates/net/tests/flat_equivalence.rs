@@ -1,24 +1,35 @@
-//! Property-based equivalence oracle: [`FlatTopology`] must be an exact
-//! drop-in for the legacy pointer-tree `Topology` on random irregular
-//! trees — same post-order, same per-node metadata, same repair plans
-//! under random crash sets — and the struct-of-arrays
-//! [`EpochPipeline`] must produce byte-identical epoch outcomes to the
-//! legacy [`Engine`] at every thread count and streaming mode.
+//! Property-based equivalence oracles for the epoch walk.
+//!
+//! * [`FlatTopology`] must be an exact drop-in for the pointer-tree
+//!   `Topology` on random irregular trees: same post-order, same
+//!   per-node metadata, same repair plans under random crash sets.
+//! * [`Engine::run_epoch_with`] and [`EpochPipeline::run`] must agree
+//!   with [`Reference`], a recursive fold over the pointer `Topology`
+//!   that shares no code with `sies-net`'s walk: same verdicts, final
+//!   PSRs, replay cache, contributors, run counts and per-class bytes,
+//!   under random failures, covert attacks and rejected readings, at
+//!   every thread count and streaming mode.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use sies_net::engine::Engine;
+use rand::{Rng, SeedableRng};
+use sies_net::engine::{Attack, EdgeBytes, Engine};
 use sies_net::pipeline::EpochPipeline;
 use sies_net::scheme::{AggregationScheme, EvaluatedSum, SchemeError};
-use sies_net::{FlatTopology, NodeId, Threads, Topology};
+use sies_net::{FlatTopology, NodeId, Role, Threads, Topology};
 use std::collections::HashSet;
 
 /// A cheap transparent scheme whose PSR preserves merge structure
 /// (weighted sum + count), so any reordering or regrouping of merge
 /// inputs that slipped through would still be caught by the sum even
 /// though SUM itself is commutative: positions weight the values.
-struct WeightedSum;
+/// `reject` names one source whose readings `try_source_init` refuses.
+struct WeightedSum {
+    reject: Option<u32>,
+}
+
+/// The scheme with every reading accepted.
+const WSUM: WeightedSum = WeightedSum { reject: None };
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct WPsr {
@@ -49,6 +60,13 @@ impl AggregationScheme for WeightedSum {
         }
     }
 
+    fn try_source_init(&self, source: u32, epoch: u64, value: u64) -> Result<WPsr, SchemeError> {
+        if self.reject == Some(source) {
+            return Err(SchemeError::Malformed(format!("source {source} rejected")));
+        }
+        Ok(self.source_init(source, epoch, value))
+    }
+
     fn merge(&self, psrs: &[WPsr]) -> WPsr {
         let mut fingerprint = 0xA5A5_A5A5u64;
         for p in psrs {
@@ -76,13 +94,232 @@ impl AggregationScheme for WeightedSum {
         })
     }
 
-    fn psr_wire_size(&self, _psr: &WPsr) -> usize {
-        24
+    /// Marks the PSR so a sink pass skipped, or run twice, shows.
+    fn sink_finalize(&self, psr: WPsr) -> WPsr {
+        WPsr {
+            fingerprint: mix(psr.fingerprint, 0x51),
+            ..psr
+        }
     }
 
+    /// Varies with the count, so bytes charged for the wrong PSR show.
+    fn psr_wire_size(&self, psr: &WPsr) -> usize {
+        16 + (psr.count % 7) as usize
+    }
+
+    /// Also marks the fingerprint, so a tamper moved across the sink
+    /// pass shows.
     fn tamper(&self, psr: &mut WPsr) {
         psr.sum += 1;
+        psr.fingerprint = mix(psr.fingerprint, 0x7A);
     }
+}
+
+/// One epoch as [`Reference`] computes it.
+#[derive(Debug, Clone, PartialEq)]
+struct RefEpoch<P> {
+    result: Result<EvaluatedSum, SchemeError>,
+    /// The replay cache after the epoch: the last final PSR the querier
+    /// saw (stale when the epoch aborted before evaluation).
+    last_final: Option<P>,
+    contributors: Vec<u32>,
+    sources_run: u64,
+    aggregators_run: u64,
+    bytes: EdgeBytes,
+}
+
+/// The engine's epoch semantics, written as a recursive fold over the
+/// pointer `Topology` so it shares no code with the flat arena or the
+/// shard walk:
+///
+/// * a failed node sends nothing and discards what its children sent,
+///   but its descendants still initialise, merge and transmit;
+/// * an aggregator merges the copies its children sent, in child order,
+///   and sends nothing when none arrived;
+/// * tamper, drop and duplicate act on a node's outgoing PSR after its
+///   merge (after the sink pass at the sink) and before its bytes are
+///   charged; `ReplayFinal` swaps in the previous final PSR;
+/// * the walk visits nodes in post-order (last child first) and the
+///   first scheme error ends the epoch with the counts reached so far.
+struct Reference<'a, S: AggregationScheme> {
+    scheme: &'a S,
+    topo: &'a Topology,
+    last_final: Option<S::Psr>,
+}
+
+/// The per-epoch state of one [`Reference`] fold.
+struct Fold<'r, S: AggregationScheme> {
+    scheme: &'r S,
+    topo: &'r Topology,
+    epoch: u64,
+    values: &'r [u64],
+    failed: &'r HashSet<NodeId>,
+    attacks: &'r [Attack],
+    sources_run: u64,
+    aggregators_run: u64,
+    bytes: EdgeBytes,
+}
+
+impl<S: AggregationScheme> Fold<'_, S> {
+    /// Folds the subtree of `id`; returns the PSR copies `id` sends up.
+    fn visit(&mut self, id: NodeId) -> Result<Vec<S::Psr>, SchemeError> {
+        let node = self.topo.node(id);
+        let mut sent: Vec<Vec<S::Psr>> = vec![Vec::new(); node.children.len()];
+        for (i, &c) in node.children.iter().enumerate().rev() {
+            sent[i] = self.visit(c)?;
+        }
+        if self.failed.contains(&id) {
+            return Ok(Vec::new());
+        }
+        let mut psr = match node.role {
+            Role::Source(sid) => {
+                self.sources_run += 1;
+                self.scheme
+                    .try_source_init(sid, self.epoch, self.values[sid as usize])?
+            }
+            Role::Aggregator => {
+                let inputs = sent.concat();
+                if inputs.is_empty() {
+                    return Ok(Vec::new());
+                }
+                self.aggregators_run += 1;
+                let merged = self.scheme.try_merge(&inputs)?;
+                if node.parent.is_none() {
+                    self.scheme.sink_finalize(merged)
+                } else {
+                    merged
+                }
+            }
+        };
+        let (mut dropped, mut copies) = (false, 1usize);
+        for attack in self.attacks {
+            match *attack {
+                Attack::TamperAtNode(n) if n == id => self.scheme.tamper(&mut psr),
+                Attack::DropAtNode(n) if n == id => dropped = true,
+                Attack::DuplicateAtNode(n) if n == id => copies += 1,
+                _ => {}
+            }
+        }
+        if dropped {
+            return Ok(Vec::new());
+        }
+        let size = (self.scheme.psr_wire_size(&psr) * copies) as u64;
+        match (node.parent, node.role) {
+            (None, _) => self.bytes.agg_to_querier += size,
+            (Some(_), Role::Source(_)) => {
+                self.bytes.source_to_agg += size;
+                self.bytes.source_to_agg_edges += 1;
+            }
+            (Some(_), Role::Aggregator) => {
+                self.bytes.agg_to_agg += size;
+                self.bytes.agg_to_agg_edges += 1;
+            }
+        }
+        Ok(vec![psr; copies])
+    }
+}
+
+/// Sources with no failed node between them and the sink, unsorted.
+fn live_sources(topo: &Topology, id: NodeId, failed: &HashSet<NodeId>, out: &mut Vec<u32>) {
+    if failed.contains(&id) {
+        return;
+    }
+    match topo.node(id).role {
+        Role::Source(sid) => out.push(sid),
+        Role::Aggregator => {
+            for &c in &topo.node(id).children {
+                live_sources(topo, c, failed, out);
+            }
+        }
+    }
+}
+
+impl<'a, S: AggregationScheme> Reference<'a, S> {
+    fn new(scheme: &'a S, topo: &'a Topology) -> Self {
+        Reference {
+            scheme,
+            topo,
+            last_final: None,
+        }
+    }
+
+    fn epoch(
+        &mut self,
+        epoch: u64,
+        values: &[u64],
+        failed: &HashSet<NodeId>,
+        attacks: &[Attack],
+    ) -> RefEpoch<S::Psr> {
+        let mut contributors = Vec::new();
+        live_sources(self.topo, self.topo.root(), failed, &mut contributors);
+        contributors.sort_unstable();
+        let mut fold = Fold {
+            scheme: self.scheme,
+            topo: self.topo,
+            epoch,
+            values,
+            failed,
+            attacks,
+            sources_run: 0,
+            aggregators_run: 0,
+            bytes: EdgeBytes::default(),
+        };
+        let result = match fold.visit(self.topo.root()).map(|mut sent| sent.pop()) {
+            Err(e) => Err(e),
+            Ok(None) => Err(SchemeError::Malformed(
+                "no PSR reached the querier (all subtrees failed)".into(),
+            )),
+            Ok(Some(mut final_psr)) => {
+                if attacks.contains(&Attack::ReplayFinal) {
+                    if let Some(prev) = &self.last_final {
+                        final_psr = prev.clone();
+                    }
+                }
+                self.last_final = Some(final_psr.clone());
+                self.scheme.evaluate(&final_psr, epoch, &contributors)
+            }
+        };
+        RefEpoch {
+            result,
+            last_final: self.last_final.clone(),
+            contributors,
+            sources_run: fold.sources_run,
+            aggregators_run: fold.aggregators_run,
+            bytes: fold.bytes,
+        }
+    }
+}
+
+/// A random epoch perturbation: each node fails with probability
+/// `fail_pct`% (the sink included), plus up to `max_attacks` covert
+/// attacks on any node (the sink included) or final-PSR replays.
+fn random_faults(
+    rng: &mut StdRng,
+    topo: &Topology,
+    fail_pct: u32,
+    max_attacks: usize,
+) -> (HashSet<NodeId>, Vec<Attack>) {
+    let nodes = topo.nodes().len();
+    let failed = (0..nodes)
+        .filter(|_| rng.random_range(0..100u32) < fail_pct)
+        .collect();
+    let attacks = (0..rng.random_range(0..=max_attacks))
+        .map(|_| {
+            // A quarter of the attacks hit the sink, whose outgoing PSR
+            // takes the sink pass first.
+            let node = match rng.random_range(0..4u32) {
+                0 => topo.root(),
+                _ => rng.random_range(0..nodes),
+            };
+            match rng.random_range(0..4u32) {
+                0 => Attack::TamperAtNode(node),
+                1 => Attack::DropAtNode(node),
+                2 => Attack::DuplicateAtNode(node),
+                _ => Attack::ReplayFinal,
+            }
+        })
+        .collect();
+    (failed, attacks)
 }
 
 fn random_topology(seed: u64, n: u64, fanout: usize) -> Topology {
@@ -153,6 +390,45 @@ proptest! {
     }
 
     #[test]
+    fn engine_epochs_match_reference_fold(
+        seed in any::<u64>(),
+        n in 1u64..90,
+        fanout in 2usize..6,
+        threads in 1usize..9,
+        fail_pct in 0u32..20,
+        reject_pick in 0u32..3,
+        reject_src in any::<u64>(),
+    ) {
+        let topo = random_topology(seed, n, fanout);
+        // A third of the cases refuse one source's readings, so the
+        // first-error abort is exercised wherever that source sits.
+        let scheme = WeightedSum {
+            reject: (reject_pick == 0).then_some((reject_src % n) as u32),
+        };
+        let mut engine = Engine::new(&scheme, &topo).with_threads(Threads::fixed(threads));
+        let mut reference = Reference::new(&scheme, &topo);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xFA17);
+        for epoch in 0..4u64 {
+            let values: Vec<u64> = (0..n).map(|i| mix(seed ^ epoch, i) & 0xFFFF).collect();
+            let (failed, attacks) = random_faults(&mut rng, &topo, fail_pct, 2);
+            let want = reference.epoch(epoch, &values, &failed, &attacks);
+            let out = engine.run_epoch_with(epoch, &values, &failed, &attacks);
+            let got = RefEpoch {
+                result: out.result,
+                last_final: engine.last_final_psr().copied(),
+                contributors: out.stats.contributors,
+                sources_run: out.stats.sources_run,
+                aggregators_run: out.stats.aggregators_run,
+                bytes: out.stats.bytes,
+            };
+            prop_assert!(
+                got == want,
+                "epoch {epoch}, failed {failed:?}, attacks {attacks:?}\n got: {got:?}\nwant: {want:?}"
+            );
+        }
+    }
+
+    #[test]
     fn pipeline_epochs_match_engine_on_random_trees(
         seed in any::<u64>(),
         n in 1u64..90,
@@ -164,21 +440,24 @@ proptest! {
         let flat = FlatTopology::from_topology(&topo);
         let epochs = 3u64;
 
-        let mut engine = Engine::new(&WeightedSum, &topo);
+        // The engine and the pipeline share one walk, so each is held
+        // to the independent reference fold, not just to the other.
+        let mut reference = Reference::new(&WSUM, &topo);
+        let mut engine = Engine::new(&WSUM, &topo);
         let mut expected = Vec::new();
         for epoch in 0..epochs {
             let values: Vec<u64> =
                 (0..n).map(|i| mix(seed ^ epoch, i) & 0xFFFF).collect();
+            let want = reference.epoch(epoch, &values, &HashSet::new(), &[]);
             let out = engine.run_epoch(epoch, &values);
-            expected.push((
-                engine.last_final_psr().copied(),
-                out.result,
-                out.stats.contributors.clone(),
-            ));
+            prop_assert_eq!(&out.result, &want.result);
+            prop_assert_eq!(engine.last_final_psr(), want.last_final.as_ref());
+            prop_assert_eq!(&out.stats.contributors, &want.contributors);
+            expected.push((want.last_final, want.result, want.contributors));
         }
 
         let mut pipeline =
-            EpochPipeline::new(&WeightedSum, &flat, Threads::fixed(threads), streaming);
+            EpochPipeline::new(&WSUM, &flat, Threads::fixed(threads), streaming);
         let mut got = Vec::new();
         pipeline.run(
             0,
@@ -197,7 +476,8 @@ proptest! {
 }
 
 /// One deterministic SIES case so the cryptographic scheme (not just
-/// the transparent one) is pinned through the pipeline in this suite.
+/// the transparent one) is pinned through the engine and the pipeline
+/// against the reference fold.
 #[test]
 fn sies_pipeline_matches_engine_deterministically() {
     use sies_core::SystemParams;
@@ -209,27 +489,31 @@ fn sies_pipeline_matches_engine_deterministically() {
     let mut topo_rng = StdRng::seed_from_u64(11);
     let topo = Topology::random_tree(&mut topo_rng, n, 5);
     let flat = FlatTopology::from_topology(&topo);
+    let values = |epoch: u64| -> Vec<u64> { (0..n).map(|i| (epoch * 37 + i * 3) % 4999).collect() };
 
-    let mut engine = Engine::new(&dep, &topo);
+    let mut reference = Reference::new(&dep, &topo);
     let mut expected = Vec::new();
     for epoch in 0..3u64 {
-        let values: Vec<u64> = (0..n).map(|i| (epoch * 37 + i * 3) % 4999).collect();
-        let out = engine.run_epoch(epoch, &values);
-        expected.push((engine.last_final_psr().map(|p| p.to_bytes()), out.result));
+        let want = reference.epoch(epoch, &values(epoch), &HashSet::new(), &[]);
+        expected.push((want.last_final.map(|p| p.to_bytes()), want.result));
     }
 
     for threads in [1usize, 4] {
+        let mut engine = Engine::new(&dep, &topo).with_threads(Threads::fixed(threads));
+        let got: Vec<_> = (0..3u64)
+            .map(|epoch| {
+                let result = engine.run_epoch(epoch, &values(epoch)).result;
+                (engine.last_final_psr().map(|p| p.to_bytes()), result)
+            })
+            .collect();
+        assert_eq!(got, expected, "engine, threads={threads}");
         for streaming in [false, true] {
             let mut pipeline = EpochPipeline::new(&dep, &flat, Threads::fixed(threads), streaming);
             let mut got = Vec::new();
             pipeline.run(
                 0,
                 3,
-                |epoch, values| {
-                    for (i, v) in values.iter_mut().enumerate() {
-                        *v = (epoch * 37 + i as u64 * 3) % 4999;
-                    }
-                },
+                |epoch, slots| slots.copy_from_slice(&values(epoch)),
                 |_, final_psr, result, _| {
                     got.push((final_psr.map(|p| p.to_bytes()), result.clone()));
                 },
