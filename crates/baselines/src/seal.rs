@@ -31,7 +31,7 @@ impl Seal {
     }
 
     /// Creates SEALs for many `(seed, position)` pairs at once: the
-    /// ragged chains are bucketed by position and run W lanes at a time
+    /// ragged chains are bucketed by position and each bucket runs
     /// through the batch rolling kernel
     /// ([`RsaPublicKey::encrypt_repeated_ragged`]). Identical bytes to
     /// mapping [`Seal::new`].

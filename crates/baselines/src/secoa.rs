@@ -152,7 +152,7 @@ impl SecoaSum {
             })
             .collect();
         // All J ragged SEAL chains in one batch: bucketed by position,
-        // rolled W lanes at a time.
+        // rolled eight chains per IFMA chunk where the CPU has IFMA.
         let seed_items: Vec<(BigUint, u64)> = xs
             .iter()
             .zip(&seed_digests)
@@ -197,7 +197,7 @@ impl SecoaSum {
             slots.push(SketchSlot { x, owner, cert });
         }
         // Pass 2: each sketch's contributor seeds (one lane-batched HMAC
-        // pass per sketch), then all J seed products through the W-lane
+        // pass per sketch), then all J seed products through the batch
         // fold kernel and all J ragged SEAL chains in one batch.
         let seed_lists: Vec<Vec<BigUint>> = (0..self.j)
             .map(|jj| {
@@ -270,7 +270,7 @@ impl AggregationScheme for SecoaSum {
         assert!(!psrs.is_empty());
         // Pass 1: pick each sketch's winner and collect every child
         // SEAL's (value, roll distance) into one ragged batch, so all
-        // J·F rolls run W chains at a time instead of one by one.
+        // J·F rolls run as one batch instead of one by one.
         let mut winners = Vec::with_capacity(self.j);
         let mut items: Vec<(BigUint, u64)> = Vec::with_capacity(self.j * psrs.len());
         for jj in 0..self.j {
@@ -438,10 +438,10 @@ impl AggregationScheme for SecoaSum {
         // bundles, each distinct position contributed one SEAL per sketch
         // at that position, so the reference is the product over all
         // (contributor, sketch) seeds — identical in both representations.
-        // The N·J-element product is lane-split across W partial products
-        // through the key's shared Montgomery context (one division-free
-        // multiply per seed, W seeds per pass) instead of N·J generic
-        // mul-then-divide steps.
+        // The N·J-element product is split into eight partial products
+        // (one IFMA chunk where the CPU has IFMA) through the key's shared
+        // Montgomery context (one division-free multiply per seed) instead
+        // of N·J generic mul-then-divide steps.
         if self.rsa.mont_ctx().is_none() {
             return Err(SchemeError::Malformed("degenerate RSA modulus".into()));
         }

@@ -21,11 +21,11 @@
 //!                digest-checked against the serial engine and across
 //!                hash lane widths W ∈ {1,4,8} (also writes
 //!                BENCH_throughput.json)
-//!   micro    modexp kernels (windowed Montgomery, CRT, batch inversion)
-//!            and lane-batched PRF kernels (hm1/hm256_epoch_many,
+//!   micro    modexp kernels (windowed Montgomery, CRT, Montgomery
+//!            batches) and lane-batched PRF kernels (hm1/hm256_epoch_many,
 //!            derive_mod_p_many at x4/x8) vs their generic oracles;
 //!            differential checks at 1/2/8 threads and lane widths
-//!            1/4/8 (also writes BENCH_micro.json); `--baseline FILE`
+//!            1/4/8/16 (also writes BENCH_micro.json); `--baseline FILE`
 //!            gates on >25% median regression
 //!   trace    telemetry: structured per-epoch trace (events + metric
 //!            snapshot, written to trace.json) and the telemetry-on vs
@@ -737,7 +737,7 @@ fn micro(opts: &Options, baseline: Option<&Path>, out: &Path) {
         "running differential oracles at {ORACLE_THREADS:?} thread(s) and \
          lane widths 1/4/8/16, then timing medians..."
     );
-    let report = micro_suite(11, &ORACLE_THREADS);
+    let report = micro_suite(&ORACLE_THREADS);
     let rows: Vec<Vec<String>> = report
         .kernels
         .iter()

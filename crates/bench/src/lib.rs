@@ -13,8 +13,8 @@
 //! * [`throughput`] — parallel epoch-pipeline throughput vs thread
 //!   count, with a digest-based determinism oracle;
 //! * [`micro`] — the modular-exponentiation kernel suite (windowed
-//!   Montgomery, CRT, batch inversion) measured against the generic
-//!   oracles, with a CI regression gate;
+//!   Montgomery, CRT, Montgomery batches) and the lane-batched PRFs
+//!   measured against the generic oracles, with a CI regression gate;
 //! * [`observability`] — structured per-epoch traces from the telemetry
 //!   stack and the telemetry-on vs -off overhead benchmark, with a CI
 //!   regression gate;

@@ -34,31 +34,10 @@ pub fn decrypt(c: &U256, k_global: &U256, k_blind: &U256, p: &U256) -> U256 {
     c.sub_mod(&k_blind.rem(p), p).mul_mod(&inv, p)
 }
 
-/// [`decrypt`] with a caller-supplied inverse `K⁻¹ mod p` — the shape the
-/// batch path uses after amortizing the inversions.
+/// [`decrypt`] with a caller-supplied inverse `K⁻¹ mod p` — the querier
+/// inverts `K_t` once per epoch and reuses it.
 pub fn decrypt_with_inv(c: &U256, k_global_inv: &U256, k_blind: &U256, p: &U256) -> U256 {
     c.sub_mod(&k_blind.rem(p), p).mul_mod(k_global_inv, p)
-}
-
-/// Decrypts many epochs at once: `(c_t, K_t, Σk_t)` triples share the
-/// modulus, so the `|triples|` extended-Euclid inversions collapse into
-/// one via Montgomery's batch-inversion trick (`3(k−1)` multiplications
-/// plus a single inversion). Output `i` is bit-identical to
-/// `decrypt(c_i, K_i, k_i, p)`.
-///
-/// # Panics
-/// Panics when some `K_t` is zero — the same keys [`decrypt`] rejects.
-pub fn decrypt_batch(triples: &[(U256, U256, U256)], p: &U256) -> Vec<U256> {
-    let keys: Vec<U256> = triples.iter().map(|(_, k, _)| *k).collect();
-    let invs = U256::batch_inv_mod(&keys, p);
-    triples
-        .iter()
-        .zip(invs)
-        .map(|((c, _, k_blind), inv)| {
-            let inv = inv.expect("K_t is non-zero and p is prime");
-            decrypt_with_inv(c, &inv, k_blind, p)
-        })
-        .collect()
 }
 
 /// The aggregator's merge: plain modular addition of ciphertexts
@@ -174,25 +153,6 @@ mod tests {
             m_sum += i * i;
         }
         assert_eq!(decrypt(&c_acc, &k_global, &k_acc, &p), u(m_sum));
-    }
-
-    #[test]
-    fn batch_decrypt_matches_serial_decrypt() {
-        let p = DEFAULT_PRIME_256;
-        let triples: Vec<(U256, U256, U256)> = (1..=40u128)
-            .map(|i| {
-                let k_global = u(i * 7919);
-                let k_blind = u(i * i + 5);
-                let c = encrypt(&u(i * 1000), &k_global, &k_blind, &p);
-                (c, k_global, k_blind)
-            })
-            .collect();
-        let batch = decrypt_batch(&triples, &p);
-        for (i, ((c, kg, kb), got)) in triples.iter().zip(&batch).enumerate() {
-            assert_eq!(*got, decrypt(c, kg, kb, &p), "triple {i}");
-            assert_eq!(*got, u((i as u128 + 1) * 1000));
-        }
-        assert!(decrypt_batch(&[], &p).is_empty());
     }
 
     #[test]

@@ -27,13 +27,6 @@ pub enum Attribute {
 }
 
 impl Attribute {
-    const ALL: [Attribute; 4] = [
-        Attribute::Temperature,
-        Attribute::Humidity,
-        Attribute::Light,
-        Attribute::Voltage,
-    ];
-
     fn index(self) -> usize {
         match self {
             Attribute::Temperature => 0,
@@ -298,11 +291,6 @@ impl QueryPlan {
             }
         })
     }
-}
-
-/// Exhaustive list of attributes (for workload generators).
-pub fn all_attributes() -> [Attribute; 4] {
-    Attribute::ALL
 }
 
 #[cfg(test)]

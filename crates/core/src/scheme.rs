@@ -414,12 +414,6 @@ impl Aggregator {
             ciphertext: hom::merge(&acc.ciphertext, &psr.ciphertext, &self.prime),
         }))
     }
-
-    /// Merges one more PSR into an accumulator (streaming form used by the
-    /// network simulator).
-    pub fn merge_into(&self, acc: &mut Psr, psr: &Psr) {
-        acc.ciphertext = hom::merge(&acc.ciphertext, &psr.ciphertext, &self.prime);
-    }
 }
 
 impl Querier {
@@ -500,49 +494,6 @@ impl Querier {
         let k_t_inv = k_t
             .inv_mod_euclid(p)
             .expect("K_t is non-zero and p is prime");
-        self.finish_evaluation(final_psr, epoch, contributors, threads, &k_t_inv)
-    }
-
-    /// Evaluates a whole run of epochs against one contributor set. The
-    /// per-epoch extended-Euclid inversion of `K_t` — the dominant
-    /// single-epoch decode cost besides the PRF sweep — collapses into a
-    /// single inversion over all epochs via Montgomery's batch-inversion
-    /// trick. Per-epoch results (including errors) are identical to
-    /// calling [`Querier::evaluate_with_contributors_threaded`] once per
-    /// epoch.
-    pub fn evaluate_epochs_with_contributors(
-        &self,
-        finals: &[(Epoch, Psr)],
-        contributors: &[SourceId],
-        threads: usize,
-    ) -> Vec<Result<VerifiedSum, SiesError>> {
-        let p = self.params.prime();
-        let k_ts: Vec<U256> = finals
-            .iter()
-            .map(|(epoch, _)| self.global_prf.derive_mod_nonzero(*epoch, p))
-            .collect();
-        let invs = U256::batch_inv_mod(&k_ts, p);
-        finals
-            .iter()
-            .zip(invs)
-            .map(|((epoch, psr), inv)| {
-                let inv = inv.expect("K_t is non-zero and p is prime");
-                self.finish_evaluation(psr, *epoch, contributors, threads, &inv)
-            })
-            .collect()
-    }
-
-    /// Shared tail of evaluation once `K_t⁻¹` is in hand: the contributor
-    /// PRF sweep, decryption, decode, and the share-sum integrity check.
-    fn finish_evaluation(
-        &self,
-        final_psr: &Psr,
-        epoch: Epoch,
-        contributors: &[SourceId],
-        threads: usize,
-        k_t_inv: &U256,
-    ) -> Result<VerifiedSum, SiesError> {
-        let p = self.params.prime();
 
         // Σ k_{i,t} mod p and Σ ss_{i,t} (plain integer) over contributors.
         // Chunks are in input order, so the first failing chunk holds the
@@ -559,7 +510,7 @@ impl Querier {
                 .expect("share sum fits 256 bits");
         }
 
-        let m_f = hom::decrypt_with_inv(final_psr.ciphertext(), k_t_inv, &k_sum, p);
+        let m_f = hom::decrypt_with_inv(final_psr.ciphertext(), &k_t_inv, &k_sum, p);
         let decoded = codec::decode_final(&self.params, &m_f);
         if decoded.secret != expected_secret {
             return Err(SiesError::IntegrityViolation { epoch });
@@ -895,48 +846,6 @@ mod tests {
                 querier.evaluate_with_contributors_threaded(&merged, 6, &bad, threads),
                 Err(SiesError::UnknownSource(99))
             ));
-        }
-    }
-
-    #[test]
-    fn batched_epoch_evaluation_matches_serial() {
-        let (querier, sources, agg) = full_setup(10, 23);
-        let contributors: Vec<SourceId> = (0..10).collect();
-        let finals: Vec<(Epoch, Psr)> = (0..12u64)
-            .map(|epoch| {
-                let values: Vec<u64> = (0..10).map(|i| epoch * 10 + i).collect();
-                (epoch, run_epoch(&sources, &agg, &values, epoch))
-            })
-            .collect();
-        // Corrupt one epoch so the batch carries a failure too.
-        let mut finals = finals;
-        finals[4].1 = Psr::from_ciphertext(
-            finals[4]
-                .1
-                .ciphertext()
-                .add_mod(&U256::from_u64(3), querier.params().prime()),
-        );
-        for threads in [1, 2, 8] {
-            let batch = querier.evaluate_epochs_with_contributors(&finals, &contributors, threads);
-            for ((epoch, psr), got) in finals.iter().zip(&batch) {
-                let serial = querier.evaluate_with_contributors_threaded(
-                    psr,
-                    *epoch,
-                    &contributors,
-                    threads,
-                );
-                match (got, serial) {
-                    (Ok(a), Ok(b)) => assert_eq!(*a, b, "epoch {epoch}"),
-                    (
-                        Err(SiesError::IntegrityViolation { epoch: a }),
-                        Err(SiesError::IntegrityViolation { epoch: b }),
-                    ) => {
-                        assert_eq!(*a, b)
-                    }
-                    (a, b) => panic!("epoch {epoch}: batch {a:?} vs serial {b:?}"),
-                }
-            }
-            assert!(batch[4].is_err(), "corrupted epoch must fail");
         }
     }
 

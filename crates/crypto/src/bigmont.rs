@@ -294,25 +294,15 @@ impl BigMontCtx {
         acc.finish()
     }
 
-    /// View of the fixed-width modulus limbs (for the lane-interleaved
-    /// batch kernels in [`crate::bigmontxn`]).
+    /// View of the fixed-width modulus limbs (for the IFMA batch kernels
+    /// in [`crate::bigmont52`]).
     pub(crate) fn m_limbs(&self) -> &[u64] {
         &self.m
     }
 
-    /// `-m^{-1} mod 2^64` (see [`crate::bigmontxn`]).
+    /// `-m^{-1} mod 2^64` (see [`crate::bigmont52`]).
     pub(crate) fn n_prime(&self) -> u64 {
         self.n_prime
-    }
-
-    /// `R mod m` — the Montgomery form of 1 (see [`crate::bigmontxn`]).
-    pub(crate) fn r1_limbs(&self) -> &[u64] {
-        &self.r1
-    }
-
-    /// `R² mod m` (see [`crate::bigmontxn`]).
-    pub(crate) fn r2_limbs(&self) -> &[u64] {
-        &self.r2
     }
 
     /// `R^(j+1) mod m` in the sense of the accumulator fix-up: returns

@@ -1,14 +1,14 @@
 //! Radix-2^52 AVX-512 IFMA batch Montgomery kernels: 8 lanes per
 //! `vpmadd52` instruction.
 //!
-//! The GPR interleave in [`crate::bigmontxn`] is throughput-bound: a
-//! 64×64→128 `mul` plus its carry bookkeeping costs ~8 issue slots per
-//! multiply, so eight interleaved carry chains saturate the front end
-//! long before the multiplier. AVX-512 IFMA breaks that wall with
-//! `vpmadd52luq`/`vpmadd52huq`: one instruction multiplies the low 52
-//! bits of eight 64-bit lanes and accumulates the low (resp. high) 52
-//! bits of each 104-bit product — eight multiply-accumulates per issue
-//! slot instead of a fraction of one.
+//! A 64×64→128 `mul` plus its carry bookkeeping costs ~8 issue slots
+//! per multiply and does not vectorize, so interleaving 64-bit carry
+//! chains saturates the front end long before the multiplier. AVX-512
+//! IFMA breaks that wall with `vpmadd52luq`/`vpmadd52huq`: one
+//! instruction multiplies the low 52 bits of eight 64-bit lanes and
+//! accumulates the low (resp. high) 52 bits of each 104-bit product —
+//! eight multiply-accumulates per issue slot instead of a fraction of
+//! one.
 //!
 //! The kernel is the classic multi-buffer *almost Montgomery
 //! multiplication* (AMM) at radix 2^52, the layout used by RSAZ-AVX512
@@ -26,10 +26,10 @@
 //! conversion needs at most one conditional subtraction.
 //!
 //! Digit counts are instantiated at 5/10/20/40 (covering moduli up to
-//! 256/512/1024/2048 bits; operands pad with zero digits). Wider
-//! moduli and hosts without `avx512ifma` fall back to the GPR
-//! interleave — [`IfmaCtx::new`] returns `None` and the caller keeps
-//! its existing path.
+//! 256/512/1024/2048 bits; operands pad with zero digits). There is no
+//! other lane kernel: for wider moduli and on hosts without
+//! `avx512ifma`, [`IfmaCtx::new`] returns `None` and
+//! [`crate::bigmontxn`] runs the scalar `BigMontCtx` loop.
 
 use crate::bigmont::{self, BigMontCtx, SMALL_EXP_BITS, WINDOW_BITS};
 use crate::biguint::BigUint;
@@ -301,30 +301,6 @@ mod kernel {
         acc
     }
 
-    /// One 8-wide `pow_mod` chunk (exactly 8 bases, shared exponent).
-    #[target_feature(enable = "avx512f,avx512ifma")]
-    pub(super) fn pow_chunk_t<const N: usize>(
-        ictx: &IfmaCtx<'_>,
-        bases: &[BigUint],
-        exp: &BigUint,
-        mults: &mut u64,
-    ) -> Vec<BigUint> {
-        let k = _mm512_set1_epi64(ictx.k as i64);
-        let mut plain = vec![0u64; N * 8];
-        for (l, v) in bases.iter().enumerate() {
-            ictx.load_value(&mut plain, v, l);
-        }
-        let mut base_m = vec![0u64; N * 8];
-        amm::<N>(&ictx.m_block, k, &plain, &ictx.r2p_block, &mut base_m);
-        *mults += LANES as u64;
-        let acc = pow_inner::<N>(ictx, &base_m, exp, mults);
-        amm::<N>(&ictx.m_block, k, &acc, &ictx.one_block, &mut plain);
-        *mults += LANES as u64;
-        (0..bases.len().min(LANES))
-            .map(|l| ictx.unload_value(&plain, l))
-            .collect()
-    }
-
     /// One 8-wide `chain_pow_mod` chunk: `base^(e^k)` with the whole
     /// chain in the `R'` domain (`k > 0`).
     #[target_feature(enable = "avx512f,avx512ifma")]
@@ -434,27 +410,8 @@ impl<'c> IfmaCtx<'c> {
     }
 }
 
-/// Chunk entry points: monomorphized dispatch on the digit count. All
+/// Chunk entry points: monomorphized dispatch on the digit count. Both
 /// panic off-x86 — [`IfmaCtx::new`] cannot return `Some` there.
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn pow_chunk(
-    ictx: &IfmaCtx<'_>,
-    bases: &[BigUint],
-    exp: &BigUint,
-    mults: &mut u64,
-) -> Vec<BigUint> {
-    tel::count!("crypto.mont.ifma_chunks");
-    // SAFETY: IfmaCtx::new verified avx512ifma support at runtime.
-    unsafe {
-        match ictx.n52 {
-            5 => kernel::pow_chunk_t::<5>(ictx, bases, exp, mults),
-            10 => kernel::pow_chunk_t::<10>(ictx, bases, exp, mults),
-            20 => kernel::pow_chunk_t::<20>(ictx, bases, exp, mults),
-            _ => kernel::pow_chunk_t::<40>(ictx, bases, exp, mults),
-        }
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn chain_chunk(
     ictx: &IfmaCtx<'_>,
@@ -464,7 +421,7 @@ pub(crate) fn chain_chunk(
     mults: &mut u64,
 ) -> Vec<BigUint> {
     tel::count!("crypto.mont.ifma_chunks");
-    // SAFETY: as in `pow_chunk`.
+    // SAFETY: IfmaCtx::new verified avx512ifma support at runtime.
     unsafe {
         match ictx.n52 {
             5 => kernel::chain_chunk_t::<5>(ictx, bases, e, k, mults),
@@ -482,7 +439,7 @@ pub(crate) fn fold_chunk(
     mults: &mut u64,
 ) -> Vec<BigUint> {
     tel::count!("crypto.mont.ifma_chunks");
-    // SAFETY: as in `pow_chunk`.
+    // SAFETY: as in `chain_chunk`.
     unsafe {
         match ictx.n52 {
             5 => kernel::fold_chunk_t::<5>(ictx, lists, mults),
@@ -491,16 +448,6 @@ pub(crate) fn fold_chunk(
             _ => kernel::fold_chunk_t::<40>(ictx, lists, mults),
         }
     }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-pub(crate) fn pow_chunk(
-    _ictx: &IfmaCtx<'_>,
-    _bases: &[BigUint],
-    _exp: &BigUint,
-    _mults: &mut u64,
-) -> Vec<BigUint> {
-    unreachable!("IfmaCtx cannot be constructed without x86_64 IFMA")
 }
 
 #[cfg(not(target_arch = "x86_64"))]
@@ -545,7 +492,7 @@ mod tests {
             assert!(52 * n52 >= 64 * n64 + 2, "n64 {n64} mapped to n52 {n52}");
         }
         assert_eq!(digits_for(32), Some(40), "2048-bit moduli use 40 digits");
-        assert_eq!(digits_for(33), None, "wider moduli fall back to GPR");
+        assert_eq!(digits_for(33), None, "wider moduli run the scalar loop");
     }
 
     #[test]
@@ -563,7 +510,7 @@ mod tests {
         for e in [0u64, 1, 2, 255, 256, 65_537, u64::MAX] {
             let e = BigUint::from_u64(e);
             let mut mults = 0;
-            let got = pow_chunk(&ictx, &bases, &e, &mut mults);
+            let got = chain_chunk(&ictx, &bases, &e, 1, &mut mults);
             for (b, g) in bases.iter().zip(&got) {
                 assert_eq!(*g, ctx.pow_mod(b, &e), "e {e:?}");
             }

@@ -1,628 +1,65 @@
-//! W-lane Montgomery batch kernels: lane-interleaved CIOS over W
-//! independent operands sharing one modulus (W ∈ {4, 8}).
+//! Montgomery batch entry points: many operations over one shared
+//! modulus, bit-identical to mapping the scalar [`BigMontCtx`] ops.
 //!
-//! [`crate::bigmont::BigMontCtx`] makes a *single* modular multiply
-//! cheap; this module makes *many* of them cheap. A 64×64→128 multiply
-//! does not vectorize, so unlike the hash lanes the win here is not SIMD
-//! width — it is the carry chain: scalar CIOS is a serial chain of
-//! multiply-accumulates, and one chain leaves the multiplier pipeline
-//! mostly idle. Interleaving the limbs of W independent operands into a
-//! struct-of-lanes block (`limb j of lane l` at index `j·W + l`) gives
-//! the out-of-order core W independent carry chains per inner-loop pass,
-//! so [`cios_w`] retires close to one multiply per cycle where the
-//! scalar kernel retires one per chain-latency.
-//!
-//! The batch entry points mirror their scalar counterparts bit for bit —
-//! same window schedule, same conditional-subtract rule, same canonical
-//! output — so callers can batch opportunistically:
-//!
-//! * [`pow_mod_many`] ≡ mapped [`BigMontCtx::pow_mod`] (one shared
-//!   exponent: all lanes walk the same 4-bit window schedule);
 //! * [`chain_pow_mod_many`] ≡ mapped [`BigMontCtx::chain_pow_mod`]
-//!   (SEAL rolling: whole chains stay in-domain across all lanes);
-//! * [`fold_many`] ≡ mapped [`BigMontCtx::product_mod`] over W ragged
-//!   value lists (SECOA per-sketch seed products), and
-//!   [`product_mod_wide`] lane-splits one big product (the verifier's
-//!   N·J seed fold);
+//!   (SEAL rolling: whole chains stay in-domain);
+//! * [`fold_many`] ≡ mapped [`BigMontCtx::product_mod`] over ragged value
+//!   lists (SECOA per-sketch seed products);
+//! * [`product_mod_wide`] ≡ [`BigMontCtx::product_mod`] over one long
+//!   list, split into eight partial products (the verifier's N·J seed
+//!   fold).
 //!
-//! Ragged lanes are padded with `r1 = R mod m`, which is the exact
-//! identity of the CIOS monoid (`acc ∘ r1 = acc·R·R⁻¹ = acc`, already
-//! canonical), so padding changes no bytes and costs no fix-up. The
-//! residual `R⁻¹` factors of a fold are cancelled per lane with the same
-//! `O(log k)` [`BigMontCtx::r_power`] fix-up the scalar accumulator
-//! uses.
+//! Each call has exactly two paths. Every full chunk of eight items runs
+//! through the radix-2^52 AVX-512 IFMA kernels (the private `bigmont52`
+//! module) when the host has `avx512ifma` and the modulus fits their
+//! widest instantiation (2048 bits); everything else — the ragged tail,
+//! wider moduli, hosts without IFMA — runs the scalar [`BigMontCtx`]
+//! loop. Canonical residues are unique, so the path taken never changes
+//! a byte.
 //!
-//! Like the hash kernels ([`crate::sha256xn`]), each chunk body is one
-//! safe generic fn compiled twice more under `#[target_feature]` (AVX2,
-//! AVX-512F) and dispatched per chunk behind `is_x86_feature_detected!`;
-//! the extra registers let the W-wide carry arrays live in registers
-//! instead of spilling. The batch width follows the global
-//! [`crate::lanes`] knob, capped at [`MAX_BIG_LANES`]: beyond 8 lanes of
-//! 64-bit carries the register file is exhausted and wider blocks lose
-//! to two x8 passes.
+//! There is no 64-bit GPR lane path: a 64×64→128 multiply does not
+//! vectorize, and W interleaved CIOS carry chains measured 0.79–1.07×
+//! the scalar loop on a 2-vCPU AVX-512/IFMA Xeon at a 1024-bit modulus
+//! (x4 and x8, exponentiations, chains and folds). The batch width is
+//! the IFMA register's eight lanes, not the hash-lane knob
+//! ([`crate::lanes`]).
 
-use crate::bigmont::{self, BigMontCtx, SMALL_EXP_BITS, WINDOW_BITS};
-use crate::bigmont52;
+use crate::bigmont::BigMontCtx;
+use crate::bigmont52::{self, IfmaCtx, LANES};
 use crate::biguint::BigUint;
-use crate::lanes;
-use crate::limbs;
-use core::cmp::Ordering;
 use sies_telemetry as tel;
 
-/// Widest bignum lane instantiation (the hash kernels go to 16; the
-/// bignum carry arrays exhaust the register file beyond 8).
-pub const MAX_BIG_LANES: usize = 8;
-
-/// The batch width the bignum schedulers use right now: the global lane
-/// knob clamped to [`MAX_BIG_LANES`].
-pub fn big_lane_width() -> usize {
-    lanes::lane_width().min(MAX_BIG_LANES)
-}
-
-/// `out[l] = a[l]·b[l]·R⁻¹ mod m` for W interleaved lanes.
-///
-/// `m` is the shared `n`-limb modulus; `a`, `b`, `t` (scratch) and `out`
-/// are `n·W` interleaved blocks. Row structure is identical to the
-/// scalar [`BigMontCtx`] CIOS — fused multiply+reduce, carries in
-/// registers (`[u64; W]` arrays), one shift-down store per limb — with
-/// the lane loop innermost so the W carry chains interleave.
-// Indexed lane loops throughout: `block[j * W + l]` is the interleaved
-// layout itself; iterators cannot express the strided taps.
-#[allow(clippy::needless_range_loop)]
-#[inline(always)]
-fn cios_w<const W: usize>(
-    m: &[u64],
-    n_prime: u64,
-    a: &[u64],
-    b: &[u64],
-    t: &mut [u64],
-    out: &mut [u64],
-) {
-    let n = m.len();
-    debug_assert!(a.len() == n * W && b.len() == n * W);
-    debug_assert!(t.len() >= n * W && out.len() == n * W);
-    let t = &mut t[..n * W];
-    for limb in t.iter_mut() {
-        *limb = 0;
-    }
-    let mut t_hi = [0u64; W];
-    for i in 0..n {
-        let mut bi = [0u64; W];
-        for l in 0..W {
-            bi[l] = b[i * W + l];
-        }
-        let mut carry_a = [0u64; W];
-        let mut carry_m = [0u64; W];
-        let mut u = [0u64; W];
-        for l in 0..W {
-            let (t0, ca) = limbs::mac(t[l], a[l], bi[l], 0);
-            carry_a[l] = ca;
-            u[l] = t0.wrapping_mul(n_prime);
-            let (_, cm) = limbs::mac(t0, u[l], m[0], 0);
-            carry_m[l] = cm;
-        }
-        for j in 1..n {
-            let mj = m[j];
-            for l in 0..W {
-                let (tj, ca) = limbs::mac(t[j * W + l], a[j * W + l], bi[l], carry_a[l]);
-                carry_a[l] = ca;
-                let (lo, cm) = limbs::mac(tj, u[l], mj, carry_m[l]);
-                carry_m[l] = cm;
-                t[(j - 1) * W + l] = lo;
+/// Runs `items` in order: each full chunk of [`LANES`] through `chunk`
+/// when the IFMA kernels take this modulus, every other item through
+/// `scalar`.
+fn schedule<T>(
+    ctx: &BigMontCtx,
+    items: &[T],
+    chunk: impl Fn(&IfmaCtx<'_>, &[T], &mut u64) -> Vec<BigUint>,
+    scalar: impl Fn(&T) -> BigUint,
+) -> Vec<BigUint> {
+    let mut out = Vec::with_capacity(items.len());
+    let mut rest = items;
+    // The radix-2^52 context is precomputed once per call, and only when
+    // a full chunk will run.
+    if rest.len() >= LANES {
+        if let Some(ictx) = IfmaCtx::new(ctx) {
+            let mut mults = 0u64;
+            while rest.len() >= LANES {
+                let (head, tail) = rest.split_at(LANES);
+                out.extend(chunk(&ictx, head, &mut mults));
+                rest = tail;
             }
-        }
-        for l in 0..W {
-            let (s, c) = limbs::adc(t_hi[l], carry_a[l], carry_m[l]);
-            t[(n - 1) * W + l] = s;
-            t_hi[l] = c;
+            tel::count!("crypto.mont.cios_mults", mults);
         }
     }
-    out.copy_from_slice(t);
-    // Per-lane final conditional subtraction: each lane is in [0, 2m).
-    for l in 0..W {
-        if t_hi[l] != 0 || lane_cmp::<W>(out, m, l) != Ordering::Less {
-            lane_sub::<W>(out, m, l);
-        }
-    }
-}
-
-/// Compares lane `l` of an interleaved block against the scalar `m`.
-#[inline(always)]
-fn lane_cmp<const W: usize>(block: &[u64], m: &[u64], l: usize) -> Ordering {
-    for j in (0..m.len()).rev() {
-        match block[j * W + l].cmp(&m[j]) {
-            Ordering::Equal => {}
-            ord => return ord,
-        }
-    }
-    Ordering::Equal
-}
-
-/// `lane l -= m` on an interleaved block (caller guarantees no final
-/// borrow, as in the scalar kernel).
-#[inline(always)]
-fn lane_sub<const W: usize>(block: &mut [u64], m: &[u64], l: usize) {
-    let mut borrow = 0u64;
-    for (j, &mj) in m.iter().enumerate() {
-        let (d, bb) = limbs::sbb(block[j * W + l], mj, borrow);
-        block[j * W + l] = d;
-        borrow = bb;
-    }
-}
-
-/// Replicates a scalar `n`-limb value across all W lanes of a block.
-fn broadcast<const W: usize>(src: &[u64]) -> Vec<u64> {
-    let mut out = vec![0u64; src.len() * W];
-    for (j, &v) in src.iter().enumerate() {
-        for l in 0..W {
-            out[j * W + l] = v;
-        }
-    }
+    out.extend(rest.iter().map(scalar));
     out
 }
 
-/// Writes `src` (exactly `n` limbs) into lane `l` of a block.
-#[inline(always)]
-fn scatter_lane<const W: usize>(block: &mut [u64], src: &[u64], l: usize) {
-    for (j, &v) in src.iter().enumerate() {
-        block[j * W + l] = v;
-    }
-}
-
-/// Reads lane `l` of a block back out as `n` scalar limbs.
-#[inline(always)]
-fn gather_lane<const W: usize>(block: &[u64], n: usize, l: usize) -> Vec<u64> {
-    let mut out = vec![0u64; n];
-    for (j, limb) in out.iter_mut().enumerate() {
-        *limb = block[j * W + l];
-    }
-    out
-}
-
-/// In-domain W-lane exponentiation by a *shared* exponent: the windowed
-/// schedule of [`BigMontCtx::pow_mod`], every step widened to W lanes.
-/// `base_m` is interleaved Montgomery-form input; the result stays in
-/// the Montgomery domain.
-#[inline(always)]
-fn pow_block<const W: usize>(
-    ctx: &BigMontCtx,
-    base_m: &[u64],
-    exp: &BigUint,
-    t: &mut [u64],
-    mults: &mut u64,
-) -> Vec<u64> {
-    let n = ctx.width();
-    let m = ctx.m_limbs();
-    let np = ctx.n_prime();
-    if exp.is_zero() {
-        return broadcast::<W>(ctx.r1_limbs());
-    }
-    let bits = exp.bit_len();
-    let mut acc = vec![0u64; n * W];
-    let mut tmp = vec![0u64; n * W];
-    if bits <= SMALL_EXP_BITS {
-        acc.copy_from_slice(base_m);
-        for i in (0..bits - 1).rev() {
-            cios_w::<W>(m, np, &acc, &acc, t, &mut tmp);
-            core::mem::swap(&mut acc, &mut tmp);
-            *mults += W as u64;
-            if exp.bit(i) {
-                cios_w::<W>(m, np, &acc, base_m, t, &mut tmp);
-                core::mem::swap(&mut acc, &mut tmp);
-                *mults += W as u64;
-            }
-        }
-        return acc;
-    }
-    // Precompute base^0 .. base^15 per lane, interleaved.
-    let mut table = Vec::with_capacity(1 << WINDOW_BITS);
-    table.push(broadcast::<W>(ctx.r1_limbs()));
-    table.push(base_m.to_vec());
-    for i in 2..(1 << WINDOW_BITS) {
-        let mut next = vec![0u64; n * W];
-        cios_w::<W>(m, np, &table[i - 1], base_m, t, &mut next);
-        table.push(next);
-    }
-    *mults += (((1 << WINDOW_BITS) - 2) * W) as u64;
-    let nwindows = bits.div_ceil(WINDOW_BITS);
-    acc.copy_from_slice(&table[bigmont::window_of(exp, nwindows - 1)]);
-    for w in (0..nwindows - 1).rev() {
-        for _ in 0..WINDOW_BITS {
-            cios_w::<W>(m, np, &acc, &acc, t, &mut tmp);
-            core::mem::swap(&mut acc, &mut tmp);
-        }
-        *mults += (WINDOW_BITS * W) as u64;
-        let nibble = bigmont::window_of(exp, w);
-        if nibble != 0 {
-            cios_w::<W>(m, np, &acc, &table[nibble], t, &mut tmp);
-            core::mem::swap(&mut acc, &mut tmp);
-            *mults += W as u64;
-        }
-    }
-    acc
-}
-
-/// Interleaves exactly W reduced plain values and converts the block
-/// into the Montgomery domain with one broadcast-`r2` multiply.
-#[inline(always)]
-fn to_mont_block<const W: usize>(
-    ctx: &BigMontCtx,
-    values: &[BigUint],
-    t: &mut [u64],
-    mults: &mut u64,
-) -> Vec<u64> {
-    debug_assert_eq!(values.len(), W);
-    let n = ctx.width();
-    let mut plain = vec![0u64; n * W];
-    for (l, v) in values.iter().enumerate() {
-        scatter_lane::<W>(&mut plain, &ctx.reduce(v), l);
-    }
-    let r2b = broadcast::<W>(ctx.r2_limbs());
-    let mut out = vec![0u64; n * W];
-    cios_w::<W>(ctx.m_limbs(), ctx.n_prime(), &plain, &r2b, t, &mut out);
-    *mults += W as u64;
-    out
-}
-
-/// Converts an in-domain block back out and gathers each lane into a
-/// canonical [`BigUint`].
-#[inline(always)]
-fn from_mont_block<const W: usize>(
-    ctx: &BigMontCtx,
-    block: &[u64],
-    t: &mut [u64],
-    mults: &mut u64,
-) -> Vec<BigUint> {
-    let n = ctx.width();
-    let mut one = vec![0u64; n];
-    one[0] = 1;
-    let one_b = broadcast::<W>(&one);
-    let mut plain = vec![0u64; n * W];
-    cios_w::<W>(ctx.m_limbs(), ctx.n_prime(), block, &one_b, t, &mut plain);
-    *mults += W as u64;
-    (0..W)
-        .map(|l| BigUint::from_limbs(gather_lane::<W>(&plain, n, l)))
-        .collect()
-}
-
-/// One W-wide `pow_mod` chunk: exactly W bases, one shared exponent.
-#[inline(always)]
-fn pow_chunk_body<const W: usize>(
-    ctx: &BigMontCtx,
-    bases: &[BigUint],
-    exp: &BigUint,
-    mults: &mut u64,
-) -> Vec<BigUint> {
-    let n = ctx.width();
-    let mut t = vec![0u64; n * W];
-    let base_m = to_mont_block::<W>(ctx, bases, &mut t, mults);
-    let acc = pow_block::<W>(ctx, &base_m, exp, &mut t, mults);
-    from_mont_block::<W>(ctx, &acc, &mut t, mults)
-}
-
-/// One W-wide `chain_pow_mod` chunk: `base^(e^k)` with the whole chain
-/// in-domain across all lanes (`k > 0`; the `k = 0` identity is handled
-/// by the scheduler).
-#[inline(always)]
-fn chain_chunk_body<const W: usize>(
-    ctx: &BigMontCtx,
-    bases: &[BigUint],
-    e: &BigUint,
-    k: u64,
-    mults: &mut u64,
-) -> Vec<BigUint> {
-    debug_assert!(k > 0);
-    let n = ctx.width();
-    let mut t = vec![0u64; n * W];
-    let mut x = to_mont_block::<W>(ctx, bases, &mut t, mults);
-    for _ in 0..k {
-        x = pow_block::<W>(ctx, &x, e, &mut t, mults);
-    }
-    from_mont_block::<W>(ctx, &x, &mut t, mults)
-}
-
-/// One W-wide fold chunk: up to W independent ragged products. Shorter
-/// lanes are padded with `r1` (the CIOS identity — exact no-op), and
-/// each lane's residual `R⁻¹` factors are cancelled with a scalar
-/// `r_power` fix-up, matching [`BigMontCtx::product_mod`] bit for bit.
-#[inline(always)]
-fn fold_chunk_body<const W: usize>(
-    ctx: &BigMontCtx,
-    lists: &[&[BigUint]],
-    mults: &mut u64,
-) -> Vec<BigUint> {
-    debug_assert!(lists.len() <= W);
-    let n = ctx.width();
-    let m = ctx.m_limbs();
-    let np = ctx.n_prime();
-    let r1 = ctx.r1_limbs();
-    let rounds = lists.iter().map(|l| l.len()).max().unwrap_or(0);
-    let mut acc = broadcast::<W>(r1);
-    let mut op = vec![0u64; n * W];
-    let mut t = vec![0u64; n * W];
-    let mut tmp = vec![0u64; n * W];
-    let mut counts = [0u64; W];
-    for r in 0..rounds {
-        for (l, count) in counts.iter_mut().enumerate() {
-            match lists.get(l).and_then(|list| list.get(r)) {
-                Some(v) => {
-                    scatter_lane::<W>(&mut op, &ctx.reduce(v), l);
-                    *count += 1;
-                }
-                None => scatter_lane::<W>(&mut op, r1, l),
-            }
-        }
-        cios_w::<W>(m, np, &acc, &op, &mut t, &mut tmp);
-        core::mem::swap(&mut acc, &mut tmp);
-        *mults += W as u64;
-    }
-    lists
-        .iter()
-        .enumerate()
-        .map(|(l, _)| {
-            if counts[l] == 0 {
-                return BigUint::one();
-            }
-            let lane = gather_lane::<W>(&acc, n, l);
-            // acc_l = Πv · R^-(count-1); one scalar fix-up cancels it.
-            let pending = counts[l] - 1;
-            if pending == 0 {
-                return BigUint::from_limbs(lane);
-            }
-            let fix = ctx.r_power(pending);
-            let mut ts = vec![0u64; n + 2];
-            let mut out = vec![0u64; n];
-            ctx.cios(&lane, &fix, &mut ts, &mut out);
-            *mults += 1;
-            BigUint::from_limbs(out)
-        })
-        .collect()
-}
-
-/// The chunk bodies compiled a second and third time with AVX2 and
-/// AVX-512F codegen enabled — identical safe Rust, different register
-/// budget for the `[u64; W]` carry arrays. Dispatched per chunk behind
-/// `is_x86_feature_detected!`, so results are bit-identical either way.
-#[cfg(target_arch = "x86_64")]
-macro_rules! isa_chunks {
-    ($modname:ident, $feature:literal) => {
-        mod $modname {
-            use super::*;
-
-            #[target_feature(enable = $feature)]
-            pub fn pow_w4(
-                ctx: &BigMontCtx,
-                bases: &[BigUint],
-                exp: &BigUint,
-                mults: &mut u64,
-            ) -> Vec<BigUint> {
-                pow_chunk_body::<4>(ctx, bases, exp, mults)
-            }
-
-            #[target_feature(enable = $feature)]
-            pub fn pow_w8(
-                ctx: &BigMontCtx,
-                bases: &[BigUint],
-                exp: &BigUint,
-                mults: &mut u64,
-            ) -> Vec<BigUint> {
-                pow_chunk_body::<8>(ctx, bases, exp, mults)
-            }
-
-            #[target_feature(enable = $feature)]
-            pub fn chain_w4(
-                ctx: &BigMontCtx,
-                bases: &[BigUint],
-                e: &BigUint,
-                k: u64,
-                mults: &mut u64,
-            ) -> Vec<BigUint> {
-                chain_chunk_body::<4>(ctx, bases, e, k, mults)
-            }
-
-            #[target_feature(enable = $feature)]
-            pub fn chain_w8(
-                ctx: &BigMontCtx,
-                bases: &[BigUint],
-                e: &BigUint,
-                k: u64,
-                mults: &mut u64,
-            ) -> Vec<BigUint> {
-                chain_chunk_body::<8>(ctx, bases, e, k, mults)
-            }
-
-            #[target_feature(enable = $feature)]
-            pub fn fold_w4(
-                ctx: &BigMontCtx,
-                lists: &[&[BigUint]],
-                mults: &mut u64,
-            ) -> Vec<BigUint> {
-                fold_chunk_body::<4>(ctx, lists, mults)
-            }
-
-            #[target_feature(enable = $feature)]
-            pub fn fold_w8(
-                ctx: &BigMontCtx,
-                lists: &[&[BigUint]],
-                mults: &mut u64,
-            ) -> Vec<BigUint> {
-                fold_chunk_body::<8>(ctx, lists, mults)
-            }
-        }
-    };
-}
-
-#[cfg(target_arch = "x86_64")]
-isa_chunks!(avx2, "avx2");
-#[cfg(target_arch = "x86_64")]
-isa_chunks!(avx512, "avx512f");
-
-fn dispatch_pow(
-    w: usize,
-    ctx: &BigMontCtx,
-    bases: &[BigUint],
-    exp: &BigUint,
-    mults: &mut u64,
-) -> Vec<BigUint> {
-    debug_assert!(matches!(w, 4 | 8));
-    #[cfg(target_arch = "x86_64")]
-    {
-        // SAFETY: each ISA requirement is checked at runtime; the bodies
-        // are the same safe Rust as `pow_chunk_body`.
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            return unsafe {
-                match w {
-                    8 => avx512::pow_w8(ctx, bases, exp, mults),
-                    _ => avx512::pow_w4(ctx, bases, exp, mults),
-                }
-            };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return unsafe {
-                match w {
-                    8 => avx2::pow_w8(ctx, bases, exp, mults),
-                    _ => avx2::pow_w4(ctx, bases, exp, mults),
-                }
-            };
-        }
-    }
-    match w {
-        8 => pow_chunk_body::<8>(ctx, bases, exp, mults),
-        _ => pow_chunk_body::<4>(ctx, bases, exp, mults),
-    }
-}
-
-fn dispatch_chain(
-    w: usize,
-    ctx: &BigMontCtx,
-    bases: &[BigUint],
-    e: &BigUint,
-    k: u64,
-    mults: &mut u64,
-) -> Vec<BigUint> {
-    debug_assert!(matches!(w, 4 | 8));
-    #[cfg(target_arch = "x86_64")]
-    {
-        // SAFETY: as in `dispatch_pow`.
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            return unsafe {
-                match w {
-                    8 => avx512::chain_w8(ctx, bases, e, k, mults),
-                    _ => avx512::chain_w4(ctx, bases, e, k, mults),
-                }
-            };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return unsafe {
-                match w {
-                    8 => avx2::chain_w8(ctx, bases, e, k, mults),
-                    _ => avx2::chain_w4(ctx, bases, e, k, mults),
-                }
-            };
-        }
-    }
-    match w {
-        8 => chain_chunk_body::<8>(ctx, bases, e, k, mults),
-        _ => chain_chunk_body::<4>(ctx, bases, e, k, mults),
-    }
-}
-
-fn dispatch_fold(
-    w: usize,
-    ctx: &BigMontCtx,
-    lists: &[&[BigUint]],
-    mults: &mut u64,
-) -> Vec<BigUint> {
-    debug_assert!(matches!(w, 4 | 8));
-    #[cfg(target_arch = "x86_64")]
-    {
-        // SAFETY: as in `dispatch_pow`.
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            return unsafe {
-                match w {
-                    8 => avx512::fold_w8(ctx, lists, mults),
-                    _ => avx512::fold_w4(ctx, lists, mults),
-                }
-            };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return unsafe {
-                match w {
-                    8 => avx2::fold_w8(ctx, lists, mults),
-                    _ => avx2::fold_w4(ctx, lists, mults),
-                }
-            };
-        }
-    }
-    match w {
-        8 => fold_chunk_body::<8>(ctx, lists, mults),
-        _ => fold_chunk_body::<4>(ctx, lists, mults),
-    }
-}
-
-/// `bases[i]^exp mod m` for every base, batched W at a time. Exactly
-/// [`BigMontCtx::pow_mod`] mapped over `bases` — same schedule, same
-/// canonical bytes — with x8/x4 chunks and a scalar ragged tail.
-pub fn pow_mod_many(ctx: &BigMontCtx, bases: &[BigUint], exp: &BigUint) -> Vec<BigUint> {
-    pow_mod_many_with(big_lane_width(), ctx, bases, exp)
-}
-
-/// [`pow_mod_many`] at an explicit width cap (1 disables batching).
-pub fn pow_mod_many_with(
-    width: usize,
-    ctx: &BigMontCtx,
-    bases: &[BigUint],
-    exp: &BigUint,
-) -> Vec<BigUint> {
-    if exp.is_zero() {
-        return vec![BigUint::one(); bases.len()];
-    }
-    let width = width.min(MAX_BIG_LANES);
-    let mut out = Vec::with_capacity(bases.len());
-    let mut mults = 0u64;
-    let mut rest = bases;
-    // Precompute the radix-2^52 context once per call — only worth it
-    // when at least one full x8 chunk will run.
-    let ifma = if width >= 8 && rest.len() >= 8 {
-        bigmont52::IfmaCtx::new(ctx)
-    } else {
-        None
-    };
-    while width >= 8 && rest.len() >= 8 {
-        let (chunk, tail) = rest.split_at(8);
-        out.extend(match &ifma {
-            Some(ictx) => bigmont52::pow_chunk(ictx, chunk, exp, &mut mults),
-            None => dispatch_pow(8, ctx, chunk, exp, &mut mults),
-        });
-        rest = tail;
-    }
-    while width >= 4 && rest.len() >= 4 {
-        let (chunk, tail) = rest.split_at(4);
-        out.extend(dispatch_pow(4, ctx, chunk, exp, &mut mults));
-        rest = tail;
-    }
-    for base in rest {
-        out.push(ctx.pow_mod(base, exp));
-    }
-    tel::count!("crypto.mont.batch_pow_calls");
-    tel::count!("crypto.mont.cios_mults", mults);
-    out
-}
-
-/// `bases[i]^(e^k) mod m` for every base (SEAL rolling), batched W at a
-/// time. Exactly [`BigMontCtx::chain_pow_mod`] mapped over `bases`.
+/// `bases[i]^(e^k) mod m` for every base (SEAL rolling). Exactly
+/// [`BigMontCtx::chain_pow_mod`] mapped over `bases`.
 pub fn chain_pow_mod_many(
-    ctx: &BigMontCtx,
-    bases: &[BigUint],
-    e: &BigUint,
-    k: u64,
-) -> Vec<BigUint> {
-    chain_pow_mod_many_with(big_lane_width(), ctx, bases, e, k)
-}
-
-/// [`chain_pow_mod_many`] at an explicit width cap.
-pub fn chain_pow_mod_many_with(
-    width: usize,
     ctx: &BigMontCtx,
     bases: &[BigUint],
     e: &BigUint,
@@ -631,88 +68,44 @@ pub fn chain_pow_mod_many_with(
     if k == 0 {
         return bases.iter().map(|b| ctx.reduce_value(b)).collect();
     }
-    let width = width.min(MAX_BIG_LANES);
-    let mut out = Vec::with_capacity(bases.len());
-    let mut mults = 0u64;
-    let mut rest = bases;
-    let ifma = if width >= 8 && rest.len() >= 8 {
-        bigmont52::IfmaCtx::new(ctx)
-    } else {
-        None
-    };
-    while width >= 8 && rest.len() >= 8 {
-        let (chunk, tail) = rest.split_at(8);
-        out.extend(match &ifma {
-            Some(ictx) => bigmont52::chain_chunk(ictx, chunk, e, k, &mut mults),
-            None => dispatch_chain(8, ctx, chunk, e, k, &mut mults),
-        });
-        rest = tail;
-    }
-    while width >= 4 && rest.len() >= 4 {
-        let (chunk, tail) = rest.split_at(4);
-        out.extend(dispatch_chain(4, ctx, chunk, e, k, &mut mults));
-        rest = tail;
-    }
-    for base in rest {
-        out.push(ctx.chain_pow_mod(base, e, k));
-    }
     tel::count!("crypto.mont.batch_chain_calls");
-    tel::count!("crypto.mont.cios_mults", mults);
-    out
+    schedule(
+        ctx,
+        bases,
+        |ictx, chunk, mults| bigmont52::chain_chunk(ictx, chunk, e, k, mults),
+        |base| ctx.chain_pow_mod(base, e, k),
+    )
 }
 
-/// W independent ragged products: `out[i] = Π lists[i] mod m` (1 for an
+/// Independent ragged products: `out[i] = Π lists[i] mod m` (1 for an
 /// empty list). Exactly [`BigMontCtx::product_mod`] mapped over `lists`.
 pub fn fold_many(ctx: &BigMontCtx, lists: &[&[BigUint]]) -> Vec<BigUint> {
-    fold_many_with(big_lane_width(), ctx, lists)
-}
-
-/// [`fold_many`] at an explicit width cap.
-pub fn fold_many_with(width: usize, ctx: &BigMontCtx, lists: &[&[BigUint]]) -> Vec<BigUint> {
-    let width = width.min(MAX_BIG_LANES);
-    let mut out = Vec::with_capacity(lists.len());
-    let mut mults = 0u64;
-    let mut rest = lists;
-    let ifma = if width >= 8 && rest.len() >= 8 {
-        bigmont52::IfmaCtx::new(ctx)
-    } else {
-        None
-    };
-    while width >= 8 && rest.len() >= 8 {
-        let (chunk, tail) = rest.split_at(8);
-        out.extend(match &ifma {
-            Some(ictx) => bigmont52::fold_chunk(ictx, chunk, &mut mults),
-            None => dispatch_fold(8, ctx, chunk, &mut mults),
-        });
-        rest = tail;
-    }
-    while width >= 4 && rest.len() >= 4 {
-        let (chunk, tail) = rest.split_at(4);
-        out.extend(dispatch_fold(4, ctx, chunk, &mut mults));
-        rest = tail;
-    }
-    for list in rest {
-        out.push(ctx.product_mod(list.iter()));
-    }
     tel::count!("crypto.mont.batch_fold_calls");
-    tel::count!("crypto.mont.cios_mults", mults);
-    out
+    schedule(ctx, lists, bigmont52::fold_chunk, |list| {
+        ctx.product_mod(list.iter())
+    })
 }
 
-/// One big product `Π values mod m`, lane-split into W partial products
-/// folded in parallel lanes and combined with a scalar fold. The result
-/// is the canonical residue — identical bytes to
+/// One big product `Π values mod m`, split into eight balanced partial
+/// products folded as one IFMA chunk and combined with a scalar fold.
+/// The result is the canonical residue — identical bytes to
 /// [`BigMontCtx::product_mod`] over the same values (modular
 /// multiplication is commutative and the representative is unique).
+/// Without IFMA, or below two values per part, it is that scalar fold.
 pub fn product_mod_wide(ctx: &BigMontCtx, values: &[BigUint]) -> BigUint {
-    let w = big_lane_width();
-    // Below ~2 full blocks the split overhead beats the lane win.
-    if w < 4 || values.len() < 2 * w {
+    let n = values.len();
+    if n < 2 * LANES {
         return ctx.product_mod(values.iter());
     }
-    let chunk = values.len().div_ceil(w);
-    let parts: Vec<&[BigUint]> = values.chunks(chunk).collect();
-    let partials = fold_many_with(w, ctx, &parts);
+    let Some(ictx) = IfmaCtx::new(ctx) else {
+        return ctx.product_mod(values.iter());
+    };
+    let parts: Vec<&[BigUint]> = (0..LANES)
+        .map(|l| &values[l * n / LANES..(l + 1) * n / LANES])
+        .collect();
+    let mut mults = 0u64;
+    let partials = bigmont52::fold_chunk(&ictx, &parts, &mut mults);
+    tel::count!("crypto.mont.cios_mults", mults);
     ctx.product_mod(partials.iter())
 }
 
@@ -722,34 +115,47 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
 
+    /// A random odd modulus of exactly `bits` bits.
     fn odd_modulus(rng: &mut StdRng, bits: usize) -> BigUint {
-        let mut m = BigUint::random_bits(rng, bits);
+        let top = BigUint::one().shl(bits - 1);
+        let m = BigUint::random_bits(rng, bits - 1).add(&top);
         if m.is_even() {
-            m = m.add(&BigUint::one());
+            m.add(&BigUint::one())
+        } else {
+            m
         }
-        if m.bit_len() <= 1 {
-            m = BigUint::from_u64(3);
-        }
-        m
     }
+
+    fn values(rng: &mut StdRng, count: usize, bits: usize) -> Vec<BigUint> {
+        (0..count)
+            .map(|_| BigUint::random_bits(rng, bits))
+            .collect()
+    }
+
+    /// Odd moduli at every IFMA digit count (5/10/20/40 digits for
+    /// 256/512/1024/2048 bits) and one too wide for IFMA (2112 bits),
+    /// so both paths run on an IFMA host and the scalar path elsewhere.
+    const MODULUS_BITS: [usize; 5] = [256, 512, 1024, 2048, 2112];
 
     #[test]
     fn pow_many_matches_scalar_at_every_width() {
+        // One exponentiation per base is a k = 1 chain: against
+        // BigMontCtx::pow_mod at every modulus width and every batch
+        // size, with the degenerate exponents 0 and 1 and a full 64-bit
+        // one.
         let mut rng = StdRng::seed_from_u64(21);
-        let m = odd_modulus(&mut rng, 256);
-        let ctx = BigMontCtx::new(&m);
-        let bases: Vec<BigUint> = (0..19)
-            .map(|_| BigUint::random_bits(&mut rng, 300))
-            .collect();
-        for e in [0u64, 1, 2, 3, 65537, u64::MAX] {
-            let e = BigUint::from_u64(e);
-            let expect: Vec<BigUint> = bases.iter().map(|b| ctx.pow_mod(b, &e)).collect();
-            for width in [1usize, 4, 8, 16] {
+        for bits in MODULUS_BITS {
+            let m = odd_modulus(&mut rng, bits);
+            let ctx = BigMontCtx::new(&m);
+            let bases = values(&mut rng, 17, bits + 44);
+            for e in [0u64, 1, 2, 3, 65537, u64::MAX] {
+                let e = BigUint::from_u64(e);
+                let expect: Vec<BigUint> = bases.iter().map(|b| ctx.pow_mod(b, &e)).collect();
                 for n in 0..=bases.len() {
                     assert_eq!(
-                        pow_mod_many_with(width, &ctx, &bases[..n], &e),
+                        chain_pow_mod_many(&ctx, &bases[..n], &e, 1),
                         expect[..n],
-                        "width {width}, n {n}, e {e:?}"
+                        "{bits}-bit modulus, n {n}, e {e:?}"
                     );
                 }
             }
@@ -759,20 +165,51 @@ mod tests {
     #[test]
     fn chain_many_matches_scalar() {
         let mut rng = StdRng::seed_from_u64(22);
-        let m = odd_modulus(&mut rng, 256);
-        let ctx = BigMontCtx::new(&m);
-        let bases: Vec<BigUint> = (0..11)
-            .map(|_| BigUint::random_bits(&mut rng, 256))
-            .collect();
-        let e = BigUint::from_u64(3);
-        for k in [0u64, 1, 5] {
-            let expect: Vec<BigUint> = bases.iter().map(|b| ctx.chain_pow_mod(b, &e, k)).collect();
-            for width in [1usize, 4, 8] {
-                assert_eq!(
-                    chain_pow_mod_many_with(width, &ctx, &bases, &e, k),
-                    expect,
-                    "width {width}, k {k}"
-                );
+        // e = 3 is SECOA's SEAL exponent; the all-ones exponents 2^j − 1
+        // walk the small-exponent schedule (≤ 8 bits) and the 4-bit
+        // window schedule with every window non-zero, up to 320 bits.
+        let mut exps = vec![BigUint::from_u64(3), BigUint::from_u64(65_537)];
+        exps.extend(
+            [1usize, 2, 8, 9, 64, 127, 320]
+                .iter()
+                .map(|&j| BigUint::one().shl(j).sub(&BigUint::one())),
+        );
+        for bits in MODULUS_BITS {
+            let m = odd_modulus(&mut rng, bits);
+            let ctx = BigMontCtx::new(&m);
+            assert_eq!(
+                IfmaCtx::new(&ctx).is_some(),
+                bigmont52::available() && bits <= 2048,
+                "{bits}-bit modulus takes the IFMA path exactly on IFMA hosts"
+            );
+            // Bases up to 64 bits wider than the modulus exercise the
+            // input reduction.
+            let bases = values(&mut rng, 17, bits + 64);
+            for (i, e) in exps.iter().enumerate() {
+                // Every batch size for the SEAL exponent; one full chunk
+                // and two chunks plus a tail for the rest.
+                let sizes: Vec<usize> = if i == 0 {
+                    (0..=bases.len()).collect()
+                } else {
+                    vec![8, 17]
+                };
+                // Five-step chains of the long exponents add only time.
+                let ks: &[u64] = if e.bit_len() <= 17 {
+                    &[0, 1, 5]
+                } else {
+                    &[0, 1]
+                };
+                for &k in ks {
+                    let expect: Vec<BigUint> =
+                        bases.iter().map(|b| ctx.chain_pow_mod(b, e, k)).collect();
+                    for &n in &sizes {
+                        assert_eq!(
+                            chain_pow_mod_many(&ctx, &bases[..n], e, k),
+                            expect[..n],
+                            "{bits}-bit modulus, n {n}, k {k}, e {e:?}"
+                        );
+                    }
+                }
             }
         }
     }
@@ -780,38 +217,40 @@ mod tests {
     #[test]
     fn fold_many_matches_scalar_over_ragged_lists() {
         let mut rng = StdRng::seed_from_u64(23);
-        let m = odd_modulus(&mut rng, 256);
-        let ctx = BigMontCtx::new(&m);
-        // 9 lists with lengths 0..=8: exercises empty lanes, the ragged
-        // pad, and the scalar tail in one call.
-        let lists: Vec<Vec<BigUint>> = (0..9)
-            .map(|len| {
-                (0..len)
-                    .map(|_| BigUint::random_bits(&mut rng, 256))
-                    .collect()
-            })
-            .collect();
-        let refs: Vec<&[BigUint]> = lists.iter().map(|l| l.as_slice()).collect();
-        let expect: Vec<BigUint> = lists.iter().map(|l| ctx.product_mod(l.iter())).collect();
-        for width in [1usize, 4, 8] {
-            assert_eq!(fold_many_with(width, &ctx, &refs), expect, "width {width}");
+        for bits in MODULUS_BITS {
+            let m = odd_modulus(&mut rng, bits);
+            let ctx = BigMontCtx::new(&m);
+            // 17 lists with lengths cycling through 0..=9: empty lanes,
+            // the ragged pad, and the scalar tail at every batch size.
+            let lists: Vec<Vec<BigUint>> = (0..17)
+                .map(|i| values(&mut rng, (i * 7) % 10, bits + 64))
+                .collect();
+            let refs: Vec<&[BigUint]> = lists.iter().map(|l| l.as_slice()).collect();
+            let expect: Vec<BigUint> = lists.iter().map(|l| ctx.product_mod(l.iter())).collect();
+            for n in 0..=refs.len() {
+                assert_eq!(
+                    fold_many(&ctx, &refs[..n]),
+                    expect[..n],
+                    "{bits}-bit modulus, n {n}"
+                );
+            }
         }
     }
 
     #[test]
     fn wide_product_matches_scalar() {
         let mut rng = StdRng::seed_from_u64(24);
-        let m = odd_modulus(&mut rng, 512);
-        let ctx = BigMontCtx::new(&m);
-        for count in [0usize, 1, 15, 16, 17, 100] {
-            let values: Vec<BigUint> = (0..count)
-                .map(|_| BigUint::random_bits(&mut rng, 512))
-                .collect();
-            assert_eq!(
-                product_mod_wide(&ctx, &values),
-                ctx.product_mod(values.iter()),
-                "count {count}"
-            );
+        for bits in MODULUS_BITS {
+            let m = odd_modulus(&mut rng, bits);
+            let ctx = BigMontCtx::new(&m);
+            for count in [0usize, 1, 15, 16, 17, 23, 100] {
+                let values = values(&mut rng, count, bits);
+                assert_eq!(
+                    product_mod_wide(&ctx, &values),
+                    ctx.product_mod(values.iter()),
+                    "{bits}-bit modulus, count {count}"
+                );
+            }
         }
     }
 
@@ -824,6 +263,6 @@ mod tests {
         let bases: Vec<BigUint> = (0..13).map(|_| BigUint::from_u64(rng.next_u64())).collect();
         let e = BigUint::from_u64(0xFFFF_FFFF);
         let expect: Vec<BigUint> = bases.iter().map(|b| ctx.pow_mod(b, &e)).collect();
-        assert_eq!(pow_mod_many(&ctx, &bases, &e), expect);
+        assert_eq!(chain_pow_mod_many(&ctx, &bases, &e, 1), expect);
     }
 }

@@ -1,9 +1,11 @@
 //! Runtime lane-width selection for the multi-lane hash kernels.
 //!
 //! [`sha1xn`](crate::sha1xn) and [`sha256xn`](crate::sha256xn) interleave
-//! W independent single-block compressions per round-loop pass, and
-//! [`bigmontxn`](crate::bigmontxn) does the same for CIOS Montgomery
-//! multiplication. The width actually used is chosen at runtime:
+//! W independent single-block compressions per round-loop pass; the knob
+//! drives those hash lanes only (the bignum batches in
+//! [`bigmontxn`](crate::bigmontxn) run IFMA x8 chunks or the scalar loop,
+//! whatever the knob says). The width actually used is chosen at
+//! runtime:
 //!
 //! * the default is [`hw_max_lanes`] — 16 with AVX-512F, where one x16
 //!   pass keeps a whole round state in zmm registers, and 8 elsewhere;
@@ -23,9 +25,8 @@
 //! Kernels that cannot profit from the requested width clamp it
 //! themselves via [`effective_lane_width`]: x16 hash passes only pay off
 //! with AVX-512, so on narrower hardware a request for 16 runs as two x8
-//! passes (counted in `crypto.lanes.fallbacks`), and the bignum kernels
-//! cap at [`bigmontxn`](crate::bigmontxn)'s own widest instantiation.
-//! The clamp changes scheduling only, never bytes.
+//! passes (counted in `crypto.lanes.fallbacks`). The clamp changes
+//! scheduling only, never bytes.
 //!
 //! Every width produces bit-identical digests (the kernels are plain
 //! integer arithmetic, differential-tested lane-by-lane against the

@@ -18,9 +18,11 @@
 //! * [`sha1xn`] / [`sha256xn`] — multi-lane compression kernels (W ∈
 //!   {1, 4, 8, 16} interleaved single-block compressions, runtime width
 //!   via [`lanes`]) behind the batched HMAC/PRF fan-out;
-//! * [`bigmontxn`] — W-lane Montgomery batch kernels (lane-interleaved
-//!   CIOS: `pow_mod_many` / `chain_pow_mod_many` / `fold_many`) behind
-//!   the RSA/Paillier batch paths and the SECOA seed products;
+//! * [`bigmontxn`] — Montgomery batch entry points (`chain_pow_mod_many`
+//!   / `fold_many` / `product_mod_wide`: AVX-512 IFMA x8 chunks where
+//!   the host has IFMA, the scalar [`bigmont::BigMontCtx`] loop
+//!   elsewhere) behind the RSA batch paths of SECOA's SEAL chains and
+//!   seed products;
 //! * [`mod@hmac`] — RFC 2104 HMAC generic over the hash, the paper's
 //!   `HM1(·)`/`HM256(·)`: the scalar reference, and per-key chaining
 //!   states with the tiled single-block finalize every batched HMAC

@@ -25,7 +25,6 @@
 //! input.
 
 use crate::bigmont::BigMontCtx;
-use crate::bigmontxn;
 use crate::biguint::BigUint;
 use rand::RngCore;
 
@@ -118,29 +117,6 @@ impl PaillierPublicKey {
         let g_m = BigUint::one().add(&m.mul(&self.n)).rem(&self.n_squared);
         let r_n = self.ctx.pow_mod(r, &self.n);
         PaillierCiphertext(g_m.mul_mod(&r_n, &self.n_squared))
-    }
-
-    /// Batch deterministic encryption: [`Self::encrypt_with_nonce`]
-    /// mapped over `(m, r)` pairs. The dominant `r^n mod n²`
-    /// exponentiations share the exponent `n`, so they run W nonces at a
-    /// time through the lane-interleaved CIOS kernel
-    /// ([`crate::bigmontxn::pow_mod_many`]); bytes identical to the
-    /// scalar loop.
-    pub fn encrypt_with_nonce_many(&self, pairs: &[(BigUint, BigUint)]) -> Vec<PaillierCiphertext> {
-        for (m, r) in pairs {
-            assert!(m < &self.n, "plaintext must be below the modulus");
-            assert!(!r.is_zero() && r < &self.n, "nonce must be in [1, n)");
-        }
-        let rs: Vec<BigUint> = pairs.iter().map(|(_, r)| r.clone()).collect();
-        let r_ns = bigmontxn::pow_mod_many(&self.ctx, &rs, &self.n);
-        pairs
-            .iter()
-            .zip(r_ns)
-            .map(|((m, _), r_n)| {
-                let g_m = BigUint::one().add(&m.mul(&self.n)).rem(&self.n_squared);
-                PaillierCiphertext(g_m.mul_mod(&r_n, &self.n_squared))
-            })
-            .collect()
     }
 
     /// Homomorphic addition: `E(m₁) ⊕ E(m₂) = E(m₁ + m₂ mod n)`.

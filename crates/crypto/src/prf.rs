@@ -26,7 +26,6 @@
 //!   recomputation. Only rejected derive-to-range draws (probability
 //!   189 · 2⁻²⁵⁶ per key under the default prime) take a scalar tail.
 
-use crate::biguint::BigUint;
 use crate::hmac::{finalize_into_with, finalize_one, hmac, pads_into_with, Pads, TILE};
 use crate::lanes::effective_lane_width;
 use crate::sha1::Sha1;
@@ -99,38 +98,6 @@ pub fn derive_mod_nonzero(key: &[u8], epoch: u64, p: &U256) -> U256 {
         let digest = hmac::<Sha256>(key, &msg);
         let candidate = U256::from_be_bytes(&digest.try_into().expect("32 bytes")).and(&mask);
         if !candidate.is_zero() && &candidate < p {
-            return candidate;
-        }
-        counter += 1;
-    }
-}
-
-/// Derives a [`BigUint`] below an arbitrary modulus from `HM1(key, t)` with
-/// counter-mode extension — used for SECOA seeds, which must lie in `Z_n`
-/// for a 1024-bit RSA modulus `n`.
-pub fn derive_biguint_mod(key: &[u8], epoch: u64, modulus: &BigUint) -> BigUint {
-    let nbytes = modulus.bit_len().div_ceil(8);
-    let mut counter: u32 = 0;
-    loop {
-        // Expand enough HMAC blocks to cover the modulus width.
-        let mut material = Vec::with_capacity(nbytes + 20);
-        let mut block: u32 = 0;
-        while material.len() < nbytes {
-            let mut msg = Vec::with_capacity(16);
-            msg.extend_from_slice(&epoch.to_be_bytes());
-            msg.extend_from_slice(&counter.to_be_bytes());
-            msg.extend_from_slice(&block.to_be_bytes());
-            material.extend_from_slice(&hm1(key, &msg));
-            block += 1;
-        }
-        material.truncate(nbytes);
-        // Mask surplus top bits so the rejection rate stays below 1/2.
-        let extra_bits = nbytes * 8 - modulus.bit_len();
-        if extra_bits > 0 {
-            material[0] &= 0xff >> extra_bits;
-        }
-        let candidate = BigUint::from_be_bytes(&material);
-        if candidate < *modulus {
             return candidate;
         }
         counter += 1;
@@ -277,12 +244,6 @@ impl KeyedPrf {
             }
             counter += 1;
         }
-    }
-
-    /// Multi-epoch keystream: derives `[0, p)` values for every epoch in
-    /// `epochs`, equal element-wise to calling [`derive_mod`] in a loop.
-    pub fn derive_mod_many(&self, epochs: impl IntoIterator<Item = u64>, p: &U256) -> Vec<U256> {
-        epochs.into_iter().map(|t| self.derive_mod(t, p)).collect()
     }
 }
 
@@ -542,10 +503,6 @@ mod tests {
                     assert_eq!(prf.derive_mod_nonzero(t, p), derive_mod_nonzero(key, t, p));
                 }
             }
-            let many = prf.derive_mod_many(0..25, &p_full);
-            for (t, v) in many.iter().enumerate() {
-                assert_eq!(*v, derive_mod(key, t as u64, &p_full));
-            }
         }
     }
 
@@ -581,19 +538,6 @@ mod tests {
                 assert_eq!(outs[i], hm1(&keys[i], &msgs[i]), "hm1 lane {i} of {n}");
                 assert_eq!(prfs[i].hm1(&msgs[i]), hm1(&keys[i], &msgs[i]));
             }
-        }
-    }
-
-    #[test]
-    fn derive_biguint_covers_wide_moduli() {
-        let modulus = BigUint::from_u128(1)
-            .shl(1023)
-            .add(&BigUint::from_u64(12345));
-        for t in 0..5u64 {
-            let v = derive_biguint_mod(b"seed-key", t, &modulus);
-            assert!(v < modulus);
-            // With a 1024-bit modulus the value should be wide w.h.p.
-            assert!(v.bit_len() > 900, "suspiciously small derived value");
         }
     }
 }

@@ -144,32 +144,11 @@ impl RsaPublicKey {
         }
     }
 
-    /// Batch raw RSA encryption: [`Self::encrypt`] mapped over `ms`, W
-    /// bases at a time through the lane-interleaved CIOS kernel
-    /// ([`crate::bigmontxn::pow_mod_many`]). Identical bytes to the
-    /// scalar loop.
-    pub fn encrypt_many(&self, ms: &[BigUint]) -> Vec<BigUint> {
-        match &self.ctx {
-            Some(ctx) => bigmontxn::pow_mod_many(ctx, ms, &self.e),
-            None => ms.iter().map(|m| self.encrypt(m)).collect(),
-        }
-    }
-
-    /// Batch SEAL rolling with one shared roll count:
-    /// [`Self::encrypt_repeated`] mapped over `ms`, whole chains
-    /// in-domain across W lanes.
-    pub fn encrypt_repeated_many(&self, ms: &[BigUint], times: u64) -> Vec<BigUint> {
-        match &self.ctx {
-            Some(ctx) => bigmontxn::chain_pow_mod_many(ctx, ms, &self.e, times),
-            None => ms.iter().map(|m| self.encrypt_repeated(m, times)).collect(),
-        }
-    }
-
     /// Batch *ragged* rolling — `(value, times)` pairs with differing
     /// chain lengths, as SECOA's per-sketch positions are. Pairs are
-    /// bucketed by chain length and each bucket runs through the W-lane
-    /// chain kernel; output order matches input order, bytes identical
-    /// to the scalar loop.
+    /// bucketed by chain length and each bucket runs through the batch
+    /// chain kernel ([`bigmontxn::chain_pow_mod_many`]); output order
+    /// matches input order, bytes identical to the scalar loop.
     pub fn encrypt_repeated_ragged(&self, items: &[(BigUint, u64)]) -> Vec<BigUint> {
         let Some(ctx) = &self.ctx else {
             return items
@@ -194,7 +173,7 @@ impl RsaPublicKey {
             .collect()
     }
 
-    /// Independent fold products, W product lanes at a time — SECOA's
+    /// Independent fold products ([`bigmontxn::fold_many`]) — SECOA's
     /// per-sketch seed products. `out[i] = Π lists[i] mod n` (1 for an
     /// empty list), identical bytes to a [`Self::fold_product`] loop.
     pub fn fold_product_many(&self, lists: &[&[BigUint]]) -> Vec<BigUint> {
@@ -204,8 +183,9 @@ impl RsaPublicKey {
         }
     }
 
-    /// One big product lane-split into W partial lanes — the verifier's
-    /// `N·J` seed product. Identical bytes to [`Self::fold_product`]
+    /// One big product split into eight partial products
+    /// ([`bigmontxn::product_mod_wide`]) — the verifier's `N·J` seed
+    /// product. Identical bytes to [`Self::fold_product`]
     /// over the same values.
     pub fn fold_product_wide(&self, values: &[BigUint]) -> BigUint {
         match &self.ctx {

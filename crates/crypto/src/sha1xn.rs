@@ -5,7 +5,8 @@
 //! compiler can autovectorize, one independent message per lane, output
 //! bit-identical to the scalar [`crate::sha1::Sha1`] compression. Lane
 //! registers are `[u32; 8]` with only the first five words live, so the
-//! batched HMAC layer can treat both hashes uniformly.
+//! batched HMAC layer can treat both hashes uniformly. The entry point
+//! and its ISA dispatch are those of [`crate::sha256xn`].
 
 use crate::sha1::H0;
 use sies_telemetry as tel;
@@ -157,44 +158,12 @@ mod avx512 {
     }
 }
 
-/// NEON instantiation of the x4 kernel — see [`crate::sha256xn`].
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use super::compress_w;
-
-    #[target_feature(enable = "neon")]
-    pub fn compress_w4(states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
-        compress_w::<4>(states, blocks);
-    }
-}
-
-/// Four interleaved single-block compressions.
-pub fn compress_x4(states: &mut [[u32; 8]; 4], blocks: &[[u8; 64]; 4]) {
-    dispatch_w4(&mut states[..], &blocks[..]);
-}
-
-/// Eight interleaved single-block compressions.
-pub fn compress_x8(states: &mut [[u32; 8]; 8], blocks: &[[u8; 64]; 8]) {
-    dispatch_w8(&mut states[..], &blocks[..]);
-}
-
-/// Sixteen interleaved single-block compressions.
-pub fn compress_x16(states: &mut [[u32; 8]; 16], blocks: &[[u8; 64]; 16]) {
-    dispatch_w16(&mut states[..], &blocks[..]);
-}
-
 fn dispatch_w4(states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: the AVX2 requirement is checked at runtime above; the
         // function body is the same safe Rust as `compress_w::<4>`.
         return unsafe { avx2::compress_w4(states, blocks) };
-    }
-    #[cfg(target_arch = "aarch64")]
-    if std::arch::is_aarch64_feature_detected!("neon") {
-        // SAFETY: NEON availability is checked at runtime above; the
-        // function body is the same safe Rust as `compress_w::<4>`.
-        return unsafe { neon::compress_w4(states, blocks) };
     }
     compress_w::<4>(states, blocks);
 }

@@ -12,6 +12,12 @@
 //! Lane registers are `[u32; 8]` (the full SHA-256 state). Every lane is
 //! bit-identical to [`crate::sha256::Sha256`]'s compression — pinned by
 //! the KAT suite against the FIPS 180-4 vectors lane by lane.
+//!
+//! [`compress_many_with`] is the only entry point. On x86-64 it runs the
+//! x4/x8 bodies compiled for AVX2 and the x16 body compiled for
+//! AVX-512F when the CPU has them; everywhere else (aarch64 included,
+//! where NEON is part of the baseline target) it runs the portable
+//! bodies.
 
 use crate::sha256::{H0, K};
 use sies_telemetry as tel;
@@ -163,47 +169,12 @@ mod avx512 {
     }
 }
 
-/// The x4 kernel compiled for NEON. AArch64 enables NEON in the baseline
-/// target, so this is less a recompile than an explicit statement that
-/// the 128-bit vector width fits `[u32; 4]` lanes exactly; the dispatch
-/// keeps the structure uniform with x86.
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use super::compress_w;
-
-    #[target_feature(enable = "neon")]
-    pub fn compress_w4(states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
-        compress_w::<4>(states, blocks);
-    }
-}
-
-/// Four interleaved single-block compressions.
-pub fn compress_x4(states: &mut [[u32; 8]; 4], blocks: &[[u8; 64]; 4]) {
-    dispatch_w4(&mut states[..], &blocks[..]);
-}
-
-/// Eight interleaved single-block compressions.
-pub fn compress_x8(states: &mut [[u32; 8]; 8], blocks: &[[u8; 64]; 8]) {
-    dispatch_w8(&mut states[..], &blocks[..]);
-}
-
-/// Sixteen interleaved single-block compressions.
-pub fn compress_x16(states: &mut [[u32; 8]; 16], blocks: &[[u8; 64]; 16]) {
-    dispatch_w16(&mut states[..], &blocks[..]);
-}
-
 fn dispatch_w4(states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: the AVX2 requirement is checked at runtime above; the
         // function body is the same safe Rust as `compress_w::<4>`.
         return unsafe { avx2::compress_w4(states, blocks) };
-    }
-    #[cfg(target_arch = "aarch64")]
-    if std::arch::is_aarch64_feature_detected!("neon") {
-        // SAFETY: NEON availability is checked at runtime above; the
-        // function body is the same safe Rust as `compress_w::<4>`.
-        return unsafe { neon::compress_w4(states, blocks) };
     }
     compress_w::<4>(states, blocks);
 }

@@ -317,50 +317,6 @@ impl U256 {
         a.mod_inverse(&m_big).map(|inv| inv.to_u256())
     }
 
-    /// Batch modular inversion via Montgomery's trick: inverts `k`
-    /// values with **one** extended-Euclid inversion plus `3(k−1)`
-    /// modular multiplications, instead of `k` inversions. Zero entries
-    /// (mod `m`) come back as `None` without disturbing the rest.
-    ///
-    /// This is the querier's per-epoch decode amortization: decoding a
-    /// backlog of epochs needs one `K_t⁻¹` per epoch, and the inversion
-    /// (`C_MI32`) dominates each decode.
-    ///
-    /// Falls back to per-element inversion when the aggregate product is
-    /// not invertible (possible only for non-prime `m`).
-    pub fn batch_inv_mod(values: &[U256], m: &U256) -> Vec<Option<U256>> {
-        // Prefix products over the non-zero entries.
-        let mut prefix: Vec<U256> = Vec::with_capacity(values.len());
-        let mut acc = U256::ONE.rem(m);
-        let reduced: Vec<U256> = values.iter().map(|v| v.rem(m)).collect();
-        for v in &reduced {
-            if !v.is_zero() {
-                acc = acc.mul_mod(v, m);
-            }
-            prefix.push(acc);
-        }
-        let Some(mut suffix_inv) = acc.inv_mod_euclid(m) else {
-            // Some non-zero entry shares a factor with m: do it the slow
-            // way so the invertible entries still come out right.
-            return reduced.iter().map(|v| v.inv_mod_euclid(m)).collect();
-        };
-        // Walk backwards: inv_i = (Π_{j<i, j≠zero} v_j) · suffix_inv.
-        let mut out = vec![None; values.len()];
-        for i in (0..values.len()).rev() {
-            if reduced[i].is_zero() {
-                continue;
-            }
-            let before = if i == 0 {
-                U256::ONE.rem(m)
-            } else {
-                prefix[i - 1]
-            };
-            out[i] = Some(before.mul_mod(&suffix_inv, m));
-            suffix_inv = suffix_inv.mul_mod(&reduced[i], m);
-        }
-        out
-    }
-
     fn from_limb_slice(s: &[u64]) -> U256 {
         let mut limbs = [0u64; 4];
         limbs[..s.len()].copy_from_slice(s);

@@ -415,25 +415,24 @@ proptest! {
         prop_assert_eq!(ctx.product_mod(values.iter()), expect);
     }
 
-    // ---- Lane-interleaved batch bignum vs the mapped scalar oracle ------
+    // ---- Batch bignum vs the mapped scalar oracle ------------------------
     //
-    // The W-lane CIOS kernels (`bigmontxn`) must be element-wise
-    // identical to mapping the scalar `BigMontCtx` ops — for any odd
-    // modulus width, any batch size (including ragged tails where
-    // n % 4 and n % 8 ≠ 0), edge exponents 0 / 1 / 2^k − 1, and every
-    // scheduling width {1, 4, 8, 16}.
+    // The batch entry points (`bigmontxn`: IFMA x8 chunks plus a scalar
+    // tail) must be element-wise identical to mapping the scalar
+    // `BigMontCtx` ops — for any odd modulus width, any batch size
+    // (including ragged tails where n % 8 ≠ 0), and edge exponents
+    // 0 / 1 / 2^k − 1. A one-step chain (k = 1) is one exponentiation,
+    // so the `batch_pow_*` cases walk the long-exponent window schedule.
 
     #[test]
     fn batch_pow_matches_mapped_scalar(
         bases in proptest::collection::vec(any_biguint(), 0..=19),
         exp in any_biguint(),
         m in odd_big_modulus(),
-        width_sel in 0usize..4,
     ) {
         use sies_crypto::bigmontxn;
         let ctx = BigMontCtx::new(&m);
-        let width = [1usize, 4, 8, 16][width_sel];
-        let got = bigmontxn::pow_mod_many_with(width, &ctx, &bases, &exp);
+        let got = bigmontxn::chain_pow_mod_many(&ctx, &bases, &exp, 1);
         prop_assert_eq!(got.len(), bases.len());
         for (b, g) in bases.iter().zip(&got) {
             prop_assert_eq!(g, &ctx.pow_mod(b, &exp));
@@ -445,14 +444,12 @@ proptest! {
         bases in proptest::collection::vec(any_biguint(), 1..=9),
         k in 1usize..=320,
         m in odd_big_modulus(),
-        width_sel in 0usize..4,
     ) {
         use sies_crypto::bigmontxn;
         let ctx = BigMontCtx::new(&m);
-        let width = [1usize, 4, 8, 16][width_sel];
         let ones = BigUint::one().shl(k).sub(&BigUint::one());
         for exp in [BigUint::zero(), BigUint::one(), ones] {
-            let got = bigmontxn::pow_mod_many_with(width, &ctx, &bases, &exp);
+            let got = bigmontxn::chain_pow_mod_many(&ctx, &bases, &exp, 1);
             for (b, g) in bases.iter().zip(&got) {
                 prop_assert_eq!(g, &ctx.pow_mod(b, &exp));
             }
@@ -465,13 +462,11 @@ proptest! {
         e in 2u64..64,
         k in 0u64..8,
         m in odd_big_modulus(),
-        width_sel in 0usize..4,
     ) {
         use sies_crypto::bigmontxn;
         let ctx = BigMontCtx::new(&m);
-        let width = [1usize, 4, 8, 16][width_sel];
         let e = BigUint::from_u64(e);
-        let got = bigmontxn::chain_pow_mod_many_with(width, &ctx, &bases, &e, k);
+        let got = bigmontxn::chain_pow_mod_many(&ctx, &bases, &e, k);
         prop_assert_eq!(got.len(), bases.len());
         for (b, g) in bases.iter().zip(&got) {
             prop_assert_eq!(g, &ctx.chain_pow_mod(b, &e, k));
@@ -484,13 +479,11 @@ proptest! {
             proptest::collection::vec(any_biguint(), 0..=9), 0..=11
         ),
         m in odd_big_modulus(),
-        width_sel in 0usize..4,
     ) {
         use sies_crypto::bigmontxn;
         let ctx = BigMontCtx::new(&m);
-        let width = [1usize, 4, 8, 16][width_sel];
         let refs: Vec<&[BigUint]> = lists.iter().map(|l| l.as_slice()).collect();
-        let got = bigmontxn::fold_many_with(width, &ctx, &refs);
+        let got = bigmontxn::fold_many(&ctx, &refs);
         prop_assert_eq!(got.len(), lists.len());
         for (list, g) in lists.iter().zip(&got) {
             prop_assert_eq!(g, &ctx.product_mod(list.iter()));
@@ -548,40 +541,6 @@ proptest! {
         prop_assume!(!c.is_zero());
         let c = PaillierCiphertext::from_raw(c);
         prop_assert_eq!(kp.decrypt(&c), kp.decrypt_generic(&c));
-    }
-
-    // ---- Batch inversion vs per-element Euclid --------------------------
-
-    #[test]
-    fn batch_inversion_matches_per_element(
-        values in proptest::collection::vec(any_u256(), 0..=24), m in odd_modulus()
-    ) {
-        let batch = U256::batch_inv_mod(&values, &m);
-        prop_assert_eq!(batch.len(), values.len());
-        for (v, got) in values.iter().zip(&batch) {
-            let serial = v.rem(&m).inv_mod_euclid(&m);
-            prop_assert_eq!(*got, serial);
-            if let Some(inv) = got {
-                prop_assert_eq!(v.rem(&m).mul_mod(inv, &m), U256::ONE.rem(&m));
-            }
-        }
-    }
-
-    #[test]
-    fn batch_inversion_with_zeros_and_non_units(
-        values in proptest::collection::vec(any_u256(), 1..=12),
-        zero_at in 0usize..12, m in odd_modulus()
-    ) {
-        // Force a zero entry (and, for composite m, likely non-units) so
-        // the None paths and the non-invertible-product fallback run.
-        let mut values = values;
-        let idx = zero_at % values.len();
-        values[idx] = U256::ZERO;
-        let batch = U256::batch_inv_mod(&values, &m);
-        prop_assert_eq!(batch[idx], None);
-        for (v, got) in values.iter().zip(&batch) {
-            prop_assert_eq!(*got, v.rem(&m).inv_mod_euclid(&m));
-        }
     }
 
     // ---- Batched PRFs vs the mapped scalar oracle -----------------------

@@ -256,35 +256,6 @@ pub mod metric {
     pub const ADOPTIONS: &str = "engine.adoptions";
     /// Child-failure reports escalated to the querier.
     pub const FAILURE_REPORTS: &str = "engine.failure_reports";
-
-    /// Registers `# HELP` text for the engine's key exported metrics
-    /// (surfaces on the `/metrics` endpoint). Idempotent.
-    pub fn describe_all() {
-        use sies_telemetry::describe;
-        describe(EPOCHS_ACCEPTED, "Epochs the querier accepted");
-        describe(
-            EPOCHS_REJECTED,
-            "Epochs the querier rejected (integrity failure)",
-        );
-        describe(EPOCHS_LOST, "Epochs with no verifiable result");
-        describe(EPOCH_SPAN, "Wall-clock epoch latency in nanoseconds");
-        describe(
-            ADOPTIONS,
-            "Orphans adopted by backup parents during in-epoch repair",
-        );
-        describe(
-            FAILURE_REPORTS,
-            "Child-failure reports escalated to the querier",
-        );
-        describe(
-            RETRANSMIT_BYTES,
-            "Extra data bytes spent on retransmissions",
-        );
-        describe(
-            CONTROL_BYTES,
-            "Control-plane bytes (ACK/NACK, re-solicit, re-attach)",
-        );
-    }
 }
 
 /// One epoch's activity in plain integers. The walk accumulates it
@@ -651,12 +622,6 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
     /// [`ReceiptJournal::finish`] it).
     pub fn take_journal(&mut self) -> Option<ReceiptJournal> {
         self.journal.take()
-    }
-
-    /// Overrides the radio model.
-    pub fn with_radio(mut self, radio: RadioModel) -> Self {
-        self.radio = radio;
-        self
     }
 
     /// Shards each epoch across this many scoped workers: the sink's

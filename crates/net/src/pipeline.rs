@@ -797,11 +797,6 @@ impl<'a, S: AggregationScheme> EpochPipeline<'a, S> {
         self.streaming
     }
 
-    /// How many subtree shards the tree was split into (≤ threads).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The final PSR of the most recent completed epoch (what the
     /// querier saw) — the engine's `last_final_psr` counterpart.
     pub fn last_final_psr(&self) -> Option<&S::Psr> {
