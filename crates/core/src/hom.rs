@@ -25,19 +25,24 @@ pub fn encrypt(m: &U256, k_global: &U256, k_blind: &U256, p: &U256) -> U256 {
 /// Decrypts `c` given the same keys. `k_blind` is the *sum* of all blinding
 /// keys when `c` aggregates several ciphertexts.
 pub fn decrypt(c: &U256, k_global: &U256, k_blind: &U256, p: &U256) -> U256 {
-    // Extended-Euclid inverse: the paper's `C_MI32` measures GMP's
-    // Euclid-based mpz_invert; the Fermat path exists for primes too but
-    // is an order of magnitude slower (see the ablation bench).
-    let inv = k_global
-        .inv_mod_euclid(p)
+    let ctx = MontgomeryCtx::new(p);
+    let inv = ctx
+        .inv_mod_prime(k_global)
         .expect("K_t is non-zero and p is prime");
-    c.sub_mod(&k_blind.rem(p), p).mul_mod(&inv, p)
+    decrypt_with_inv(c, &inv, k_blind, &ctx)
 }
 
-/// [`decrypt`] with a caller-supplied inverse `K⁻¹ mod p` — the querier
-/// inverts `K_t` once per epoch and reuses it.
-pub fn decrypt_with_inv(c: &U256, k_global_inv: &U256, k_blind: &U256, p: &U256) -> U256 {
-    c.sub_mod(&k_blind.rem(p), p).mul_mod(k_global_inv, p)
+/// [`decrypt`] with a caller-supplied inverse `K⁻¹ mod p` and the
+/// Montgomery context for `p` — the querier builds the context once,
+/// inverts `K_t` once per epoch, and decrypts without allocating.
+pub fn decrypt_with_inv(
+    c: &U256,
+    k_global_inv: &U256,
+    k_blind: &U256,
+    ctx: &MontgomeryCtx,
+) -> U256 {
+    let p = ctx.modulus();
+    ctx.mul_mod(&c.sub_mod(&k_blind.rem(&p), &p), k_global_inv)
 }
 
 /// The aggregator's merge: plain modular addition of ciphertexts
@@ -68,20 +73,9 @@ pub struct EpochCipher {
 }
 
 impl EpochCipher {
-    /// Precomputes the Montgomery context for `p` and enters `k_global`
-    /// (`K_t`, non-zero) into the Montgomery domain.
-    pub fn new(k_global: &U256, p: &U256) -> Self {
-        debug_assert!(!k_global.is_zero(), "K_t must be invertible");
-        let ctx = MontgomeryCtx::new(p);
-        EpochCipher {
-            k_mont: ctx.to_mont(k_global),
-            ctx,
-            p: *p,
-        }
-    }
-
-    /// Builds from an existing Montgomery context (saves the setup cost
-    /// when one context serves several epochs of the same deployment).
+    /// Enters `k_global` (`K_t`, non-zero) into the Montgomery domain of
+    /// `ctx`, the context for `p` that a deployment builds once and
+    /// shares across its epochs.
     pub fn with_ctx(k_global: &U256, ctx: &MontgomeryCtx) -> Self {
         debug_assert!(!k_global.is_zero(), "K_t must be invertible");
         EpochCipher {
@@ -184,7 +178,7 @@ mod tests {
             .map(|i| (u(i * 7919 + 1), u(i.wrapping_mul(i) + 3)))
             .collect();
         for round in 0..4 {
-            let cipher = EpochCipher::new(&k_global, &p);
+            let cipher = EpochCipher::with_ctx(&k_global, &MontgomeryCtx::new(&p));
             assert_eq!(cipher.prime(), &p);
             for (k_blind, m) in &cipher_keys {
                 assert_eq!(
@@ -201,11 +195,11 @@ mod tests {
     #[test]
     fn epoch_cipher_shares_context_across_epochs() {
         let p = DEFAULT_PRIME_256;
-        let ctx = sies_crypto::mont::MontgomeryCtx::new(&p);
-        let a = EpochCipher::with_ctx(&u(31337), &ctx);
-        let b = EpochCipher::new(&u(31337), &p);
-        let m = u(123_456_789);
-        let k = u(42);
-        assert_eq!(a.encrypt(&m, &k), b.encrypt(&m, &k));
+        let ctx = MontgomeryCtx::new(&p);
+        let (m, k) = (u(123_456_789), u(42));
+        for k_global in [u(31337), u(7), p.checked_sub(&u(1)).unwrap()] {
+            let cipher = EpochCipher::with_ctx(&k_global, &ctx);
+            assert_eq!(cipher.encrypt(&m, &k), encrypt(&m, &k_global, &k, &p));
+        }
     }
 }

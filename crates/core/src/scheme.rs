@@ -12,6 +12,7 @@ use crate::hom::{self, EpochCipher};
 use crate::parallel;
 use crate::params::SystemParams;
 use rand::RngCore;
+use sies_crypto::mont::MontgomeryCtx;
 use sies_crypto::prf::{self, KeyedPrf};
 use sies_crypto::u256::U256;
 use std::sync::Arc;
@@ -87,10 +88,12 @@ pub struct Source {
 }
 
 /// The part of a source's credentials every source of one deployment
-/// holds in common.
+/// holds in common, with the Montgomery context for `p` that every
+/// epoch's cipher is built on.
 struct SourceShared {
     global_prf: KeyedPrf,
     params: SystemParams,
+    ctx: MontgomeryCtx,
 }
 
 impl SourceShared {
@@ -98,6 +101,7 @@ impl SourceShared {
         Arc::new(SourceShared {
             global_prf: KeyedPrf::new(&creds.global_key),
             params: creds.params.clone(),
+            ctx: MontgomeryCtx::new(creds.params.prime()),
         })
     }
 }
@@ -114,11 +118,13 @@ pub struct Aggregator {
 /// All keys are stored with their HMAC pads pre-absorbed ([`KeyedPrf`]),
 /// so the per-epoch Σss recomputation costs exactly two lane-batchable
 /// compressions per contributor instead of re-deriving every key
-/// schedule from the raw bytes.
+/// schedule from the raw bytes. The Montgomery context for `p`, built
+/// once at setup, serves every epoch's `K_t⁻¹` and decryption.
 pub struct Querier {
     global_prf: KeyedPrf,
     source_prfs: Vec<KeyedPrf>,
     params: SystemParams,
+    ctx: MontgomeryCtx,
 }
 
 /// A successfully verified SUM result.
@@ -161,6 +167,7 @@ pub fn setup(
     let querier = Querier {
         global_prf: KeyedPrf::new(&global_key),
         source_prfs: KeyedPrf::new_many(&source_keys),
+        ctx: MontgomeryCtx::new(params.prime()),
         params,
     };
     (querier, creds, aggregator)
@@ -248,12 +255,16 @@ impl Source {
     }
 
     /// Builds this epoch's shared cipher: `K_t` derived once and entered
-    /// into the Montgomery domain. Every source of a deployment derives
-    /// the *same* `K_t`, so one [`EpochCipher`] (built by any source, or
-    /// one per shard worker) serves the whole population for the epoch.
+    /// into the Montgomery domain of the deployment's shared context.
+    /// Every source of a deployment derives the *same* `K_t`, so one
+    /// [`EpochCipher`] (built by any source, or one per shard worker)
+    /// serves the whole population for the epoch.
     pub fn epoch_cipher(&self, epoch: Epoch) -> EpochCipher {
-        let p = self.params().prime();
-        EpochCipher::new(&self.shared.global_prf.derive_mod_nonzero(epoch, p), p)
+        let k_t = self
+            .shared
+            .global_prf
+            .derive_mod_nonzero(epoch, self.params().prime());
+        EpochCipher::with_ctx(&k_t, &self.shared.ctx)
     }
 
     /// The initialization phase with the epoch-shared work hoisted out:
@@ -491,26 +502,35 @@ impl Querier {
     ) -> Result<VerifiedSum, SiesError> {
         let p = self.params.prime();
         let k_t = self.global_prf.derive_mod_nonzero(epoch, p);
-        let k_t_inv = k_t
-            .inv_mod_euclid(p)
+        // Fermat inversion: its multiplies follow the public exponent
+        // p − 2, not the secret K_t, and it allocates nothing.
+        let k_t_inv = self
+            .ctx
+            .inv_mod_prime(&k_t)
             .expect("K_t is non-zero and p is prime");
 
         // Σ k_{i,t} mod p and Σ ss_{i,t} (plain integer) over contributors.
         // Chunks are in input order, so the first failing chunk holds the
-        // globally first failing contributor.
-        let mut k_sum = U256::ZERO;
-        let mut expected_secret = U256::ZERO;
-        for partial in parallel::map_chunks(threads, contributors, |ids| {
-            self.contributor_partial(epoch, ids)
-        }) {
-            let (ks, es) = partial?;
-            k_sum = k_sum.add_mod(&ks, p);
-            expected_secret = expected_secret
-                .checked_add(&es)
-                .expect("share sum fits 256 bits");
-        }
+        // globally first failing contributor. A serial evaluation sums
+        // in place, without the chunk-result vector.
+        let (k_sum, expected_secret) = if threads <= 1 {
+            self.contributor_partial(epoch, contributors)?
+        } else {
+            let mut k_sum = U256::ZERO;
+            let mut expected_secret = U256::ZERO;
+            for partial in parallel::map_chunks(threads, contributors, |ids| {
+                self.contributor_partial(epoch, ids)
+            }) {
+                let (ks, es) = partial?;
+                k_sum = k_sum.add_mod(&ks, p);
+                expected_secret = expected_secret
+                    .checked_add(&es)
+                    .expect("share sum fits 256 bits");
+            }
+            (k_sum, expected_secret)
+        };
 
-        let m_f = hom::decrypt_with_inv(final_psr.ciphertext(), &k_t_inv, &k_sum, p);
+        let m_f = hom::decrypt_with_inv(final_psr.ciphertext(), &k_t_inv, &k_sum, &self.ctx);
         let decoded = codec::decode_final(&self.params, &m_f);
         if decoded.secret != expected_secret {
             return Err(SiesError::IntegrityViolation { epoch });

@@ -33,12 +33,12 @@ pub trait HashFunction: Clone {
 
 /// Merkle–Damgård internals exposed for the multi-lane batch pipeline.
 ///
-/// The tiled HMAC finalize behind [`crate::hmac::hmac_many`] and the
-/// [`crate::prf`] batch functions works on bare chaining states and
-/// 64-byte blocks, never on hasher objects: it needs the initial state,
-/// the lane kernels, and a fixed-size digest to write each lane's result
-/// into. Lane registers are uniformly `[u32; 8]`; SHA-1 only uses the
-/// first five words.
+/// The batched HMAC paths behind [`crate::hmac::hmac_many`] and the
+/// [`crate::prf`] batch functions work on bare chaining states and
+/// 64-byte blocks, never on hasher objects: they need the initial state,
+/// the two lane-kernel entry points, and a fixed-size digest to write
+/// each lane's result into. Lane registers are uniformly `[u32; 8]`;
+/// SHA-1 only uses the first five words.
 pub trait LaneHash: HashFunction {
     /// Live chaining words per lane register (5 for SHA-1, 8 for SHA-256).
     const STATE_WORDS: usize;
@@ -53,6 +53,14 @@ pub trait LaneHash: HashFunction {
     /// every lane, scheduling x16/x8/x4/scalar kernel passes capped at
     /// `width`. Output is independent of `width`.
     fn compress_lanes_with(width: usize, states: &mut [[u32; 8]], blocks: &[[u8; 64]]);
+
+    /// The last two compressions of one HMAC per lane when every inner
+    /// hash ends in the same `block`: `inner[l]` is lane l's inner
+    /// chaining state before `block`, and `outer[l]` advances from the
+    /// `key ⊕ opad` state to the HMAC's final state. Scheduled like
+    /// [`Self::compress_lanes_with`] and counted as two compressions per
+    /// lane; output is independent of `width`.
+    fn hmac_lanes_with(width: usize, block: &[u8; 64], inner: &[[u32; 8]], outer: &mut [[u32; 8]]);
 
     /// Serializes a chaining state to the big-endian digest bytes.
     fn digest_from_state(state: &[u32; 8]) -> Self::Digest {

@@ -12,11 +12,23 @@
 //!   against.
 //! * **Batched** — a key is reduced once to its two chaining states
 //!   (`Pads`, built in lane batches), after which every HMAC under it is
-//!   one inner block plus one outer block. One tiled finalize runs both
-//!   blocks of up to 64 HMACs at a time through the multi-lane kernels,
-//!   with states, blocks and digests in fixed-size stack arrays: no lane
-//!   clones a hasher or allocates. [`hmac_many`] and every batch
-//!   function of [`crate::prf`] end in it.
+//!   one inner block plus one outer block, run through the multi-lane
+//!   kernels with states, blocks and digests in fixed-size stack arrays:
+//!   no lane clones a hasher or allocates. Two shapes:
+//!   * *one message under many keys* — [`hmac_many`] and every epoch
+//!     sweep of [`crate::prf`]. The inner hashes all end in the same
+//!     block, so the kernels' shared-block pass
+//!     ([`LaneHash::hmac_lanes_with`]) expands its schedule once and
+//!     feeds each inner digest's lane vectors straight into the outer
+//!     block.
+//!   * *one message per key* — [`crate::prf::hm1_many`] (SECOA
+//!     certificates) and one-shot calls: the tiled finalize compresses
+//!     each lane's own last inner block, serializes the inner digests
+//!     into outer blocks, and compresses those.
+//!
+//!   Both compute the same two compressions per HMAC over the same
+//!   words, so their digests are identical; the shared pass only skips
+//!   the work every lane would repeat.
 
 use crate::hash::{HashFunction, LaneHash};
 use crate::lanes::effective_lane_width;
@@ -55,7 +67,7 @@ pub fn hmac_many_into_with<H: LaneHash>(
     for (keys, out) in keys.chunks(TILE).zip(out.chunks_mut(TILE)) {
         let pads = &mut pads[..keys.len()];
         pads_into_with::<H, _>(width, keys, pads);
-        finalize_into_with::<H, _, _>(width, pads.iter().map(|&p| (p, message)), out);
+        one_message_into_with::<H, _>(width, pads.iter().copied(), message, out);
     }
 }
 
@@ -189,28 +201,76 @@ where
 }
 
 /// The inner hash's last block for `message`: the message tail, the
-/// `0x80` terminator and the bit length of `ipad block || message`.
-/// Whatever does not fit that one block — whole 64-byte message blocks,
-/// and the terminator block of a 56–63 byte tail — is compressed into
-/// `state` here, one scalar lane at a time; epoch and certificate
-/// messages (8–13 bytes) never take that path.
-fn final_block<H: LaneHash>(state: &mut [u32; 8], message: &[u8]) -> [u8; 64] {
+/// `0x80` terminator and the bit length of `ipad block || message` (a
+/// 56–63 byte tail leaves only the length here; its terminator went
+/// into [`absorb_leading_blocks`]).
+#[inline]
+fn last_block(message: &[u8]) -> [u8; 64] {
+    let tail = message.chunks_exact(64).remainder();
+    let mut block = [0u8; 64];
+    if tail.len() <= 55 {
+        block[..tail.len()].copy_from_slice(tail);
+        block[tail.len()] = 0x80;
+    }
+    let bits = (64 + message.len() as u64).wrapping_mul(8);
+    block[56..].copy_from_slice(&bits.to_be_bytes());
+    block
+}
+
+/// Compresses into `state` whatever of `message` does not fit its
+/// [`last_block`] — whole 64-byte message blocks, and the terminator
+/// block of a 56–63 byte tail — one scalar lane at a time; epoch and
+/// certificate messages (8–13 bytes) never take that path.
+#[inline]
+fn absorb_leading_blocks<H: LaneHash>(state: &mut [u32; 8], message: &[u8]) {
     let mut chunks = message.chunks_exact(64);
     for chunk in &mut chunks {
         let block: [u8; 64] = chunk.try_into().expect("64-byte chunk");
         H::compress_lanes_with(1, std::slice::from_mut(state), &[block]);
     }
     let tail = chunks.remainder();
-    let mut block = [0u8; 64];
-    block[..tail.len()].copy_from_slice(tail);
-    block[tail.len()] = 0x80;
     if tail.len() > 55 {
+        let mut block = [0u8; 64];
+        block[..tail.len()].copy_from_slice(tail);
+        block[tail.len()] = 0x80;
         H::compress_lanes_with(1, std::slice::from_mut(state), &[block]);
-        block = [0u8; 64];
     }
-    let bits = (64 + message.len() as u64).wrapping_mul(8);
-    block[56..].copy_from_slice(&bits.to_be_bytes());
-    block
+}
+
+/// Finishes `HMAC(key, message)` for the [`Pads`] of every key in `pads`
+/// into `out` (exactly `out.len()` keys) at lane width `width` — one
+/// message under many keys. Per [`TILE`] of keys, one shared-block kernel
+/// sweep ([`LaneHash::hmac_lanes_with`]) runs both the inner hashes'
+/// common last block and the outer hashes' digest blocks. Bit-identical
+/// to [`hmac`] under each key. Records no telemetry: callers run it per
+/// tile, so batch sizes are observed by the public entry points.
+pub(crate) fn one_message_into_with<H, I>(
+    width: usize,
+    pads: I,
+    message: &[u8],
+    out: &mut [H::Digest],
+) where
+    H: LaneHash,
+    I: IntoIterator<Item = Pads>,
+{
+    let last = last_block(message);
+    let mut pads = pads.into_iter();
+    let mut inner = [[0u32; 8]; TILE];
+    let mut outer = [[0u32; 8]; TILE];
+    for out in out.chunks_mut(TILE) {
+        let n = out.len();
+        for l in 0..n {
+            let key = pads.next().expect("one key per output digest");
+            inner[l] = key.inner;
+            outer[l] = key.outer;
+            absorb_leading_blocks::<H>(&mut inner[l], message);
+        }
+        H::hmac_lanes_with(width, &last, &inner[..n], &mut outer[..n]);
+        for (digest, state) in out.iter_mut().zip(&outer) {
+            *digest = H::digest_from_state(state);
+        }
+    }
+    assert!(pads.next().is_none(), "one output digest per key");
 }
 
 /// The outer hash's only block: the inner digest, padded. The opad block
@@ -245,7 +305,8 @@ where
             let (pads, message) = lanes.next().expect("one lane per output digest");
             inner[l] = pads.inner;
             outer[l] = pads.outer;
-            blocks[l] = final_block::<H>(&mut inner[l], message.as_ref());
+            absorb_leading_blocks::<H>(&mut inner[l], message.as_ref());
+            blocks[l] = last_block(message.as_ref());
         }
         H::compress_lanes_with(width, &mut inner[..n], &blocks[..n]);
         for l in 0..n {
@@ -262,9 +323,10 @@ where
 /// Finishes one HMAC per `(pads, message)` lane into `out` (exactly
 /// `out.len()` lanes), [`TILE`] lanes at a time at lane width `width`:
 /// the inner hashes' final blocks in one kernel sweep, then the outer
-/// hashes' digest blocks in another. Bit-identical to [`hmac`] under the
-/// key each `pads` was built from. Records no telemetry: callers run it
-/// per tile, so batch sizes are observed by the public entry points.
+/// hashes' digest blocks in another — the per-lane-message shape; one
+/// message under many keys takes [`one_message_into_with`]. Bit-identical
+/// to [`hmac`] under the key each `pads` was built from. Records no
+/// telemetry, like [`one_message_into_with`].
 pub(crate) fn finalize_into_with<H, I, M>(width: usize, lanes: I, out: &mut [H::Digest])
 where
     H: LaneHash,
@@ -387,9 +449,11 @@ mod tests {
         assert_eq!(TILE, 64);
     }
 
-    /// The pads + tiled finalize path must be bit-identical to the
-    /// scalar HMAC for long keys and for messages that straddle the
-    /// single-block limit (the scalar-prefix lanes), at every width.
+    /// Both pads + finalize paths — the tiled one with a message per
+    /// lane, and the shared-block one with every lane's message in turn
+    /// as the common message — must be bit-identical to the scalar HMAC
+    /// for long keys and for messages that straddle the single-block
+    /// limit (the scalar-prefix lanes), at every width.
     #[test]
     fn batch_paths_match_scalar() {
         fn check<H: LaneHash>() {
@@ -414,6 +478,12 @@ mod tests {
                             finalize_one::<H>(Pads::new::<H>(&keys[i]), &msgs[i]).as_ref(),
                             got.as_ref()
                         );
+                    }
+                    for msg in &msgs {
+                        one_message_into_with::<H, _>(width, pads.iter().copied(), msg, &mut got);
+                        for (i, got) in got.iter().enumerate() {
+                            assert_eq!(got.as_ref(), hmac::<H>(&keys[i], msg), "lane {i} of {n}");
+                        }
                     }
                 }
             }

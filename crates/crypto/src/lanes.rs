@@ -1,8 +1,9 @@
 //! Runtime lane-width selection for the multi-lane hash kernels.
 //!
 //! [`sha1xn`](crate::sha1xn) and [`sha256xn`](crate::sha256xn) interleave
-//! W independent single-block compressions per round-loop pass; the knob
-//! drives those hash lanes only (the bignum batches in
+//! W independent lanes per round-loop pass — W single-block compressions,
+//! or W HMACs finishing under one shared inner block; the knob drives
+//! those hash lanes only (the bignum batches in
 //! [`bigmontxn`](crate::bigmontxn) run IFMA x8 chunks or the scalar loop,
 //! whatever the knob says). The width actually used is chosen at
 //! runtime:
@@ -35,6 +36,7 @@
 //! or ciphertext. Tests that need a particular width call the
 //! `_with(width)` entry points instead of the process-global override.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -94,6 +96,37 @@ pub fn effective_lane_width() -> usize {
         tel::count!("crypto.lanes.fallbacks");
     }
     effective
+}
+
+/// Splits `n` lanes into kernel passes at most `width` lanes wide — x16,
+/// x8 and x4 while enough lanes are left, then single lanes for the
+/// ragged tail — and calls `pass(lanes, range)` for each, in lane order.
+/// Returns how many passes ran at each width: x16, x8, x4, x1. The split
+/// depends on `n` and `width` alone, so every entry point of the hash
+/// kernels schedules (and counts) the same passes for the same lanes.
+pub(crate) fn for_each_pass(
+    width: usize,
+    n: usize,
+    mut pass: impl FnMut(usize, Range<usize>),
+) -> [u64; 4] {
+    let mut passes = [0u64; 4];
+    let mut start = 0;
+    while start < n {
+        let left = n - start;
+        let (lanes, slot) = if width >= 16 && left >= 16 {
+            (16, 0)
+        } else if width >= 8 && left >= 8 {
+            (8, 1)
+        } else if width >= 4 && left >= 4 {
+            (4, 2)
+        } else {
+            (1, 3)
+        };
+        pass(lanes, start..start + lanes);
+        passes[slot] += 1;
+        start += lanes;
+    }
+    passes
 }
 
 /// Forces the lane width in-process, overriding `SIES_LANES`.

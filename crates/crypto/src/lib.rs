@@ -15,9 +15,10 @@
 //!   division, windowed modular exponentiation, Miller–Rabin, prime
 //!   generation) backing RSA and prime setup;
 //! * [`sha1::Sha1`] / [`sha256::Sha256`] — FIPS 180-4 hashes;
-//! * [`sha1xn`] / [`sha256xn`] — multi-lane compression kernels (W ∈
-//!   {1, 4, 8, 16} interleaved single-block compressions, runtime width
-//!   via [`lanes`]) behind the batched HMAC/PRF fan-out;
+//! * [`sha1xn`] / [`sha256xn`] — multi-lane kernels (W ∈ {1, 4, 8, 16}
+//!   interleaved lanes, runtime width via [`lanes`]): per-lane
+//!   single-block compressions, and a shared-block HMAC pass for one
+//!   message under many keys, behind the batched HMAC/PRF fan-out;
 //! * [`bigmontxn`] — Montgomery batch entry points (`chain_pow_mod_many`
 //!   / `fold_many` / `product_mod_wide`: AVX-512 IFMA x8 chunks where
 //!   the host has IFMA, the scalar [`bigmont::BigMontCtx`] loop
@@ -25,8 +26,9 @@
 //!   seed products;
 //! * [`mod@hmac`] — RFC 2104 HMAC generic over the hash, the paper's
 //!   `HM1(·)`/`HM256(·)`: the scalar reference, and per-key chaining
-//!   states with the tiled single-block finalize every batched HMAC
-//!   ([`hmac::hmac_many`], the [`prf`] batch functions) runs through;
+//!   states that every batched HMAC ([`hmac::hmac_many`], the [`prf`]
+//!   batch functions) finishes from — one message under many keys in
+//!   the shared-block pass, one message per key in the tiled finalize;
 //! * [`prf`] — epoch-keyed PRF helpers with derive-to-range rejection
 //!   sampling: scalar free functions, the 104-byte cached
 //!   [`prf::KeyedPrf`], and the cross-key batch API

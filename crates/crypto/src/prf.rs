@@ -13,20 +13,25 @@
 //!   (SHA-256 and SHA-1, ipad and opad): 104 bytes of `Copy` data, built
 //!   in lane batches by [`KeyedPrf::new_many`]. Each PRF call then costs
 //!   exactly two compressions and touches no heap.
-//! * **Cross-key batch functions** — [`hm1_epoch_many`],
-//!   [`hm256_epoch_many`], [`derive_mod_p_many`], [`hm1_many`] evaluate
-//!   one message shape under *many* keys at once through the tiled
-//!   single-block finalize of [`mod@crate::hmac`], one key per hash lane at
-//!   the CPU's full lane width ([`crate::lanes`]); the `_into_with`
-//!   forms write into caller-owned buffers at a pinned lane width.
+//! * **Cross-key batch functions** — one key per hash lane at the CPU's
+//!   full lane width ([`crate::lanes`]); the `_into_with` forms write
+//!   into caller-owned buffers at a pinned lane width.
+//!   [`hm1_epoch_many`], [`hm256_epoch_many`] and [`derive_mod_p_many`]
+//!   evaluate the epoch counter under many keys, and
 //!   [`for_each_epoch_key`] runs both per-source sweeps of a SIES epoch
 //!   (`k_{i,t}` and `ss_{i,t}`) tile by tile in stack buffers and hands
 //!   each key's pair to a closure, allocating nothing: the shape of
-//!   source batch init, prewarm derivation and the querier's Σss
-//!   recomputation. Only rejected derive-to-range draws (probability
-//!   189 · 2⁻²⁵⁶ per key under the default prime) take a scalar tail.
+//!   source batch init, prewarm derivation and the querier's Σk/Σss
+//!   recomputation. Every key hashes the same message there, so these
+//!   run the kernels' shared-block HMAC pass ([`mod@crate::hmac`]),
+//!   which expands the epoch block's schedule once per tile. Only
+//!   rejected derive-to-range draws (probability 189 · 2⁻²⁵⁶ per key
+//!   under the default prime) take a scalar tail. [`hm1_many`] takes one
+//!   message per key (SECOA's certificates) through the tiled finalize.
 
-use crate::hmac::{finalize_into_with, finalize_one, hmac, pads_into_with, Pads, TILE};
+use crate::hmac::{
+    finalize_into_with, finalize_one, hmac, one_message_into_with, pads_into_with, Pads, TILE,
+};
 use crate::lanes::effective_lane_width;
 use crate::sha1::Sha1;
 use crate::sha256::Sha256;
@@ -267,9 +272,8 @@ where
     I: IntoIterator<Item = &'a KeyedPrf>,
 {
     tel::observe!("crypto.prf.hm1_batch", out.len() as u64);
-    let msg = epoch.to_be_bytes();
-    let lanes = prfs.into_iter().map(|p| (p.hm1_pads(), msg));
-    finalize_into_with::<Sha1, _, _>(width, lanes, out);
+    let pads = prfs.into_iter().map(KeyedPrf::hm1_pads);
+    one_message_into_with::<Sha1, _>(width, pads, &epoch.to_be_bytes(), out);
 }
 
 /// Batched `HM1(key_i, msg_i)` over arbitrary per-lane `(key, message)`
@@ -316,9 +320,8 @@ where
     I: IntoIterator<Item = &'a KeyedPrf>,
 {
     tel::observe!("crypto.prf.hm256_batch", out.len() as u64);
-    let msg = epoch.to_be_bytes();
-    let lanes = prfs.into_iter().map(|p| (p.hm256_pads(), msg));
-    finalize_into_with::<Sha256, _, _>(width, lanes, out);
+    let pads = prfs.into_iter().map(KeyedPrf::hm256_pads);
+    one_message_into_with::<Sha256, _>(width, pads, &epoch.to_be_bytes(), out);
 }
 
 /// Batched derive-to-range across many cached keys at one epoch: the
@@ -348,8 +351,8 @@ where
     let mut slots = out.iter_mut();
     for_each_tile(prfs, |keys| {
         let draws = &mut draws[..keys.len()];
-        let lanes = keys.iter().map(|prf| (prf.hm256_pads(), msg));
-        finalize_into_with::<Sha256, _, _>(width, lanes, draws);
+        let pads = keys.iter().map(|prf| prf.hm256_pads());
+        one_message_into_with::<Sha256, _>(width, pads, &msg, draws);
         for (prf, draw) in keys.iter().zip(&*draws) {
             *slots.next().expect("one output slot per key") =
                 prf.derive_from_draw(draw, epoch, p, &mask);
@@ -393,10 +396,10 @@ pub fn for_each_epoch_key_with<'a, I>(
     let mut i = 0;
     for_each_tile(prfs, |keys| {
         let n = keys.len();
-        let lanes = keys.iter().map(|prf| (prf.hm256_pads(), msg));
-        finalize_into_with::<Sha256, _, _>(width, lanes, &mut draws[..n]);
-        let lanes = keys.iter().map(|prf| (prf.hm1_pads(), msg));
-        finalize_into_with::<Sha1, _, _>(width, lanes, &mut sss[..n]);
+        let pads = keys.iter().map(|prf| prf.hm256_pads());
+        one_message_into_with::<Sha256, _>(width, pads, &msg, &mut draws[..n]);
+        let pads = keys.iter().map(|prf| prf.hm1_pads());
+        one_message_into_with::<Sha1, _>(width, pads, &msg, &mut sss[..n]);
         for ((prf, draw), ss) in keys.iter().zip(&draws).zip(&sss) {
             f(i, prf.derive_from_draw(draw, epoch, p, &mask), *ss);
             i += 1;

@@ -138,6 +138,10 @@ impl LaneHash for Sha256 {
     fn compress_lanes_with(width: usize, states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
         crate::sha256xn::compress_many_with(width, states, blocks);
     }
+
+    fn hmac_lanes_with(width: usize, block: &[u8; 64], inner: &[[u32; 8]], outer: &mut [[u32; 8]]) {
+        crate::sha256xn::hmac_shared_block_with(width, block, inner, outer);
+    }
 }
 
 #[cfg(test)]

@@ -1,24 +1,40 @@
-//! Multi-lane SHA-256 compression: W independent single-block
-//! compressions per round-loop pass (W ∈ {1, 4, 8, 16}).
+//! Multi-lane SHA-256: W independent lanes per round-loop pass
+//! (W ∈ {1, 4, 8, 16}).
 //!
 //! The kernels operate on plain `[u32; W]` arrays so the compiler can
 //! autovectorize the lane dimension (or, failing that, extract
 //! instruction-level parallelism from the W independent dependency
 //! chains — the scalar round function is a serial chain of ~4 adds, so
 //! interleaving lanes keeps the ALUs busy either way). Each lane carries
-//! its own chaining state and its own block: the batched HMAC layer uses
-//! this to run one sensor per lane.
+//! its own chaining state: the batched HMAC layer uses this to run one
+//! key per lane.
+//!
+//! Two entry points, one round function:
+//!
+//! * [`compress_many_with`] advances every lane's state by that lane's
+//!   own block — the per-lane-message shape (pad absorption, SECOA
+//!   certificates, one-shot calls).
+//! * [`hmac_shared_block_with`] runs the last two compressions of one
+//!   HMAC per lane when every inner hash ends in the *same* block — one
+//!   message under many keys, the shape of every epoch PRF sweep. The
+//!   shared block's schedule plus round constants (`K[i] + W[i]`) is
+//!   expanded once per call, so each inner round reads one scalar word;
+//!   the inner digest's lane vectors then become the first eight words
+//!   of the outer block, whose other words are constants, without a
+//!   round trip through digest bytes.
 //!
 //! Lane registers are `[u32; 8]` (the full SHA-256 state). Every lane is
 //! bit-identical to [`crate::sha256::Sha256`]'s compression — pinned by
-//! the KAT suite against the FIPS 180-4 vectors lane by lane.
+//! the KAT suite against the FIPS 180-4 vectors lane by lane, and the
+//! shared-block pass against the scalar HMAC.
 //!
-//! [`compress_many_with`] is the only entry point. On x86-64 it runs the
-//! x4/x8 bodies compiled for AVX2 and the x16 body compiled for
-//! AVX-512F when the CPU has them; everywhere else (aarch64 included,
-//! where NEON is part of the baseline target) it runs the portable
-//! bodies.
+//! Both entry points schedule x16 / x8 / x4 / x1 passes capped at the
+//! requested width ([`crate::lanes`]). On x86-64 a pass runs the x4/x8
+//! bodies compiled for AVX2 and the x16 body compiled for AVX-512F when
+//! the CPU has them; everywhere else (aarch64 included, where NEON is
+//! part of the baseline target) it runs the portable bodies.
 
+use crate::lanes::for_each_pass;
 use crate::sha256::{H0, K};
 use sies_telemetry as tel;
 
@@ -27,28 +43,14 @@ pub fn initial_state() -> [u32; 8] {
     H0
 }
 
-/// One round-loop pass over W interleaved lanes.
-///
-/// `states[l]` advances by `blocks[l]`; both slices must hold exactly W
-/// entries. Everything is lane-wise integer arithmetic on `[u32; W]`.
+/// Expands words 16..64 of a lane-interleaved message schedule from words
+/// 0..16: `w[i][l]` is word i of lane l.
 // Indexed lane loops throughout: `w[i][l]` mirrors the i-across-l data
 // layout the autovectorizer must see, and several loops read multiple
 // `w[i - k][l]` taps that iterators cannot express.
 #[allow(clippy::needless_range_loop)]
 #[inline(always)]
-fn compress_w<const W: usize>(states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
-    // Fixed-size views: every `[l]` access below is bounds-check-free,
-    // which is what lets the lane loops vectorize.
-    let states: &mut [[u32; 8]; W] = states.try_into().expect("exactly W lane states");
-    let blocks: &[[u8; 64]; W] = blocks.try_into().expect("exactly W lane blocks");
-
-    // Message schedule, lane-interleaved: w[i][l] is word i of lane l.
-    let mut w = [[0u32; W]; 64];
-    for i in 0..16 {
-        for l in 0..W {
-            w[i][l] = u32::from_be_bytes(blocks[l][4 * i..4 * i + 4].try_into().unwrap());
-        }
-    }
+fn expand<const W: usize>(w: &mut [[u32; W]; 64]) {
     for i in 16..64 {
         for l in 0..W {
             let x = w[i - 15][l];
@@ -61,74 +63,169 @@ fn compress_w<const W: usize>(states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
                 .wrapping_add(s1);
         }
     }
+}
 
-    let mut a = [0u32; W];
-    let mut b = [0u32; W];
-    let mut c = [0u32; W];
-    let mut d = [0u32; W];
-    let mut e = [0u32; W];
-    let mut f = [0u32; W];
-    let mut g = [0u32; W];
-    let mut h = [0u32; W];
+/// One round with the state rotation expressed by *renaming*: only the
+/// registers playing roles `d` (which becomes the next `e`) and `h`
+/// (which becomes the next `a`) are written, so the eight lane vectors
+/// stay in registers instead of being copied down the a..h chain every
+/// round. Callers rotate the argument order right by one per round.
+/// `kw(l)` is the round constant plus schedule word of lane `l`. One
+/// argument per state register is the mechanism, not clutter.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn round<const W: usize>(
+    a: &[u32; W],
+    b: &[u32; W],
+    c: &[u32; W],
+    d: &mut [u32; W],
+    e: &[u32; W],
+    f: &[u32; W],
+    g: &[u32; W],
+    h: &mut [u32; W],
+    kw: impl Fn(usize) -> u32,
+) {
     for l in 0..W {
-        [a[l], b[l], c[l], d[l], e[l], f[l], g[l], h[l]] = states[l];
+        let s1 = e[l].rotate_right(6) ^ e[l].rotate_right(11) ^ e[l].rotate_right(25);
+        let ch = (e[l] & f[l]) ^ (!e[l] & g[l]);
+        let t1 = h[l].wrapping_add(s1).wrapping_add(ch).wrapping_add(kw(l));
+        let s0 = a[l].rotate_right(2) ^ a[l].rotate_right(13) ^ a[l].rotate_right(22);
+        let maj = (a[l] & b[l]) ^ (a[l] & c[l]) ^ (b[l] & c[l]);
+        let t2 = s0.wrapping_add(maj);
+        d[l] = d[l].wrapping_add(t1);
+        h[l] = t1.wrapping_add(t2);
     }
+}
 
-    // One round with the state rotation expressed by *renaming*: only the
-    // registers playing roles `d` (which becomes the next `e`) and `h`
-    // (which becomes the next `a`) are written, so the eight lane vectors
-    // stay in registers instead of being copied down the a..h chain every
-    // round. Callers rotate the argument order right by one per round.
-    // One argument per state register is the mechanism, not clutter.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn round<const W: usize>(
-        a: &[u32; W],
-        b: &[u32; W],
-        c: &[u32; W],
-        d: &mut [u32; W],
-        e: &[u32; W],
-        f: &[u32; W],
-        g: &[u32; W],
-        h: &mut [u32; W],
-        k: u32,
-        wi: &[u32; W],
-    ) {
-        for l in 0..W {
-            let s1 = e[l].rotate_right(6) ^ e[l].rotate_right(11) ^ e[l].rotate_right(25);
-            let ch = (e[l] & f[l]) ^ (!e[l] & g[l]);
-            let t1 = h[l]
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(k)
-                .wrapping_add(wi[l]);
-            let s0 = a[l].rotate_right(2) ^ a[l].rotate_right(13) ^ a[l].rotate_right(22);
-            let maj = (a[l] & b[l]) ^ (a[l] & c[l]) ^ (b[l] & c[l]);
-            let t2 = s0.wrapping_add(maj);
-            d[l] = d[l].wrapping_add(t1);
-            h[l] = t1.wrapping_add(t2);
-        }
-    }
-
+/// The 64 rounds plus feed-forward over W lanes: `state[j][l]` is
+/// chaining word j of lane l, and `kw(i, l)` is `K[i] + W[i]` of lane l.
+#[allow(clippy::needless_range_loop)]
+#[inline(always)]
+fn compress_lanes<const W: usize>(state: &mut [[u32; W]; 8], kw: impl Fn(usize, usize) -> u32) {
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
     // Eight rounds bring the role rotation back to the starting names.
     for i in (0..64).step_by(8) {
-        round(&a, &b, &c, &mut d, &e, &f, &g, &mut h, K[i], &w[i]);
-        round(&h, &a, &b, &mut c, &d, &e, &f, &mut g, K[i + 1], &w[i + 1]);
-        round(&g, &h, &a, &mut b, &c, &d, &e, &mut f, K[i + 2], &w[i + 2]);
-        round(&f, &g, &h, &mut a, &b, &c, &d, &mut e, K[i + 3], &w[i + 3]);
-        round(&e, &f, &g, &mut h, &a, &b, &c, &mut d, K[i + 4], &w[i + 4]);
-        round(&d, &e, &f, &mut g, &h, &a, &b, &mut c, K[i + 5], &w[i + 5]);
-        round(&c, &d, &e, &mut f, &g, &h, &a, &mut b, K[i + 6], &w[i + 6]);
-        round(&b, &c, &d, &mut e, &f, &g, &h, &mut a, K[i + 7], &w[i + 7]);
+        round(&a, &b, &c, &mut d, &e, &f, &g, &mut h, |l| kw(i, l));
+        round(&h, &a, &b, &mut c, &d, &e, &f, &mut g, |l| kw(i + 1, l));
+        round(&g, &h, &a, &mut b, &c, &d, &e, &mut f, |l| kw(i + 2, l));
+        round(&f, &g, &h, &mut a, &b, &c, &d, &mut e, |l| kw(i + 3, l));
+        round(&e, &f, &g, &mut h, &a, &b, &c, &mut d, |l| kw(i + 4, l));
+        round(&d, &e, &f, &mut g, &h, &a, &b, &mut c, |l| kw(i + 5, l));
+        round(&c, &d, &e, &mut f, &g, &h, &a, &mut b, |l| kw(i + 6, l));
+        round(&b, &c, &d, &mut e, &f, &g, &h, &mut a, |l| kw(i + 7, l));
     }
-
+    // One lane loop of eight adds: the vectorizer sees eight independent
+    // W-wide vectors, not an 8 × W matrix to reshuffle.
+    let [s0, s1, s2, s3, s4, s5, s6, s7] = state;
     for l in 0..W {
-        for (s, v) in states[l]
-            .iter_mut()
-            .zip([a[l], b[l], c[l], d[l], e[l], f[l], g[l], h[l]])
-        {
-            *s = s.wrapping_add(v);
+        s0[l] = s0[l].wrapping_add(a[l]);
+        s1[l] = s1[l].wrapping_add(b[l]);
+        s2[l] = s2[l].wrapping_add(c[l]);
+        s3[l] = s3[l].wrapping_add(d[l]);
+        s4[l] = s4[l].wrapping_add(e[l]);
+        s5[l] = s5[l].wrapping_add(f[l]);
+        s6[l] = s6[l].wrapping_add(g[l]);
+        s7[l] = s7[l].wrapping_add(h[l]);
+    }
+}
+
+/// W lane registers, transposed to word-major lane vectors.
+#[allow(clippy::needless_range_loop)]
+#[inline(always)]
+fn to_lanes<const W: usize>(states: &[[u32; 8]; W]) -> [[u32; W]; 8] {
+    let mut s = [[0u32; W]; 8];
+    for j in 0..8 {
+        for l in 0..W {
+            s[j][l] = states[l][j];
         }
+    }
+    s
+}
+
+/// The inverse of [`to_lanes`].
+#[allow(clippy::needless_range_loop)]
+#[inline(always)]
+fn from_lanes<const W: usize>(s: &[[u32; W]; 8], states: &mut [[u32; 8]; W]) {
+    for l in 0..W {
+        for j in 0..8 {
+            states[l][j] = s[j][l];
+        }
+    }
+}
+
+/// One compression pass over W lanes: `states[l]` advances by
+/// `blocks[l]`; both slices must hold exactly W entries.
+#[allow(clippy::needless_range_loop)]
+#[inline(always)]
+fn compress_w<const W: usize>(states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
+    // Fixed-size views: every `[l]` access below is bounds-check-free,
+    // which is what lets the lane loops vectorize.
+    let states: &mut [[u32; 8]; W] = states.try_into().expect("exactly W lane states");
+    let blocks: &[[u8; 64]; W] = blocks.try_into().expect("exactly W lane blocks");
+
+    // Message schedule, lane-interleaved: w[i][l] is word i of lane l.
+    let mut w = [[0u32; W]; 64];
+    for i in 0..16 {
+        for l in 0..W {
+            w[i][l] =
+                u32::from_be_bytes(blocks[l][4 * i..4 * i + 4].try_into().expect("4-byte word"));
+        }
+    }
+    expand(&mut w);
+    let mut s = to_lanes(states);
+    compress_lanes(&mut s, |i, l| K[i].wrapping_add(w[i][l]));
+    from_lanes(&s, states);
+}
+
+/// `K[i] + W[i]` for the schedule of `block`: everything a round reads
+/// besides the state, when every lane compresses the same block.
+fn shared_schedule(block: &[u8; 64]) -> [u32; 64] {
+    let mut w = [[0u32; 1]; 64];
+    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        word[0] = u32::from_be_bytes(bytes.try_into().expect("4-byte word"));
+    }
+    expand(&mut w);
+    std::array::from_fn(|i| K[i].wrapping_add(w[i][0]))
+}
+
+/// One HMAC-finishing pass over W lanes: each `inner[l]` advances by the
+/// shared block whose schedule is `kw` (see [`shared_schedule`]), and
+/// `outer[l]` by the outer block holding the resulting inner digest.
+/// Both slices must hold exactly W entries; `inner` is left as it was.
+#[inline(always)]
+fn hmac_w<const W: usize>(kw: &[u32; 64], inner: &[[u32; 8]], outer: &mut [[u32; 8]]) {
+    let inner: &[[u32; 8]; W] = inner.try_into().expect("exactly W inner states");
+    let outer: &mut [[u32; 8]; W] = outer.try_into().expect("exactly W outer states");
+
+    let mut digest = to_lanes(inner);
+    compress_lanes(&mut digest, |i, _| kw[i]);
+
+    // The outer block: the 32-byte inner digest, word for word from the
+    // lane vectors, then its padding — the same constants in every lane.
+    let mut w = [[0u32; W]; 64];
+    w[..8].copy_from_slice(&digest);
+    w[8] = [0x8000_0000; W];
+    w[15] = [(64 + 32) * 8; W];
+    expand(&mut w);
+    let mut s = to_lanes(outer);
+    compress_lanes(&mut s, |i, l| K[i].wrapping_add(w[i][l]));
+    from_lanes(&s, outer);
+}
+
+/// The lanes of one kernel pass and what to do with them.
+enum Pass<'a> {
+    /// [`compress_w`]: states, one block per state.
+    Compress(&'a mut [[u32; 8]], &'a [[u8; 64]]),
+    /// [`hmac_w`]: the shared schedule, inner states, outer states.
+    Hmac(&'a [u32; 64], &'a [[u32; 8]], &'a mut [[u32; 8]]),
+}
+
+/// Runs `pass` on the W-lane kernels.
+#[inline(always)]
+fn run<const W: usize>(pass: Pass) {
+    match pass {
+        Pass::Compress(states, blocks) => compress_w::<W>(states, blocks),
+        Pass::Hmac(kw, inner, outer) => hmac_w::<W>(kw, inner, outer),
     }
 }
 
@@ -140,20 +237,20 @@ fn compress_w<const W: usize>(states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
 /// `is_x86_feature_detected!`, so digests are bit-identical either way.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::compress_w;
+    use super::{run, Pass};
 
     #[target_feature(enable = "avx2")]
-    pub fn compress_w4(states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
-        compress_w::<4>(states, blocks);
+    pub fn run_w4(pass: Pass) {
+        run::<4>(pass);
     }
 
     #[target_feature(enable = "avx2")]
-    pub fn compress_w8(states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
-        compress_w::<8>(states, blocks);
+    pub fn run_w8(pass: Pass) {
+        run::<8>(pass);
     }
 }
 
-/// A third instantiation with AVX-512F codegen for the x16 kernel: with
+/// A third instantiation with AVX-512F codegen for the x16 kernels: with
 /// 512-bit registers a 16-lane `[u32; 16]` array is exactly one zmm
 /// vector, so the whole round state stays resident. Without AVX-512 an
 /// x16 pass spills and loses to two x8 passes, which is why the
@@ -161,40 +258,49 @@ mod avx2 {
 /// ([`crate::lanes::effective_lane_width`]).
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::compress_w;
+    use super::{run, Pass};
 
     #[target_feature(enable = "avx512f")]
-    pub fn compress_w16(states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
-        compress_w::<16>(states, blocks);
+    pub fn run_w16(pass: Pass) {
+        run::<16>(pass);
     }
 }
 
-fn dispatch_w4(states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
+/// Runs one pass of `lanes` lanes (1, 4, 8 or 16) on the widest
+/// instantiation the CPU supports for it.
+fn dispatch(lanes: usize, pass: Pass) {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the AVX2 requirement is checked at runtime above; the
-        // function body is the same safe Rust as `compress_w::<4>`.
-        return unsafe { avx2::compress_w4(states, blocks) };
+    {
+        // SAFETY (all three calls): the target feature is checked at
+        // runtime right before the call, and the function body is the
+        // same safe Rust as `run`.
+        if lanes == 16 && std::arch::is_x86_feature_detected!("avx512f") {
+            return unsafe { avx512::run_w16(pass) };
+        }
+        if lanes == 8 && std::arch::is_x86_feature_detected!("avx2") {
+            return unsafe { avx2::run_w8(pass) };
+        }
+        if lanes == 4 && std::arch::is_x86_feature_detected!("avx2") {
+            return unsafe { avx2::run_w4(pass) };
+        }
     }
-    compress_w::<4>(states, blocks);
+    match lanes {
+        16 => run::<16>(pass),
+        8 => run::<8>(pass),
+        4 => run::<4>(pass),
+        _ => run::<1>(pass),
+    }
 }
 
-fn dispatch_w8(states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: as in `dispatch_w4`.
-        return unsafe { avx2::compress_w8(states, blocks) };
-    }
-    compress_w::<8>(states, blocks);
-}
-
-fn dispatch_w16(states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx512f") {
-        // SAFETY: as in `dispatch_w4`.
-        return unsafe { avx512::compress_w16(states, blocks) };
-    }
-    compress_w::<16>(states, blocks);
+/// Adds one call's compressions and passes to the telemetry counters.
+/// Counts accrue locally and flush once per call, so the hot loop sees
+/// no atomics (telemetry off: one load + branch per counter).
+fn count(compressions: usize, [p16, p8, p4, p1]: [u64; 4]) {
+    tel::count!("crypto.sha256.compressions", compressions as u64);
+    tel::count!("crypto.sha256.passes_x16", p16);
+    tel::count!("crypto.sha256.passes_x8", p8);
+    tel::count!("crypto.sha256.passes_x4", p4);
+    tel::count!("crypto.sha256.passes_x1", p1);
 }
 
 /// Compresses any number of independent (state, block) lanes, scheduling
@@ -202,56 +308,39 @@ fn dispatch_w16(states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
 /// the ragged tail. Output is independent of `width`.
 pub fn compress_many_with(width: usize, states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
     assert_eq!(states.len(), blocks.len(), "one block per lane state");
-    let total = states.len() as u64;
-    // Pass counts accrue locally and flush once per call, so the hot
-    // loop sees no atomics (telemetry off: one load + branch per call).
-    let (mut p16, mut p8, mut p4, mut p1) = (0u64, 0u64, 0u64, 0u64);
-    let (mut states, mut blocks) = (states, blocks);
-    while !states.is_empty() {
-        let n = states.len();
-        let take = if width >= 16 && n >= 16 {
-            16
-        } else if width >= 8 && n >= 8 {
-            8
-        } else if width >= 4 && n >= 4 {
-            4
-        } else {
-            1
-        };
-        let (s, rest_s) = states.split_at_mut(take);
-        let (b, rest_b) = blocks.split_at(take);
-        match take {
-            16 => {
-                dispatch_w16(s, b);
-                p16 += 1;
-            }
-            8 => {
-                dispatch_w8(s, b);
-                p8 += 1;
-            }
-            4 => {
-                dispatch_w4(s, b);
-                p4 += 1;
-            }
-            _ => {
-                compress_w::<1>(s, b);
-                p1 += 1;
-            }
-        }
-        states = rest_s;
-        blocks = rest_b;
-    }
-    tel::count!("crypto.sha256.compressions", total);
-    tel::count!("crypto.sha256.passes_x16", p16);
-    tel::count!("crypto.sha256.passes_x8", p8);
-    tel::count!("crypto.sha256.passes_x4", p4);
-    tel::count!("crypto.sha256.passes_x1", p1);
+    let passes = for_each_pass(width, states.len(), |lanes, r| {
+        dispatch(lanes, Pass::Compress(&mut states[r.clone()], &blocks[r]));
+    });
+    count(states.len(), passes);
+}
+
+/// The last two compressions of one HMAC-SHA-256 per lane, for HMACs
+/// whose inner hashes all end in the same `block` (one message under
+/// many keys): `inner[l]` is lane l's inner chaining state before
+/// `block`, and `outer[l]` its outer chaining state after `key ⊕ opad`,
+/// which advances to the HMAC's final state. Scheduled like
+/// [`compress_many_with`] and counted as its two sweeps would be: two
+/// compressions per lane, and every pass twice. Output is independent of
+/// `width`.
+pub fn hmac_shared_block_with(
+    width: usize,
+    block: &[u8; 64],
+    inner: &[[u32; 8]],
+    outer: &mut [[u32; 8]],
+) {
+    assert_eq!(inner.len(), outer.len(), "one outer state per inner state");
+    let kw = shared_schedule(block);
+    let passes = for_each_pass(width, inner.len(), |lanes, r| {
+        dispatch(lanes, Pass::Hmac(&kw, &inner[r.clone()], &mut outer[r]));
+    });
+    count(2 * inner.len(), passes.map(|p| 2 * p));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hash::HashFunction;
+    use crate::hmac::hmac;
     use crate::sha256::Sha256;
 
     /// Pads `msg` (≤ 55 bytes) into a single SHA-256 block.
@@ -280,6 +369,42 @@ mod tests {
                     assert_eq!(
                         digest_of_state(st),
                         Sha256::digest(&msgs[l]),
+                        "lane {l} of {n} diverged at width {width}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shared_block_pass_matches_scalar_hmac_at_every_width() {
+        // One 8-byte message (an epoch counter) under 37 keys: the inner
+        // hash's last block is the padded message after the ipad block.
+        let msg = 0x0123_4567_89AB_CDEFu64.to_be_bytes();
+        let mut block = single_block(&msg);
+        block[56..].copy_from_slice(&((64 + msg.len() as u64) * 8).to_be_bytes());
+        let keys: Vec<Vec<u8>> = (0..37u8).map(|i| vec![i ^ 0x5A; 1 + i as usize]).collect();
+        let pad_state = |key: &[u8], pad: u8| {
+            let mut key_block = [0u8; 64];
+            key_block[..key.len()].copy_from_slice(key);
+            let mut state = initial_state();
+            compress_many_with(
+                1,
+                std::slice::from_mut(&mut state),
+                &[key_block.map(|b| b ^ pad)],
+            );
+            state
+        };
+        let inner: Vec<[u32; 8]> = keys.iter().map(|k| pad_state(k, 0x36)).collect();
+        for width in [1usize, 4, 8, 16] {
+            for n in [0, 1, 3, 4, 9, 16, 17, 37] {
+                let mut outer: Vec<[u32; 8]> =
+                    keys[..n].iter().map(|k| pad_state(k, 0x5c)).collect();
+                hmac_shared_block_with(width, &block, &inner[..n], &mut outer);
+                for (l, st) in outer.iter().enumerate() {
+                    assert_eq!(
+                        digest_of_state(st),
+                        hmac::<Sha256>(&keys[l], &msg),
                         "lane {l} of {n} diverged at width {width}"
                     );
                 }

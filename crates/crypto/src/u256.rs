@@ -306,11 +306,15 @@ impl U256 {
         Some(a.pow_mod(&exp, p))
     }
 
-    /// Multiplicative inverse via the extended Euclidean algorithm —
-    /// works for any modulus with `gcd(self, m) = 1` (not just primes)
-    /// and is roughly an order of magnitude faster than the Fermat path
-    /// (see the `ablation` bench). The paper's `C_MI32` constant was
-    /// measured with GMP's Euclid-based inverse.
+    /// Multiplicative inverse via the extended Euclidean algorithm over
+    /// [`crate::biguint::BigUint`] — works for any modulus with
+    /// `gcd(self, m) = 1` (not just primes), but allocates, and its
+    /// running time depends on `self`. For a prime modulus the Fermat
+    /// inverse of a prebuilt [`crate::mont::MontgomeryCtx`] is about
+    /// twice as fast (12–16 µs against 28–42 µs over 400 epoch keys on a
+    /// shared 2-vCPU AVX-512 host) and is what the SIES epoch path uses.
+    /// The paper's `C_MI32` constant was measured with GMP's Euclid-based
+    /// inverse, so the cost-model calibration times this one.
     pub fn inv_mod_euclid(&self, m: &U256) -> Option<U256> {
         let a = crate::biguint::BigUint::from(self);
         let m_big = crate::biguint::BigUint::from(m);

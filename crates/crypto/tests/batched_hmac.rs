@@ -1,15 +1,18 @@
 //! Bit-identity of every batched HMAC against the scalar free functions.
 //!
-//! The five batched entry points — `hm1_epoch`, `hm256_epoch`,
-//! `derive_mod_p`, `hm1_many` and `hmac_many`, plus the combined
-//! per-source sweep `for_each_epoch_key` — all finish through the
-//! tiled single-block finalize, so the shapes that can break it are the
-//! tile and kernel-pass boundaries (batch sizes around 16 and around
-//! `TILE`), the RFC 2104 key cases (empty, short, exactly one block, one
-//! byte over, far over — long keys are hashed first, differently per
-//! hash), key tables read out of order (the querier's contributor
-//! lists), messages past the single-block limit, and the derive-to-range
-//! rejection tail. Every case runs at every kernel width.
+//! The batched entry points finish in one of two kernel shapes. One
+//! message under many keys — `hm1_epoch`, `hm256_epoch`, `derive_mod_p`,
+//! the combined per-source sweep `for_each_epoch_key`, and `hmac_many` —
+//! runs the shared-block pass, which expands the common inner block's
+//! schedule once per tile; one message per key — `hm1_many` — runs the
+//! tiled finalize. The shapes that can break either are the tile and
+//! kernel-pass boundaries (batch sizes around 16 and around `TILE`), the
+//! RFC 2104 key cases (empty, short, exactly one block, one byte over,
+//! far over — long keys are hashed first, differently per hash), key
+//! tables read out of order (the querier's contributor lists), epochs at
+//! both ends of the counter range, messages past the single-block limit
+//! (0–130 bytes per lane; 0, 11, 60 and 100 bytes shared), and the
+//! derive-to-range rejection tail. Every case runs at every kernel width.
 
 use sies_crypto::hmac::{hmac, hmac_many_into_with};
 use sies_crypto::prf::{self, KeyedPrf};
@@ -164,7 +167,7 @@ fn hmac_many_matches_scalar_at_every_width_and_boundary() {
         let keys = keys(n);
         let ids = shuffled(n);
         let refs: Vec<&[u8]> = ids.iter().map(|&i| keys[i].as_slice()).collect();
-        for msg in [&b""[..], b"mutesla-mac", &[0x3C; 100]] {
+        for msg in [&b""[..], b"mutesla-mac", &[0x3C; 60], &[0x3C; 100]] {
             for width in WIDTHS {
                 let mut got1 = vec![[0u8; 20]; n];
                 let mut got256 = vec![[0u8; 32]; n];

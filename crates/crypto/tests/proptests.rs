@@ -34,6 +34,17 @@ fn paillier_fixture() -> &'static PaillierKeyPair {
     })
 }
 
+/// A seeded 256-bit prime other than `DEFAULT_PRIME_256` (a deployment
+/// may generate its own `p`).
+fn generated_prime() -> &'static U256 {
+    static P: OnceLock<U256> = OnceLock::new();
+    P.get_or_init(|| {
+        use rand::SeedableRng as _;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed_0003);
+        sies_crypto::generate_prime_u256(&mut rng, 256)
+    })
+}
+
 /// Strategy: an arbitrary 256-bit value.
 fn any_u256() -> impl Strategy<Value = U256> {
     any::<[u64; 4]>().prop_map(U256::from_limbs)
@@ -256,6 +267,20 @@ proptest! {
             .pow_mod(&BigUint::from_u64(e), &BigUint::from(&m));
         prop_assert_eq!(mont, generic);
         prop_assert_eq!(BigUint::from(&mont), reference);
+    }
+
+    // The querier's K_t⁻¹: the Montgomery context's Fermat inverse must
+    // equal the BigUint extended-Euclid inverse for every non-zero
+    // residue, under the default prime and under a generated one.
+    #[test]
+    fn mont_fermat_inverse_matches_euclid(a in any_u256(), generated in any::<bool>()) {
+        let p = if generated { *generated_prime() } else { DEFAULT_PRIME_256 };
+        let ar = a.rem(&p);
+        prop_assume!(!ar.is_zero());
+        let ctx = MontgomeryCtx::new(&p);
+        let fermat = ctx.inv_mod_prime(&ar);
+        prop_assert!(fermat.is_some());
+        prop_assert_eq!(fermat, ar.inv_mod_euclid(&p));
     }
 
     #[test]
@@ -546,16 +571,17 @@ proptest! {
     // ---- Batched PRFs vs the mapped scalar oracle -----------------------
     //
     // The multi-lane fan-out (hm1_epoch / hm256_epoch / derive_mod_p /
-    // hm1_many, plus the generic HMAC batch) must be element-wise
-    // identical to the scalar PRFs for any key material, any epoch, and
-    // any batch size — including ragged tails where n % 4, n % 8 and
-    // n % 16 ≠ 0 — at every kernel width. Each case names its width
+    // for_each_epoch_key / hm1_many, plus the generic HMAC batch) must be
+    // element-wise identical to the scalar PRFs for any key material, any
+    // epoch, and any batch size — including ragged tails where n % 4,
+    // n % 8 and n % 16 ≠ 0, several x16 passes, and batches that cross
+    // the 64-key tile — at every kernel width. Each case names its width
     // through the `_into_with` entry points, so concurrently running
     // tests cannot change it.
 
     #[test]
     fn batched_epoch_prfs_match_scalar(
-        keys in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..=80), 0..=19),
+        keys in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..=80), 0..=70),
         epoch in any::<u64>(),
         width_sel in 0usize..4,
     ) {
@@ -572,6 +598,17 @@ proptest! {
             prop_assert_eq!(hm1s[i], prf::hm1_epoch(key, epoch));
             prop_assert_eq!(hm256s[i], prf::hm256_epoch(key, epoch));
             prop_assert_eq!(derived[i], prf::derive_mod(key, epoch, &DEFAULT_PRIME_256));
+        }
+        // Both per-source sweeps at once: each key's pair, in key order.
+        let mut visited = Vec::with_capacity(keys.len());
+        prf::for_each_epoch_key_with(width, &prfs, epoch, &DEFAULT_PRIME_256, |i, k_it, ss| {
+            visited.push((i, k_it, ss));
+        });
+        prop_assert_eq!(visited.len(), keys.len());
+        for (l, (i, k_it, ss)) in visited.into_iter().enumerate() {
+            prop_assert_eq!(i, l);
+            prop_assert_eq!(k_it, derived[l]);
+            prop_assert_eq!(ss, hm1s[l]);
         }
     }
 

@@ -39,12 +39,11 @@
 //!   [`AggregationScheme::batch_source_init_into`]. After a warm-up
 //!   epoch per buffer, the pipeline itself performs no heap allocation
 //!   per epoch at `threads = 1` (the `alloc_free` integration test pins
-//!   this with a counting allocator and a trivial scheme). A scheme's
-//!   own work may still allocate a fixed amount per epoch: SIES's
-//!   evaluation makes one chunk-result vector and inverts `K_t` through
-//!   `BigUint` extended Euclid (~700 allocations per epoch), but its
-//!   PRF sweeps allocate nothing, so the count does not grow with the
-//!   population (the `sies_alloc` test). With `threads > 1` the
+//!   this with a counting allocator and a trivial scheme). SIES adds
+//!   none of its own: its PRF sweeps run in stack tiles, its epoch
+//!   cipher and `K_t⁻¹` use the Montgomery context built at setup, and
+//!   a serial evaluation sums in place, so a warm SIES epoch makes zero
+//!   allocations (the `sies_alloc` test). With `threads > 1` the
 //!   scoped-worker spawn adds O(threads) allocations per epoch.
 //!
 //! ## Merge order

@@ -1,8 +1,8 @@
 //! Counting-allocator oracle for SIES on the streamed epoch pipeline: a
-//! warm `threads = 1` epoch makes the same number of heap allocations
-//! whatever the population, so no allocation happens per source — not
-//! in the lane-batched PRF sweeps at the sources, not in the querier's
-//! Σss recomputation.
+//! warm `threads = 1` epoch makes no heap allocation at all — not in the
+//! lane-batched PRF sweeps at the sources, not in the epoch cipher, not
+//! in the querier's Σss recomputation, `K_t⁻¹` or decryption — and so
+//! none per source, whatever the population.
 //!
 //! Lives in its own test binary because the counter is process-wide:
 //! any concurrently running test would add its own allocations.
@@ -83,4 +83,6 @@ fn warm_sies_epochs_allocate_independently_of_population() {
         "SIES epochs allocate per source: {small} allocations over 4 epochs at N=1024, \
          {large} at N=4096"
     );
+    assert_eq!(small, 0, "{small} allocations over 4 warm epochs at N=1024");
+    assert_eq!(large, 0, "{large} allocations over 4 warm epochs at N=4096");
 }
