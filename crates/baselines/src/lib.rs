@@ -13,7 +13,6 @@
 //!   Flajolet–Martin sketches. Verifiable but *approximate* and with no
 //!   confidentiality (values travel in clear), at orders-of-magnitude
 //!   higher CPU and bandwidth cost.
-//! * [`secoa::SecoaMax`] — **SECOA_M**, the underlying MAX protocol.
 //!
 //! All deployments implement [`sies_net::scheme::AggregationScheme`], so
 //! the same epoch engine drives them and the paper's §VI comparisons fall
@@ -30,5 +29,5 @@ pub use cmt::{CmtDeployment, CmtPsr};
 pub use paillier_agg::{PaillierDeployment, PaillierPsr};
 pub use plain::{PlainAggregation, PlainPsr};
 pub use seal::Seal;
-pub use secoa::{SecoaMax, SecoaPsr, SecoaSum};
+pub use secoa::{SecoaPsr, SecoaSum};
 pub use sketch::FmSketch;

@@ -99,17 +99,6 @@ pub fn derive_seed(seed_key: &[u8], sketch_idx: u32, epoch: u64, pk: &RsaPublicK
     seed_from_digest(&prf::hm1(seed_key, &seed_message(sketch_idx, epoch)), pk)
 }
 
-/// [`derive_seed`] through a cached-pad [`KeyedPrf`] — bit-identical, two
-/// compressions instead of four per seed.
-pub fn derive_seed_with(
-    prf: &sies_crypto::prf::KeyedPrf,
-    sketch_idx: u32,
-    epoch: u64,
-    pk: &RsaPublicKey,
-) -> BigUint {
-    seed_from_digest(&prf.hm1(&seed_message(sketch_idx, epoch)), pk)
-}
-
 /// Expands a 20-byte `HM1` digest into `Z_n`. Exposed so batched digest
 /// derivations ([`sies_crypto::prf::hm1_many`]) can share the expansion.
 pub fn seed_from_digest(digest: &[u8; 20], pk: &RsaPublicKey) -> BigUint {
@@ -209,7 +198,6 @@ mod tests {
         for j in 0..4u32 {
             for t in 0..4u64 {
                 let direct = derive_seed(b"key-a", j, t, &pk);
-                assert_eq!(derive_seed_with(&prf, j, t, &pk), direct);
                 let digest = prf.hm1(&seed_message(j, t));
                 assert_eq!(seed_from_digest(&digest, &pk), direct);
             }

@@ -2,14 +2,12 @@
 //! integrity-protected in-network aggregation via one-way SEAL chains,
 //! providing **approximate** SUM answers and no confidentiality.
 //!
-//! * [`SecoaMax`] is SECOA_M, the MAX protocol: every source sends its
-//!   value, an HMAC *inflation certificate*, and a SEAL *deflation
-//!   certificate*; aggregators keep the max, roll the other SEALs up to
-//!   it, and fold.
-//! * [`SecoaSum`] is SECOA_S: each source expands its value `v` into `v`
-//!   distinct items inserted into `J` FM sketches and runs SECOA_M per
-//!   sketch; the querier estimates `SUM ≈ 2^x̄` over the `J` verified
-//!   sketch maxima.
+//! [`SecoaSum`] is SECOA_S: each source expands its value `v` into `v`
+//! distinct items inserted into `J` FM sketches and runs the SECOA_M
+//! MAX protocol per sketch — the sketch value, an HMAC *inflation
+//! certificate* and a SEAL *deflation certificate*; aggregators keep the
+//! max, roll the other SEALs up to it, and fold. The querier estimates
+//! `SUM ≈ 2^x̄` over the `J` verified sketch maxima.
 //!
 //! ## Wire-format note (recorded in DESIGN.md)
 //!
@@ -20,7 +18,7 @@
 //! cites. All measured quantities (bytes, CPU shapes) match Equations
 //! 5, 8, 10 and 11.
 
-use crate::seal::{derive_seed_with, seed_from_digest, seed_message, Seal};
+use crate::seal::{seed_from_digest, seed_message, Seal};
 use crate::sketch::FmSketch;
 use rand::RngCore;
 use sies_core::{Epoch, SourceId};
@@ -520,177 +518,6 @@ impl AggregationScheme for SecoaSum {
     }
 }
 
-/// SECOA_M: the MAX protocol over raw values (no sketches). One value,
-/// one inflation certificate, one SEAL.
-pub struct SecoaMax {
-    inner: SecoaSum,
-}
-
-/// SECOA_M reuses the SECOA_S machinery with a single "sketch" whose value
-/// is the raw reading (capped to the one-byte chain representation the
-/// bundle uses? — no: MAX values use the full u64 chain positions, so the
-/// slot stores a claim and the PSR carries the position in the SEAL).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SecoaMaxPsr {
-    /// Claimed maximum value.
-    pub value: u64,
-    /// Who owns it.
-    pub owner: SourceId,
-    /// `HM1(K_owner, value ‖ t)`.
-    pub cert: [u8; 20],
-    /// The aggregate SEAL at position `value`.
-    pub seal: Seal,
-}
-
-impl SecoaMax {
-    /// Sets up a MAX deployment.
-    pub fn new(rng: &mut dyn RngCore, num_sources: u64, modulus_bits: usize) -> Self {
-        SecoaMax {
-            inner: SecoaSum::new(rng, num_sources, 1, modulus_bits),
-        }
-    }
-
-    fn max_cert(&self, source: SourceId, epoch: Epoch, value: u64) -> [u8; 20] {
-        let mut msg = [0u8; 16];
-        msg[..8].copy_from_slice(&value.to_be_bytes());
-        msg[8..].copy_from_slice(&epoch.to_be_bytes());
-        self.inner.mac_prfs[source as usize].hm1(&msg)
-    }
-
-    /// Source side: value + inflation certificate + SEAL.
-    pub fn source_init(&self, source: SourceId, epoch: Epoch, value: u64) -> SecoaMaxPsr {
-        let seed = derive_seed_with(
-            &self.inner.seed_prfs[source as usize],
-            0,
-            epoch,
-            &self.inner.rsa,
-        );
-        SecoaMaxPsr {
-            value,
-            owner: source,
-            cert: self.max_cert(source, epoch, value),
-            seal: Seal::new(&self.inner.rsa, &seed, value),
-        }
-    }
-
-    /// Aggregator: keep the max, roll the rest up to it, fold.
-    pub fn merge(&self, psrs: &[SecoaMaxPsr]) -> SecoaMaxPsr {
-        assert!(!psrs.is_empty());
-        let winner = psrs.iter().max_by_key(|p| p.value).unwrap();
-        let target = winner.value;
-        let mut agg: Option<Seal> = None;
-        for p in psrs {
-            let mut s = p.seal.clone();
-            s.roll_to(&self.inner.rsa, target);
-            match &mut agg {
-                None => agg = Some(s),
-                Some(a) => a.fold_with(&self.inner.rsa, &s),
-            }
-        }
-        SecoaMaxPsr {
-            value: winner.value,
-            owner: winner.owner,
-            cert: winner.cert,
-            seal: agg.expect("non-empty"),
-        }
-    }
-
-    /// Querier: verify the inflation certificate and the aggregate SEAL,
-    /// then accept the MAX.
-    pub fn evaluate(
-        &self,
-        psr: &SecoaMaxPsr,
-        epoch: Epoch,
-        contributors: &[SourceId],
-    ) -> Result<u64, SchemeError> {
-        if !contributors.contains(&psr.owner) {
-            return Err(SchemeError::VerificationFailed(
-                "non-contributing owner".into(),
-            ));
-        }
-        let expected = self.max_cert(psr.owner, epoch, psr.value);
-        if !ct_eq(&expected, &psr.cert) {
-            return Err(SchemeError::VerificationFailed(
-                "inflation certificate mismatch".into(),
-            ));
-        }
-        if psr.seal.position != psr.value {
-            return Err(SchemeError::VerificationFailed(
-                "SEAL position mismatch".into(),
-            ));
-        }
-        let msg = seed_message(0, epoch);
-        let seeds: Vec<_> = prf::hm1_many(
-            contributors
-                .iter()
-                .map(|&i| (&self.inner.seed_prfs[i as usize], msg)),
-        )
-        .iter()
-        .map(|digest| seed_from_digest(digest, &self.inner.rsa))
-        .collect();
-        let product = self.inner.rsa.fold_product(seeds.iter());
-        let reference = Seal::new(&self.inner.rsa, &product, psr.value);
-        if reference.value != psr.seal.value {
-            return Err(SchemeError::VerificationFailed(
-                "aggregate SEAL mismatch".into(),
-            ));
-        }
-        Ok(psr.value)
-    }
-}
-
-/// SECOA_MIN: MIN via the MAX protocol on reflected values — the paper
-/// notes SECOA "supports a wide range of aggregate queries"; MIN follows
-/// from MAX with the standard `v ↦ D_U − v` transform over a known upper
-/// domain bound.
-pub struct SecoaMin {
-    max: SecoaMax,
-    /// Upper bound `D_U` of the value domain.
-    domain_upper: u64,
-}
-
-impl SecoaMin {
-    /// Sets up a MIN deployment for values in `[0, domain_upper]`.
-    pub fn new(
-        rng: &mut dyn RngCore,
-        num_sources: u64,
-        modulus_bits: usize,
-        domain_upper: u64,
-    ) -> Self {
-        SecoaMin {
-            max: SecoaMax::new(rng, num_sources, modulus_bits),
-            domain_upper,
-        }
-    }
-
-    /// Source side: runs MAX on the reflected value.
-    ///
-    /// # Panics
-    /// Panics when `value` exceeds the configured domain bound.
-    pub fn source_init(&self, source: SourceId, epoch: Epoch, value: u64) -> SecoaMaxPsr {
-        assert!(value <= self.domain_upper, "value above the domain bound");
-        self.max
-            .source_init(source, epoch, self.domain_upper - value)
-    }
-
-    /// Aggregator side: identical to MAX.
-    pub fn merge(&self, psrs: &[SecoaMaxPsr]) -> SecoaMaxPsr {
-        self.max.merge(psrs)
-    }
-
-    /// Querier side: verifies the MAX of the reflected values and undoes
-    /// the transform.
-    pub fn evaluate(
-        &self,
-        psr: &SecoaMaxPsr,
-        epoch: Epoch,
-        contributors: &[SourceId],
-    ) -> Result<u64, SchemeError> {
-        let reflected_max = self.max.evaluate(psr, epoch, contributors)?;
-        Ok(self.domain_upper - reflected_max)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -753,6 +580,30 @@ mod tests {
         let out = engine.run_epoch_with(0, &[300; 4], &HashSet::new(), &[Attack::DropAtNode(node)]);
         assert!(matches!(
             out.result,
+            Err(SchemeError::VerificationFailed(_))
+        ));
+    }
+
+    #[test]
+    fn deflation_with_forged_certificate_detected() {
+        // Lower sketch 0's maximum to the other source's honest value and
+        // present that source's valid certificate for it (as if its key
+        // leaked): a SEAL rolls forward but never back, so the collected
+        // SEAL no longer matches the querier's reference.
+        let dep = deployment(2, 4);
+        let psrs = [
+            dep.psr_from_sketch_values(0, 0, &[3; 4]),
+            dep.psr_from_sketch_values(1, 0, &[7; 4]),
+        ];
+        let mut forged = dep.merge(&psrs);
+        assert_eq!((forged.slots[0].x, forged.slots[0].owner), (7, 1));
+        forged.slots[0] = psrs[0].slots[0].clone();
+        if let SealBundle::PerSketch(seals) = &mut forged.seals {
+            seals[0].position = 3;
+        }
+        let forged = dep.sink_finalize(forged);
+        assert!(matches!(
+            dep.evaluate(&forged, 0, &[0, 1]),
             Err(SchemeError::VerificationFailed(_))
         ));
     }
@@ -829,82 +680,5 @@ mod tests {
         assert!(res.integrity_checked);
         let rel = (res.sum - 20_000.0).abs() / 20_000.0;
         assert!(rel < 1.0, "estimate {} wildly off", res.sum);
-    }
-
-    #[test]
-    fn secoa_max_end_to_end() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let dep = SecoaMax::new(&mut rng, 4, 128);
-        let values = [3u64, 9, 5, 7];
-        let psrs: Vec<_> = values
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| dep.source_init(i as SourceId, 1, v))
-            .collect();
-        let merged = dep.merge(&psrs);
-        assert_eq!(dep.evaluate(&merged, 1, &[0, 1, 2, 3]).unwrap(), 9);
-    }
-
-    #[test]
-    fn secoa_min_end_to_end() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let d_u = 5000;
-        let dep = SecoaMin::new(&mut rng, 4, 128, d_u);
-        let values = [1900u64, 1843, 4200, 3000];
-        let psrs: Vec<_> = values
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| dep.source_init(i as SourceId, 2, v))
-            .collect();
-        let merged = dep.merge(&psrs);
-        assert_eq!(dep.evaluate(&merged, 2, &[0, 1, 2, 3]).unwrap(), 1843);
-    }
-
-    #[test]
-    fn secoa_min_tamper_detected() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let dep = SecoaMin::new(&mut rng, 2, 128, 100);
-        let psrs = [dep.source_init(0, 0, 60), dep.source_init(1, 0, 40)];
-        let mut merged = dep.merge(&psrs);
-        // Claim a *smaller* minimum (= larger reflected max): the
-        // adversary can roll the SEAL forward but lacks the MAC key.
-        merged.value += 10;
-        merged.seal.roll_to(dep.max.inner.rsa(), merged.value);
-        assert!(dep.evaluate(&merged, 0, &[0, 1]).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "domain bound")]
-    fn secoa_min_rejects_out_of_domain() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let dep = SecoaMin::new(&mut rng, 2, 128, 100);
-        dep.source_init(0, 0, 101);
-    }
-
-    #[test]
-    fn secoa_max_inflation_detected() {
-        let mut rng = StdRng::seed_from_u64(14);
-        let dep = SecoaMax::new(&mut rng, 2, 128);
-        let psrs = [dep.source_init(0, 0, 5), dep.source_init(1, 0, 3)];
-        let mut merged = dep.merge(&psrs);
-        // Claim a larger max (and roll the SEAL to match — anyone can).
-        merged.value = 8;
-        merged.seal.roll_to(dep.inner.rsa(), 8);
-        assert!(dep.evaluate(&merged, 0, &[0, 1]).is_err());
-    }
-
-    #[test]
-    fn secoa_max_deflation_detected() {
-        let mut rng = StdRng::seed_from_u64(15);
-        let dep = SecoaMax::new(&mut rng, 2, 128);
-        let psrs = [dep.source_init(0, 0, 5), dep.source_init(1, 0, 9)];
-        let merged = dep.merge(&psrs);
-        // Claim a smaller max with a forged owner claim: the adversary can
-        // craft value/owner but cannot unroll the SEAL.
-        let mut forged = merged.clone();
-        forged.value = 5;
-        forged.owner = 0;
-        forged.cert = dep.max_cert(0, 0, 5); // pretend key compromise of 0
-        assert!(dep.evaluate(&forged, 0, &[0, 1]).is_err());
     }
 }

@@ -53,7 +53,7 @@
 //!   all      everything above
 //! ```
 //!
-//! `--threads T` sizes the sharded source phase (0 or omitted = all
+//! `--threads T` sizes the sharded epoch walk (0 or omitted = all
 //! available cores) for the reliability and throughput experiments.
 
 use sies_bench::calibrate::PrimitiveCosts;

@@ -65,7 +65,7 @@ usage: sim [--scheme sies|cmt|secoa|paillier|tag] [--sources N] [--fanout F]
            [--attack tamper|drop|duplicate|replay] [--attack-epoch E]
            [--seed S] [--domain-power K] [--threads T] [--json FILE]
 
---threads T runs the source phase on T worker threads (0 = all cores);
+--threads T runs the epoch walk on T worker threads (0 = all cores);
 results are byte-identical at every thread count.";
 
 fn parse_args() -> Args {

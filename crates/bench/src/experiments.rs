@@ -562,7 +562,7 @@ pub fn reliability(seed: u64, total_epochs: u64) -> Vec<ReliabilityPoint> {
 }
 
 /// [`reliability`] with an explicit worker-pool size for the sharded
-/// source phase. The chaos metrics are thread-count invariant (asserted
+/// epoch walk. The chaos metrics are thread-count invariant (asserted
 /// by `sies-net`'s own tests), so the soundness check is unchanged.
 pub fn reliability_threaded(
     seed: u64,

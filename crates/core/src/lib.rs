@@ -50,7 +50,6 @@ pub mod mutesla;
 pub mod parallel;
 pub mod params;
 pub mod query;
-pub mod rekey;
 pub mod scheme;
 
 pub use error::{Epoch, SiesError, SourceId};

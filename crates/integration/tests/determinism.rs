@@ -1,6 +1,6 @@
 //! The serial-vs-parallel determinism oracle (PR acceptance gate).
 //!
-//! The parallel epoch pipeline shards the source phase across worker
+//! The parallel epoch walk shards every epoch kind across worker
 //! threads but merges partial aggregates in deterministic tree order, so
 //! for any fixed seed it must produce **byte-identical** aggregates,
 //! verification verdicts, and results JSON to the serial engine — at
@@ -160,7 +160,7 @@ fn recovery_runner_is_thread_count_invariant() {
 
 /// The full chaos harness plus the reliability experiment: the metrics
 /// struct and the serialized `BENCH_reliability` JSON must be identical
-/// whether the source phase ran on 1 worker or many.
+/// whether the epoch walk ran on 1 worker or many.
 #[test]
 fn reliability_json_is_thread_count_invariant() {
     let serial = experiments::reliability_threaded(7, 50, Threads::serial());

@@ -22,8 +22,10 @@
 //! the caller decides what to assert.
 //!
 //! Every run is a pure function of [`ChaosConfig`] (including the seed):
-//! crash sets, attack choices, readings, and per-frame loss all come
-//! from one `StdRng`, so a failing seed replays exactly.
+//! crash sets, attack choices and readings come from one `StdRng`, and
+//! each epoch's per-frame loss from per-uplink streams keyed by one draw
+//! from it ([`crate::recovery::uplink_stream`]), so a failing seed replays
+//! exactly at every thread count.
 //!
 //! Each epoch's outcome is captured as a signed-journal
 //! [`EpochReceipt`]; metrics ([`absorb`]) and the result digest
@@ -53,8 +55,9 @@ use std::path::PathBuf;
 /// Fault-injection mix for one chaos run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosConfig {
-    /// Seed for the single RNG that drives readings, crashes, attacks,
-    /// and frame loss. Same seed + same config ⇒ identical run.
+    /// Seed for the RNG that drives readings, crashes, attacks, and
+    /// (through one draw per epoch) frame loss. Same seed + same config
+    /// ⇒ identical run.
     pub seed: u64,
     /// Epochs to execute.
     pub epochs: u64,
@@ -72,7 +75,7 @@ pub struct ChaosConfig {
     pub max_value: u64,
     /// Recovery-protocol policy.
     pub recovery: RecoveryConfig,
-    /// Worker pool for the sharded source phase. Metrics are identical
+    /// Worker pool for the sharded epoch walk. Metrics are identical
     /// for every setting (the engine's determinism guarantee); only
     /// wall-clock time changes.
     pub threads: Threads,

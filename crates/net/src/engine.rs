@@ -2,14 +2,14 @@
 //! with timing, byte and energy accounting plus failure and attack
 //! injection.
 //!
-//! [`Engine::run_epoch`] and [`Engine::run_epoch_with`] run an epoch
-//! through the same subtree-sharded post-order walk as
-//! [`crate::pipeline::EpochPipeline`]: honest failures and covert
-//! attacks are translated to post-order positions once per epoch, so
-//! they change only which PSRs reach a merge, never how a merge works.
-//! [`Engine::run_epoch_recovering`] shares the walk's source phase and
-//! keeps its own serial merge over the repaired tree, because its
-//! per-uplink loss draws must happen in one fixed order.
+//! Every epoch runs through the same subtree-sharded post-order walk as
+//! [`crate::pipeline::EpochPipeline`]: honest failures, covert attacks
+//! and adoptions are translated to post-order positions once per epoch,
+//! so they change only which PSRs reach a merge, never how a merge
+//! works. [`Engine::run_epoch_recovering`] runs the walk under the
+//! recovery protocol: one draw from the caller's RNG keys a random
+//! stream per uplink, so its outcomes, like a clean epoch's, are the
+//! same at every thread count.
 //!
 //! Each epoch's stats come from plain per-epoch counters; when
 //! telemetry is on they are added to the global registry once per
@@ -18,13 +18,10 @@
 use crate::energy::RadioModel;
 use crate::flat::FlatTopology;
 use crate::journal::ReceiptJournal;
-use crate::pipeline::{
-    nothing_reached_querier, now_ns, plan_shards, EpochBuf, Exec, Mark, Marked, Shard,
-};
+use crate::pipeline::{cut, is_cut, plan_shards, EpochBuf, Exec, Mark, Marked, Shard, Uplinks};
 use crate::radio::LossyRadio;
 use crate::recovery::{
-    RecoveryConfig, RecoveryReport, UplinkTally, ACK_BYTES, FAILURE_REPORT_BYTES, NACK_BYTES,
-    REATTACH_BYTES, RESOLICIT_BYTES,
+    RecoveryConfig, RecoveryReport, ACK_BYTES, FAILURE_REPORT_BYTES, REATTACH_BYTES,
 };
 use crate::scheme::{AggregationScheme, EvaluatedSum, SchemeError};
 use crate::topology::{NodeId, RepairPlan, Topology};
@@ -34,9 +31,9 @@ use sies_core::{Epoch, SourceId, Threads};
 use sies_receipts::{EpochReceipt, Verdict as ReceiptVerdict};
 use sies_telemetry as tel;
 use sies_telemetry::EventKind;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::ops::Range;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// An adversarial action injected into one epoch. All attacks are *covert*:
 /// contributor reporting is unchanged, so an honest querier cannot tell a
@@ -259,10 +256,10 @@ pub mod metric {
 }
 
 /// One epoch's activity in plain integers. The walk accumulates it
-/// shard-locally and folds the shards in order; the recovering walk
-/// accumulates it directly. [`finish`](Self::finish) turns it into
-/// [`EpochStats`] once per epoch.
-#[derive(Debug, Clone, Copy, Default)]
+/// shard-locally and folds the shards in order.
+/// [`finish`](Self::finish) turns it into [`EpochStats`] once per
+/// epoch.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct EpochCounts {
     /// In-worker source-init CPU.
     pub(crate) source_ns: u64,
@@ -278,6 +275,8 @@ pub(crate) struct EpochCounts {
     pub(crate) bytes: EdgeBytes,
     /// Bytes received by parents: what receive energy is charged on.
     pub(crate) rx_bytes: u64,
+    /// Recovery-protocol counters (recovering epochs only).
+    pub(crate) recovery: RecoveryReport,
 }
 
 impl EpochCounts {
@@ -297,6 +296,13 @@ impl EpochCounts {
         b.retransmit += o.retransmit;
         b.control += o.control;
         self.rx_bytes += other.rx_bytes;
+        self.recovery.add(&other.recovery);
+    }
+
+    /// Charges one failure report sent `hops` hops up to the querier.
+    pub(crate) fn failure_report(&mut self, hops: usize) {
+        self.recovery.failure_reports += 1;
+        self.bytes.control += FAILURE_REPORT_BYTES as u64 * hops as u64;
     }
 
     /// Charges the first copy of one uplink transmission of `size`
@@ -491,8 +497,12 @@ impl RecoveredEpoch {
 struct Walk<P> {
     shards: Vec<Shard>,
     buf: EpochBuf<P>,
-    /// The epoch's failures and attacks by post-order position.
+    /// The epoch's failures, attacks and adoptions by post-order
+    /// position.
     marks: Vec<Marked>,
+    /// The subtrees whose sources do not contribute, as ascending,
+    /// disjoint post-order ranges.
+    cuts: Vec<Range<usize>>,
 }
 
 impl<P> Walk<P> {
@@ -502,29 +512,42 @@ impl<P> Walk<P> {
             buf: EpochBuf::new(flat, &shards, 0),
             shards,
             marks: Vec::new(),
+            cuts: Vec::new(),
         }
     }
 
-    /// Translates the epoch's `failed` nodes and `attacks` to marks by
-    /// post-order position (ids outside the tree are ignored); returns
-    /// whether the final PSR is replayed.
-    fn mark(&mut self, flat: &FlatTopology, failed: &HashSet<NodeId>, attacks: &[Attack]) -> bool {
-        let mark = |failed, dropped, tampers, duplicates| Mark {
+    /// Translates the epoch's `failed` nodes, `attacks` and the
+    /// `adopted` orphans' adopters to marks by post-order position (ids
+    /// outside the tree are ignored); returns whether the final PSR is
+    /// replayed.
+    fn mark(
+        &mut self,
+        flat: &FlatTopology,
+        failed: &HashSet<NodeId>,
+        attacks: &[Attack],
+        adopted: &BTreeMap<NodeId, NodeId>,
+    ) -> bool {
+        let mark = |failed, dropped, tampers, duplicates, adopter| Mark {
             failed,
             dropped,
             tampers,
             duplicates,
+            adopter,
         };
         let on_nodes = attacks.iter().filter_map(|attack| match *attack {
-            Attack::TamperAtNode(id) => Some((id, mark(false, false, 1, 0))),
-            Attack::DropAtNode(id) => Some((id, mark(false, true, 0, 0))),
-            Attack::DuplicateAtNode(id) => Some((id, mark(false, false, 0, 1))),
+            Attack::TamperAtNode(id) => Some((id, mark(false, false, 1, 0, None))),
+            Attack::DropAtNode(id) => Some((id, mark(false, true, 0, 0, None))),
+            Attack::DuplicateAtNode(id) => Some((id, mark(false, false, 0, 1, None))),
             Attack::ReplayFinal => None,
         });
-        let down = failed.iter().map(|&id| (id, mark(true, false, 0, 0)));
+        let down = failed.iter().map(|&id| (id, mark(true, false, 0, 0, None)));
+        let orphans = adopted
+            .iter()
+            .map(|(&id, &adopter)| (id, mark(false, false, 0, 0, Some(adopter as u32))));
         self.marks.clear();
         self.marks.extend(
             down.chain(on_nodes)
+                .chain(orphans)
                 .filter(|&(id, _)| id < flat.num_nodes())
                 .map(|(id, m)| (flat.post_position(id) as u32, m)),
         );
@@ -540,28 +563,15 @@ impl<P> Walk<P> {
     }
 }
 
-/// The sources with no failed node between them and the sink,
-/// ascending: the contributor set an honest querier is told.
-fn contributors(flat: &FlatTopology, marks: &[Marked]) -> Vec<SourceId> {
-    // Failed subtrees as disjoint post-order ranges, ascending. A node
-    // follows its descendants in post-order, so its range swallows the
-    // ones already collected from its subtree.
-    let mut cut: Vec<Range<usize>> = Vec::new();
-    for &(pos, _) in marks.iter().filter(|(_, m)| m.failed) {
-        let range = flat.subtree_range(flat.post_order()[pos as usize] as usize);
-        while cut.last().is_some_and(|r| r.start >= range.start) {
-            cut.pop();
-        }
-        cut.push(range);
-    }
-    (0..flat.num_sources() as SourceId)
-        .filter(|&sid| {
-            let node = flat.source_node(sid).expect("every source id has a node");
-            let pos = flat.post_position(node);
-            let i = cut.partition_point(|r| r.end <= pos);
-            cut.get(i).is_none_or(|r| !r.contains(&pos))
-        })
-        .collect()
+/// The sources outside every one of the ascending, disjoint post-order
+/// `cuts`, ascending: the contributor set an honest querier is told.
+fn contributors(flat: &FlatTopology, cuts: &[Range<usize>]) -> Vec<SourceId> {
+    let mut out = Vec::with_capacity(flat.num_sources() as usize);
+    out.extend((0..flat.num_sources() as SourceId).filter(|&sid| {
+        let node = flat.source_node(sid).expect("every source id has a node");
+        !is_cut(cuts, flat.post_position(node))
+    }));
+    out
 }
 
 /// The simulation engine for one deployed scheme on one topology.
@@ -580,8 +590,6 @@ pub struct Engine<'a, S: AggregationScheme> {
     /// The shared walk's shards and buffers: `None` until the first
     /// epoch needs them, then reused across epochs.
     walk: Option<Walk<S::Psr>>,
-    /// Reusable journal-event buffer for the per-uplink hot loop.
-    evbuf: tel::EventBuf,
     /// Durable receipt journal: when attached, every epoch run through
     /// [`run_epoch_with`](Self::run_epoch_with) commits a signed receipt.
     journal: Option<ReceiptJournal>,
@@ -598,7 +606,6 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
             threads: 1,
             prev_final: None,
             walk: None,
-            evbuf: tel::EventBuf::new(),
             journal: None,
         }
     }
@@ -752,8 +759,15 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
         }
         let (flat, threads) = (&self.flat, self.threads);
         let walk = self.walk.get_or_insert_with(|| Walk::new(flat, threads));
-        let replay = walk.mark(flat, failed, attacks);
-        let contributors = contributors(flat, &walk.marks);
+        let replay = walk.mark(flat, failed, attacks, &BTreeMap::new());
+        // A failed node's sources do not contribute, whatever their
+        // subtree still sends.
+        walk.cuts.clear();
+        for &(pos, _) in walk.marks.iter().filter(|(_, m)| m.failed) {
+            let node = flat.post_order()[pos as usize] as usize;
+            cut(&mut walk.cuts, flat.subtree_range(node));
+        }
+        let contributors = contributors(flat, &walk.cuts);
         let exec = Exec {
             scheme: self.scheme,
             flat,
@@ -762,6 +776,7 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
             marks: &walk.marks,
             replay,
             threads,
+            uplinks: None,
         };
         exec.produce(epoch, values, &mut walk.buf.shards);
         tel::event(epoch, EventKind::SourceInit, walk.buf.live_sources(), 0);
@@ -794,6 +809,12 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
     /// final aggregate **unless** a covert attack interfered — in which
     /// case [`RecoveredEpoch::aggregate_corrupted`] is true and a
     /// verifying scheme must reject.
+    ///
+    /// Each call draws one `u64` from `rng`; every uplink's loss, retry
+    /// and jitter draws come from
+    /// [`uplink_stream`](crate::recovery::uplink_stream)`(draw, node)`, so
+    /// the outcome is the same at every thread count. An adopter merges
+    /// a crashed child's forwarded copies in that child's place.
     #[allow(clippy::too_many_arguments)]
     pub fn run_epoch_recovering(
         &mut self,
@@ -806,26 +827,28 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
         rng: &mut dyn RngCore,
     ) -> RecoveredEpoch {
         let _epoch_span = tel::span!("engine.epoch");
-        let mut report = RecoveryReport::default();
-        let mut counts = EpochCounts::default();
-        let recovered = |outcome, report, repairs, corrupted| RecoveredEpoch {
+        // The epoch's one draw on the caller's RNG: it keys every
+        // uplink's stream, so no outcome depends on the walk order.
+        let draw = rng.next_u64();
+        let lost = |outcome, report, repairs| RecoveredEpoch {
             outcome,
             report,
             repairs,
-            aggregate_corrupted: corrupted,
+            aggregate_corrupted: false,
         };
+        let none = EpochCounts::default();
         if let Err(e) = self.begin(epoch, values) {
-            let outcome = self.outcome(epoch, Err(e), &counts, Vec::new());
-            return recovered(outcome, report, RepairPlan::default(), false);
+            let outcome = self.outcome(epoch, Err(e), &none, Vec::new());
+            return lost(outcome, RecoveryReport::default(), RepairPlan::default());
         }
-        let mut tally = UplinkTally::default();
         let repairs = self.flat.repair_plan(crashed);
-        report.adoptions = repairs.adoptions.len() as u64;
-        report.stranded = repairs.stranded.len() as u64;
+        let mut upfront = EpochCounts::default();
+        upfront.recovery.adoptions = repairs.adoptions.len() as u64;
+        upfront.recovery.stranded = repairs.stranded.len() as u64;
         // Detection-side churn signal: the `crash_churn` alert rule
         // fires on any nonzero delta of this counter.
-        tel::count!("engine.adoptions", report.adoptions);
-        if !repairs.adoptions.is_empty() || !repairs.stranded.is_empty() {
+        tel::count!("engine.adoptions", upfront.recovery.adoptions);
+        if !repairs.is_empty() {
             // The tree changed under us: drop any precomputed epoch
             // material so the warmer re-plans against the repaired
             // world. Safe unconditionally — correctness never depends
@@ -837,300 +860,85 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
         // is an availability loss, never a false accept or reject.
         let root = self.flat.root();
         if crashed.contains(&root) {
-            let lost = Err(SchemeError::Malformed("sink crashed; epoch lost".into()));
-            let outcome = self.outcome(epoch, lost, &counts, Vec::new());
-            return recovered(outcome, report, repairs, false);
+            let sink_lost = Err(SchemeError::Malformed("sink crashed; epoch lost".into()));
+            let outcome = self.outcome(epoch, sink_lost, &none, Vec::new());
+            return lost(outcome, upfront.recovery, repairs);
         }
 
         // Re-attach handshake: request up, ACK back, per orphan.
-        let reattach_cost = (REATTACH_BYTES + ACK_BYTES) as u64 * report.adoptions;
-        report.control_bytes += reattach_cost;
-        counts.bytes.control += reattach_cost;
+        upfront.bytes.control += (REATTACH_BYTES + ACK_BYTES) as u64 * upfront.recovery.adoptions;
         for (&orphan, &adopter) in &repairs.adoptions {
             tel::event(epoch, EventKind::Reattach, orphan as u64, adopter as u64);
         }
-
-        // Effective topology: surviving children plus adopted orphans.
-        let n_nodes = self.flat.num_nodes();
-        let mut eff_children: Vec<Vec<NodeId>> = vec![Vec::new(); n_nodes];
-        for (id, eff) in eff_children.iter_mut().enumerate() {
-            if crashed.contains(&id) {
-                continue;
-            }
-            for &c in self.flat.children(id) {
-                let c = c as usize;
-                if crashed.contains(&c) {
-                    // A live parent noticed its child never transmitted
-                    // and reports the failure up to the querier, one
-                    // frame per hop.
-                    let cost = FAILURE_REPORT_BYTES as u64 * (self.flat.depth(id) as u64 + 1);
-                    report.failure_reports += 1;
-                    report.control_bytes += cost;
-                    counts.bytes.control += cost;
-                    tel::count!("engine.failure_reports");
-                    tel::event(epoch, EventKind::FailureReport, c as u64, id as u64);
-                } else {
-                    eff.push(c);
-                }
-            }
-        }
-        for (&orphan, &adopter) in &repairs.adoptions {
-            eff_children[adopter].push(orphan);
-        }
-        // Deterministic processing order regardless of adoption order.
-        for children in &mut eff_children {
-            children.sort_unstable();
-        }
-
-        // Post-order over the repaired tree.
-        let mut order = Vec::with_capacity(n_nodes);
-        let mut stack = vec![(root, false)];
-        while let Some((id, expanded)) = stack.pop() {
-            if expanded {
-                order.push(id);
-            } else {
-                stack.push((id, true));
-                for &c in &eff_children[id] {
-                    stack.push((c, false));
-                }
-            }
-        }
-
-        // Per-node slots: outgoing PSR, the sources it folds in, and
-        // whether a covert attack poisoned it.
-        let mut psr_slot: Vec<Option<S::Psr>> = (0..n_nodes).map(|_| None).collect();
-        let mut contrib_slot: Vec<Vec<SourceId>> = vec![Vec::new(); n_nodes];
-        let mut poison_slot: Vec<bool> = vec![false; n_nodes];
-
-        // Source phase: the shared walk's sharded init of every live
-        // source. Its results depend only on the source and its reading,
-        // so the repaired-tree walk below stays serial, and its
-        // per-uplink RNG draw order — and with it every recovery
-        // decision — is untouched by the thread count.
         let (flat, threads) = (&self.flat, self.threads);
         let walk = self.walk.get_or_insert_with(|| Walk::new(flat, threads));
-        walk.mark(flat, crashed, &[]);
+        let replay = walk.mark(flat, crashed, attacks, &repairs.adoptions);
+        // A live parent notices its crashed child never transmitted and
+        // reports the failure up to the querier, one frame per hop.
+        for &(pos, _) in walk.marks.iter().filter(|(_, m)| m.failed) {
+            let node = flat.post_order()[pos as usize] as usize;
+            let parent = flat.parent(node).expect("the sink is live");
+            if !crashed.contains(&parent) {
+                upfront.failure_report(flat.depth(parent) + 1);
+                tel::event(epoch, EventKind::FailureReport, node as u64, parent as u64);
+            }
+        }
+
         let exec = Exec {
             scheme: self.scheme,
             flat,
             shards: &walk.shards,
             contributors: &[],
             marks: &walk.marks,
-            replay: false,
+            replay,
             threads,
+            uplinks: Some(Uplinks {
+                radio,
+                recovery,
+                draw,
+            }),
         };
-        counts.source_ns = {
-            let _phase = tel::span!("engine.source_phase");
-            exec.init(epoch, values, &mut walk.buf.shards)
+        exec.produce(epoch, values, &mut walk.buf.shards);
+        tel::event(epoch, EventKind::SourceInit, walk.buf.live_sources(), 0);
+        walk.cuts.clear();
+        for st in &mut walk.buf.shards {
+            st.lost.events.flush();
+            walk.cuts.extend(st.lost.cuts.iter().cloned());
+        }
+        let contributors = contributors(flat, &walk.cuts);
+        // A covert attack corrupts the aggregate when it acts on a live
+        // node's PSR and every PSR above it reached the sink: no cut
+        // holds the node. The sink's own tamper and a replay of an
+        // earlier final PSR corrupt it too.
+        let root_pos = flat.post_position(root);
+        let mut corrupted = (replay && self.prev_final.is_some())
+            || walk.marks.iter().any(|&(pos, m)| match pos as usize {
+                pos if pos == root_pos => m.tampers > 0,
+                pos => {
+                    let attacked = m.dropped || m.tampers + m.duplicates > 0;
+                    attacked && !m.failed && !is_cut(&walk.cuts, pos)
+                }
+            });
+        let exec = Exec {
+            contributors: &contributors,
+            ..exec
         };
-        for ((sid, _), init) in walk.buf.take_inits() {
-            counts.sources_run += 1;
-            let id = flat.source_node(sid).expect("every source id has a node");
-            match init {
-                Ok(psr) => {
-                    psr_slot[id] = Some(psr);
-                    contrib_slot[id].push(sid);
-                }
-                // The reading was rejected; this source sits the epoch
-                // out like an honest failure.
-                Err(_) => report.init_failures += 1,
-            }
-        }
-        tel::event(epoch, EventKind::SourceInit, counts.sources_run, 0);
-
-        for &id in &order {
-            if self.flat.is_source(id) {
-                continue;
-            }
-            let depth = self.flat.depth(id);
-            let mut inputs: Vec<S::Psr> = Vec::new();
-            let mut contrib: Vec<SourceId> = Vec::new();
-            let mut poisoned = false;
-            for &c in &eff_children[id] {
-                let Some(child_psr) = psr_slot[c].take() else {
-                    // Silent child (crashed source or an empty
-                    // subtree): report the failure upward.
-                    let cost = FAILURE_REPORT_BYTES as u64 * (depth as u64 + 1);
-                    report.failure_reports += 1;
-                    report.control_bytes += cost;
-                    counts.bytes.control += cost;
-                    tel::count!("engine.failure_reports");
-                    self.evbuf
-                        .push(epoch, EventKind::FailureReport, c as u64, id as u64);
-                    continue;
-                };
-                let size = self.scheme.psr_wire_size(&child_psr) as u64;
-                let uplink = recovery.simulate_uplink(radio, rng);
-                tally.add(&uplink);
-
-                // Accounting: first copy in the Table V classes,
-                // retransmissions and control separately; every ACKed
-                // copy is received.
-                counts.uplink(self.flat.is_source(c), size);
-                counts.bytes.retransmit += size * (uplink.data_attempts as u64 - 1);
-                counts.rx_bytes += size * uplink.acks as u64;
-                let ctl = uplink.acks as u64 * ACK_BYTES as u64
-                    + uplink.nacks as u64 * NACK_BYTES as u64
-                    + uplink.resolicit_rounds_used as u64
-                        * RESOLICIT_BYTES as u64
-                        * (depth as u64 + 1);
-                report.control_bytes += ctl;
-                counts.bytes.control += ctl;
-                report.link.attempts += uplink.data_attempts as u64;
-                if uplink.data_attempts > 1 {
-                    report.link.retransmitted_links += 1;
-                    self.evbuf.push(
-                        epoch,
-                        EventKind::Retransmit,
-                        c as u64,
-                        uplink.data_attempts as u64 - 1,
-                    );
-                }
-                report.acks += uplink.acks as u64;
-                report.nacks += uplink.nacks as u64;
-                report.resolicitations += uplink.resolicit_rounds_used as u64;
-                report.backoff_ms += uplink.backoff_ms;
-                if uplink.nacks > 0 {
-                    self.evbuf
-                        .push(epoch, EventKind::NackSent, c as u64, uplink.nacks as u64);
-                }
-                if uplink.resolicit_rounds_used > 0 {
-                    self.evbuf.push(
-                        epoch,
-                        EventKind::Resolicit,
-                        c as u64,
-                        uplink.resolicit_rounds_used as u64,
-                    );
-                }
-
-                if !uplink.delivered {
-                    // Permanent honest loss: exclude the subtree and
-                    // tell the querier.
-                    report.link.failed_links += 1;
-                    report.lost_links += 1;
-                    let cost = FAILURE_REPORT_BYTES as u64 * (depth as u64 + 1);
-                    report.failure_reports += 1;
-                    report.control_bytes += cost;
-                    counts.bytes.control += cost;
-                    tel::count!("engine.failure_reports");
-                    self.evbuf
-                        .push(epoch, EventKind::FailureReport, c as u64, id as u64);
-                    continue;
-                }
-                report.delivered_links += 1;
-                if uplink.resolicit_rounds_used > 0 {
-                    report.recovered_by_resolicit += 1;
-                }
-
-                // Covert attacks at this (compromised) merge point:
-                // contribution reporting is unchanged.
-                let mut copies = 1usize;
-                let mut child_psr = child_psr;
-                for attack in attacks {
-                    match *attack {
-                        Attack::TamperAtNode(n) if n == c => {
-                            self.scheme.tamper(&mut child_psr);
-                            poisoned = true;
-                        }
-                        Attack::DropAtNode(n) if n == c => {
-                            copies = 0;
-                            poisoned = true;
-                        }
-                        Attack::DuplicateAtNode(n) if n == c => {
-                            copies += 1;
-                            poisoned = true;
-                        }
-                        _ => {}
-                    }
-                }
-                contrib.append(&mut contrib_slot[c]);
-                if copies > 0 {
-                    poisoned |= poison_slot[c];
-                }
-                for _ in 0..copies {
-                    inputs.push(child_psr.clone());
-                }
-            }
-
-            if inputs.is_empty() {
-                // Nothing to send (every child lost, crashed, or
-                // covertly dropped). Contributions that survived to this
-                // point are lost with the silent parent.
-                continue;
-            }
-            let t0 = Instant::now();
-            let merged = self.scheme.try_merge(&inputs);
-            counts.aggregator_ns += now_ns(t0);
-            counts.aggregators_run += 1;
-            self.evbuf
-                .push(epoch, EventKind::PsrMerged, id as u64, inputs.len() as u64);
-            match merged {
-                Ok(m) => {
-                    psr_slot[id] = Some(m);
-                    contrib_slot[id] = contrib;
-                    poison_slot[id] = poisoned;
-                }
-                // A merge the scheme itself rejects excludes this
-                // subtree instead of panicking.
-                Err(_) => report.merge_failures += 1,
-            }
-        }
-
-        tally.flush();
-        self.evbuf.flush();
-
-        // Sink → querier.
-        let Some(mut final_psr) = psr_slot[root].take() else {
-            let lost = Err(nothing_reached_querier());
-            let outcome = self.outcome(epoch, lost, &counts, Vec::new());
-            return recovered(outcome, report, repairs, false);
-        };
-        let mut corrupted = poison_slot[root];
-
-        let t0 = Instant::now();
-        final_psr = self.scheme.sink_finalize(final_psr);
-        counts.aggregator_ns += now_ns(t0);
-
-        // Attacks on the sink's own outgoing PSR (no parent exists to
-        // model them at): tampering corrupts the final aggregate; a
-        // covert drop starves the querier — an availability loss, not a
-        // corruption.
-        for attack in attacks {
-            match *attack {
-                Attack::TamperAtNode(n) if n == root => {
-                    self.scheme.tamper(&mut final_psr);
-                    corrupted = true;
-                }
-                Attack::DropAtNode(n) if n == root => {
-                    let lost = Err(SchemeError::Malformed(
-                        "final PSR never reached the querier".into(),
-                    ));
-                    let outcome = self.outcome(epoch, lost, &counts, Vec::new());
-                    return recovered(outcome, report, repairs, false);
-                }
-                _ => {}
-            }
-        }
-
-        if attacks.contains(&Attack::ReplayFinal) {
-            if let Some(prev) = &self.prev_final {
-                final_psr = prev.clone();
-                corrupted = true;
-            }
-        }
-        counts.bytes.agg_to_querier += self.scheme.psr_wire_size(&final_psr) as u64;
-        let final_psr = self.prev_final.insert(final_psr);
-
-        let mut contributors = std::mem::take(&mut contrib_slot[root]);
-        contributors.sort_unstable();
-
-        let t0 = Instant::now();
-        let result = self
-            .scheme
-            .evaluate_par(final_psr, epoch, &contributors, self.threads);
-        counts.querier_ns = now_ns(t0);
+        let (mut counts, result) = exec.consume(epoch, &mut walk.buf, &mut self.prev_final);
+        counts.add(&upfront);
+        counts.recovery.control_bytes = counts.bytes.control;
+        counts.recovery.publish();
+        // The querier evaluates a final PSR only when the sink sent one;
+        // a lost epoch reports no contributors and no corruption.
+        let reached = counts.bytes.agg_to_querier > 0;
+        corrupted &= reached;
+        let contributors = if reached { contributors } else { Vec::new() };
         let outcome = self.outcome(epoch, result, &counts, contributors);
-        recovered(outcome, report, repairs, corrupted)
+        RecoveredEpoch {
+            outcome,
+            report: counts.recovery,
+            repairs,
+            aggregate_corrupted: corrupted,
+        }
     }
 }
 
@@ -1579,6 +1387,36 @@ mod tests {
                     "unexpected verdict for {attack:?}"
                 );
             }
+        }
+
+        #[test]
+        fn drop_wins_over_duplicate_in_either_order() {
+            let (topo, scheme) = engine_fixture(8, 2);
+            let victim = topo.source_node(3).unwrap();
+            let run = |attacks: &[Attack]| {
+                let mut engine = Engine::new(&scheme, &topo);
+                let mut rng = StdRng::seed_from_u64(8);
+                let none = HashSet::new();
+                let cfg = RecoveryConfig::default();
+                let run = engine.run_epoch_recovering(
+                    0,
+                    &[1; 8],
+                    &none,
+                    attacks,
+                    &lossless(),
+                    &cfg,
+                    &mut rng,
+                );
+                (run.outcome.result, run.aggregate_corrupted)
+            };
+            let (drop, dup) = (Attack::DropAtNode(victim), Attack::DuplicateAtNode(victim));
+            let (result, corrupted) = run(&[drop, dup]);
+            assert_eq!((result.clone(), corrupted), run(&[dup, drop]));
+            assert!(corrupted);
+            assert!(
+                matches!(&result, Err(SchemeError::VerificationFailed(m)) if m.starts_with("7 contributions")),
+                "{result:?}"
+            );
         }
 
         #[test]

@@ -17,8 +17,9 @@
 //! at a time with failures, attacks and a receipt journal, and
 //! [`pipeline::EpochPipeline`] drives it over runs of clean epochs with
 //! streaming and precompute-ahead. [`engine::Engine::run_epoch_recovering`]
-//! shares the walk's source phase and merges serially over the repaired
-//! tree.
+//! runs the same walk under the recovery protocol, with crashed nodes
+//! forwarding to their adopters and every uplink on its own random
+//! stream.
 //!
 //! ```
 //! use rand::rngs::StdRng;
@@ -63,7 +64,7 @@ pub use journal::{fold_receipt, replay, JournalConfig, ReceiptJournal, ReplayedS
 pub use pipeline::{EpochPipeline, EpochReport};
 pub use prewarm::{PrewarmPolicy, PrewarmPool, PrewarmStats};
 pub use query_engine::{QueryEngine, QueryOutcome};
-pub use recovery::{BackoffConfig, RecoveryConfig, RecoveryReport, UplinkOutcome, UplinkTally};
+pub use recovery::{BackoffConfig, RecoveryConfig, RecoveryReport, UplinkOutcome};
 pub use scheme::{AggregationScheme, EvaluatedSum, SchemeError};
 pub use sies_core::Threads;
 pub use topology::{Node, NodeId, RepairPlan, Role, Topology};

@@ -3,10 +3,11 @@
 //!
 //! The walk (`Exec`: `produce` then `consume`) is the one execution
 //! path of an epoch: [`EpochPipeline::run`] drives it on the clean path,
-//! and [`crate::engine::Engine::run_epoch_with`] drives it with the
-//! epoch's honest failures and covert attacks, translated once per
-//! epoch to marks on post-order positions. Over the [`FlatTopology`]
-//! arena it gives:
+//! [`crate::engine::Engine::run_epoch_with`] drives it with the epoch's
+//! honest failures and covert attacks, translated once per epoch to
+//! marks on post-order positions, and
+//! [`crate::engine::Engine::run_epoch_recovering`] drives it under the
+//! recovery protocol. Over the [`FlatTopology`] arena it gives:
 //!
 //! * **Subtree sharding.** The sink's child subtrees are contiguous
 //!   segments of the arena's post-order, so the tree splits into at most
@@ -20,6 +21,12 @@
 //!   first shard that hit a scheme error, so an aborted epoch reports
 //!   what the serial walk had done when it stopped. No global counter or
 //!   journal event runs per node.
+//! * **Recovering epochs.** Each sent PSR crosses its uplink on its own
+//!   random stream ([`crate::recovery::uplink_stream`]), so outcomes do
+//!   not depend on the walk order. A crashed aggregator's children's
+//!   copies pass up to its adopter through the window corrections; a
+//!   node its parent never hears leaves a cut post-order range, from
+//!   which the engine reads the contributor set.
 //! * **Epoch streaming.** With `streaming` enabled, two epoch buffers
 //!   alternate through a one-producer hand-off: while the main thread
 //!   merges/evaluates epoch `t`, a producer thread runs source init for
@@ -61,9 +68,12 @@
 
 use crate::engine::EpochCounts;
 use crate::flat::FlatTopology;
+use crate::radio::LossyRadio;
+use crate::recovery::{uplink_stream, RecoveryConfig, ACK_BYTES, NACK_BYTES, RESOLICIT_BYTES};
 use crate::scheme::{AggregationScheme, EvaluatedSum, SchemeError};
 use sies_core::{parallel, Epoch, SourceId, Threads};
 use sies_telemetry as tel;
+use sies_telemetry::EventKind;
 use std::ops::Range;
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
@@ -79,11 +89,12 @@ pub(crate) struct Shard {
 }
 
 /// What one epoch does to a node besides the clean path: an honest
-/// failure, or covert attacks on the PSR it sends.
+/// failure, covert attacks on the PSR it sends, or an adoption.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Mark {
-    /// The node is down: it is not initialised or merged, sends
-    /// nothing, and discards what its children sent.
+    /// The node is down: it is not initialised or merged and sends
+    /// nothing. What its children sent is discarded, or, in a
+    /// recovering epoch, passes up to their adopter.
     pub(crate) failed: bool,
     /// Its outgoing PSR is silently discarded.
     pub(crate) dropped: bool,
@@ -91,6 +102,9 @@ pub(crate) struct Mark {
     pub(crate) tampers: u32,
     /// Extra copies of its outgoing PSR delivered to its parent.
     pub(crate) duplicates: u32,
+    /// In a recovering epoch, the live node that receives this node's
+    /// PSR because its parent is down.
+    pub(crate) adopter: Option<u32>,
 }
 
 impl Mark {
@@ -100,6 +114,7 @@ impl Mark {
         self.dropped |= other.dropped;
         self.tampers += other.tampers;
         self.duplicates += other.duplicates;
+        self.adopter = self.adopter.or(other.adopter);
     }
 }
 
@@ -127,6 +142,31 @@ impl Marks<'_> {
     }
 }
 
+/// Adds a subtree's post-order `range` to ascending, disjoint `cuts`: a
+/// node follows its descendants, so its range swallows theirs.
+pub(crate) fn cut(cuts: &mut Vec<Range<usize>>, range: Range<usize>) {
+    while cuts.last().is_some_and(|r| r.start >= range.start) {
+        cuts.pop();
+    }
+    cuts.push(range);
+}
+
+/// Whether post-order position `pos` lies in one of ascending, disjoint
+/// `cuts`.
+pub(crate) fn is_cut(cuts: &[Range<usize>], pos: usize) -> bool {
+    let i = cuts.partition_point(|r| r.end <= pos);
+    cuts.get(i).is_some_and(|r| r.contains(&pos))
+}
+
+/// What a recovering shard's parents never heard.
+#[derive(Default)]
+pub(crate) struct Lost {
+    /// Silenced subtrees and crashed sources, as `cut` ranges.
+    pub(crate) cuts: Vec<Range<usize>>,
+    /// The shard's recovery events, flushed in shard order.
+    pub(crate) events: tel::EventBuf,
+}
+
 /// Reusable per-shard working state.
 pub(crate) struct ShardState<P> {
     /// `(source, value)` jobs of the shard's live sources, in post-order.
@@ -142,6 +182,8 @@ pub(crate) struct ShardState<P> {
     /// aggregator's merge window is one copy per child, corrected by the
     /// entries its children left on top.
     uneven: Vec<(u32, u32)>,
+    /// What the shard's parents never heard (recovering epochs only).
+    pub(crate) lost: Lost,
     /// First scheme error hit in the walk (aborts the epoch exactly
     /// where the serial walk would).
     err: Option<SchemeError>,
@@ -156,6 +198,7 @@ impl<P> ShardState<P> {
             inits: Vec::with_capacity(shard.sources),
             stack: Vec::new(),
             uneven: Vec::new(),
+            lost: Lost::default(),
             err: None,
             counts: EpochCounts::default(),
         }
@@ -195,16 +238,6 @@ impl<P> EpochBuf<P> {
     /// Sources the last source phase initialised.
     pub(crate) fn live_sources(&self) -> u64 {
         self.shards.iter().map(|st| st.jobs.len() as u64).sum()
-    }
-
-    /// The last source phase's jobs with their init results, moved out,
-    /// in shard order: the recovering walk's view of the source phase.
-    pub(crate) fn take_inits(
-        &mut self,
-    ) -> impl Iterator<Item = ((SourceId, u64), Result<P, SchemeError>)> + '_ {
-        self.shards
-            .iter_mut()
-            .flat_map(|st| st.jobs.iter().copied().zip(st.inits.drain(..)))
     }
 
     fn bytes(&self) -> usize {
@@ -386,8 +419,17 @@ fn warm_loop<S: AggregationScheme>(scheme: &S, gate: &WarmGate, first_epoch: Epo
     }
 }
 
+/// The recovery protocol a recovering epoch runs every uplink under.
+#[derive(Clone, Copy)]
+pub(crate) struct Uplinks<'a> {
+    pub(crate) radio: &'a LossyRadio,
+    pub(crate) recovery: &'a RecoveryConfig,
+    /// The epoch's draw, which keys every uplink's stream.
+    pub(crate) draw: u64,
+}
+
 /// The epoch walk's immutable view: the one execution path behind
-/// [`EpochPipeline::run`] and [`crate::engine::Engine::run_epoch_with`],
+/// [`EpochPipeline::run`] and every [`crate::engine::Engine`] epoch,
 /// shared between the main thread and the streaming producer.
 pub(crate) struct Exec<'a, S: AggregationScheme> {
     pub(crate) scheme: &'a S,
@@ -395,11 +437,14 @@ pub(crate) struct Exec<'a, S: AggregationScheme> {
     pub(crate) shards: &'a [Shard],
     /// The sources the querier is told contributed.
     pub(crate) contributors: &'a [SourceId],
-    /// The epoch's failures and attacks (empty on the clean path).
+    /// The epoch's failures, attacks and adoptions (empty on the clean
+    /// path).
     pub(crate) marks: &'a [Marked],
     /// Whether the querier is handed the previous final PSR.
     pub(crate) replay: bool,
     pub(crate) threads: usize,
+    /// The recovery protocol, in a recovering epoch.
+    pub(crate) uplinks: Option<Uplinks<'a>>,
 }
 
 /// Nanoseconds since `t0`.
@@ -419,26 +464,13 @@ impl<S: AggregationScheme> Exec<'_, S> {
         parallel::for_each_pair_mut(self.threads, self.shards, shards, |_, shard, st| {
             let _shard_span = tel::span!("pipeline.shard");
             self.init_shard(epoch, shard, values, st);
-            if self.marks.is_empty() {
-                self.merge_shard::<false>(shard, st);
-            } else {
-                self.merge_shard::<true>(shard, st);
+            match (!self.marks.is_empty(), self.uplinks.is_some()) {
+                (false, false) => self.merge_shard::<false, false>(epoch, shard, st),
+                (true, false) => self.merge_shard::<true, false>(epoch, shard, st),
+                (false, true) => self.merge_shard::<false, true>(epoch, shard, st),
+                (true, true) => self.merge_shard::<true, true>(epoch, shard, st),
             }
         });
-    }
-
-    /// The source phase of [`produce`](Self::produce) alone; returns
-    /// its summed in-worker CPU time (ns).
-    pub(crate) fn init(
-        &self,
-        epoch: Epoch,
-        values: &[u64],
-        shards: &mut [ShardState<S::Psr>],
-    ) -> u64 {
-        parallel::for_each_pair_mut(self.threads, self.shards, shards, |_, shard, st| {
-            self.init_shard(epoch, shard, values, st);
-        });
-        shards.iter().map(|st| st.counts.source_ns).sum()
     }
 
     /// The marks from post-order position `start` on.
@@ -474,28 +506,33 @@ impl<S: AggregationScheme> Exec<'_, S> {
     }
 
     /// The shard's post-order merge walk over its init results.
-    /// `MARKED` is false when the epoch has no marks: the clean path
-    /// then compiles without mark lookups or attack branches.
-    fn merge_shard<const MARKED: bool>(&self, shard: &Shard, st: &mut ShardState<S::Psr>) {
+    /// `MARKED` is false when the epoch has no marks: the walk then
+    /// compiles without mark lookups or attack branches. `RECOVERING`
+    /// runs each sent PSR's uplink before any attack on it, and a scheme
+    /// error or a lost uplink silences one node instead of the epoch.
+    fn merge_shard<const MARKED: bool, const RECOVERING: bool>(
+        &self,
+        epoch: Epoch,
+        shard: &Shard,
+        st: &mut ShardState<S::Psr>,
+    ) {
         let ShardState {
             inits,
             stack,
             uneven,
+            lost,
             err,
             counts,
             ..
         } = st;
         stack.clear();
         uneven.clear();
+        lost.cuts.clear();
         let t0 = Instant::now();
         // Counted in a local, so the per-node updates stay in registers.
         let mut walked = EpochCounts {
             source_ns: counts.source_ns,
             ..EpochCounts::default()
-        };
-        let uneven_to_parent = |id: usize, copies: u32| {
-            let parent = self.flat.parent(id).expect("shards hold no sink");
-            (self.flat.post_position(parent) as u32, copies)
         };
         let mut marks = self.marks_from(shard.range.start);
         let mut inits = inits.iter();
@@ -508,15 +545,23 @@ impl<S: AggregationScheme> Exec<'_, S> {
             let from_source = self.flat.is_source(id);
             let mut psr = if from_source {
                 if mark.failed {
-                    uneven.push(uneven_to_parent(id, 0));
+                    if RECOVERING {
+                        cut(&mut lost.cuts, pos..pos + 1);
+                    }
+                    uneven.push(self.to_parent(id, 0));
                     continue;
                 }
                 walked.sources_run += 1;
                 match inits.next().expect("one init per live source") {
                     Ok(psr) => psr.clone(),
-                    Err(e) => {
+                    Err(e) if !RECOVERING => {
                         *err = Some(e.clone());
                         break;
+                    }
+                    Err(_) => {
+                        walked.recovery.init_failures += 1;
+                        self.silence(epoch, id, mark, lost, uneven, &mut walked);
+                        continue;
                     }
                 }
             } else {
@@ -529,9 +574,19 @@ impl<S: AggregationScheme> Exec<'_, S> {
                     uneven.pop();
                 }
                 let base = stack.len() - window;
+                if RECOVERING && mark.failed {
+                    // The copies join the parent's window, and so on up
+                    // to the adopter, which merges them in this place.
+                    uneven.push(self.to_parent(id, window as u32));
+                    continue;
+                }
                 if mark.failed || window == 0 {
                     stack.truncate(base);
-                    uneven.push(uneven_to_parent(id, 0));
+                    if RECOVERING {
+                        self.silence(epoch, id, mark, lost, uneven, &mut walked);
+                    } else {
+                        uneven.push(self.to_parent(id, 0));
+                    }
                     continue;
                 }
                 // The children's copies sit on the stack last child
@@ -540,38 +595,127 @@ impl<S: AggregationScheme> Exec<'_, S> {
                 // a parent gathering its children in order would.
                 stack[base..].reverse();
                 walked.aggregators_run += 1;
-                match self.scheme.try_merge(&stack[base..]) {
-                    Ok(merged) => {
-                        stack.truncate(base);
-                        merged
-                    }
-                    Err(e) => {
+                let merged = self.scheme.try_merge(&stack[base..]);
+                stack.truncate(base);
+                match merged {
+                    Ok(merged) => merged,
+                    Err(e) if !RECOVERING => {
                         *err = Some(e);
                         break;
                     }
+                    Err(_) => {
+                        walked.recovery.merge_failures += 1;
+                        self.silence(epoch, id, mark, lost, uneven, &mut walked);
+                        continue;
+                    }
                 }
             };
+            if RECOVERING {
+                let size = self.scheme.psr_wire_size(&psr) as u64;
+                if !self.uplink(epoch, id, mark, size, lost, &mut walked) {
+                    self.silence(epoch, id, mark, lost, uneven, &mut walked);
+                    continue;
+                }
+            }
             let copies = if mark == Mark::default() {
                 1
             } else {
                 self.attack(&mut psr, mark)
             };
             if copies != 1 {
-                uneven.push(uneven_to_parent(id, copies));
+                uneven.push(self.to_parent(id, copies));
             }
             if copies > 0 {
-                let size = self.scheme.psr_wire_size(&psr) as u64 * u64::from(copies);
-                walked.uplink(from_source, size);
+                if !RECOVERING {
+                    let size = self.scheme.psr_wire_size(&psr) as u64 * u64::from(copies);
+                    walked.uplink(from_source, size);
+                }
                 for _ in 1..copies {
                     stack.push(psr.clone());
                 }
                 stack.push(psr);
             }
         }
-        // Every uplink copy is received by its parent.
-        walked.rx_bytes = walked.bytes.source_to_agg + walked.bytes.agg_to_agg;
+        if !RECOVERING {
+            // Every uplink copy is received by its parent.
+            walked.rx_bytes = walked.bytes.source_to_agg + walked.bytes.agg_to_agg;
+        }
         walked.aggregator_ns = now_ns(t0);
         *counts = walked;
+    }
+
+    /// The `uneven` entry telling `id`'s parent that `copies` PSR copies
+    /// arrived from `id`.
+    fn to_parent(&self, id: usize, copies: u32) -> (u32, u32) {
+        let parent = self.flat.parent(id).expect("shards hold no sink");
+        (self.flat.post_position(parent) as u32, copies)
+    }
+
+    /// The live node that receives `id`'s PSR in a recovering epoch: its
+    /// adopter when its parent is down, else its parent.
+    fn receiver(&self, id: usize, mark: Mark) -> usize {
+        match mark.adopter {
+            Some(adopter) => adopter as usize,
+            None => self.flat.parent(id).expect("shards hold no sink"),
+        }
+    }
+
+    /// Runs `id`'s uplink of a `size`-byte PSR to its receiver on the
+    /// uplink's own stream, charges its frames (a re-solicitation frame
+    /// per hop) and journals its retries; returns whether it delivered.
+    fn uplink(
+        &self,
+        epoch: Epoch,
+        id: usize,
+        mark: Mark,
+        size: u64,
+        lost: &mut Lost,
+        walked: &mut EpochCounts,
+    ) -> bool {
+        let links = self.uplinks.expect("a recovering walk has a protocol");
+        let out = links
+            .recovery
+            .simulate_uplink(links.radio, &mut uplink_stream(links.draw, id));
+        let hops = self.flat.depth(self.receiver(id, mark)) as u64 + 1;
+        walked.uplink(self.flat.is_source(id), size);
+        walked.bytes.retransmit += size * (u64::from(out.data_attempts) - 1);
+        walked.rx_bytes += size * u64::from(out.acks);
+        walked.bytes.control += u64::from(out.acks) * ACK_BYTES as u64
+            + u64::from(out.nacks) * NACK_BYTES as u64
+            + u64::from(out.resolicit_rounds_used) * RESOLICIT_BYTES as u64 * hops;
+        walked.recovery.add_uplink(&out);
+        for (kind, n) in [
+            (EventKind::Retransmit, out.data_attempts - 1),
+            (EventKind::NackSent, out.nacks),
+            (EventKind::Resolicit, out.resolicit_rounds_used),
+        ] {
+            if n > 0 {
+                lost.events.push(epoch, kind, id as u64, n.into());
+            }
+        }
+        out.delivered
+    }
+
+    /// In a recovering epoch, `id` sends its receiver nothing (a
+    /// rejected reading, an empty window, a failed merge or an
+    /// undelivered uplink): its subtree leaves the contributor set, and
+    /// the receiver reports the failure to the querier.
+    #[cold]
+    fn silence(
+        &self,
+        epoch: Epoch,
+        id: usize,
+        mark: Mark,
+        lost: &mut Lost,
+        uneven: &mut Vec<(u32, u32)>,
+        walked: &mut EpochCounts,
+    ) {
+        cut(&mut lost.cuts, self.flat.subtree_range(id));
+        let receiver = self.receiver(id, mark);
+        walked.failure_report(self.flat.depth(receiver) + 1);
+        let event = EventKind::FailureReport;
+        lost.events.push(epoch, event, id as u64, receiver as u64);
+        uneven.push(self.to_parent(id, 0));
     }
 
     /// Applies `mark`'s covert attacks to an outgoing PSR; returns how
@@ -629,6 +773,11 @@ impl<S: AggregationScheme> Exec<'_, S> {
         counts.aggregator_ns += now_ns(t0);
         let mut final_psr = match merged {
             Ok(psr) => psr,
+            // The sink of a recovering epoch has nothing to send.
+            Err(_) if self.uplinks.is_some() => {
+                counts.recovery.merge_failures += 1;
+                return (counts, Err(nothing_reached_querier()));
+            }
             Err(e) => return (counts, Err(e)),
         };
         for _ in 0..mark.tampers {
@@ -842,6 +991,7 @@ impl<'a, S: AggregationScheme> EpochPipeline<'a, S> {
             marks: &[],
             replay: false,
             threads: self.threads,
+            uplinks: None,
         };
         let last = first_epoch + epochs - 1;
 

@@ -29,14 +29,21 @@
 //! crashed aggregator re-attach to their nearest live ancestor within
 //! the same epoch, at the cost of a Reattach/ACK handshake each.
 //!
+//! Every uplink draws its loss, retry and jitter outcomes from its own
+//! stream, [`uplink_stream`], keyed by one per-epoch draw and the
+//! sending node's id. No outcome depends on the order in which uplinks
+//! run, so a recovering epoch shards across worker threads like a clean
+//! one and still replays exactly from its seed.
+//!
 //! A key property the chaos harness leans on: the protocol recovers
 //! *honest* faults only. A covert adversary ACKs like everyone else, so
 //! recovery never masks an attack — detection stays the scheme's job.
 
 use crate::radio::{LinkStats, LossyRadio};
+use crate::topology::NodeId;
 use crate::wire::FRAME_OVERHEAD;
-use rand::Rng;
-use rand::RngCore;
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore, SeedableRng};
 use sies_telemetry as tel;
 
 /// Wire size of a link-layer acknowledgement (a bare frame: epoch and
@@ -232,56 +239,11 @@ impl RecoveryConfig {
     }
 }
 
-/// Per-epoch accumulator for the recovery-protocol telemetry counters.
-///
-/// `simulate_uplink` records nothing itself: at ~100 uplinks per epoch
-/// a per-call flush was the single largest telemetry cost in the whole
-/// stack, so callers tally outcomes locally and flush once per epoch —
-/// eight atomic adds instead of hundreds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct UplinkTally {
-    uplinks: u64,
-    acks: u64,
-    nacks: u64,
-    resolicitations: u64,
-    data_attempts: u64,
-    delivered: u64,
-    lost: u64,
-    backoff_ms: u64,
-}
-
-impl UplinkTally {
-    /// Folds one uplink outcome into the tally.
-    pub fn add(&mut self, out: &UplinkOutcome) {
-        self.uplinks += 1;
-        self.acks += out.acks as u64;
-        self.nacks += out.nacks as u64;
-        self.resolicitations += out.resolicit_rounds_used as u64;
-        self.data_attempts += out.data_attempts as u64;
-        self.backoff_ms += out.backoff_ms;
-        if out.delivered {
-            self.delivered += 1;
-        } else {
-            self.lost += 1;
-        }
-    }
-
-    /// Flushes the tally into the global registry. Retransmitted frames
-    /// are the attempts beyond the first of each uplink.
-    pub fn flush(&self) {
-        tel::count!("recovery.uplinks", self.uplinks);
-        tel::count!("recovery.acks", self.acks);
-        tel::count!("recovery.nacks", self.nacks);
-        tel::count!("recovery.resolicitations", self.resolicitations);
-        tel::count!("recovery.data_attempts", self.data_attempts);
-        tel::count!(
-            "recovery.retransmits",
-            self.data_attempts.saturating_sub(self.uplinks)
-        );
-        tel::count!("recovery.delivered", self.delivered);
-        tel::count!("recovery.lost", self.lost);
-        tel::count!("recovery.backoff_ms", self.backoff_ms);
-    }
+/// The random stream of `node`'s uplink ([`RecoveryConfig::simulate_uplink`])
+/// in the epoch whose draw is `epoch_draw`: keyed by node id, not by the
+/// order uplinks run in, so outcomes match at every thread count.
+pub fn uplink_stream(epoch_draw: u64, node: NodeId) -> StdRng {
+    StdRng::seed_from_u64(epoch_draw ^ node as u64)
 }
 
 /// Recovery-protocol accounting for one epoch.
@@ -322,6 +284,67 @@ pub struct RecoveryReport {
 }
 
 impl RecoveryReport {
+    /// Adds `other`'s counts to this report.
+    pub(crate) fn add(&mut self, other: &RecoveryReport) {
+        self.link.failed_links += other.link.failed_links;
+        self.link.attempts += other.link.attempts;
+        self.link.retransmitted_links += other.link.retransmitted_links;
+        self.delivered_links += other.delivered_links;
+        self.lost_links += other.lost_links;
+        self.recovered_by_resolicit += other.recovered_by_resolicit;
+        self.acks += other.acks;
+        self.nacks += other.nacks;
+        self.resolicitations += other.resolicitations;
+        self.adoptions += other.adoptions;
+        self.stranded += other.stranded;
+        self.failure_reports += other.failure_reports;
+        self.init_failures += other.init_failures;
+        self.merge_failures += other.merge_failures;
+        self.control_bytes += other.control_bytes;
+        self.backoff_ms += other.backoff_ms;
+    }
+
+    /// Counts one uplink transfer's outcome (its bytes are the caller's).
+    pub(crate) fn add_uplink(&mut self, out: &UplinkOutcome) {
+        self.link.attempts += out.data_attempts as u64;
+        if out.data_attempts > 1 {
+            self.link.retransmitted_links += 1;
+        }
+        self.acks += out.acks as u64;
+        self.nacks += out.nacks as u64;
+        self.resolicitations += out.resolicit_rounds_used as u64;
+        self.backoff_ms += out.backoff_ms;
+        if out.delivered {
+            self.delivered_links += 1;
+            if out.resolicit_rounds_used > 0 {
+                self.recovered_by_resolicit += 1;
+            }
+        } else {
+            self.link.failed_links += 1;
+            self.lost_links += 1;
+        }
+    }
+
+    /// Adds the epoch's counters to the global registry once, when
+    /// telemetry is on (a per-uplink flush was once the stack's largest
+    /// telemetry cost). Retransmits are attempts beyond each first.
+    pub(crate) fn publish(&self) {
+        let uplinks = self.delivered_links + self.lost_links;
+        tel::count!("recovery.uplinks", uplinks);
+        tel::count!("recovery.acks", self.acks);
+        tel::count!("recovery.nacks", self.nacks);
+        tel::count!("recovery.resolicitations", self.resolicitations);
+        tel::count!("recovery.data_attempts", self.link.attempts);
+        tel::count!(
+            "recovery.retransmits",
+            self.link.attempts.saturating_sub(uplinks)
+        );
+        tel::count!("recovery.delivered", self.delivered_links);
+        tel::count!("recovery.lost", self.lost_links);
+        tel::count!("recovery.backoff_ms", self.backoff_ms);
+        tel::count!("engine.failure_reports", self.failure_reports);
+    }
+
     /// Fraction of uplink transfers that ultimately delivered.
     pub fn delivery_rate(&self) -> f64 {
         let total = self.delivered_links + self.lost_links;

@@ -7,29 +7,47 @@
 //!   with [`Reference`], a recursive fold over the pointer `Topology`
 //!   that shares no code with `sies-net`'s walk: same verdicts, final
 //!   PSRs, replay cache, contributors, run counts and per-class bytes,
-//!   under random failures, covert attacks and rejected readings, at
-//!   every thread count and streaming mode.
+//!   under random failures, covert attacks, rejected readings and
+//!   refused merges, at every thread count and streaming mode.
+//! * [`Engine::run_epoch_recovering`] must agree with the reference's
+//!   recovering fold, which keeps per-node contributor lists and poison
+//!   flags where the walk keeps cut ranges, under random crash sets,
+//!   attacks, rejected readings, refused merges and lossy links, at every
+//!   thread count.
+//!   Both draw each uplink's outcomes from [`uplink_stream`]: that
+//!   stream is the contract, not walk code.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use sies_net::engine::{Attack, EdgeBytes, Engine};
 use sies_net::pipeline::EpochPipeline;
+use sies_net::radio::LossyRadio;
+use sies_net::recovery::{
+    uplink_stream, RecoveryConfig, RecoveryReport, ACK_BYTES, FAILURE_REPORT_BYTES, NACK_BYTES,
+    REATTACH_BYTES, RESOLICIT_BYTES,
+};
 use sies_net::scheme::{AggregationScheme, EvaluatedSum, SchemeError};
-use sies_net::{FlatTopology, NodeId, Role, Threads, Topology};
+use sies_net::{FlatTopology, NodeId, RepairPlan, Role, Threads, Topology};
 use std::collections::HashSet;
 
 /// A cheap transparent scheme whose PSR preserves merge structure
 /// (weighted sum + count), so any reordering or regrouping of merge
 /// inputs that slipped through would still be caught by the sum even
 /// though SUM itself is commutative: positions weight the values.
-/// `reject` names one source whose readings `try_source_init` refuses.
+/// `reject` names one source whose readings `try_source_init` refuses,
+/// and `refuse_merge` a contribution count whose merges `try_merge`
+/// refuses.
 struct WeightedSum {
     reject: Option<u32>,
+    refuse_merge: Option<u64>,
 }
 
-/// The scheme with every reading accepted.
-const WSUM: WeightedSum = WeightedSum { reject: None };
+/// The scheme with every reading and merge accepted.
+const WSUM: WeightedSum = WeightedSum {
+    reject: None,
+    refuse_merge: None,
+};
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct WPsr {
@@ -65,6 +83,17 @@ impl AggregationScheme for WeightedSum {
             return Err(SchemeError::Malformed(format!("source {source} rejected")));
         }
         Ok(self.source_init(source, epoch, value))
+    }
+
+    fn try_merge(&self, psrs: &[WPsr]) -> Result<WPsr, SchemeError> {
+        let merged = self.merge(psrs);
+        if self.refuse_merge == Some(merged.count) {
+            return Err(SchemeError::Malformed(format!(
+                "merge of {} refused",
+                merged.count
+            )));
+        }
+        Ok(merged)
     }
 
     fn merge(&self, psrs: &[WPsr]) -> WPsr {
@@ -219,6 +248,177 @@ impl<S: AggregationScheme> Fold<'_, S> {
     }
 }
 
+/// One recovering epoch as [`Reference::recovering`] computes it.
+#[derive(Debug, Clone, PartialEq)]
+struct RefRecovered<P> {
+    epoch: RefEpoch<P>,
+    report: RecoveryReport,
+    repairs: RepairPlan,
+    corrupted: bool,
+}
+
+/// What a node's PSR brings the live node that receives it: the copies,
+/// the sources they report, and whether a covert attack touched them.
+struct Up<P> {
+    copies: Vec<P>,
+    contributors: Vec<u32>,
+    poisoned: bool,
+}
+
+impl<P> Default for Up<P> {
+    fn default() -> Self {
+        Up {
+            copies: Vec::new(),
+            contributors: Vec::new(),
+            poisoned: false,
+        }
+    }
+}
+
+/// The per-epoch state of one recovering [`Reference`] fold, with the
+/// recovery rules:
+///
+/// * a crashed node sends nothing, and its children's copies take its
+///   place, in child order, at its nearest live ancestor;
+/// * a live node with nothing to send (a rejected reading, an empty
+///   window, a failed merge) is silent: its receiver sends one failure
+///   report of (receiver depth + 1) hops and it reports no sources;
+/// * every sent PSR runs one uplink on `uplink_stream(draw, node)`: the
+///   first copy in its Table V class, retransmitted bytes, ACK, NACK and
+///   re-solicitation frames (one per hop); an undelivered PSR is a lost
+///   link, and silent;
+/// * covert attacks act at the receiver after it ACKed (a drop wins
+///   over a duplicate): the sources stay reported, and the aggregate is
+///   poisoned while every PSR above reaches the sink.
+struct Recover<'r, S: AggregationScheme> {
+    scheme: &'r S,
+    topo: &'r Topology,
+    epoch: u64,
+    values: &'r [u64],
+    crashed: &'r HashSet<NodeId>,
+    attacks: &'r [Attack],
+    radio: &'r LossyRadio,
+    recovery: &'r RecoveryConfig,
+    draw: u64,
+    sources_run: u64,
+    aggregators_run: u64,
+    bytes: EdgeBytes,
+    report: RecoveryReport,
+}
+
+impl<S: AggregationScheme> Recover<'_, S> {
+    /// Adds to `window` what `id` brings the live node `hops - 1` deep
+    /// that receives it.
+    fn gather(&mut self, id: NodeId, hops: u64, window: &mut Up<S::Psr>) {
+        if self.crashed.contains(&id) {
+            for &c in &self.topo.node(id).children {
+                self.gather(c, hops, window);
+            }
+            return;
+        }
+        let up = self.send(id, hops);
+        window.copies.extend(up.copies);
+        window.contributors.extend(up.contributors);
+        window.poisoned |= up.poisoned;
+    }
+
+    /// Folds live `id`'s subtree and runs its uplink to its receiver.
+    fn send(&mut self, id: NodeId, hops: u64) -> Up<S::Psr> {
+        let node = self.topo.node(id);
+        let (psr, mut up) = match node.role {
+            Role::Source(sid) => {
+                self.sources_run += 1;
+                let value = self.values[sid as usize];
+                match self.scheme.try_source_init(sid, self.epoch, value) {
+                    Ok(psr) => {
+                        let up = Up {
+                            contributors: vec![sid],
+                            ..Up::default()
+                        };
+                        (psr, up)
+                    }
+                    Err(_) => {
+                        self.report.init_failures += 1;
+                        return self.silent(hops);
+                    }
+                }
+            }
+            Role::Aggregator => {
+                let mut window = Up::default();
+                for &c in &node.children {
+                    self.gather(c, node.depth as u64 + 1, &mut window);
+                }
+                if window.copies.is_empty() {
+                    return self.silent(hops);
+                }
+                self.aggregators_run += 1;
+                match self.scheme.try_merge(&window.copies) {
+                    Ok(psr) => (
+                        psr,
+                        Up {
+                            copies: Vec::new(),
+                            ..window
+                        },
+                    ),
+                    Err(_) => {
+                        self.report.merge_failures += 1;
+                        return self.silent(hops);
+                    }
+                }
+            }
+        };
+        let size = self.scheme.psr_wire_size(&psr) as u64;
+        let mut stream = uplink_stream(self.draw, id);
+        let out = self.recovery.simulate_uplink(self.radio, &mut stream);
+        if matches!(node.role, Role::Source(_)) {
+            self.bytes.source_to_agg += size;
+            self.bytes.source_to_agg_edges += 1;
+        } else {
+            self.bytes.agg_to_agg += size;
+            self.bytes.agg_to_agg_edges += 1;
+        }
+        self.bytes.retransmit += size * (out.data_attempts as u64 - 1);
+        self.bytes.control += out.acks as u64 * ACK_BYTES as u64
+            + out.nacks as u64 * NACK_BYTES as u64
+            + out.resolicit_rounds_used as u64 * RESOLICIT_BYTES as u64 * hops;
+        let r = &mut self.report;
+        r.link.attempts += out.data_attempts as u64;
+        r.link.retransmitted_links += (out.data_attempts > 1) as u64;
+        r.acks += out.acks as u64;
+        r.nacks += out.nacks as u64;
+        r.resolicitations += out.resolicit_rounds_used as u64;
+        r.backoff_ms += out.backoff_ms;
+        if !out.delivered {
+            r.link.failed_links += 1;
+            r.lost_links += 1;
+            return self.silent(hops);
+        }
+        r.delivered_links += 1;
+        r.recovered_by_resolicit += (out.resolicit_rounds_used > 0) as u64;
+        let (mut psr, mut dropped, mut copies) = (psr, false, 1usize);
+        for attack in self.attacks {
+            match *attack {
+                Attack::TamperAtNode(n) if n == id => self.scheme.tamper(&mut psr),
+                Attack::DropAtNode(n) if n == id => dropped = true,
+                Attack::DuplicateAtNode(n) if n == id => copies += 1,
+                _ => continue,
+            }
+            up.poisoned = true;
+        }
+        if !dropped {
+            up.copies = vec![psr; copies];
+        }
+        up
+    }
+
+    /// A node its receiver hears nothing from.
+    fn silent(&mut self, hops: u64) -> Up<S::Psr> {
+        self.report.failure_reports += 1;
+        self.bytes.control += FAILURE_REPORT_BYTES as u64 * hops;
+        Up::default()
+    }
+}
+
 /// Sources with no failed node between them and the sink, unsorted.
 fn live_sources(topo: &Topology, id: NodeId, failed: &HashSet<NodeId>, out: &mut Vec<u32>) {
     if failed.contains(&id) {
@@ -288,6 +488,178 @@ impl<'a, S: AggregationScheme> Reference<'a, S> {
             bytes: fold.bytes,
         }
     }
+}
+
+impl<'a, S: AggregationScheme> Reference<'a, S> {
+    /// One epoch under the recovery protocol: the epoch's draw from
+    /// `rng` keys every uplink's stream.
+    #[allow(clippy::too_many_arguments)]
+    fn recovering(
+        &mut self,
+        epoch: u64,
+        values: &[u64],
+        crashed: &HashSet<NodeId>,
+        attacks: &[Attack],
+        radio: &LossyRadio,
+        recovery: &RecoveryConfig,
+        rng: &mut StdRng,
+    ) -> RefRecovered<S::Psr> {
+        let draw = rng.next_u64();
+        let topo = self.topo;
+        let repairs = topo.repair_plan(crashed);
+        let report = RecoveryReport {
+            adoptions: repairs.adoptions.len() as u64,
+            stranded: repairs.stranded.len() as u64,
+            ..RecoveryReport::default()
+        };
+        let root = topo.root();
+        let lost = || {
+            Err(SchemeError::Malformed(
+                "no PSR reached the querier (all subtrees failed)".into(),
+            ))
+        };
+        if crashed.contains(&root) {
+            let epoch = RefEpoch {
+                result: Err(SchemeError::Malformed("sink crashed; epoch lost".into())),
+                last_final: self.last_final.clone(),
+                contributors: Vec::new(),
+                sources_run: 0,
+                aggregators_run: 0,
+                bytes: EdgeBytes::default(),
+            };
+            return RefRecovered {
+                epoch,
+                report,
+                repairs,
+                corrupted: false,
+            };
+        }
+        let mut fold = Recover {
+            scheme: self.scheme,
+            topo,
+            epoch,
+            values,
+            crashed,
+            attacks,
+            radio,
+            recovery,
+            draw,
+            sources_run: 0,
+            aggregators_run: 0,
+            bytes: EdgeBytes {
+                control: (REATTACH_BYTES + ACK_BYTES) as u64 * report.adoptions,
+                ..EdgeBytes::default()
+            },
+            report,
+        };
+        // A live parent reports each crashed child.
+        for id in crashed {
+            if let Some(parent) = topo.node(*id).parent.filter(|p| !crashed.contains(p)) {
+                fold.report.failure_reports += 1;
+                fold.bytes.control +=
+                    FAILURE_REPORT_BYTES as u64 * (topo.node(parent).depth as u64 + 1);
+            }
+        }
+        let mut window = Up::default();
+        for &c in &topo.node(root).children {
+            fold.gather(c, 1, &mut window);
+        }
+        let (result, contributors, corrupted) = if window.copies.is_empty() {
+            (lost(), Vec::new(), false)
+        } else {
+            fold.aggregators_run += 1;
+            match self.scheme.try_merge(&window.copies) {
+                Err(_) => {
+                    fold.report.merge_failures += 1;
+                    (lost(), Vec::new(), false)
+                }
+                Ok(merged) => {
+                    let mut final_psr = self.scheme.sink_finalize(merged);
+                    let mut corrupted = window.poisoned;
+                    let (mut dropped, mut copies) = (false, 1u64);
+                    for attack in attacks {
+                        match *attack {
+                            Attack::TamperAtNode(n) if n == root => {
+                                self.scheme.tamper(&mut final_psr);
+                                corrupted = true;
+                            }
+                            Attack::DropAtNode(n) if n == root => dropped = true,
+                            Attack::DuplicateAtNode(n) if n == root => copies += 1,
+                            _ => {}
+                        }
+                    }
+                    if dropped {
+                        (lost(), Vec::new(), false)
+                    } else {
+                        fold.bytes.agg_to_querier +=
+                            self.scheme.psr_wire_size(&final_psr) as u64 * copies;
+                        if attacks.contains(&Attack::ReplayFinal) {
+                            if let Some(prev) = &self.last_final {
+                                final_psr = prev.clone();
+                                corrupted = true;
+                            }
+                        }
+                        self.last_final = Some(final_psr.clone());
+                        let mut contributors = window.contributors;
+                        contributors.sort_unstable();
+                        let result = self.scheme.evaluate(&final_psr, epoch, &contributors);
+                        (result, contributors, corrupted)
+                    }
+                }
+            }
+        };
+        fold.report.control_bytes = fold.bytes.control;
+        RefRecovered {
+            epoch: RefEpoch {
+                result,
+                last_final: self.last_final.clone(),
+                contributors,
+                sources_run: fold.sources_run,
+                aggregators_run: fold.aggregators_run,
+                bytes: fold.bytes,
+            },
+            report: fold.report,
+            repairs,
+            corrupted,
+        }
+    }
+}
+
+/// A random recovering-epoch perturbation: each node crashes with
+/// probability `crash_pct`% (the sink included, so crashes nest), plus
+/// up to two covert attacks or final-PSR replays, a fifth of them on
+/// the sink, a fifth on a crashed node when one exists and a fifth on
+/// the previous attack's node.
+fn random_chaos(
+    rng: &mut StdRng,
+    topo: &Topology,
+    crash_pct: u32,
+) -> (HashSet<NodeId>, Vec<Attack>) {
+    let nodes = topo.nodes().len();
+    let crashed: HashSet<NodeId> = (0..nodes)
+        .filter(|_| rng.random_range(0..100u32) < crash_pct)
+        .collect();
+    let mut down: Vec<NodeId> = crashed.iter().copied().collect();
+    down.sort_unstable();
+    let mut target = None;
+    let attacks = (0..rng.random_range(0..=2usize))
+        .map(|_| {
+            let node = match rng.random_range(0..5u32) {
+                0 => topo.root(),
+                1 if !down.is_empty() => down[rng.random_range(0..down.len())],
+                2 if target.is_some() => target.unwrap(),
+                _ => rng.random_range(0..nodes),
+            };
+            target = Some(node);
+            match rng.random_range(0..4u32) {
+                0 => Attack::TamperAtNode(node),
+                1 => Attack::DropAtNode(node),
+                2 => Attack::DuplicateAtNode(node),
+                _ => Attack::ReplayFinal,
+            }
+        })
+        .collect();
+    (crashed, attacks)
 }
 
 /// A random epoch perturbation: each node fails with probability
@@ -400,10 +772,12 @@ proptest! {
         reject_src in any::<u64>(),
     ) {
         let topo = random_topology(seed, n, fanout);
-        // A third of the cases refuse one source's readings, so the
-        // first-error abort is exercised wherever that source sits.
+        // A third of the cases refuse one source's readings and a third
+        // the merges of one size, so the first-error abort is exercised
+        // wherever the error sits.
         let scheme = WeightedSum {
             reject: (reject_pick == 0).then_some((reject_src % n) as u32),
+            refuse_merge: (reject_pick == 1).then_some(reject_src % n + 1),
         };
         let mut engine = Engine::new(&scheme, &topo).with_threads(Threads::fixed(threads));
         let mut reference = Reference::new(&scheme, &topo);
@@ -424,6 +798,61 @@ proptest! {
             prop_assert!(
                 got == want,
                 "epoch {epoch}, failed {failed:?}, attacks {attacks:?}\n got: {got:?}\nwant: {want:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn recovering_epochs_match_reference_fold(
+        seed in any::<u64>(),
+        n in 1u64..90,
+        fanout in 2usize..6,
+        threads in 1usize..9,
+        crash_pct in 0u32..25,
+        reject_pick in 0u32..3,
+        reject_src in any::<u64>(),
+        loss in 0.0f64..0.5,
+        retries in 0u32..4,
+        rounds in 0u32..3,
+    ) {
+        let topo = random_topology(seed, n, fanout);
+        let scheme = WeightedSum {
+            reject: (reject_pick == 0).then_some((reject_src % n) as u32),
+            refuse_merge: (reject_pick == 1).then_some(reject_src % n + 1),
+        };
+        let radio = LossyRadio::new(loss, retries);
+        let recovery = RecoveryConfig::new(rounds, 0.5);
+        let mut engine = Engine::new(&scheme, &topo).with_threads(Threads::fixed(threads));
+        let mut reference = Reference::new(&scheme, &topo);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EC0);
+        for epoch in 0..4u64 {
+            let values: Vec<u64> = (0..n).map(|i| mix(seed ^ epoch, i) & 0xFFFF).collect();
+            let (crashed, attacks) = random_chaos(&mut rng, &topo, crash_pct);
+            let link_seed = rng.next_u64();
+            let want = reference.recovering(
+                epoch, &values, &crashed, &attacks, &radio, &recovery,
+                &mut StdRng::seed_from_u64(link_seed),
+            );
+            let run = engine.run_epoch_recovering(
+                epoch, &values, &crashed, &attacks, &radio, &recovery,
+                &mut StdRng::seed_from_u64(link_seed),
+            );
+            let got = RefRecovered {
+                epoch: RefEpoch {
+                    result: run.outcome.result,
+                    last_final: engine.last_final_psr().copied(),
+                    contributors: run.outcome.stats.contributors,
+                    sources_run: run.outcome.stats.sources_run,
+                    aggregators_run: run.outcome.stats.aggregators_run,
+                    bytes: run.outcome.stats.bytes,
+                },
+                report: run.report,
+                repairs: run.repairs,
+                corrupted: run.aggregate_corrupted,
+            };
+            prop_assert!(
+                got == want,
+                "epoch {epoch}, crashed {crashed:?}, attacks {attacks:?}\n got: {got:?}\nwant: {want:?}"
             );
         }
     }

@@ -2,7 +2,9 @@
 //! warm `threads = 1` epoch makes no heap allocation at all — not in the
 //! lane-batched PRF sweeps at the sources, not in the epoch cipher, not
 //! in the querier's Σss recomputation, `K_t⁻¹` or decryption — and so
-//! none per source, whatever the population.
+//! none per source, whatever the population. A warm recovering epoch
+//! over a lossy radio stays within a small constant too: it reuses the
+//! walk's buffers and allocates only its reported contributor set.
 //!
 //! Lives in its own test binary because the counter is process-wide:
 //! any concurrently running test would add its own allocations.
@@ -11,8 +13,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sies_core::SystemParams;
 use sies_net::pipeline::EpochPipeline;
-use sies_net::{FlatTopology, SiesDeployment, Threads, Topology};
+use sies_net::radio::LossyRadio;
+use sies_net::recovery::RecoveryConfig;
+use sies_net::{Engine, FlatTopology, SiesDeployment, Threads, Topology};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// `System` plus a relaxed counter of allocation events (alloc +
@@ -70,6 +75,29 @@ fn warm_epoch_allocs(n: u64, epochs: u64) -> u64 {
     delta
 }
 
+/// Allocation events of one verified SIES recovering epoch over `n`
+/// sources (threads 1, 10 % frame loss, no crash or attack), after two
+/// warm-up epochs.
+fn warm_recovering_allocs(n: u64) -> u64 {
+    let mut rng = StdRng::seed_from_u64(0xA110C);
+    let dep = SiesDeployment::new(&mut rng, SystemParams::new(n).unwrap());
+    let topo = Topology::complete_tree(n, 4);
+    let mut engine = Engine::new(&dep, &topo).with_threads(Threads::fixed(1));
+    let (radio, recovery) = (LossyRadio::new(0.1, 3), RecoveryConfig::default());
+    let none = HashSet::new();
+    let values: Vec<u64> = (0..n).map(|i| i & 0xFFF).collect();
+    let mut run = |epoch: u64| {
+        let out =
+            engine.run_epoch_recovering(epoch, &values, &none, &[], &radio, &recovery, &mut rng);
+        assert!(out.outcome.result.unwrap().integrity_checked);
+    };
+    run(0);
+    run(1);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    run(2);
+    ALLOCS.load(Ordering::Relaxed) - before
+}
+
 #[test]
 fn warm_sies_epochs_allocate_independently_of_population() {
     // Telemetry would allocate on first touch of each metric; the claim
@@ -77,6 +105,7 @@ fn warm_sies_epochs_allocate_independently_of_population() {
     sies_telemetry::set_enabled(false);
     let small = warm_epoch_allocs(1024, 4);
     let large = warm_epoch_allocs(4096, 4);
+    let recovering = [warm_recovering_allocs(1024), warm_recovering_allocs(4096)];
     sies_telemetry::clear_enabled();
     assert_eq!(
         small, large,
@@ -85,4 +114,8 @@ fn warm_sies_epochs_allocate_independently_of_population() {
     );
     assert_eq!(small, 0, "{small} allocations over 4 warm epochs at N=1024");
     assert_eq!(large, 0, "{large} allocations over 4 warm epochs at N=4096");
+    assert!(
+        recovering.iter().all(|&a| a < 32),
+        "warm recovering epochs allocate {recovering:?} times at N=1024 and N=4096"
+    );
 }

@@ -35,34 +35,26 @@ pub enum EventKind {
     QueryDisseminated,
     /// A source produced its PSR. `(source_id, 0)`
     SourceInit,
-    /// An aggregator folded children into a partial result.
-    /// `(aggregator_id, n_children)`
-    PsrMerged,
     /// Epoch verdict: accepted. `(contributors, 0)`
     EpochAccepted,
     /// Epoch verdict: integrity failure detected. `(contributors, 0)`
     EpochRejected,
     /// Epoch verdict: no result reached the querier. `(0, 0)`
     EpochLost,
-    /// Recovery: positive acknowledgement sent. `(node_id, 0)`
-    AckSent,
-    /// Recovery: negative acknowledgement sent. `(node_id, attempt)`
+    /// Recovery: an uplink's frames were NACKed. `(node_id, nacks)`
     NackSent,
-    /// Recovery: a NACK was honored with a retransmit. `(node_id, attempt)`
+    /// Recovery: an uplink retransmitted. `(node_id, retransmissions)`
     Retransmit,
-    /// Recovery: querier re-solicited missing subtrees. `(round, n_missing)`
+    /// Recovery: the querier re-solicited an uplink. `(node_id, rounds)`
     Resolicit,
     /// Recovery: orphan adopted by a backup parent. `(child_id, parent_id)`
     Reattach,
-    /// Recovery: failure report escalated. `(node_id, 0)`
+    /// Recovery: failure report escalated. `(silent_node_id, reporter_id)`
     FailureReport,
     /// Chaos: a node crash was injected. `(node_id, 0)`
     CrashInjected,
     /// Chaos: a value/integrity attack was injected. `(node_id, 0)`
     AttackInjected,
-    /// Rekey: a version announcement was re-broadcast to laggards.
-    /// `(version, n_laggards)`
-    RekeyRetry,
     /// muTesla: an interval key was disclosed. `(interval, 0)`
     KeyDisclosed,
     /// A multi-lane kernel pass chose a dispatch width.
@@ -88,11 +80,9 @@ impl EventKind {
         match self {
             EventKind::QueryDisseminated => "query_disseminated",
             EventKind::SourceInit => "source_init",
-            EventKind::PsrMerged => "psr_merged",
             EventKind::EpochAccepted => "epoch_accepted",
             EventKind::EpochRejected => "epoch_rejected",
             EventKind::EpochLost => "epoch_lost",
-            EventKind::AckSent => "ack_sent",
             EventKind::NackSent => "nack_sent",
             EventKind::Retransmit => "retransmit",
             EventKind::Resolicit => "resolicit",
@@ -100,7 +90,6 @@ impl EventKind {
             EventKind::FailureReport => "failure_report",
             EventKind::CrashInjected => "crash_injected",
             EventKind::AttackInjected => "attack_injected",
-            EventKind::RekeyRetry => "rekey_retry",
             EventKind::KeyDisclosed => "key_disclosed",
             EventKind::LaneDispatch => "lane_dispatch",
             EventKind::ReceiptCommitted => "receipt_committed",

@@ -11,7 +11,7 @@
 //! - **Spans** ([`span`]): RAII wall-clock sections recording into
 //!   histograms, with a thread-local stack for nesting.
 //! - **Journal** ([`journal`]): a bounded ring of typed per-epoch
-//!   events (NACK sent, retransmit, rekey retry, lane dispatch, ...).
+//!   events (NACK sent, retransmit, failure report, lane dispatch, ...).
 //! - **Registry** ([`registry`]): named metrics with cheap
 //!   [`Snapshot`]/[`Snapshot::diff`] and JSON / Prometheus-text
 //!   exporters.
