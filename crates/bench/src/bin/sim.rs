@@ -8,7 +8,11 @@
 //! ```
 //!
 //! `--json FILE` writes a machine-readable run summary (including the
-//! seed, so the run can be replayed exactly).
+//! seed, so the run can be replayed exactly). With `--loss` above zero
+//! every epoch runs under the recovery protocol
+//! (`Engine::run_epoch_recovering` with `RecoveryConfig::default()`), so
+//! its stats charge retransmissions, ACKs, NACKs, re-solicitations and
+//! failure reports.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -19,6 +23,7 @@ use sies_baselines::secoa::SecoaSum;
 use sies_core::SystemParams;
 use sies_net::engine::{Attack, Engine};
 use sies_net::radio::LossyRadio;
+use sies_net::recovery::RecoveryConfig;
 use sies_net::scheme::AggregationScheme;
 use sies_net::{SiesDeployment, Threads, Topology};
 use sies_workload::intel_lab::{DomainScale, IntelLabGenerator};
@@ -65,6 +70,9 @@ usage: sim [--scheme sies|cmt|secoa|paillier|tag] [--sources N] [--fanout F]
            [--attack tamper|drop|duplicate|replay] [--attack-epoch E]
            [--seed S] [--domain-power K] [--threads T] [--json FILE]
 
+--loss P runs every epoch under the ACK/NACK + re-solicitation recovery
+protocol, each frame lost with probability P; --retries R caps the
+retransmissions per uplink.
 --threads T runs the epoch walk on T worker threads (0 = all cores);
 results are byte-identical at every thread count.";
 
@@ -121,7 +129,9 @@ fn run<S: AggregationScheme>(scheme: &S, args: &Args) {
         power: args.domain_power,
     };
     let radio = LossyRadio::new(args.loss, args.retries);
+    let recovery = RecoveryConfig::default();
     let mut loss_rng = StdRng::seed_from_u64(args.seed ^ 0xBAD);
+    let none = HashSet::new();
 
     println!(
         "scheme {} | N={} F={} | domain x10^{} | loss {:.0}% (retries {})\n",
@@ -142,12 +152,6 @@ fn run<S: AggregationScheme>(scheme: &S, args: &Args) {
         let values = workload.epoch_values(epoch, scale);
         let true_sum: u64 = values.iter().sum();
 
-        let (failed, link_stats) = if args.loss > 0.0 {
-            radio.epoch_outcome(&mut loss_rng, &topo)
-        } else {
-            (HashSet::new(), Default::default())
-        };
-
         let mut attacks = Vec::new();
         if epoch == args.attack_epoch {
             if let Some(kind) = &args.attack {
@@ -165,7 +169,20 @@ fn run<S: AggregationScheme>(scheme: &S, args: &Args) {
             }
         }
 
-        let out = engine.run_epoch_with(epoch, &values, &failed, &attacks);
+        let (out, lost_links) = if args.loss > 0.0 {
+            let run = engine.run_epoch_recovering(
+                epoch,
+                &values,
+                &none,
+                &attacks,
+                &radio,
+                &recovery,
+                &mut loss_rng,
+            );
+            (run.outcome, run.report.lost_links)
+        } else {
+            (engine.run_epoch_with(epoch, &values, &none, &attacks), 0)
+        };
         if args.json_out.is_some() {
             epoch_stats.push(out.stats.clone());
         }
@@ -186,7 +203,7 @@ fn run<S: AggregationScheme>(scheme: &S, args: &Args) {
                     "epoch {epoch:>3}: ACCEPTED sum={:>14.1} (true {true_sum}, err {err:.2}%) contributors={} lost_links={} verified={}{tag}",
                     res.sum,
                     out.stats.contributors.len(),
-                    link_stats.failed_links,
+                    lost_links,
                     res.integrity_checked,
                 );
             }

@@ -12,7 +12,7 @@
 //! * the chaos harness metrics and the serialized reliability JSON;
 //! * the throughput suite's SHA-256 digest oracle.
 //!
-//! CI runs this suite with `SIES_TEST_THREADS` ∈ {1, 2, 8} to pin the
+//! CI runs this suite with `SIES_TEST_THREADS` ∈ {1, 2, 3, 8} to pin the
 //! guarantee on hosts with different core counts.
 
 use rand::rngs::StdRng;

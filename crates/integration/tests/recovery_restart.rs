@@ -11,7 +11,7 @@
 //!   false accepts, zero false rejects, metrics and result digest
 //!   byte-identical to the uninterrupted run;
 //! * the same identity at every worker-thread count (the determinism
-//!   matrix's restart leg — CI sweeps `SIES_TEST_THREADS` ∈ {1, 2, 8});
+//!   matrix's restart leg — CI sweeps `SIES_TEST_THREADS` ∈ {1, 2, 3, 8});
 //! * a torn final record (crash mid-write) tolerated end-to-end: the
 //!   journal resumes, re-records the torn epoch, and a cold replay of
 //!   the finished file still matches the live digest.

@@ -2,7 +2,7 @@
 //! with timing, byte and energy accounting plus failure and attack
 //! injection.
 //!
-//! Every epoch runs through the same subtree-sharded post-order walk as
+//! Every epoch runs through the same sharded post-order walk as
 //! [`crate::pipeline::EpochPipeline`]: honest failures, covert attacks
 //! and adoptions are translated to post-order positions once per epoch,
 //! so they change only which PSRs reach a merge, never how a merge
@@ -18,7 +18,7 @@
 use crate::energy::RadioModel;
 use crate::flat::FlatTopology;
 use crate::journal::ReceiptJournal;
-use crate::pipeline::{cut, is_cut, plan_shards, EpochBuf, Exec, Mark, Marked, Shard, Uplinks};
+use crate::pipeline::{cut, is_cut, plan_shards, Exec, Mark, Marked, Shard, Uplinks, WalkBuf};
 use crate::radio::LossyRadio;
 use crate::recovery::{
     RecoveryConfig, RecoveryReport, ACK_BYTES, FAILURE_REPORT_BYTES, REATTACH_BYTES,
@@ -496,12 +496,12 @@ impl RecoveredEpoch {
 /// epoch.
 struct Walk<P> {
     shards: Vec<Shard>,
-    buf: EpochBuf<P>,
+    buf: WalkBuf<P>,
     /// The epoch's failures, attacks and adoptions by post-order
     /// position.
     marks: Vec<Marked>,
-    /// The subtrees whose sources do not contribute, as ascending,
-    /// disjoint post-order ranges.
+    /// The failed subtrees, whose sources do not contribute, as
+    /// ascending, disjoint post-order ranges.
     cuts: Vec<Range<usize>>,
 }
 
@@ -509,7 +509,7 @@ impl<P> Walk<P> {
     fn new(flat: &FlatTopology, threads: usize) -> Self {
         let shards = plan_shards(flat, threads);
         Walk {
-            buf: EpochBuf::new(flat, &shards, 0),
+            buf: WalkBuf::new(&shards),
             shards,
             marks: Vec::new(),
             cuts: Vec::new(),
@@ -631,14 +631,16 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
         self.journal.take()
     }
 
-    /// Shards each epoch across this many scoped workers: the sink's
-    /// child subtrees split into at most `threads` contiguous post-order
-    /// shards, each initialised and merged by one worker, and SIES
-    /// evaluation splits the same way. Results are byte-identical for
-    /// every thread count: every merge sees the serial walk's inputs in
-    /// the serial order, the sink merges the shard results in tree
-    /// order, and partial evaluation sums combine under exactly
-    /// associative modular arithmetic.
+    /// Shards each epoch across this many scoped workers: the
+    /// post-order below the sink splits into `min(threads, sources)`
+    /// contiguous shards of equal source counts, cut anywhere in the
+    /// tree, each initialised and merged by one worker; a serial join
+    /// then merges the few ancestors whose subtrees straddle a cut, and
+    /// SIES evaluation splits the same way. Results are byte-identical
+    /// for every thread count: every merge sees the serial walk's inputs
+    /// in the serial order, the join runs the straddling ancestors where
+    /// the serial walk would, and partial evaluation sums combine under
+    /// exactly associative modular arithmetic.
     pub fn with_threads(mut self, threads: Threads) -> Self {
         self.threads = threads.resolve();
         self.walk = None;
@@ -778,7 +780,7 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
             threads,
             uplinks: None,
         };
-        exec.produce(epoch, values, &mut walk.buf.shards);
+        exec.produce(epoch, values, &mut walk.buf);
         tel::event(epoch, EventKind::SourceInit, walk.buf.live_sources(), 0);
         let (counts, result) = exec.consume(epoch, &mut walk.buf, &mut self.prev_final);
         self.outcome(epoch, result, &counts, contributors)
@@ -898,14 +900,12 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
                 draw,
             }),
         };
-        exec.produce(epoch, values, &mut walk.buf.shards);
+        exec.produce(epoch, values, &mut walk.buf);
         tel::event(epoch, EventKind::SourceInit, walk.buf.live_sources(), 0);
-        walk.cuts.clear();
-        for st in &mut walk.buf.shards {
-            st.lost.events.flush();
-            walk.cuts.extend(st.lost.cuts.iter().cloned());
-        }
-        let contributors = contributors(flat, &walk.cuts);
+        // What the walk's parents never heard, in serial walk order.
+        let lost = &mut walk.buf.joined().lost;
+        lost.events.flush();
+        let contributors = contributors(flat, &lost.cuts);
         // A covert attack corrupts the aggregate when it acts on a live
         // node's PSR and every PSR above it reached the sink: no cut
         // holds the node. The sink's own tamper and a replay of an
@@ -916,7 +916,7 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
                 pos if pos == root_pos => m.tampers > 0,
                 pos => {
                     let attacked = m.dropped || m.tampers + m.duplicates > 0;
-                    attacked && !m.failed && !is_cut(&walk.cuts, pos)
+                    attacked && !m.failed && !is_cut(&lost.cuts, pos)
                 }
             });
         let exec = Exec {

@@ -16,10 +16,12 @@
 //!
 //! * **Subtree contiguity.** In the post-order array the subtree of any
 //!   node `v` is the contiguous segment ending at `v`'s own position
-//!   ([`subtree_range`](FlatTopology::subtree_range)). Whole subtrees of
-//!   the sink's children can therefore be sharded across workers as
-//!   plain slice ranges, each merged serially in exactly the order the
-//!   serial engine would use.
+//!   ([`subtree_range`](FlatTopology::subtree_range)). The walk can
+//!   therefore cut the array anywhere, not only between the sink's child
+//!   subtrees: each shard is a plain slice range merged serially in
+//!   exactly the order the serial walk would use, and the only nodes it
+//!   cannot merge alone are the ones whose segment begins before it —
+//!   proper ancestors of its first position, known from the ranges.
 //! * **Dense `u32` indices.** All per-node state is `u32`, so the arena
 //!   costs ~40 bytes/node ([`bytes`](FlatTopology::bytes)) and a
 //!   10⁶-sensor tree fits comfortably in cache-friendly flat storage.
@@ -235,8 +237,8 @@ impl FlatTopology {
 
     /// The contiguous range of [`post_order`](Self::post_order) holding
     /// exactly the subtree rooted at `id` (the node itself is the last
-    /// element). This contiguity is what lets the pipeline shard whole
-    /// subtrees as slice ranges.
+    /// element). This contiguity is what lets the walk shard the
+    /// post-order as slice ranges.
     pub fn subtree_range(&self, id: NodeId) -> Range<usize> {
         let end = self.post_index[id] as usize + 1;
         end - self.subtree_size[id] as usize..end

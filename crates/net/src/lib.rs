@@ -12,8 +12,10 @@
 //! `sies-baselines` all run under the same engine and are measured
 //! identically — the setup the paper's §VI experiments need.
 //!
-//! Every epoch runs through one subtree-sharded post-order walk over the
-//! [`flat::FlatTopology`] arena: [`engine::Engine`] drives it one epoch
+//! Every epoch runs through one sharded post-order walk over the
+//! [`flat::FlatTopology`] arena, its shards cut at source-count
+//! quantiles anywhere in the tree and the few ancestors that straddle a
+//! cut merged by a serial join: [`engine::Engine`] drives it one epoch
 //! at a time with failures, attacks and a receipt journal, and
 //! [`pipeline::EpochPipeline`] drives it over runs of clean epochs with
 //! streaming and precompute-ahead. [`engine::Engine::run_epoch_recovering`]

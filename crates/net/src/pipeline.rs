@@ -9,24 +9,35 @@
 //! [`crate::engine::Engine::run_epoch_recovering`] drives it under the
 //! recovery protocol. Over the [`FlatTopology`] arena it gives:
 //!
-//! * **Subtree sharding.** The sink's child subtrees are contiguous
-//!   segments of the arena's post-order, so the tree splits into at most
-//!   `threads` contiguous shards. Each worker walks its segment exactly
-//!   as a serial post-order walk would — batched source init, then a
-//!   stack merge — and the main thread fuses the shard results in
-//!   deterministic tree order. The final PSR is bit-identical for every
-//!   thread count.
+//! * **Sharding at source quantiles.** Every subtree is a contiguous
+//!   segment of the arena's post-order, so the walk cuts the post-order
+//!   below the sink into `min(threads, sources)` contiguous shards of
+//!   ⌊n/T⌋ or ⌈n/T⌉ sources each, anywhere in the tree. Each worker
+//!   walks its segment exactly as a serial post-order walk would —
+//!   batched source init, then a stack merge — except for its
+//!   *deferred* nodes, whose subtrees begin in an earlier shard: proper
+//!   ancestors of its first position, at most the tree's depth of them
+//!   per boundary, listed at plan time. Where the walk meets one it
+//!   records a checkpoint of its state's heights and walks on; `produce`
+//!   ends with a serial join that replays the later shards in order onto
+//!   the first shard's state and runs each deferred node through the
+//!   same per-node step, where the serial walk would. The final PSR is
+//!   bit-identical for every thread count, and one thread means one
+//!   shard with nothing deferred and nothing to join.
 //! * **Exact accounting.** Run counts and per-class bytes accumulate in
-//!   shard-local integers and fold in shard order; the fold stops at the
-//!   first shard that hit a scheme error, so an aborted epoch reports
-//!   what the serial walk had done when it stopped. No global counter or
-//!   journal event runs per node.
+//!   shard-local integers, one block per segment between checkpoints,
+//!   and the join folds them in walk order; it stops at the first scheme
+//!   error, in a shard or at a deferred node, so an aborted epoch
+//!   reports what the serial walk had done when it stopped. No global
+//!   counter or journal event runs per node.
 //! * **Recovering epochs.** Each sent PSR crosses its uplink on its own
 //!   random stream ([`crate::recovery::uplink_stream`]), so outcomes do
 //!   not depend on the walk order. A crashed aggregator's children's
-//!   copies pass up to its adopter through the window corrections; a
-//!   node its parent never hears leaves a cut post-order range, from
-//!   which the engine reads the contributor set.
+//!   copies pass up to its adopter through the window corrections, from
+//!   an earlier shard if need be; a node its parent never hears leaves a
+//!   cut post-order range, from which the engine reads the contributor
+//!   set. A deferred node's cut swallows earlier shards' cuts inside its
+//!   subtree, and its recovery events land in walk order.
 //! * **Epoch streaming.** With `streaming` enabled, two epoch buffers
 //!   alternate through a one-producer hand-off: while the main thread
 //!   merges/evaluates epoch `t`, a producer thread runs source init for
@@ -60,8 +71,9 @@
 //! child order* (post-order visits subtrees last-child-first), so each
 //! merge window — the copies its children left, one per child unless
 //! the child failed, was dropped or was duplicated — is reversed before
-//! the scheme sees it, and the sink's shard remnants are concatenated
-//! in shard order then reversed into child order. The `flat_equivalence`
+//! the scheme sees it, and the sink's window, which the join leaves on
+//! the first shard's stack in post order, is reversed into child order.
+//! The `flat_equivalence`
 //! tests hold the engine and the pipeline to an independent recursive
 //! fold over the pointer `Topology`; `soa_determinism` pins the digests
 //! across thread counts and streaming modes.
@@ -78,14 +90,18 @@ use std::ops::Range;
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-/// One contiguous run of sink-child subtrees in the post-order array,
-/// walked serially by one worker.
+/// One contiguous run of the post-order array below the sink, walked
+/// serially by one worker.
 #[derive(Debug, Clone)]
 pub(crate) struct Shard {
     /// Post-order positions this shard covers.
     range: Range<usize>,
     /// Sources inside the range (pre-sizes the job buffers).
     sources: usize,
+    /// The nodes inside the range whose subtrees begin before it, by
+    /// ascending position, all proper ancestors of its first position.
+    /// The shard walk defers them to the join.
+    deferred: Vec<u32>,
 }
 
 /// What one epoch does to a node besides the clean path: an honest
@@ -158,13 +174,108 @@ pub(crate) fn is_cut(cuts: &[Range<usize>], pos: usize) -> bool {
     cuts.get(i).is_some_and(|r| r.contains(&pos))
 }
 
-/// What a recovering shard's parents never heard.
+/// What a recovering walk's parents never heard.
 #[derive(Default)]
 pub(crate) struct Lost {
     /// Silenced subtrees and crashed sources, as `cut` ranges.
     pub(crate) cuts: Vec<Range<usize>>,
-    /// The shard's recovery events, flushed in shard order.
+    /// The walk's recovery events, in walk order.
     pub(crate) events: tel::EventBuf,
+}
+
+/// A shard's merge walk state. The first shard's is where the join
+/// gathers the others: after the join it is the serial walk's after the
+/// last node below the sink.
+pub(crate) struct WalkState<P> {
+    /// The post-order merge stack: the PSR copies sent up by every
+    /// finished subtree whose parent has not merged yet. The joined
+    /// stack ends as the sink's window.
+    stack: Vec<P>,
+    /// Nodes whose parent receives other than one copy (a failed,
+    /// dropped or duplicated node, or an aggregator whose window was
+    /// empty), as `(parent's post-order position, copies)`: an
+    /// aggregator's merge window is one copy per child, corrected by the
+    /// entries its children left on top.
+    uneven: Vec<(u32, u32)>,
+    /// What the walk's parents never heard (recovering epochs only).
+    pub(crate) lost: Lost,
+    /// First scheme error hit in the walk (aborts the epoch exactly
+    /// where the serial walk would).
+    err: Option<SchemeError>,
+    /// The walk's activity up to its end or its error; a shard's counts
+    /// only what follows its last checkpoint.
+    counts: EpochCounts,
+}
+
+impl<P> Default for WalkState<P> {
+    fn default() -> Self {
+        WalkState {
+            stack: Vec::new(),
+            uneven: Vec::new(),
+            lost: Lost::default(),
+            err: None,
+            counts: EpochCounts::default(),
+        }
+    }
+}
+
+impl<P> WalkState<P> {
+    fn clear(&mut self) {
+        self.stack.clear();
+        self.uneven.clear();
+        self.lost.cuts.clear();
+        self.lost.events.clear();
+        self.err = None;
+        self.counts = EpochCounts::default();
+    }
+
+    fn heights(&self) -> Heights {
+        Heights {
+            stack: self.stack.len(),
+            uneven: self.uneven.len(),
+            cuts: self.lost.cuts.len(),
+            events: self.lost.events.len(),
+        }
+    }
+
+    /// Moves `src`'s state between heights `from` and `to` on top of
+    /// this one. `src`'s stack gives up its segments from the front, so
+    /// the join takes them in order.
+    fn take_segment(&mut self, src: &mut WalkState<P>, from: Heights, to: Heights) {
+        self.stack.extend(src.stack.drain(..to.stack - from.stack));
+        self.uneven
+            .extend_from_slice(&src.uneven[from.uneven..to.uneven]);
+        self.lost
+            .cuts
+            .extend_from_slice(&src.lost.cuts[from.cuts..to.cuts]);
+        self.lost
+            .events
+            .extend_from(&src.lost.events, from.events..to.events);
+    }
+
+    fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.stack.capacity() * size_of::<P>()
+            + self.uneven.capacity() * size_of::<(u32, u32)>()
+            + self.lost.cuts.capacity() * size_of::<Range<usize>>()
+    }
+}
+
+/// How far a walk's state had grown: where the join resumes a shard.
+#[derive(Clone, Copy, Default)]
+struct Heights {
+    stack: usize,
+    uneven: usize,
+    cuts: usize,
+    events: usize,
+}
+
+/// Where a shard walk met one of its deferred nodes.
+struct Checkpoint {
+    /// The shard's state heights there.
+    at: Heights,
+    /// The shard's activity since its previous checkpoint.
+    counts: EpochCounts,
 }
 
 /// Reusable per-shard working state.
@@ -173,22 +284,10 @@ pub(crate) struct ShardState<P> {
     jobs: Vec<(SourceId, u64)>,
     /// Per-job init results, aligned with `jobs`.
     inits: Vec<Result<P, SchemeError>>,
-    /// The post-order merge stack: the PSR copies every finished
-    /// subtree sent up; the sink children's copies remain at the end.
-    stack: Vec<P>,
-    /// Nodes whose parent receives other than one copy (a failed,
-    /// dropped or duplicated node, or an aggregator whose window was
-    /// empty), as `(parent's post-order position, copies)`: an
-    /// aggregator's merge window is one copy per child, corrected by the
-    /// entries its children left on top.
-    uneven: Vec<(u32, u32)>,
-    /// What the shard's parents never heard (recovering epochs only).
-    pub(crate) lost: Lost,
-    /// First scheme error hit in the walk (aborts the epoch exactly
-    /// where the serial walk would).
-    err: Option<SchemeError>,
-    /// The shard's activity up to the end of its walk or its error.
-    counts: EpochCounts,
+    /// The shard's merge walk over every node but its deferred ones.
+    walk: WalkState<P>,
+    /// One per deferred node the walk reached, in order.
+    checkpoints: Vec<Checkpoint>,
 }
 
 impl<P> ShardState<P> {
@@ -196,11 +295,8 @@ impl<P> ShardState<P> {
         ShardState {
             jobs: Vec::with_capacity(shard.sources),
             inits: Vec::with_capacity(shard.sources),
-            stack: Vec::new(),
-            uneven: Vec::new(),
-            lost: Lost::default(),
-            err: None,
-            counts: EpochCounts::default(),
+            walk: WalkState::default(),
+            checkpoints: Vec::with_capacity(shard.deferred.len()),
         }
     }
 
@@ -208,31 +304,28 @@ impl<P> ShardState<P> {
         use std::mem::size_of;
         self.jobs.capacity() * size_of::<(SourceId, u64)>()
             + self.inits.capacity() * size_of::<Result<P, SchemeError>>()
-            + self.stack.capacity() * size_of::<P>()
-            + self.uneven.capacity() * size_of::<(u32, u32)>()
+            + self.walk.bytes()
+            + self.checkpoints.capacity() * size_of::<Checkpoint>()
     }
 }
 
-/// One epoch's worth of reusable buffers. The pipeline owns two and
-/// alternates them when streaming; the engine owns one and leaves
-/// `values` empty, reading its caller's slice instead.
-pub(crate) struct EpochBuf<P> {
-    /// `values[i]` is source `i`'s reading, filled by the caller.
-    values: Vec<u64>,
-    /// One state block per shard, written by the producer.
-    pub(crate) shards: Vec<ShardState<P>>,
-    /// Shard remnants gathered for the sink merge.
-    root_inputs: Vec<P>,
+/// The walk's reusable buffers: what `produce` fills and `consume`
+/// reads. The engine owns one.
+pub(crate) struct WalkBuf<P> {
+    /// One state block per shard, never none.
+    shards: Vec<ShardState<P>>,
 }
 
-impl<P> EpochBuf<P> {
-    /// Buffers for `shards` over `flat`, with `values` slots.
-    pub(crate) fn new(flat: &FlatTopology, shards: &[Shard], values: usize) -> Self {
-        EpochBuf {
-            values: vec![0u64; values],
+impl<P> WalkBuf<P> {
+    pub(crate) fn new(shards: &[Shard]) -> Self {
+        WalkBuf {
             shards: shards.iter().map(ShardState::with_capacity).collect(),
-            root_inputs: Vec::with_capacity(flat.children(flat.root()).len()),
         }
+    }
+
+    /// The joined walk state, once `produce` has run: the first shard's.
+    pub(crate) fn joined(&mut self) -> &mut WalkState<P> {
+        &mut self.shards[0].walk
     }
 
     /// Sources the last source phase initialised.
@@ -241,10 +334,29 @@ impl<P> EpochBuf<P> {
     }
 
     fn bytes(&self) -> usize {
+        self.shards.iter().map(ShardState::bytes).sum()
+    }
+}
+
+/// One epoch's worth of pipeline buffers: the readings and the walk's.
+/// The pipeline owns two and alternates them when streaming.
+struct EpochBuf<P> {
+    /// `values[i]` is source `i`'s reading, filled by the caller.
+    values: Vec<u64>,
+    walk: WalkBuf<P>,
+}
+
+impl<P> EpochBuf<P> {
+    fn new(shards: &[Shard], values: usize) -> Self {
+        EpochBuf {
+            values: vec![0u64; values],
+            walk: WalkBuf::new(shards),
+        }
+    }
+
+    fn bytes(&self) -> usize {
         use std::mem::size_of;
-        self.values.capacity() * size_of::<u64>()
-            + self.root_inputs.capacity() * size_of::<P>()
-            + self.shards.iter().map(ShardState::bytes).sum::<usize>()
+        self.values.capacity() * size_of::<u64>() + self.walk.bytes()
     }
 }
 
@@ -458,19 +570,37 @@ pub(crate) fn nothing_reached_querier() -> SchemeError {
 }
 
 impl<S: AggregationScheme> Exec<'_, S> {
-    /// Source init + in-shard merges for one epoch, sharded across the
-    /// scoped pool. Allocation-free once the buffers are warm.
-    pub(crate) fn produce(&self, epoch: Epoch, values: &[u64], shards: &mut [ShardState<S::Psr>]) {
-        parallel::for_each_pair_mut(self.threads, self.shards, shards, |_, shard, st| {
-            let _shard_span = tel::span!("pipeline.shard");
-            self.init_shard(epoch, shard, values, st);
-            match (!self.marks.is_empty(), self.uplinks.is_some()) {
-                (false, false) => self.merge_shard::<false, false>(epoch, shard, st),
-                (true, false) => self.merge_shard::<true, false>(epoch, shard, st),
-                (false, true) => self.merge_shard::<false, true>(epoch, shard, st),
-                (true, true) => self.merge_shard::<true, true>(epoch, shard, st),
-            }
-        });
+    /// Source init + merges below the sink for one epoch: the shard
+    /// walks across the scoped pool, then their serial join.
+    /// Allocation-free once the buffers are warm.
+    pub(crate) fn produce(&self, epoch: Epoch, values: &[u64], buf: &mut WalkBuf<S::Psr>) {
+        match (!self.marks.is_empty(), self.uplinks.is_some()) {
+            (false, false) => self.produce_as::<false, false>(epoch, values, buf),
+            (true, false) => self.produce_as::<true, false>(epoch, values, buf),
+            (false, true) => self.produce_as::<false, true>(epoch, values, buf),
+            (true, true) => self.produce_as::<true, true>(epoch, values, buf),
+        }
+    }
+
+    /// [`produce`](Self::produce) with the walk's variant fixed (see
+    /// [`step`](Self::step)).
+    fn produce_as<const MARKED: bool, const RECOVERING: bool>(
+        &self,
+        epoch: Epoch,
+        values: &[u64],
+        buf: &mut WalkBuf<S::Psr>,
+    ) {
+        parallel::for_each_pair_mut(
+            self.threads,
+            self.shards,
+            &mut buf.shards,
+            |_, shard, st| {
+                let _shard_span = tel::span!("pipeline.shard");
+                self.init_shard(epoch, shard, values, st);
+                self.merge_shard::<MARKED, RECOVERING>(epoch, shard, st);
+            },
+        );
+        self.join::<MARKED, RECOVERING>(epoch, buf);
     }
 
     /// The marks from post-order position `start` on.
@@ -479,19 +609,19 @@ impl<S: AggregationScheme> Exec<'_, S> {
         Marks(&self.marks[skip..])
     }
 
-    /// The shard's positions paired with their node ids.
-    fn walk<'f>(&'f self, shard: &Shard) -> impl Iterator<Item = (usize, usize)> + 'f {
-        let post = &self.flat.post_order()[shard.range.clone()];
-        shard.range.clone().zip(post.iter().map(|&id| id as usize))
+    /// The positions in `range` paired with their node ids.
+    fn walk(&self, range: Range<usize>) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let post = &self.flat.post_order()[range.clone()];
+        range.zip(post.iter().map(|&id| id as usize))
     }
 
     /// Batched init of the shard's live (not failed) sources.
     fn init_shard(&self, epoch: Epoch, shard: &Shard, values: &[u64], st: &mut ShardState<S::Psr>) {
-        st.err = None;
-        st.counts = EpochCounts::default();
+        st.walk.clear();
+        st.checkpoints.clear();
         st.jobs.clear();
         let mut marks = self.marks_from(shard.range.start);
-        for (pos, id) in self.walk(shard) {
+        for (pos, id) in self.walk(shard.range.clone()) {
             if let Some(sid) = self.flat.source_id(id) {
                 if !marks.at(pos).failed {
                     st.jobs.push((sid, values[sid as usize]));
@@ -501,15 +631,13 @@ impl<S: AggregationScheme> Exec<'_, S> {
         let t0 = Instant::now();
         self.scheme
             .batch_source_init_into(epoch, &st.jobs, &mut st.inits);
-        st.counts.source_ns = now_ns(t0);
+        st.walk.counts.source_ns = now_ns(t0);
         debug_assert_eq!(st.inits.len(), st.jobs.len(), "one result per job");
     }
 
-    /// The shard's post-order merge walk over its init results.
-    /// `MARKED` is false when the epoch has no marks: the walk then
-    /// compiles without mark lookups or attack branches. `RECOVERING`
-    /// runs each sent PSR's uplink before any attack on it, and a scheme
-    /// error or a lost uplink silences one node instead of the epoch.
+    /// The shard's post-order merge walk over its init results: every
+    /// node but the deferred ones, where it records a checkpoint for the
+    /// join instead. It stops at the first scheme error.
     fn merge_shard<const MARKED: bool, const RECOVERING: bool>(
         &self,
         epoch: Epoch,
@@ -518,130 +646,221 @@ impl<S: AggregationScheme> Exec<'_, S> {
     ) {
         let ShardState {
             inits,
-            stack,
-            uneven,
-            lost,
-            err,
-            counts,
+            walk,
+            checkpoints,
             ..
         } = st;
-        stack.clear();
-        uneven.clear();
-        lost.cuts.clear();
         let t0 = Instant::now();
         // Counted in a local, so the per-node updates stay in registers.
         let mut walked = EpochCounts {
-            source_ns: counts.source_ns,
+            source_ns: walk.counts.source_ns,
             ..EpochCounts::default()
         };
         let mut marks = self.marks_from(shard.range.start);
         let mut inits = inits.iter();
-        for (pos, id) in self.walk(shard) {
-            let mark = if MARKED {
-                marks.at(pos)
-            } else {
-                Mark::default()
-            };
-            let from_source = self.flat.is_source(id);
-            let mut psr = if from_source {
-                if mark.failed {
-                    if RECOVERING {
-                        cut(&mut lost.cuts, pos..pos + 1);
-                    }
-                    uneven.push(self.to_parent(id, 0));
-                    continue;
-                }
-                walked.sources_run += 1;
-                match inits.next().expect("one init per live source") {
-                    Ok(psr) => psr.clone(),
-                    Err(e) if !RECOVERING => {
-                        *err = Some(e.clone());
-                        break;
-                    }
-                    Err(_) => {
-                        walked.recovery.init_failures += 1;
-                        self.silence(epoch, id, mark, lost, uneven, &mut walked);
-                        continue;
-                    }
-                }
-            } else {
-                let mut window = self.flat.children(id).len();
-                while let Some(&(parent, copies)) = uneven.last() {
-                    if parent as usize != pos {
-                        break;
-                    }
-                    window = window + copies as usize - 1;
-                    uneven.pop();
-                }
-                let base = stack.len() - window;
-                if RECOVERING && mark.failed {
-                    // The copies join the parent's window, and so on up
-                    // to the adopter, which merges them in this place.
-                    uneven.push(self.to_parent(id, window as u32));
-                    continue;
-                }
-                if mark.failed || window == 0 {
-                    stack.truncate(base);
-                    if RECOVERING {
-                        self.silence(epoch, id, mark, lost, uneven, &mut walked);
-                    } else {
-                        uneven.push(self.to_parent(id, 0));
-                    }
-                    continue;
-                }
-                // The children's copies sit on the stack last child
-                // first (post-order visits subtrees in reverse); restore
-                // child order so the scheme merges exactly the sequence
-                // a parent gathering its children in order would.
-                stack[base..].reverse();
-                walked.aggregators_run += 1;
-                let merged = self.scheme.try_merge(&stack[base..]);
-                stack.truncate(base);
-                match merged {
-                    Ok(merged) => merged,
-                    Err(e) if !RECOVERING => {
-                        *err = Some(e);
-                        break;
-                    }
-                    Err(_) => {
-                        walked.recovery.merge_failures += 1;
-                        self.silence(epoch, id, mark, lost, uneven, &mut walked);
-                        continue;
-                    }
-                }
-            };
-            if RECOVERING {
-                let size = self.scheme.psr_wire_size(&psr) as u64;
-                if !self.uplink(epoch, id, mark, size, lost, &mut walked) {
-                    self.silence(epoch, id, mark, lost, uneven, &mut walked);
-                    continue;
+        let mut start = shard.range.start;
+        let ends = shard.deferred.iter().map(|&pos| pos as usize);
+        'walk: for end in ends.chain([shard.range.end]) {
+            for node in self.walk(start..end) {
+                let mark = if MARKED {
+                    marks.at(node.0)
+                } else {
+                    Mark::default()
+                };
+                let step = self.step::<MARKED, RECOVERING>(
+                    epoch,
+                    node,
+                    mark,
+                    &mut inits,
+                    walk,
+                    &mut walked,
+                );
+                if let Err(e) = step {
+                    walk.err = Some(e);
+                    break 'walk;
                 }
             }
-            let copies = if mark == Mark::default() {
-                1
-            } else {
-                self.attack(&mut psr, mark)
-            };
-            if copies != 1 {
-                uneven.push(self.to_parent(id, copies));
+            if end < shard.range.end {
+                checkpoints.push(Checkpoint {
+                    at: walk.heights(),
+                    counts: std::mem::take(&mut walked),
+                });
             }
-            if copies > 0 {
-                if !RECOVERING {
-                    let size = self.scheme.psr_wire_size(&psr) as u64 * u64::from(copies);
-                    walked.uplink(from_source, size);
-                }
-                for _ in 1..copies {
-                    stack.push(psr.clone());
-                }
-                stack.push(psr);
-            }
-        }
-        if !RECOVERING {
-            // Every uplink copy is received by its parent.
-            walked.rx_bytes = walked.bytes.source_to_agg + walked.bytes.agg_to_agg;
+            start = end + 1;
         }
         walked.aggregator_ns = now_ns(t0);
-        *counts = walked;
+        walk.counts = walked;
+    }
+
+    /// The serial join: replays the later shard walks in order onto the
+    /// first shard's state, which begins at position 0 and defers
+    /// nothing, running each deferred node through [`step`](Self::step)
+    /// where the serial walk reaches it. A deferred node's window, cut
+    /// and events span earlier shards, so the sink's window, the cut
+    /// list, the recovery events and the counts at the first scheme
+    /// error, in a shard or at a deferred node, come out exactly as one
+    /// serial walk leaves them. With one shard there is nothing to do.
+    fn join<const MARKED: bool, const RECOVERING: bool>(
+        &self,
+        epoch: Epoch,
+        buf: &mut WalkBuf<S::Psr>,
+    ) {
+        let (first, rest) = buf.shards.split_first_mut().expect("one shard at least");
+        let joined = &mut first.walk;
+        if rest.is_empty() || joined.err.is_some() {
+            return;
+        }
+        let t0 = Instant::now();
+        let mut counts = std::mem::take(&mut joined.counts);
+        'join: for (shard, st) in self.shards[1..].iter().zip(rest) {
+            let end = st.walk.heights();
+            let walk = &mut st.walk;
+            let mut from = Heights::default();
+            for (checkpoint, &pos) in st.checkpoints.iter().zip(&shard.deferred) {
+                joined.take_segment(walk, from, checkpoint.at);
+                counts.add(&checkpoint.counts);
+                from = checkpoint.at;
+                let pos = pos as usize;
+                let node = (pos, self.flat.post_order()[pos] as usize);
+                let mark = self.marks_from(pos).at(pos);
+                let step = self.step::<MARKED, RECOVERING>(
+                    epoch,
+                    node,
+                    mark,
+                    &mut [].iter(),
+                    joined,
+                    &mut counts,
+                );
+                if let Err(e) = step {
+                    joined.err = Some(e);
+                    break 'join;
+                }
+            }
+            joined.take_segment(walk, from, end);
+            counts.add(&walk.counts);
+            if let Some(e) = walk.err.take() {
+                joined.err = Some(e);
+                break;
+            }
+        }
+        counts.aggregator_ns += now_ns(t0);
+        joined.counts = counts;
+    }
+
+    /// One node of the post-order merge walk, `node` being its position
+    /// and id: a source takes its init result from `inits`, an
+    /// aggregator merges the window its children left on `w`'s stack,
+    /// and the PSR copies the node sends are pushed for its parent. The
+    /// shard walks run it on their nodes and the join on the deferred
+    /// ones. `MARKED` is false when the epoch has no marks: the step
+    /// then compiles without attack branches. `RECOVERING` runs each
+    /// sent PSR's uplink before any attack on it, and a scheme error or
+    /// a lost uplink silences the node; otherwise a scheme error is the
+    /// epoch's first-error abort, returned.
+    #[inline(always)]
+    fn step<const MARKED: bool, const RECOVERING: bool>(
+        &self,
+        epoch: Epoch,
+        (pos, id): (usize, usize),
+        mark: Mark,
+        inits: &mut std::slice::Iter<'_, Result<S::Psr, SchemeError>>,
+        w: &mut WalkState<S::Psr>,
+        walked: &mut EpochCounts,
+    ) -> Result<(), SchemeError> {
+        let WalkState {
+            stack,
+            uneven,
+            lost,
+            ..
+        } = w;
+        let from_source = self.flat.is_source(id);
+        let mut psr = if from_source {
+            if mark.failed {
+                if RECOVERING {
+                    cut(&mut lost.cuts, pos..pos + 1);
+                }
+                uneven.push(self.to_parent(id, 0));
+                return Ok(());
+            }
+            walked.sources_run += 1;
+            match inits.next().expect("one init per live source") {
+                Ok(psr) => psr.clone(),
+                Err(e) if !RECOVERING => return Err(e.clone()),
+                Err(_) => {
+                    walked.recovery.init_failures += 1;
+                    self.silence(epoch, id, mark, lost, uneven, walked);
+                    return Ok(());
+                }
+            }
+        } else {
+            let mut window = self.flat.children(id).len();
+            while let Some(&(parent, copies)) = uneven.last() {
+                if parent as usize != pos {
+                    break;
+                }
+                window = window + copies as usize - 1;
+                uneven.pop();
+            }
+            let base = stack.len() - window;
+            if RECOVERING && mark.failed {
+                // The copies join the parent's window, and so on up to
+                // the adopter, which merges them in this place.
+                uneven.push(self.to_parent(id, window as u32));
+                return Ok(());
+            }
+            if mark.failed || window == 0 {
+                stack.truncate(base);
+                if RECOVERING {
+                    self.silence(epoch, id, mark, lost, uneven, walked);
+                } else {
+                    uneven.push(self.to_parent(id, 0));
+                }
+                return Ok(());
+            }
+            // The children's copies sit on the stack last child first
+            // (post-order visits subtrees in reverse); restore child
+            // order so the scheme merges exactly the sequence a parent
+            // gathering its children in order would.
+            stack[base..].reverse();
+            walked.aggregators_run += 1;
+            let merged = self.scheme.try_merge(&stack[base..]);
+            stack.truncate(base);
+            match merged {
+                Ok(merged) => merged,
+                Err(e) if !RECOVERING => return Err(e),
+                Err(_) => {
+                    walked.recovery.merge_failures += 1;
+                    self.silence(epoch, id, mark, lost, uneven, walked);
+                    return Ok(());
+                }
+            }
+        };
+        if RECOVERING {
+            let size = self.scheme.psr_wire_size(&psr) as u64;
+            if !self.uplink(epoch, id, mark, size, lost, walked) {
+                self.silence(epoch, id, mark, lost, uneven, walked);
+                return Ok(());
+            }
+        }
+        let copies = if mark == Mark::default() {
+            1
+        } else {
+            self.attack(&mut psr, mark)
+        };
+        if copies != 1 {
+            uneven.push(self.to_parent(id, copies));
+        }
+        if copies > 0 {
+            if !RECOVERING {
+                let size = self.scheme.psr_wire_size(&psr) as u64 * u64::from(copies);
+                walked.uplink(from_source, size);
+            }
+            for _ in 1..copies {
+                stack.push(psr.clone());
+            }
+            stack.push(psr);
+        }
+        Ok(())
     }
 
     /// The `uneven` entry telling `id`'s parent that `copies` PSR copies
@@ -734,41 +953,37 @@ impl<S: AggregationScheme> Exec<'_, S> {
 
     /// Sink merge + finalize + evaluation for one produced epoch.
     /// `last_final` is the replay cache: set before evaluation, left
-    /// stale on early aborts. Shard counts fold in shard order and stop
-    /// at the first shard that hit a scheme error, so an aborted epoch
-    /// reports what the serial walk had done when it stopped.
+    /// stale on early aborts. The counts are the join's, which stop at
+    /// the first scheme error, so an aborted epoch reports what the
+    /// serial walk had done when it stopped.
     pub(crate) fn consume(
         &self,
         epoch: Epoch,
-        buf: &mut EpochBuf<S::Psr>,
+        buf: &mut WalkBuf<S::Psr>,
         last_final: &mut Option<S::Psr>,
     ) -> (EpochCounts, Result<EvaluatedSum, SchemeError>) {
         let _consume_span = tel::span!("pipeline.consume");
-        let EpochBuf {
-            shards,
-            root_inputs,
-            ..
-        } = buf;
-        let mut counts = EpochCounts::default();
-        root_inputs.clear();
-        for st in shards.iter_mut() {
-            counts.add(&st.counts);
-            if let Some(e) = st.err.take() {
-                return (counts, Err(e));
-            }
-            root_inputs.append(&mut st.stack);
+        let joined = buf.joined();
+        let mut counts = std::mem::take(&mut joined.counts);
+        if self.uplinks.is_none() {
+            // Every uplink copy is received by its parent.
+            counts.rx_bytes = counts.bytes.source_to_agg + counts.bytes.agg_to_agg;
         }
-        // Shard remnants arrive in post order = reverse child order.
-        root_inputs.reverse();
+        if let Some(e) = joined.err.take() {
+            return (counts, Err(e));
+        }
+        // The sink's window arrives in post order = reverse child order.
+        let window = &mut joined.stack;
+        window.reverse();
 
         let root = self.flat.post_order().len() - 1;
         let mark = self.marks_from(root).at(root);
-        if mark.failed || root_inputs.is_empty() {
+        if mark.failed || window.is_empty() {
             return (counts, Err(nothing_reached_querier()));
         }
         counts.aggregators_run += 1;
         let t0 = Instant::now();
-        let merged = self.scheme.try_merge(root_inputs);
+        let merged = self.scheme.try_merge(window);
         let merged = merged.map(|psr| self.scheme.sink_finalize(psr));
         counts.aggregator_ns += now_ns(t0);
         let mut final_psr = match merged {
@@ -807,7 +1022,7 @@ impl<S: AggregationScheme> Exec<'_, S> {
     fn deliver<G>(
         &self,
         epoch: Epoch,
-        buf: &mut EpochBuf<S::Psr>,
+        buf: &mut WalkBuf<S::Psr>,
         last_final: &mut Option<S::Psr>,
         sink: &mut G,
     ) where
@@ -824,51 +1039,52 @@ impl<S: AggregationScheme> Exec<'_, S> {
     }
 }
 
-/// Splits the sink's child subtrees (contiguous post-order segments)
-/// into at most `threads` contiguous, size-balanced shards.
+/// Cuts the post-order below the sink into `min(threads, sources)`
+/// contiguous shards at source-count quantiles: with `n` sources and
+/// `T` shards, shard `k` begins at the ⌊k·n/T⌋-th source in post-order
+/// (shard 0 at position 0), so every shard begins at a leaf and holds
+/// ⌊n/T⌋ or ⌈n/T⌉ sources. A node inside a shard whose subtree begins
+/// before the shard's first position is a proper ancestor of that
+/// position: at most the tree's depth of them per boundary, found here
+/// by walking up from it. (An ancestor whose subtree begins at that
+/// position lies wholly inside the shard.)
 pub(crate) fn plan_shards(flat: &FlatTopology, threads: usize) -> Vec<Shard> {
-    let root = flat.root();
-    let mut segments: Vec<Range<usize>> = flat
-        .children(root)
+    let post = flat.post_order();
+    let root = post.len() - 1;
+    let n = flat.num_sources() as usize;
+    let count = threads.clamp(1, n.max(1));
+    let mut starts = vec![0];
+    let mut rank = 0;
+    for (pos, &id) in post[..root].iter().enumerate() {
+        if flat.is_source(id as usize) {
+            if starts.len() < count && rank == starts.len() * n / count {
+                starts.push(pos);
+            }
+            rank += 1;
+        }
+    }
+    let ends = starts[1..].iter().copied().chain([root]);
+    starts
         .iter()
-        .map(|&c| flat.subtree_range(c as usize))
-        .collect();
-    segments.sort_by_key(|r| r.start);
-    if segments.is_empty() {
-        return Vec::new();
-    }
-    let total: usize = segments.iter().map(Range::len).sum();
-    let workers = threads.max(1).min(segments.len());
-    let mut ranges: Vec<Range<usize>> = Vec::with_capacity(workers);
-    let mut iter = segments.into_iter();
-    let mut consumed = 0usize;
-    for w in 0..workers {
-        let goal = total * (w + 1) / workers;
-        let Some(first) = iter.next() else { break };
-        let mut range = first;
-        consumed += range.len();
-        while consumed < goal {
-            let Some(next) = iter.next() else { break };
-            debug_assert_eq!(next.start, range.end, "segments must be contiguous");
-            consumed += next.len();
-            range.end = next.end;
-        }
-        ranges.push(range);
-    }
-    // Rounding leftovers join the last shard.
-    if let (Some(last), rest) = (ranges.last_mut(), iter) {
-        for next in rest {
-            last.end = next.end;
-        }
-    }
-    ranges
-        .into_iter()
-        .map(|range| {
-            let sources = flat.post_order()[range.clone()]
-                .iter()
-                .filter(|&&id| flat.is_source(id as usize))
-                .count();
-            Shard { range, sources }
+        .zip(ends)
+        .enumerate()
+        .map(|(k, (&start, end))| {
+            let mut deferred = Vec::new();
+            let mut up = flat.parent(post[start] as usize);
+            while let Some(subtree) = up.map(|a| flat.subtree_range(a)) {
+                if subtree.end > end {
+                    break;
+                }
+                if subtree.start < start {
+                    deferred.push(subtree.end as u32 - 1);
+                }
+                up = flat.parent(post[subtree.end - 1] as usize);
+            }
+            Shard {
+                range: start..end,
+                sources: (k + 1) * n / count - k * n / count,
+                deferred,
+            }
         })
         .collect()
 }
@@ -920,8 +1136,8 @@ impl<'a, S: AggregationScheme> EpochPipeline<'a, S> {
         let shards = plan_shards(flat, threads);
         let n_sources = flat.num_sources() as usize;
         let bufs = Some((
-            EpochBuf::new(flat, &shards, n_sources),
-            EpochBuf::new(flat, &shards, n_sources),
+            EpochBuf::new(&shards, n_sources),
+            EpochBuf::new(&shards, n_sources),
         ));
         EpochPipeline {
             scheme,
@@ -961,7 +1177,9 @@ impl<'a, S: AggregationScheme> EpochPipeline<'a, S> {
             Some((a, b)) => a.bytes() + b.bytes(),
             None => 0,
         };
+        let deferred: usize = self.shards.iter().map(|s| s.deferred.capacity()).sum();
         bufs + self.shards.capacity() * size_of::<Shard>()
+            + deferred * size_of::<u32>()
             + self.contributors.capacity() * size_of::<SourceId>()
     }
 
@@ -1010,16 +1228,16 @@ impl<'a, S: AggregationScheme> EpochPipeline<'a, S> {
                     let _close = WarmGateGuard(&gate);
                     for epoch in first_epoch..=last {
                         fill(epoch, &mut front.values);
-                        exec.produce(epoch, &front.values, &mut front.shards);
-                        exec.deliver(epoch, &mut front, &mut last_final, &mut sink);
+                        exec.produce(epoch, &front.values, &mut front.walk);
+                        exec.deliver(epoch, &mut front.walk, &mut last_final, &mut sink);
                         gate.advance(epoch);
                     }
                 });
             } else {
                 for epoch in first_epoch..=last {
                     fill(epoch, &mut front.values);
-                    exec.produce(epoch, &front.values, &mut front.shards);
-                    exec.deliver(epoch, &mut front, &mut last_final, &mut sink);
+                    exec.produce(epoch, &front.values, &mut front.walk);
+                    exec.deliver(epoch, &mut front.walk, &mut last_final, &mut sink);
                 }
             }
             self.bufs = Some((front, back));
@@ -1041,7 +1259,7 @@ impl<'a, S: AggregationScheme> EpochPipeline<'a, S> {
                 // Closing on exit (or panic) unblocks the consumer.
                 let _close = CloseOnDrop(tc);
                 while let Some((epoch, mut buf)) = tp.recv() {
-                    exec.produce(epoch, &buf.values, &mut buf.shards);
+                    exec.produce(epoch, &buf.values, &mut buf.walk);
                     tc.send((epoch, buf));
                 }
             });
@@ -1068,7 +1286,7 @@ impl<'a, S: AggregationScheme> EpochPipeline<'a, S> {
                     .recv()
                     .expect("producer terminated before the last epoch");
                 debug_assert_eq!(produced_epoch, epoch, "epochs hand off in order");
-                exec.deliver(epoch, &mut buf, &mut last_final, &mut sink);
+                exec.deliver(epoch, &mut buf.walk, &mut last_final, &mut sink);
                 gate.advance(epoch);
                 pool.push(buf);
             }
@@ -1185,6 +1403,60 @@ mod tests {
             for streaming in [false, true] {
                 let got = run_collect(&topo, threads, streaming, 4);
                 assert_eq!(got, expected, "threads={threads} streaming={streaming}");
+            }
+        }
+    }
+
+    /// The planner cuts the post-order at source quantiles anywhere in
+    /// the tree, not only between the sink's child subtrees, whose sizes
+    /// on a complete fanout-4 tree are lopsided (16 384 × 3 + 848 at
+    /// N = 50 000) or too few (two at N = 100 000).
+    #[test]
+    fn shards_split_sources_evenly_anywhere_in_the_tree() {
+        for n in [1_000u64, 10_000, 16_384, 50_000, 100_000] {
+            let flat = FlatTopology::from_topology(&Topology::complete_tree(n, 4));
+            let post = flat.post_order();
+            let root = post.len() - 1;
+            for threads in [1usize, 2, 3, 8] {
+                let case = format!("n={n} threads={threads}");
+                let shards = plan_shards(&flat, threads);
+                let count = threads.min(n as usize);
+                assert_eq!(shards.len(), count, "{case}");
+                let (fewest, most) = (n as usize / count, (n as usize).div_ceil(count));
+                let mut next = 0;
+                for (k, shard) in shards.iter().enumerate() {
+                    let Range { start, end } = shard.range;
+                    assert_eq!(start, next, "{case}: shards tile the post-order");
+                    assert!(start < end, "{case}");
+                    next = end;
+                    let sources = post[start..end]
+                        .iter()
+                        .filter(|&&id| flat.is_source(id as usize))
+                        .count();
+                    assert_eq!(sources, shard.sources, "{case}");
+                    assert!((fewest..=most).contains(&sources), "{case}: {sources}");
+                    // The proper ancestors of the first position inside
+                    // the shard, less those whose subtree begins at that
+                    // position (the shard holds all of theirs); none in
+                    // the first shard, which begins at position 0.
+                    let mut ancestors = Vec::new();
+                    let mut up = flat.parent(post[start] as usize);
+                    while let Some(a) = up {
+                        let pos = flat.post_position(a);
+                        if pos < end && flat.subtree_range(a).start < start {
+                            ancestors.push(pos as u32);
+                        }
+                        up = flat.parent(a);
+                    }
+                    assert!(k > 0 || ancestors.is_empty(), "{case}");
+                    assert_eq!(shard.deferred, ancestors, "{case}: shard {k}");
+                    let reaching_back: Vec<u32> = (start..end)
+                        .filter(|&pos| flat.subtree_range(post[pos] as usize).start < start)
+                        .map(|pos| pos as u32)
+                        .collect();
+                    assert_eq!(shard.deferred, reaching_back, "{case}: shard {k}");
+                }
+                assert_eq!(next, root, "{case}: shards end at the sink");
             }
         }
     }

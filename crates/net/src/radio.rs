@@ -1,20 +1,14 @@
-//! Lossy-link radio model: per-hop packet loss with bounded
-//! retransmission, producing the honest-failure sets the engine consumes
-//! and the retransmission overhead factors for bandwidth/energy.
+//! Lossy-link radio model: the per-frame loss rate and retransmission
+//! budget the recovery protocol ([`crate::recovery`]) runs every uplink
+//! under, plus the link accounting its reports carry.
 //!
 //! The paper treats topology maintenance and link reliability as
 //! orthogonal (§III-A), but its failure-handling discussion (§IV-B)
-//! assumes *some* mechanism decides which sources contributed. This
-//! module provides that mechanism for experiments: a node whose uplink
-//! fails `1 + max_retries` times in an epoch loses its whole subtree for
-//! that epoch, and the querier is informed (the engine then verifies
-//! against the surviving contributor set).
-
-use crate::topology::{NodeId, Topology};
-use rand::Rng;
-use rand::RngCore;
-use sies_telemetry as tel;
-use std::collections::HashSet;
+//! assumes *some* mechanism decides which sources contributed. The
+//! recovery protocol is that mechanism: an uplink still lost after its
+//! retries and re-solicitations silences its subtree for the epoch, the
+//! querier is told, and the epoch verifies against the surviving
+//! contributor set.
 
 /// A lossy link layer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,146 +68,17 @@ impl LossyRadio {
     pub fn link_failure_probability(&self) -> f64 {
         self.loss_rate.powi(self.max_retries as i32 + 1)
     }
-
-    /// Samples one epoch of link outcomes over a topology: returns the set
-    /// of nodes whose uplink failed permanently (the engine treats them as
-    /// honest failures) plus attempt accounting.
-    ///
-    /// Every non-root node has one uplink. Descendant links of a failed
-    /// node still count their attempts — the subtree transmitted before
-    /// the loss happened upstream.
-    pub fn epoch_outcome(
-        &self,
-        rng: &mut dyn RngCore,
-        topology: &Topology,
-    ) -> (HashSet<NodeId>, LinkStats) {
-        let mut failed = HashSet::new();
-        let mut stats = LinkStats::default();
-        for node in topology.nodes() {
-            if node.parent.is_none() {
-                continue;
-            }
-            let mut delivered = false;
-            let mut attempts_here = 0u64;
-            for _ in 0..=self.max_retries {
-                attempts_here += 1;
-                if rng.random_range(0.0..1.0) >= self.loss_rate {
-                    delivered = true;
-                    break;
-                }
-            }
-            stats.attempts += attempts_here;
-            if attempts_here > 1 {
-                stats.retransmitted_links += 1;
-            }
-            if !delivered {
-                stats.failed_links += 1;
-                failed.insert(node.id);
-            }
-        }
-        tel::count!("radio.link_attempts", stats.attempts);
-        tel::count!("radio.links_failed", stats.failed_links);
-        tel::count!("radio.links_retransmitted", stats.retransmitted_links);
-        (failed, stats)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    fn topo() -> Topology {
-        Topology::complete_tree(64, 4)
-    }
-
-    #[test]
-    fn lossless_radio_never_fails() {
-        let radio = LossyRadio::new(0.0, 0);
-        let mut rng = StdRng::seed_from_u64(1);
-        let (failed, stats) = radio.epoch_outcome(&mut rng, &topo());
-        assert!(failed.is_empty());
-        assert_eq!(stats.failed_links, 0);
-        assert_eq!(stats.retransmitted_links, 0);
-        // One attempt per non-root node.
-        let links = topo().nodes().len() as u64 - 1;
-        assert_eq!(stats.attempts, links);
-    }
-
-    #[test]
-    fn total_loss_fails_everything() {
-        let radio = LossyRadio::new(1.0, 2);
-        let mut rng = StdRng::seed_from_u64(2);
-        let t = topo();
-        let (failed, stats) = radio.epoch_outcome(&mut rng, &t);
-        let links = t.nodes().len() as u64 - 1;
-        assert_eq!(failed.len() as u64, links);
-        assert_eq!(stats.attempts, links * 3);
-    }
-
-    #[test]
-    fn retries_reduce_failures() {
-        let t = topo();
-        let mut fail_counts = Vec::new();
-        for retries in [0u32, 2, 5] {
-            let radio = LossyRadio::new(0.3, retries);
-            let mut rng = StdRng::seed_from_u64(3);
-            let mut total = 0u64;
-            for _ in 0..50 {
-                total += radio.epoch_outcome(&mut rng, &t).1.failed_links;
-            }
-            fail_counts.push(total);
-        }
-        assert!(fail_counts[0] > fail_counts[1]);
-        assert!(fail_counts[1] > fail_counts[2]);
-    }
 
     #[test]
     fn failure_probability_formula() {
         let radio = LossyRadio::new(0.1, 2);
         assert!((radio.link_failure_probability() - 0.001).abs() < 1e-12);
         assert_eq!(LossyRadio::new(0.0, 5).link_failure_probability(), 0.0);
-    }
-
-    #[test]
-    fn deterministic_under_seed() {
-        let radio = LossyRadio::new(0.2, 1);
-        let t = topo();
-        let mut a = StdRng::seed_from_u64(9);
-        let mut b = StdRng::seed_from_u64(9);
-        assert_eq!(
-            radio.epoch_outcome(&mut a, &t),
-            radio.epoch_outcome(&mut b, &t)
-        );
-    }
-
-    #[test]
-    fn sies_survives_a_lossy_epoch() {
-        // End-to-end: sample losses, feed the failure set to the engine,
-        // and verify against the surviving contributors.
-        use crate::engine::Engine;
-        use crate::SiesDeployment;
-        use sies_core::SystemParams;
-        let mut rng = StdRng::seed_from_u64(11);
-        let t = topo();
-        let dep = SiesDeployment::new(&mut rng, SystemParams::new(64).unwrap());
-        let radio = LossyRadio::new(0.25, 0); // harsh: ~25% links die
-        let (failed, _) = radio.epoch_outcome(&mut rng, &t);
-        assert!(!failed.is_empty(), "expected some failures at 25% loss");
-        let mut engine = Engine::new(&dep, &t);
-        let out = engine.run_epoch_with(0, &[10; 64], &failed, &[]);
-        match out.result {
-            Ok(res) => {
-                assert_eq!(res.sum as u64, 10 * out.stats.contributors.len() as u64);
-            }
-            // Permissible only when no PSR reached the querier at all
-            // (the whole network below the sink failed).
-            Err(e) => assert!(
-                format!("{e}").contains("no PSR"),
-                "unexpected failure under honest losses: {e}"
-            ),
-        }
     }
 
     #[test]

@@ -16,11 +16,14 @@
 //!   thread count.
 //!   Both draw each uplink's outcomes from [`uplink_stream`]: that
 //!   stream is the contract, not walk code.
+//! * One deterministic test refuses, crashes and silences every
+//!   aggregator of two trees in turn at threads 1–8, so every node the
+//!   shard walk defers to the join meets every fault.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use sies_net::engine::{Attack, EdgeBytes, Engine};
+use sies_net::engine::{Attack, EdgeBytes, Engine, EpochOutcome, RecoveredEpoch};
 use sies_net::pipeline::EpochPipeline;
 use sies_net::radio::LossyRadio;
 use sies_net::recovery::{
@@ -36,17 +39,20 @@ use std::collections::HashSet;
 /// inputs that slipped through would still be caught by the sum even
 /// though SUM itself is commutative: positions weight the values.
 /// `reject` names one source whose readings `try_source_init` refuses,
-/// and `refuse_merge` a contribution count whose merges `try_merge`
-/// refuses.
+/// `refuse_merge` a contribution count whose merges `try_merge` refuses,
+/// and `refuse_node` the one merge it refuses by its output's
+/// `(first, height)`.
 struct WeightedSum {
     reject: Option<u32>,
     refuse_merge: Option<u64>,
+    refuse_node: Option<(u32, u32)>,
 }
 
 /// The scheme with every reading and merge accepted.
 const WSUM: WeightedSum = WeightedSum {
     reject: None,
     refuse_merge: None,
+    refuse_node: None,
 };
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -57,6 +63,13 @@ struct WPsr {
     /// sequence, so child-order mistakes change this even when `sum`
     /// stays the same.
     fingerprint: u64,
+    /// The smallest source folded in.
+    first: u32,
+    /// Merges on the longest path down to a source. In a clean epoch
+    /// `(first, height)` names one aggregator's merge: two aggregators
+    /// with the same smallest source lie on one path from the sink, and
+    /// the upper one is higher, even in a chain of one-child aggregators.
+    height: u32,
 }
 
 fn mix(h: u64, v: u64) -> u64 {
@@ -75,6 +88,8 @@ impl AggregationScheme for WeightedSum {
             sum: value,
             count: 1,
             fingerprint: mix(mix(epoch, source as u64), value),
+            first: source,
+            height: 0,
         }
     }
 
@@ -87,7 +102,9 @@ impl AggregationScheme for WeightedSum {
 
     fn try_merge(&self, psrs: &[WPsr]) -> Result<WPsr, SchemeError> {
         let merged = self.merge(psrs);
-        if self.refuse_merge == Some(merged.count) {
+        let refused = self.refuse_merge == Some(merged.count)
+            || self.refuse_node == Some((merged.first, merged.height));
+        if refused {
             return Err(SchemeError::Malformed(format!(
                 "merge of {} refused",
                 merged.count
@@ -105,6 +122,8 @@ impl AggregationScheme for WeightedSum {
             sum: psrs.iter().map(|p| p.sum).sum(),
             count: psrs.iter().map(|p| p.count).sum(),
             fingerprint,
+            first: psrs.iter().map(|p| p.first).min().unwrap_or(u32::MAX),
+            height: 1 + psrs.iter().map(|p| p.height).max().unwrap_or(0),
         }
     }
 
@@ -699,6 +718,46 @@ fn random_topology(seed: u64, n: u64, fanout: usize) -> Topology {
     Topology::random_tree(&mut rng, n, fanout)
 }
 
+/// An engine epoch's outcome in the reference's terms.
+fn observed<S: AggregationScheme>(engine: &Engine<'_, S>, out: EpochOutcome) -> RefEpoch<S::Psr> {
+    RefEpoch {
+        result: out.result,
+        last_final: engine.last_final_psr().cloned(),
+        contributors: out.stats.contributors,
+        sources_run: out.stats.sources_run,
+        aggregators_run: out.stats.aggregators_run,
+        bytes: out.stats.bytes,
+    }
+}
+
+/// A recovering engine epoch in the reference's terms.
+fn observed_recovering<S: AggregationScheme>(
+    engine: &Engine<'_, S>,
+    run: RecoveredEpoch,
+) -> RefRecovered<S::Psr> {
+    RefRecovered {
+        epoch: observed(engine, run.outcome),
+        report: run.report,
+        repairs: run.repairs,
+        corrupted: run.aggregate_corrupted,
+    }
+}
+
+/// `(first, height)` of node `id`'s PSR in a clean epoch.
+fn merge_id(topo: &Topology, id: NodeId) -> (u32, u32) {
+    let node = topo.node(id);
+    match node.role {
+        Role::Source(sid) => (sid, 0),
+        Role::Aggregator => node
+            .children
+            .iter()
+            .fold((u32::MAX, 0), |(first, height), &c| {
+                let (f, h) = merge_id(topo, c);
+                (first.min(f), height.max(h + 1))
+            }),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -778,6 +837,7 @@ proptest! {
         let scheme = WeightedSum {
             reject: (reject_pick == 0).then_some((reject_src % n) as u32),
             refuse_merge: (reject_pick == 1).then_some(reject_src % n + 1),
+            ..WSUM
         };
         let mut engine = Engine::new(&scheme, &topo).with_threads(Threads::fixed(threads));
         let mut reference = Reference::new(&scheme, &topo);
@@ -787,14 +847,7 @@ proptest! {
             let (failed, attacks) = random_faults(&mut rng, &topo, fail_pct, 2);
             let want = reference.epoch(epoch, &values, &failed, &attacks);
             let out = engine.run_epoch_with(epoch, &values, &failed, &attacks);
-            let got = RefEpoch {
-                result: out.result,
-                last_final: engine.last_final_psr().copied(),
-                contributors: out.stats.contributors,
-                sources_run: out.stats.sources_run,
-                aggregators_run: out.stats.aggregators_run,
-                bytes: out.stats.bytes,
-            };
+            let got = observed(&engine, out);
             prop_assert!(
                 got == want,
                 "epoch {epoch}, failed {failed:?}, attacks {attacks:?}\n got: {got:?}\nwant: {want:?}"
@@ -819,6 +872,7 @@ proptest! {
         let scheme = WeightedSum {
             reject: (reject_pick == 0).then_some((reject_src % n) as u32),
             refuse_merge: (reject_pick == 1).then_some(reject_src % n + 1),
+            ..WSUM
         };
         let radio = LossyRadio::new(loss, retries);
         let recovery = RecoveryConfig::new(rounds, 0.5);
@@ -837,19 +891,7 @@ proptest! {
                 epoch, &values, &crashed, &attacks, &radio, &recovery,
                 &mut StdRng::seed_from_u64(link_seed),
             );
-            let got = RefRecovered {
-                epoch: RefEpoch {
-                    result: run.outcome.result,
-                    last_final: engine.last_final_psr().copied(),
-                    contributors: run.outcome.stats.contributors,
-                    sources_run: run.outcome.stats.sources_run,
-                    aggregators_run: run.outcome.stats.aggregators_run,
-                    bytes: run.outcome.stats.bytes,
-                },
-                report: run.report,
-                repairs: run.repairs,
-                corrupted: run.aggregate_corrupted,
-            };
+            let got = observed_recovering(&engine, run);
             prop_assert!(
                 got == want,
                 "epoch {epoch}, crashed {crashed:?}, attacks {attacks:?}\n got: {got:?}\nwant: {want:?}"
@@ -901,6 +943,101 @@ proptest! {
             },
         );
         prop_assert_eq!(&got, &expected);
+    }
+}
+
+/// Every fault on every aggregator at every thread count, held field for
+/// field to the reference fold. Shards are cut at source quantiles
+/// anywhere in the tree, so at some thread counts the faulty aggregator
+/// is a node the shard walk defers to the join:
+///
+/// * refusing its merge is the first-error abort, whose counts stop
+///   where the serial walk's do;
+/// * crashing it forwards its children's copies, some from an earlier
+///   shard, to its adopter;
+/// * refusing its merge in a recovering epoch silences it, and its cut
+///   swallows the cuts that lost uplinks left in earlier shards.
+///
+/// `complete_tree(64, 4)` has 21 aggregators, and at threads 3 and 5–8
+/// a shard boundary falls inside a sink child's subtree; the random
+/// tree's one-child aggregators make chains of deferred nodes.
+#[test]
+fn every_aggregator_fault_matches_reference_at_every_thread_count() {
+    let radio = LossyRadio::new(0.3, 1);
+    let recovery = RecoveryConfig::new(1, 0.5);
+    let none = HashSet::new();
+    for topo in [
+        Topology::complete_tree(64, 4),
+        random_topology(0x5EED, 90, 5),
+    ] {
+        let n = topo.num_sources();
+        let values: Vec<u64> = (0..n).map(|i| mix(n, i) & 0xFFFF).collect();
+        let aggregators =
+            (0..topo.nodes().len()).filter(|&id| topo.node(id).role == Role::Aggregator);
+        for a in aggregators {
+            let refusing = WeightedSum {
+                refuse_node: Some(merge_id(&topo, a)),
+                ..WSUM
+            };
+            let crashed = HashSet::from([a]);
+            let links = || StdRng::seed_from_u64(mix(n, a as u64));
+            let abort = Reference::new(&refusing, &topo).epoch(0, &values, &none, &[]);
+            assert!(
+                matches!(&abort.result, Err(SchemeError::Malformed(e)) if e.contains("refused")),
+                "aggregator {a}: its merge must be the one refused"
+            );
+            let crash = Reference::new(&WSUM, &topo).recovering(
+                0,
+                &values,
+                &crashed,
+                &[],
+                &radio,
+                &recovery,
+                &mut links(),
+            );
+            let silenced = Reference::new(&refusing, &topo).recovering(
+                0,
+                &values,
+                &none,
+                &[],
+                &radio,
+                &recovery,
+                &mut links(),
+            );
+            for threads in 1..=8 {
+                let case = format!("{n} sources, aggregator {a}, threads {threads}");
+                let threads = Threads::fixed(threads);
+                let mut engine = Engine::new(&refusing, &topo).with_threads(threads);
+                let out = engine.run_epoch_with(0, &values, &none, &[]);
+                assert_eq!(observed(&engine, out), abort, "{case}: refused merge");
+                let mut engine = Engine::new(&WSUM, &topo).with_threads(threads);
+                let run = engine.run_epoch_recovering(
+                    0,
+                    &values,
+                    &crashed,
+                    &[],
+                    &radio,
+                    &recovery,
+                    &mut links(),
+                );
+                assert_eq!(observed_recovering(&engine, run), crash, "{case}: crashed");
+                let mut engine = Engine::new(&refusing, &topo).with_threads(threads);
+                let run = engine.run_epoch_recovering(
+                    0,
+                    &values,
+                    &none,
+                    &[],
+                    &radio,
+                    &recovery,
+                    &mut links(),
+                );
+                assert_eq!(
+                    observed_recovering(&engine, run),
+                    silenced,
+                    "{case}: silenced"
+                );
+            }
+        }
     }
 }
 

@@ -180,6 +180,28 @@ impl EventBuf {
         }
     }
 
+    /// Events buffered since the last flush or clear.
+    pub fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Whether nothing is buffered.
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// Drops everything buffered, retaining the allocation.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
+    /// Appends `other`'s buffered events in `range`, in order: a caller
+    /// that buffered events on several threads interleaves them here
+    /// before one flush.
+    pub fn extend_from(&mut self, other: &EventBuf, range: std::ops::Range<usize>) {
+        self.buf.extend_from_slice(&other.buf[range]);
+    }
+
     /// Appends everything buffered to the global [`journal`] under one
     /// lock, retaining the allocation for reuse.
     pub fn flush(&mut self) {
