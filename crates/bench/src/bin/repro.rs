@@ -714,7 +714,8 @@ fn throughput_exp(opts: &Options, threads: Threads, max_n: u64, out: &Path) {
             lane_width: sies_crypto::lanes::lane_width(),
             scale_max_n: scale_ns.last().copied().unwrap_or(0),
             note: "speedup_vs_serial ~1.0 is expected when cpu_cores is 1; \
-                   bytes_per_node covers the flat arena plus both epoch buffers"
+                   bytes_per_node covers the flat arena plus the pipeline's epoch \
+                   buffers (two when streaming, else one)"
                 .to_string(),
         },
         sweep: points,

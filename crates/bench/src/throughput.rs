@@ -323,8 +323,8 @@ pub struct ScalePoint {
     pub querier_cpu_ms: f64,
     /// Heap bytes of the flat topology arena (SoA points; 0 for legacy).
     pub arena_bytes: u64,
-    /// Heap bytes of the pipeline's reusable epoch state, both buffers
-    /// (SoA points; 0 for legacy).
+    /// Heap bytes of the pipeline's reusable epoch state: one epoch
+    /// buffer, two when streaming (SoA points; 0 for legacy).
     pub state_bytes: u64,
     /// `(arena_bytes + state_bytes) / nodes` — the machine-checked
     /// memory budget (SoA points; 0 for legacy).

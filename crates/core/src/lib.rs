@@ -56,4 +56,6 @@ pub use error::{Epoch, SiesError, SourceId};
 pub use parallel::Threads;
 pub use params::{ResultWidth, SystemParams};
 pub use query::{Aggregate, Attribute, Predicate, Query, QueryPlan, QueryResult, SensorReading};
-pub use scheme::{setup, Aggregator, Psr, Querier, Source, SourceCredentials, VerifiedSum};
+pub use scheme::{
+    setup, Aggregator, KeyTable, Psr, Querier, Source, SourceCredentials, VerifiedSum,
+};

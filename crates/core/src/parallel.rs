@@ -58,8 +58,9 @@ impl Default for Threads {
 }
 
 /// Splits `items` into at most `threads` contiguous chunks, applies `f`
-/// to each chunk on its own scoped worker, and returns the per-chunk
-/// results **in input order**.
+/// to each chunk, and returns the per-chunk results **in input order**.
+/// The first chunk runs on the calling thread and every other chunk on
+/// its own scoped worker ([`for_each_pair_mut`]).
 ///
 /// With `threads <= 1` (or a single chunk) `f` runs inline on the calling
 /// thread — the serial and parallel paths execute the same closure over
@@ -76,83 +77,32 @@ where
     if items.is_empty() {
         return Vec::new();
     }
-    let workers = threads.max(1).min(items.len());
-    let chunk_len = items.len().div_ceil(workers);
-    if workers == 1 {
-        let _shard = tel::span!("parallel.shard");
-        return vec![f(items)];
-    }
+    let chunk_len = items.len().div_ceil(threads.max(1).min(items.len()));
     let chunks: Vec<&[T]> = items.chunks(chunk_len).collect();
     let mut out: Vec<Option<U>> = Vec::with_capacity(chunks.len());
     out.resize_with(chunks.len(), || None);
-    std::thread::scope(|scope| {
-        for (chunk, slot) in chunks.iter().zip(out.iter_mut()) {
-            let f = &f;
-            scope.spawn(move || {
-                // Each worker's whole shard is one span: the histogram's
-                // spread across samples is the shard imbalance.
-                let _shard = tel::span!("parallel.shard");
-                *slot = Some(f(chunk));
-            });
-        }
+    // One chunk per worker; each worker's whole chunk is one span, so
+    // the histogram's spread across samples is the shard imbalance.
+    for_each_pair_mut(chunks.len(), &chunks, &mut out, |_, chunk, slot| {
+        *slot = Some(f(chunk));
     });
     out.into_iter()
-        .map(|slot| slot.expect("every worker fills its slot"))
-        .collect()
-}
-
-/// Applies `f(index, item)` to every item across `threads` scoped
-/// workers and returns the results **in input order**, exactly as the
-/// serial loop `items.iter().enumerate().map(...)` would.
-///
-/// Unlike [`map_chunks`] the per-item closure sees the item's global
-/// index, so output is independent of the chunking: any thread count
-/// yields the identical `Vec`.
-pub fn map_ordered<T, U, F>(threads: usize, items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    let workers = threads.max(1).min(items.len().max(1));
-    if workers == 1 {
-        let _shard = tel::span!("parallel.shard");
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let chunk_len = items.len().div_ceil(workers);
-    let mut out: Vec<Option<U>> = Vec::with_capacity(items.len());
-    out.resize_with(items.len(), || None);
-    std::thread::scope(|scope| {
-        for (w, (in_chunk, out_chunk)) in items
-            .chunks(chunk_len)
-            .zip(out.chunks_mut(chunk_len))
-            .enumerate()
-        {
-            let base = w * chunk_len;
-            let f = &f;
-            scope.spawn(move || {
-                let _shard = tel::span!("parallel.shard");
-                for (j, (item, slot)) in in_chunk.iter().zip(out_chunk.iter_mut()).enumerate() {
-                    *slot = Some(f(base + j, item));
-                }
-            });
-        }
-    });
-    out.into_iter()
-        .map(|slot| slot.expect("every worker fills its slots"))
+        .map(|slot| slot.expect("every chunk fills its slot"))
         .collect()
 }
 
 /// Runs `f(index, &items[i], &mut outs[i])` for every pair, sharding
-/// contiguous pair ranges across at most `threads` scoped workers. Each
-/// worker owns a disjoint `&mut` slice of `outs`, so no synchronization
-/// is needed and — unlike [`map_ordered`] — **nothing is allocated**:
-/// results land in caller-owned slots. This is the hand-off the streamed
-/// epoch pipeline relies on for its zero-allocation steady state
-/// (`threads <= 1` runs fully inline).
+/// contiguous pair ranges across at most `threads` workers: the first
+/// range runs on the calling thread, every other one on its own scoped
+/// worker, so `threads` workers cost `threads − 1` spawns. Each worker
+/// owns a disjoint `&mut` slice of `outs`, so no synchronization is
+/// needed and nothing is allocated here: results land in caller-owned
+/// slots. This is the hand-off the epoch walk relies on for its
+/// zero-allocation steady state (`threads <= 1` runs fully inline, with
+/// no thread scope).
 ///
 /// `f` sees the pair's global index, so output is independent of the
-/// chunking exactly as in [`map_ordered`].
+/// chunking.
 ///
 /// # Panics
 /// When `items` and `outs` differ in length.
@@ -170,30 +120,30 @@ where
     if items.is_empty() {
         return;
     }
+    let run = |base: usize, items: &[T], outs: &mut [U]| {
+        let _shard = tel::span!("parallel.shard");
+        for (j, (item, out)) in items.iter().zip(outs).enumerate() {
+            f(base + j, item, out);
+        }
+    };
     let workers = threads.max(1).min(items.len());
     if workers == 1 {
-        let _shard = tel::span!("parallel.shard");
-        for (i, (item, out)) in items.iter().zip(outs.iter_mut()).enumerate() {
-            f(i, item, out);
-        }
+        run(0, items, outs);
         return;
     }
     let chunk_len = items.len().div_ceil(workers);
+    let (first_in, rest_in) = items.split_at(chunk_len);
+    let (first_out, rest_out) = outs.split_at_mut(chunk_len);
     std::thread::scope(|scope| {
-        for (w, (in_chunk, out_chunk)) in items
+        let run = &run;
+        for (w, (in_chunk, out_chunk)) in rest_in
             .chunks(chunk_len)
-            .zip(outs.chunks_mut(chunk_len))
+            .zip(rest_out.chunks_mut(chunk_len))
             .enumerate()
         {
-            let base = w * chunk_len;
-            let f = &f;
-            scope.spawn(move || {
-                let _shard = tel::span!("parallel.shard");
-                for (j, (item, out)) in in_chunk.iter().zip(out_chunk.iter_mut()).enumerate() {
-                    f(base + j, item, out);
-                }
-            });
+            scope.spawn(move || run((w + 1) * chunk_len, in_chunk, out_chunk));
         }
+        run(0, first_in, first_out);
     });
 }
 
@@ -208,27 +158,6 @@ mod tests {
         assert!(Threads::fixed(0).resolve() >= 1); // 0 → Auto
         assert!(Threads::Auto.resolve() >= 1);
         assert_eq!(Threads::default(), Threads::serial());
-    }
-
-    #[test]
-    fn map_ordered_matches_serial_for_every_thread_count() {
-        let items: Vec<u64> = (0..1000).collect();
-        let serial: Vec<u64> = items
-            .iter()
-            .enumerate()
-            .map(|(i, v)| v * 3 + i as u64)
-            .collect();
-        for threads in [1, 2, 3, 4, 7, 8, 64, 2000] {
-            let par = map_ordered(threads, &items, |i, v| v * 3 + i as u64);
-            assert_eq!(par, serial, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn map_ordered_handles_degenerate_inputs() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(map_ordered(8, &empty, |_, v| *v).is_empty());
-        assert_eq!(map_ordered(8, &[9u32], |i, v| (i, *v)), vec![(0, 9)]);
     }
 
     #[test]
@@ -288,5 +217,58 @@ mod tests {
     fn for_each_pair_mut_rejects_length_mismatch() {
         let mut outs = vec![0u8; 2];
         for_each_pair_mut(1, &[1u8, 2, 3], &mut outs, |_, _, _| {});
+    }
+
+    /// The thread each chunk (or pair range) of a parallel helper ran
+    /// on, by chunk index.
+    fn chunk_threads(run: impl FnOnce(&(dyn Fn(usize) + Sync))) -> Vec<std::thread::ThreadId> {
+        let seen = std::sync::Mutex::new(Vec::new());
+        run(&|chunk| {
+            seen.lock()
+                .unwrap()
+                .push((chunk, std::thread::current().id()))
+        });
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_by_key(|&(chunk, _)| chunk);
+        seen.dedup();
+        seen.into_iter().map(|(_, thread)| thread).collect()
+    }
+
+    #[test]
+    fn map_chunks_runs_the_first_chunk_on_the_caller() {
+        let caller = std::thread::current().id();
+        let items: Vec<usize> = (0..40).collect();
+        for threads in [2, 3, 8] {
+            let threads_seen = chunk_threads(|note| {
+                map_chunks(threads, &items, |chunk| {
+                    note(chunk[0] / 40usize.div_ceil(threads))
+                });
+            });
+            assert_eq!(threads_seen.len(), threads, "threads = {threads}");
+            assert_eq!(threads_seen[0], caller, "threads = {threads}");
+            assert!(
+                threads_seen[1..].iter().all(|&t| t != caller),
+                "threads = {threads}: a later chunk ran on the caller"
+            );
+        }
+    }
+
+    #[test]
+    fn for_each_pair_mut_runs_the_first_range_on_the_caller() {
+        let caller = std::thread::current().id();
+        let items: Vec<usize> = (0..40).collect();
+        for threads in [2, 3, 8] {
+            let chunk_len = 40usize.div_ceil(threads);
+            let mut outs = vec![0u8; items.len()];
+            let threads_seen = chunk_threads(|note| {
+                for_each_pair_mut(threads, &items, &mut outs, |i, _, _| note(i / chunk_len));
+            });
+            assert_eq!(threads_seen.len(), threads, "threads = {threads}");
+            assert_eq!(threads_seen[0], caller, "threads = {threads}");
+            assert!(
+                threads_seen[1..].iter().all(|&t| t != caller),
+                "threads = {threads}: a later range ran on the caller"
+            );
+        }
     }
 }

@@ -5,6 +5,13 @@
 //! readings at the leaves, *aggregators* fuse partial state records (PSRs)
 //! at internal nodes, and the *querier* decrypts and verifies the single
 //! final PSR received from the sink.
+//!
+//! Setup leaves `k_i` with source `𝒮_i` and every `k_i` with the
+//! querier. In one process those holders share one [`KeyTable`]: each
+//! key's HMAC pads are absorbed once and held once, the querier reads
+//! every row and each source reads its own ([`KeyTable::source`]).
+//! [`setup`] still hands out per-source credentials, from which
+//! [`Source::new`] builds a source with a one-row table of its own.
 
 use crate::codec::{self, SecretShare};
 use crate::error::{Epoch, SiesError, SourceId};
@@ -72,38 +79,42 @@ pub struct SourceCredentials {
     params: SystemParams,
 }
 
-/// A source sensor: runs the initialization phase each epoch.
+/// The key material of one deployment, held once: `K` and every `k_i`
+/// with their HMAC pads pre-absorbed ([`KeyedPrf`], 104 bytes per key),
+/// the public parameters, and the Montgomery context for `p` that every
+/// epoch's cipher, `K_t⁻¹` and decryption run on.
 ///
-/// Holds its own key `k_i` with the HMAC pads pre-absorbed
-/// ([`KeyedPrf`], 104 bytes), so every epoch's PRF evaluations skip the
-/// per-call key-block setup. What every source shares — the global key
-/// `K` and the public parameters — sits behind one [`Arc`] per
-/// deployment ([`Source::new_many`]), not in each source. A `&Source` is
-/// `Sync` and can be shared freely across epoch-pipeline workers.
-#[derive(Clone)]
-pub struct Source {
-    id: SourceId,
-    source_prf: KeyedPrf,
-    shared: Arc<SourceShared>,
-}
-
-/// The part of a source's credentials every source of one deployment
-/// holds in common, with the Montgomery context for `p` that every
-/// epoch's cipher is built on.
-struct SourceShared {
+/// The querier and the deployment's sources read one table behind an
+/// [`Arc`] ([`Querier::new`], [`KeyTable::source`]), each source only
+/// its own row, so an in-process deployment holds each key once and
+/// absorbs its pads once. Its batch entry points —
+/// [`KeyTable::initialize_batch_into`], [`KeyTable::derive_epoch_keys`]
+/// and the querier's Σk/Σss recomputation — sweep rows by source id
+/// through the multi-lane PRF kernels.
+pub struct KeyTable {
     global_prf: KeyedPrf,
+    /// One row per source; row `i` is `k_i` in a deployment's table.
+    source_prfs: Box<[KeyedPrf]>,
     params: SystemParams,
     ctx: MontgomeryCtx,
 }
 
-impl SourceShared {
-    fn new(creds: &SourceCredentials) -> Arc<Self> {
-        Arc::new(SourceShared {
-            global_prf: KeyedPrf::new(&creds.global_key),
-            params: creds.params.clone(),
-            ctx: MontgomeryCtx::new(creds.params.prime()),
-        })
-    }
+/// A source sensor: runs the initialization phase each epoch.
+///
+/// A view of one row of a [`KeyTable`]: `k_i`'s pre-absorbed pads, so
+/// every epoch's PRF evaluations skip the per-call key-block setup,
+/// beside what every source shares (`K`'s pads and the parameters).
+/// [`Source::new`] builds a one-row table from the credentials setup
+/// registers at the source; a deployment's sources are views of its
+/// table ([`KeyTable::source`]). A `&Source` is `Sync` and can be
+/// shared freely across epoch-pipeline workers.
+#[derive(Clone)]
+pub struct Source {
+    id: SourceId,
+    /// The table row holding `k_i`: the id itself in a deployment's
+    /// table, 0 in a lone source's.
+    row: u32,
+    keys: Arc<KeyTable>,
 }
 
 /// An aggregator sensor: holds only the public prime `p` (it has no keys —
@@ -115,16 +126,14 @@ pub struct Aggregator {
 
 /// The querier: holds `K` and every `k_i`, runs the evaluation phase.
 ///
-/// All keys are stored with their HMAC pads pre-absorbed ([`KeyedPrf`]),
-/// so the per-epoch Σss recomputation costs exactly two lane-batchable
-/// compressions per contributor instead of re-deriving every key
-/// schedule from the raw bytes. The Montgomery context for `p`, built
-/// once at setup, serves every epoch's `K_t⁻¹` and decryption.
+/// Reads its deployment's [`KeyTable`], where every key's HMAC pads are
+/// pre-absorbed, so the per-epoch Σss recomputation costs exactly two
+/// lane-batchable compressions per contributor instead of re-deriving
+/// every key schedule from the raw bytes. The table's Montgomery
+/// context for `p`, built once at setup, serves every epoch's `K_t⁻¹`
+/// and decryption.
 pub struct Querier {
-    global_prf: KeyedPrf,
-    source_prfs: Vec<KeyedPrf>,
-    params: SystemParams,
-    ctx: MontgomeryCtx,
+    keys: Arc<KeyTable>,
 }
 
 /// A successfully verified SUM result.
@@ -138,39 +147,40 @@ pub struct VerifiedSum {
     pub contributors: u64,
 }
 
+/// Draws setup's long-term keys from `rng`: `K`, then `k_1..k_N`.
+fn draw_keys(rng: &mut dyn RngCore, n: u64) -> (LongTermKey, Vec<LongTermKey>) {
+    let mut draw = || {
+        let mut key = [0u8; KEY_BYTES];
+        rng.fill_bytes(&mut key);
+        key
+    };
+    let global_key = draw();
+    (global_key, (0..n).map(|_| draw()).collect())
+}
+
 /// Runs the setup phase: generates `K`, `k_1..k_N` and distributes the
 /// credentials. Returns the querier together with the per-source
 /// credentials and the aggregator configuration.
+///
+/// An in-process deployment that needs no credentials builds one
+/// [`KeyTable::generate`] from the same draws instead.
 pub fn setup(
     rng: &mut dyn RngCore,
     params: SystemParams,
 ) -> (Querier, Vec<SourceCredentials>, Aggregator) {
-    let mut global_key = [0u8; KEY_BYTES];
-    rng.fill_bytes(&mut global_key);
-    let n = params.num_sources();
-    let mut source_keys = Vec::with_capacity(n as usize);
-    let mut creds = Vec::with_capacity(n as usize);
-    for id in 0..n {
-        let mut k_i = [0u8; KEY_BYTES];
-        rng.fill_bytes(&mut k_i);
-        source_keys.push(k_i);
-        creds.push(SourceCredentials {
-            id: id as SourceId,
+    let (global_key, source_keys) = draw_keys(rng, params.num_sources());
+    let creds = (0..)
+        .zip(&source_keys)
+        .map(|(id, &source_key)| SourceCredentials {
+            id,
             global_key,
-            source_key: k_i,
+            source_key,
             params: params.clone(),
-        });
-    }
-    let aggregator = Aggregator {
-        prime: *params.prime(),
-    };
-    let querier = Querier {
-        global_prf: KeyedPrf::new(&global_key),
-        source_prfs: KeyedPrf::new_many(&source_keys),
-        ctx: MontgomeryCtx::new(params.prime()),
-        params,
-    };
-    (querier, creds, aggregator)
+        })
+        .collect();
+    let aggregator = Aggregator::new(*params.prime());
+    let keys = KeyTable::from_keys(&global_key, &source_keys, params);
+    (Querier::new(Arc::new(keys)), creds, aggregator)
 }
 
 impl SourceCredentials {
@@ -185,137 +195,88 @@ impl SourceCredentials {
     }
 }
 
-impl Source {
-    /// Instantiates a source from its registered credentials.
-    pub fn new(creds: SourceCredentials) -> Self {
-        Source {
-            id: creds.id,
-            source_prf: KeyedPrf::new(&creds.source_key),
-            shared: SourceShared::new(&creds),
+impl KeyTable {
+    /// The setup phase's key generation for `params.num_sources()`
+    /// sources: draws `K` and `k_1..k_N` exactly as [`setup`] does from
+    /// the same RNG state, and absorbs every `k_i`'s pads once, in
+    /// hash-lane batches.
+    pub fn generate(rng: &mut dyn RngCore, params: SystemParams) -> Self {
+        let (global_key, source_keys) = draw_keys(rng, params.num_sources());
+        KeyTable::from_keys(&global_key, &source_keys, params)
+    }
+
+    fn from_keys(
+        global_key: &LongTermKey,
+        source_keys: &[LongTermKey],
+        params: SystemParams,
+    ) -> Self {
+        KeyTable {
+            global_prf: KeyedPrf::new(global_key),
+            source_prfs: KeyedPrf::new_many(source_keys).into_boxed_slice(),
+            ctx: MontgomeryCtx::new(params.prime()),
+            params,
         }
     }
 
-    /// Instantiates every source of one deployment (the credentials of
-    /// one [`setup`]) at once: the `k_i` pads are absorbed in hash-lane
-    /// batches, and all sources share one copy of `K`'s pads and the
-    /// parameters. Element-wise equivalent to [`Source::new`].
-    ///
-    /// # Panics
-    /// If the credentials do not all carry the same `K` and parameters.
-    pub fn new_many(creds: &[SourceCredentials]) -> Vec<Source> {
-        let Some(first) = creds.first() else {
-            return Vec::new();
-        };
-        assert!(
-            creds
-                .iter()
-                .all(|c| c.global_key == first.global_key && c.params == first.params),
-            "credentials from more than one deployment"
-        );
-        let shared = SourceShared::new(first);
-        let keys: Vec<LongTermKey> = creds.iter().map(|c| c.source_key).collect();
-        creds
-            .iter()
-            .zip(KeyedPrf::new_many(&keys))
-            .map(|(c, source_prf)| Source {
-                id: c.id,
-                source_prf,
-                shared: Arc::clone(&shared),
-            })
-            .collect()
+    /// Number of rows (sources) in the table.
+    pub fn num_sources(&self) -> usize {
+        self.source_prfs.len()
     }
 
-    /// The source's identifier.
-    pub fn id(&self) -> SourceId {
-        self.id
+    /// The shared system parameters.
+    pub fn params(&self) -> &SystemParams {
+        &self.params
     }
 
-    fn params(&self) -> &SystemParams {
-        &self.shared.params
-    }
-
-    /// The initialization phase `I`: derives the epoch keys and share,
-    /// encodes the reading, and encrypts it into a PSR.
-    ///
-    /// Per paper §IV-A this costs two `HM256` calls, one `HM1` call, one
-    /// 32-byte modular multiplication and one modular addition (`C^𝒮_SIES`,
-    /// Equation 3).
-    pub fn initialize(&self, epoch: Epoch, value: u64) -> Result<Psr, SiesError> {
-        let p = self.params().prime();
-        // K_t = HM256(K, t), shared by all sources.
-        let k_t = self.shared.global_prf.derive_mod_nonzero(epoch, p);
-        // k_{i,t} = HM256(k_i, t), known only to S_i (and the querier).
-        let k_it = self.source_prf.derive_mod(epoch, p);
-        // ss_{i,t} = HM1(k_i, t).
-        let ss: SecretShare = self.source_prf.hm1_epoch(epoch);
-        let m = codec::encode_message(self.params(), value, &ss)?;
-        Ok(Psr {
-            ciphertext: hom::encrypt(&m, &k_t, &k_it, p),
+    /// Source `id` of this deployment, a view of its row; `None` when
+    /// the table has no such row.
+    pub fn source(self: &Arc<Self>, id: SourceId) -> Option<Source> {
+        ((id as usize) < self.source_prfs.len()).then(|| Source {
+            id,
+            row: id,
+            keys: Arc::clone(self),
         })
     }
 
     /// Builds this epoch's shared cipher: `K_t` derived once and entered
-    /// into the Montgomery domain of the deployment's shared context.
-    /// Every source of a deployment derives the *same* `K_t`, so one
-    /// [`EpochCipher`] (built by any source, or one per shard worker)
-    /// serves the whole population for the epoch.
+    /// into the Montgomery domain of the table's context. Every source
+    /// of a deployment derives the *same* `K_t`, so one [`EpochCipher`]
+    /// (one per shard worker) serves the whole population for the epoch.
     pub fn epoch_cipher(&self, epoch: Epoch) -> EpochCipher {
         let k_t = self
-            .shared
             .global_prf
-            .derive_mod_nonzero(epoch, self.params().prime());
-        EpochCipher::with_ctx(&k_t, &self.shared.ctx)
-    }
-
-    /// The initialization phase with the epoch-shared work hoisted out:
-    /// bit-identical to [`Source::initialize`] (asserted by
-    /// `batched_initialize_matches_serial` below) but skips the per-call
-    /// `K_t` derivation and replaces the generic multiply-and-divide with
-    /// one Montgomery multiply via `cipher`.
-    pub fn initialize_with(
-        &self,
-        cipher: &EpochCipher,
-        epoch: Epoch,
-        value: u64,
-    ) -> Result<Psr, SiesError> {
-        let p = self.params().prime();
-        debug_assert_eq!(cipher.prime(), p, "cipher built for a different modulus");
-        let k_it = self.source_prf.derive_mod(epoch, p);
-        let ss: SecretShare = self.source_prf.hm1_epoch(epoch);
-        let m = codec::encode_message(self.params(), value, &ss)?;
-        Ok(Psr {
-            ciphertext: cipher.encrypt(&m, &k_it),
-        })
+            .derive_mod_nonzero(epoch, self.params.prime());
+        EpochCipher::with_ctx(&k_t, &self.ctx)
     }
 
     /// Initialization for a whole shard of sources at once: both
-    /// per-source PRF sweeps (`k_{i,t}` and `ss_{i,t}`) run through the
-    /// multi-lane batch pipeline ([`prf::for_each_epoch_key`], one sensor
-    /// per hash lane), then each reading is encoded and encrypted under
-    /// the shared `cipher` and handed to `emit`, in job order. Allocates
-    /// nothing. Element-wise identical to calling
-    /// [`Source::initialize_with`] per job (asserted by
-    /// `batched_initialize_matches_serial` below).
-    pub fn initialize_batch_into<'a, J>(
+    /// per-source PRF sweeps (`k_{i,t}` and `ss_{i,t}`) over the jobs'
+    /// rows run through the multi-lane batch pipeline
+    /// ([`prf::for_each_epoch_key`], one sensor per hash lane), then each
+    /// reading is encoded and encrypted under the shared `cipher` and
+    /// handed to `emit`, in job order. Allocates nothing. Element-wise
+    /// identical to calling [`Source::initialize_with`] per job (asserted
+    /// by `batched_initialize_matches_serial` below).
+    ///
+    /// # Panics
+    /// If a job names a source outside the table.
+    pub fn initialize_batch_into(
+        &self,
         cipher: &EpochCipher,
         epoch: Epoch,
-        jobs: J,
+        jobs: &[(SourceId, u64)],
         mut emit: impl FnMut(Result<Psr, SiesError>),
-    ) where
-        J: Iterator<Item = (&'a Source, u64)> + Clone,
-    {
+    ) {
         let p = cipher.prime();
-        let mut values = jobs.clone();
-        let prfs = jobs.map(|(source, _)| &source.source_prf);
-        prf::for_each_epoch_key(prfs, epoch, p, |_, k_it, ss| {
-            let (source, value) = values.next().expect("one job per key");
-            debug_assert_eq!(
-                p,
-                source.params().prime(),
-                "cipher built for a different modulus"
-            );
+        debug_assert_eq!(
+            p,
+            self.params.prime(),
+            "cipher built for a different modulus"
+        );
+        let prfs = jobs.iter().map(|&(id, _)| &self.source_prfs[id as usize]);
+        prf::for_each_epoch_key(prfs, epoch, p, |i, k_it, ss| {
             emit(
-                codec::encode_message(source.params(), value, &ss).map(|m| Psr {
+                codec::encode_message(&self.params, jobs[i].1, &ss).map(|m| Psr {
                     ciphertext: cipher.encrypt(&m, &k_it),
                 }),
             );
@@ -327,53 +288,124 @@ impl Source {
     /// precompute pool can do the PRF sweeps during the inter-epoch idle
     /// gap. Both sweeps write straight into the material's tables through
     /// the same multi-lane batch pipeline as
-    /// [`Source::initialize_batch_into`], so consuming the material via
-    /// [`Source::initialize_prewarmed`] is bit-identical to deriving on
-    /// demand. Returns `None` for an empty deployment.
-    pub fn derive_epoch_keys(sources: &[Source], epoch: Epoch) -> Option<EpochKeyMaterial> {
-        let first = sources.first()?;
-        let cipher = first.epoch_cipher(epoch);
-        let p = first.params().prime();
-        let mut k_its = vec![U256::ZERO; sources.len()];
-        let mut sss = vec![[0u8; 20]; sources.len()];
-        let prfs = sources.iter().map(|s| &s.source_prf);
-        prf::for_each_epoch_key(prfs, epoch, p, |i, k_it, ss| {
-            k_its[i] = k_it;
-            sss[i] = ss;
-        });
-        Some(EpochKeyMaterial {
+    /// [`KeyTable::initialize_batch_into`], so consuming the material via
+    /// [`KeyTable::initialize_prewarmed`] is bit-identical to deriving on
+    /// demand.
+    pub fn derive_epoch_keys(&self, epoch: Epoch) -> EpochKeyMaterial {
+        let n = self.source_prfs.len();
+        let mut k_its = vec![U256::ZERO; n];
+        let mut sss = vec![[0u8; 20]; n];
+        prf::for_each_epoch_key(
+            self.source_prfs.iter(),
             epoch,
-            cipher,
+            self.params.prime(),
+            |i, k_it, ss| {
+                k_its[i] = k_it;
+                sss[i] = ss;
+            },
+        );
+        EpochKeyMaterial {
+            epoch,
+            cipher: self.epoch_cipher(epoch),
             k_its,
             sss,
-        })
+        }
     }
 
-    /// The initialization phase against prewarmed key material: no PRF
-    /// calls at all — one table lookup, one encode, one Montgomery
-    /// multiply. Bit-identical to [`Source::initialize_with`] for the
-    /// same epoch (asserted by `prewarmed_initialize_matches_serial`
-    /// below).
+    /// Source `id`'s initialization phase against prewarmed key
+    /// material: no PRF calls at all — one table lookup, one encode, one
+    /// Montgomery multiply. Bit-identical to [`Source::initialize_with`]
+    /// for the same epoch (asserted by
+    /// `prewarmed_initialize_matches_serial` below).
     ///
     /// # Panics
-    /// Panics if `keys` was derived for a different deployment (this
-    /// source's id is out of range).
+    /// If `keys` covers no source `id` (it was derived for a different
+    /// deployment).
     pub fn initialize_prewarmed(
         &self,
         keys: &EpochKeyMaterial,
+        id: SourceId,
         value: u64,
     ) -> Result<Psr, SiesError> {
-        let idx = self.id as usize;
         debug_assert_eq!(
             keys.cipher.prime(),
-            self.params().prime(),
+            self.params.prime(),
             "key material built for a different modulus"
         );
-        let k_it = &keys.k_its[idx];
-        let ss = &keys.sss[idx];
-        let m = codec::encode_message(self.params(), value, ss)?;
+        let idx = id as usize;
+        let m = codec::encode_message(&self.params, value, &keys.sss[idx])?;
         Ok(Psr {
-            ciphertext: keys.cipher.encrypt(&m, k_it),
+            ciphertext: keys.cipher.encrypt(&m, &keys.k_its[idx]),
+        })
+    }
+}
+
+impl Source {
+    /// Instantiates a source from its registered credentials.
+    pub fn new(creds: SourceCredentials) -> Self {
+        Source {
+            id: creds.id,
+            row: 0,
+            keys: Arc::new(KeyTable::from_keys(
+                &creds.global_key,
+                &[creds.source_key],
+                creds.params,
+            )),
+        }
+    }
+
+    /// The source's identifier.
+    pub fn id(&self) -> SourceId {
+        self.id
+    }
+
+    fn params(&self) -> &SystemParams {
+        &self.keys.params
+    }
+
+    fn source_prf(&self) -> &KeyedPrf {
+        &self.keys.source_prfs[self.row as usize]
+    }
+
+    /// The initialization phase `I`: derives the epoch keys and share,
+    /// encodes the reading, and encrypts it into a PSR.
+    ///
+    /// Per paper §IV-A this costs two `HM256` calls, one `HM1` call, one
+    /// 32-byte modular multiplication and one modular addition (`C^𝒮_SIES`,
+    /// Equation 3).
+    pub fn initialize(&self, epoch: Epoch, value: u64) -> Result<Psr, SiesError> {
+        let p = self.params().prime();
+        // K_t = HM256(K, t), shared by all sources.
+        let k_t = self.keys.global_prf.derive_mod_nonzero(epoch, p);
+        // k_{i,t} = HM256(k_i, t), known only to S_i (and the querier).
+        let k_it = self.source_prf().derive_mod(epoch, p);
+        // ss_{i,t} = HM1(k_i, t).
+        let ss: SecretShare = self.source_prf().hm1_epoch(epoch);
+        let m = codec::encode_message(self.params(), value, &ss)?;
+        Ok(Psr {
+            ciphertext: hom::encrypt(&m, &k_t, &k_it, p),
+        })
+    }
+
+    /// The initialization phase with the epoch-shared work hoisted out:
+    /// bit-identical to [`Source::initialize`] (asserted by
+    /// `batched_initialize_matches_serial` below) but skips the per-call
+    /// `K_t` derivation and replaces the generic multiply-and-divide with
+    /// one Montgomery multiply via `cipher`
+    /// ([`KeyTable::epoch_cipher`]).
+    pub fn initialize_with(
+        &self,
+        cipher: &EpochCipher,
+        epoch: Epoch,
+        value: u64,
+    ) -> Result<Psr, SiesError> {
+        let p = self.params().prime();
+        debug_assert_eq!(cipher.prime(), p, "cipher built for a different modulus");
+        let k_it = self.source_prf().derive_mod(epoch, p);
+        let ss: SecretShare = self.source_prf().hm1_epoch(epoch);
+        let m = codec::encode_message(self.params(), value, &ss)?;
+        Ok(Psr {
+            ciphertext: cipher.encrypt(&m, &k_it),
         })
     }
 }
@@ -381,8 +413,8 @@ impl Source {
 /// One epoch's complete precomputed key material for a deployment:
 /// the epoch-shared cipher (`K_t` in the Montgomery domain) and the
 /// per-source blinding keys and secret shares, indexed by [`SourceId`].
-/// Produced ahead of time by [`Source::derive_epoch_keys`]; consumed by
-/// [`Source::initialize_prewarmed`].
+/// Produced ahead of time by [`KeyTable::derive_epoch_keys`]; consumed
+/// by [`KeyTable::initialize_prewarmed`].
 #[derive(Clone)]
 pub struct EpochKeyMaterial {
     epoch: Epoch,
@@ -428,14 +460,19 @@ impl Aggregator {
 }
 
 impl Querier {
+    /// The querier over a deployment's key table.
+    pub fn new(keys: Arc<KeyTable>) -> Self {
+        Querier { keys }
+    }
+
     /// The shared system parameters.
     pub fn params(&self) -> &SystemParams {
-        &self.params
+        &self.keys.params
     }
 
     /// The evaluation phase `E`, assuming **all** `N` sources contributed.
     pub fn evaluate(&self, final_psr: &Psr, epoch: Epoch) -> Result<VerifiedSum, SiesError> {
-        let all: Vec<SourceId> = (0..self.source_prfs.len() as SourceId).collect();
+        let all: Vec<SourceId> = (0..self.keys.num_sources() as SourceId).collect();
         self.evaluate_with_contributors(final_psr, epoch, &all)
     }
 
@@ -464,18 +501,16 @@ impl Querier {
         epoch: Epoch,
         ids: &[SourceId],
     ) -> Result<(U256, U256), SiesError> {
-        let p = self.params.prime();
+        let keys = &self.keys;
+        let p = keys.params.prime();
         // Resolve every id first: the first unknown id in slice order is
         // the error.
-        if let Some(&id) = ids
-            .iter()
-            .find(|&&id| id as usize >= self.source_prfs.len())
-        {
+        if let Some(&id) = ids.iter().find(|&&id| id as usize >= keys.num_sources()) {
             return Err(SiesError::UnknownSource(id));
         }
         let mut k_sum = U256::ZERO;
         let mut secret = U256::ZERO;
-        let prfs = ids.iter().map(|&id| &self.source_prfs[id as usize]);
+        let prfs = ids.iter().map(|&id| &keys.source_prfs[id as usize]);
         prf::for_each_epoch_key(prfs, epoch, p, |_, k_it, ss| {
             k_sum = k_sum.add_mod(&k_it, p);
             secret = secret
@@ -500,11 +535,12 @@ impl Querier {
         contributors: &[SourceId],
         threads: usize,
     ) -> Result<VerifiedSum, SiesError> {
-        let p = self.params.prime();
-        let k_t = self.global_prf.derive_mod_nonzero(epoch, p);
+        let keys = &self.keys;
+        let p = keys.params.prime();
+        let k_t = keys.global_prf.derive_mod_nonzero(epoch, p);
         // Fermat inversion: its multiplies follow the public exponent
         // p − 2, not the secret K_t, and it allocates nothing.
-        let k_t_inv = self
+        let k_t_inv = keys
             .ctx
             .inv_mod_prime(&k_t)
             .expect("K_t is non-zero and p is prime");
@@ -530,8 +566,8 @@ impl Querier {
             (k_sum, expected_secret)
         };
 
-        let m_f = hom::decrypt_with_inv(final_psr.ciphertext(), &k_t_inv, &k_sum, &self.ctx);
-        let decoded = codec::decode_final(&self.params, &m_f);
+        let m_f = hom::decrypt_with_inv(final_psr.ciphertext(), &k_t_inv, &k_sum, &keys.ctx);
+        let decoded = codec::decode_final(&keys.params, &m_f);
         if decoded.secret != expected_secret {
             return Err(SiesError::IntegrityViolation { epoch });
         }
@@ -555,6 +591,13 @@ mod tests {
         let (querier, creds, agg) = setup(&mut rng, params);
         let sources = creds.into_iter().map(Source::new).collect();
         (querier, sources, agg)
+    }
+
+    /// The key table of `full_setup(n, seed)`'s deployment: the same
+    /// draws from the same RNG state.
+    fn key_table(n: u64, seed: u64) -> Arc<KeyTable> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        Arc::new(KeyTable::generate(&mut rng, SystemParams::new(n).unwrap()))
     }
 
     fn run_epoch(sources: &[Source], agg: &Aggregator, values: &[u64], epoch: Epoch) -> Psr {
@@ -718,8 +761,9 @@ mod tests {
         // ciphertexts — this is the scheme-level half of the determinism
         // oracle for the parallel pipeline.
         let (_, sources, _) = full_setup(12, 21);
+        let keys = key_table(12, 21);
         for epoch in [0u64, 1, 7, 1_000_003] {
-            let cipher = sources[0].epoch_cipher(epoch);
+            let cipher = keys.epoch_cipher(epoch);
             for (i, s) in sources.iter().enumerate() {
                 let v = (i as u64) * 31 + epoch % 97;
                 assert_eq!(
@@ -728,25 +772,15 @@ mod tests {
                     "source {i} epoch {epoch}"
                 );
             }
-            // Every source derives the same K_t, so any source's cipher
-            // works for all of them.
-            let other = sources[7].epoch_cipher(epoch);
-            assert_eq!(
-                sources[3].initialize_with(&other, epoch, 55).unwrap(),
-                sources[3].initialize(epoch, 55).unwrap()
-            );
-            // The lane-batched shard initialization is job-wise identical
-            // too, including ragged batch sizes (n % 4, n % 8 ≠ 0).
-            let jobs: Vec<(&Source, u64)> = sources
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (s, (i as u64) * 31 + epoch % 97))
+            // The lane-batched shard initialization over the deployment's
+            // key table is job-wise identical too, including ragged batch
+            // sizes (n % 4, n % 8 ≠ 0).
+            let jobs: Vec<(SourceId, u64)> = (0..12)
+                .map(|i| (i, u64::from(i) * 31 + epoch % 97))
                 .collect();
             for n in [0usize, 1, 5, 12] {
                 let mut batch = Vec::new();
-                Source::initialize_batch_into(&cipher, epoch, jobs[..n].iter().copied(), |r| {
-                    batch.push(r)
-                });
+                keys.initialize_batch_into(&cipher, epoch, &jobs[..n], |r| batch.push(r));
                 assert_eq!(batch.len(), n);
                 for (i, got) in batch.iter().enumerate() {
                     assert_eq!(
@@ -760,50 +794,43 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "credentials from more than one deployment")]
-    fn new_many_rejects_mixed_deployments() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let (_, mut creds, _) = setup(&mut rng, SystemParams::new(2).unwrap());
-        let (_, other, _) = setup(&mut rng, SystemParams::new(2).unwrap());
-        creds.push(other[1].clone());
-        Source::new_many(&creds);
-    }
-
-    #[test]
     fn tiled_paths_match_serial_across_tile_boundaries() {
         // More than two tiles of sources: the batch init and the
-        // querier's Σss sweep must walk every tile boundary, and sources
-        // built together must encrypt exactly like sources built alone.
-        // Two full 64-key PRF tiles and a ragged third.
+        // querier's Σss sweep must walk every tile boundary, and the
+        // rows of a deployment's key table must encrypt exactly like
+        // sources built alone from setup's credentials (same seed, same
+        // draws). Two full 64-key PRF tiles and a ragged third.
         let n = 131;
-        let mut rng = StdRng::seed_from_u64(31);
-        let (querier, creds, agg) = setup(&mut rng, SystemParams::new(n).unwrap());
-        let alone: Vec<Source> = creds.iter().cloned().map(Source::new).collect();
-        let together = Source::new_many(&creds);
+        let (querier, alone, agg) = full_setup(n, 31);
+        let keys = key_table(n, 31);
+        assert_eq!(keys.num_sources(), n as usize);
+        assert!(keys.source(n as SourceId).is_none());
         let epoch = 77;
-        let cipher = together[0].epoch_cipher(epoch);
-        let jobs: Vec<(&Source, u64)> = together.iter().map(|s| (s, s.id() as u64 * 3)).collect();
+        let cipher = keys.epoch_cipher(epoch);
+        let jobs: Vec<(SourceId, u64)> =
+            (0..n as SourceId).map(|i| (i, u64::from(i) * 3)).collect();
         let mut psrs = Vec::new();
-        Source::initialize_batch_into(&cipher, epoch, jobs.iter().copied(), |r| {
-            psrs.push(r.unwrap())
-        });
+        keys.initialize_batch_into(&cipher, epoch, &jobs, |r| psrs.push(r.unwrap()));
         assert_eq!(psrs.len(), n as usize);
         for (i, psr) in psrs.iter().enumerate() {
-            assert_eq!(
-                *psr,
-                alone[i].initialize(epoch, i as u64 * 3).unwrap(),
-                "source {i}"
-            );
+            let expected = alone[i].initialize(epoch, i as u64 * 3).unwrap();
+            assert_eq!(*psr, expected, "source {i}");
+            let view = keys.source(i as SourceId).unwrap();
+            assert_eq!(view.id(), i as SourceId);
+            assert_eq!(view.initialize(epoch, i as u64 * 3).unwrap(), expected);
         }
-        // Contributors out of table order, spanning every tile.
+        // Contributors out of table order, spanning every tile, verified
+        // by setup's querier and by a querier over the generated table.
         let contributors: Vec<SourceId> = (0..n as SourceId).rev().filter(|i| i % 7 != 3).collect();
         let picked: Vec<Psr> = contributors.iter().map(|&i| psrs[i as usize]).collect();
         let merged = agg.merge(&picked).unwrap();
         let expected: u64 = contributors.iter().map(|&i| i as u64 * 3).sum();
-        let res = querier
-            .evaluate_with_contributors(&merged, epoch, &contributors)
-            .unwrap();
-        assert_eq!(res.sum, expected);
+        for querier in [querier, Querier::new(keys)] {
+            let res = querier
+                .evaluate_with_contributors(&merged, epoch, &contributors)
+                .unwrap();
+            assert_eq!(res.sum, expected);
+        }
     }
 
     #[test]
@@ -812,14 +839,15 @@ mod tests {
         // ciphertexts (and the same errors) as on-demand derivation —
         // the core half of the prewarm digest-identity guarantee.
         let (_, sources, _) = full_setup(12, 23);
+        let table = key_table(12, 23);
         for epoch in [0u64, 3, 1_000_003] {
-            let keys = Source::derive_epoch_keys(&sources, epoch).unwrap();
+            let keys = table.derive_epoch_keys(epoch);
             assert_eq!(keys.epoch(), epoch);
             assert_eq!(keys.num_sources(), 12);
             for (i, s) in sources.iter().enumerate() {
                 let v = (i as u64) * 17 + epoch % 89;
                 assert_eq!(
-                    s.initialize_prewarmed(&keys, v).unwrap(),
+                    table.initialize_prewarmed(&keys, i as SourceId, v).unwrap(),
                     s.initialize(epoch, v).unwrap(),
                     "source {i} epoch {epoch}"
                 );
@@ -827,8 +855,8 @@ mod tests {
             // Out-of-range readings fail identically on both paths.
             let too_big = u64::MAX;
             assert_eq!(
-                sources[4]
-                    .initialize_prewarmed(&keys, too_big)
+                table
+                    .initialize_prewarmed(&keys, 4, too_big)
                     .unwrap_err()
                     .to_string(),
                 sources[4]
@@ -837,7 +865,6 @@ mod tests {
                     .to_string()
             );
         }
-        assert!(Source::derive_epoch_keys(&[], 5).is_none());
     }
 
     #[test]

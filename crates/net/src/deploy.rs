@@ -1,19 +1,25 @@
 //! [`SiesDeployment`]: the SIES scheme plugged into the
 //! [`crate::scheme::AggregationScheme`] abstraction so the epoch engine
 //! can drive it alongside the baselines.
+//!
+//! A deployment holds its keys once: one [`KeyTable`] (each `k_i`'s HMAC
+//! pads absorbed once at setup, 104 bytes per source) that the querier's
+//! Σk/Σss recomputation, the sources' batch init and prewarm derivation
+//! all read by source id. A source is a view of its row
+//! ([`SiesDeployment::source`]), not a stored copy.
 
 use crate::prewarm::{PrewarmPolicy, PrewarmPool, PrewarmStats};
 use crate::scheme::{AggregationScheme, EvaluatedSum, SchemeError};
 use rand::RngCore;
-use sies_core::scheme::{setup, Aggregator, EpochKeyMaterial, Psr, Querier, Source};
+use sies_core::scheme::{Aggregator, EpochKeyMaterial, KeyTable, Psr, Querier, Source};
 use sies_core::{Epoch, SiesError, SourceId, SystemParams};
 use sies_crypto::u256::U256;
 use std::sync::{Arc, Mutex};
 
-/// A full SIES deployment: all source credentials, the aggregator
-/// configuration, and the querier's key material.
+/// A full SIES deployment: the key table every source and the querier
+/// read, and the aggregator configuration.
 pub struct SiesDeployment {
-    sources: Vec<Source>,
+    keys: Arc<KeyTable>,
     aggregator: Aggregator,
     querier: Querier,
     /// Precomputed next-epoch key material ([`crate::prewarm`]). Starts
@@ -26,14 +32,15 @@ pub struct SiesDeployment {
 }
 
 impl SiesDeployment {
-    /// Runs the setup phase for `params.num_sources()` sources.
+    /// Runs the setup phase for `params.num_sources()` sources: the keys
+    /// [`sies_core::setup`] would draw from `rng`, absorbed once into
+    /// the deployment's key table.
     pub fn new(rng: &mut dyn RngCore, params: SystemParams) -> Self {
-        let (querier, creds, aggregator) = setup(rng, params);
-        let sources = Source::new_many(&creds);
+        let keys = Arc::new(KeyTable::generate(rng, params));
         SiesDeployment {
-            sources,
-            aggregator,
-            querier,
+            aggregator: Aggregator::new(*keys.params().prime()),
+            querier: Querier::new(Arc::clone(&keys)),
+            keys,
             prewarm: Mutex::new(PrewarmPool::new(PrewarmPolicy::disabled())),
         }
     }
@@ -43,14 +50,23 @@ impl SiesDeployment {
         &self.querier
     }
 
-    /// Direct access to a source.
-    pub fn source(&self, id: SourceId) -> &Source {
-        &self.sources[id as usize]
+    /// Source `id`, a view of its row of the key table (for API-level
+    /// tests).
+    ///
+    /// # Panics
+    /// If the deployment has no source `id`.
+    pub fn source(&self, id: SourceId) -> Source {
+        self.keys.source(id).expect("source id in range")
     }
 
     /// Number of deployed sources.
     pub fn num_sources(&self) -> u64 {
-        self.sources.len() as u64
+        self.keys.num_sources() as u64
+    }
+
+    /// Whether `id` names a deployed source.
+    fn known(&self, id: SourceId) -> bool {
+        (id as usize) < self.keys.num_sources()
     }
 
     /// Installs a precompute policy (disabling clears the pool). The
@@ -99,9 +115,7 @@ impl SiesDeployment {
                 return false;
             }
         }
-        let Some(keys) = Source::derive_epoch_keys(&self.sources, epoch) else {
-            return false;
-        };
+        let keys = self.keys.derive_epoch_keys(epoch);
         self.prewarm
             .lock()
             .expect("prewarm lock")
@@ -119,6 +133,11 @@ impl SiesDeployment {
     }
 }
 
+/// The per-job error for an id outside the deployment.
+fn unknown_source(source: SourceId) -> SchemeError {
+    SchemeError::Malformed(format!("unknown source {source}"))
+}
+
 impl AggregationScheme for SiesDeployment {
     type Psr = Psr;
 
@@ -127,7 +146,7 @@ impl AggregationScheme for SiesDeployment {
     }
 
     fn source_init(&self, source: SourceId, epoch: Epoch, value: u64) -> Psr {
-        self.sources[source as usize]
+        self.source(source)
             .initialize(epoch, value)
             .expect("value fits the configured result width")
     }
@@ -139,9 +158,9 @@ impl AggregationScheme for SiesDeployment {
         value: u64,
     ) -> Result<Psr, SchemeError> {
         let src = self
-            .sources
-            .get(source as usize)
-            .ok_or_else(|| SchemeError::Malformed(format!("unknown source {source}")))?;
+            .keys
+            .source(source)
+            .ok_or_else(|| unknown_source(source))?;
         src.initialize(epoch, value)
             .map_err(|e| SchemeError::Malformed(e.to_string()))
     }
@@ -153,9 +172,9 @@ impl AggregationScheme for SiesDeployment {
         out: &mut Vec<Result<Psr, SchemeError>>,
     ) {
         out.clear();
-        let Some(&(first, _)) = jobs.first() else {
+        if jobs.is_empty() {
             return;
-        };
+        }
         // Prewarm fast path: when a warmer already derived this epoch's
         // key material during the idle gap, every job collapses to a
         // table lookup + encode + one CIOS multiply — zero PRF calls on
@@ -164,29 +183,29 @@ impl AggregationScheme for SiesDeployment {
         // pool state.
         if let Some(keys) = self.prewarm_lookup(epoch) {
             out.extend(jobs.iter().map(|&(source, value)| {
-                match self.sources.get(source as usize) {
-                    None => Err(SchemeError::Malformed(format!("unknown source {source}"))),
-                    Some(src) => src
-                        .initialize_prewarmed(&keys, value)
-                        .map_err(|e| SchemeError::Malformed(e.to_string())),
+                if !self.known(source) {
+                    return Err(unknown_source(source));
                 }
+                self.keys
+                    .initialize_prewarmed(&keys, source, value)
+                    .map_err(|e| SchemeError::Malformed(e.to_string()))
             }));
             return;
         }
         // An unknown id sends the whole shard down the per-job path,
         // which reports it in the same shape as the serial loop.
-        if jobs.iter().any(|&(s, _)| s as usize >= self.sources.len()) {
+        if !jobs.iter().all(|&(s, _)| self.known(s)) {
             out.extend(jobs.iter().map(|&(s, v)| self.try_source_init(s, epoch, v)));
             return;
         }
         // Hoist the epoch-shared work: K_t derived once and entered into
         // the Montgomery domain once per shard; then every job's k_{i,t}
         // and ss_{i,t} come from the lane-batched, allocation-free PRF
-        // sweeps of `Source::initialize_batch_into`. Ciphertexts are
-        // bit-identical to `try_source_init` (the EpochCipher contract).
-        let cipher = self.sources[first as usize].epoch_cipher(epoch);
-        let jobs = jobs.iter().map(|&(s, v)| (&self.sources[s as usize], v));
-        Source::initialize_batch_into(&cipher, epoch, jobs, |r| {
+        // sweeps of `KeyTable::initialize_batch_into` over the jobs'
+        // rows. Ciphertexts are bit-identical to `try_source_init` (the
+        // EpochCipher contract).
+        let cipher = self.keys.epoch_cipher(epoch);
+        self.keys.initialize_batch_into(&cipher, epoch, jobs, |r| {
             out.push(r.map_err(|e| SchemeError::Malformed(e.to_string())))
         });
     }

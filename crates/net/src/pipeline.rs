@@ -38,8 +38,9 @@
 //!   cut post-order range, from which the engine reads the contributor
 //!   set. A deferred node's cut swallows earlier shards' cuts inside its
 //!   subtree, and its recovery events land in walk order.
-//! * **Epoch streaming.** With `streaming` enabled, two epoch buffers
-//!   alternate through a one-producer hand-off: while the main thread
+//! * **Epoch streaming.** With `streaming` enabled, the pipeline holds
+//!   two epoch buffers (otherwise one), which alternate through a
+//!   one-producer hand-off: while the main thread
 //!   merges/evaluates epoch `t`, a producer thread runs source init for
 //!   epoch `t+1` in the other buffer. Results are identical with
 //!   streaming on or off because the phases of one epoch never reorder —
@@ -52,17 +53,20 @@
 //!   material to reproduce on-demand derivation bit-for-bit, so the
 //!   warmer may lag, race, or be absent without observable effect.
 //! * **No per-source allocation in steady state.** All per-epoch state
-//!   (values, jobs, init results, merge stacks) lives in the two reused
-//!   `EpochBuf`s; schemes write init results through
-//!   [`AggregationScheme::batch_source_init_into`]. After a warm-up
-//!   epoch per buffer, the pipeline itself performs no heap allocation
-//!   per epoch at `threads = 1` (the `alloc_free` integration test pins
-//!   this with a counting allocator and a trivial scheme). SIES adds
-//!   none of its own: its PRF sweeps run in stack tiles, its epoch
-//!   cipher and `K_t⁻¹` use the Montgomery context built at setup, and
-//!   a serial evaluation sums in place, so a warm SIES epoch makes zero
-//!   allocations (the `sies_alloc` test). With `threads > 1` the
-//!   scoped-worker spawn adds O(threads) allocations per epoch.
+//!   (values, jobs, init results, merge stacks) lives in the reused
+//!   `EpochBuf`s (one per epoch in flight); schemes write init results
+//!   through [`AggregationScheme::batch_source_init_into`]. After a
+//!   warm-up epoch per buffer, the pipeline itself performs no heap
+//!   allocation per epoch at `threads = 1` (the `alloc_free`
+//!   integration test pins this with a counting allocator and a trivial
+//!   scheme). SIES adds none of its own: its PRF sweeps run in stack
+//!   tiles, its epoch cipher and `K_t⁻¹` use the Montgomery context
+//!   built at setup, and a serial evaluation sums in place, so a warm
+//!   SIES epoch makes zero allocations (the `sies_alloc` test). With
+//!   `threads > 1` the first shard runs on the calling thread and each
+//!   of the other `threads − 1` is a scoped-worker spawn; the spawns
+//!   and the parallel evaluation's chunk vectors allocate a constant
+//!   number of times per epoch, whatever the population.
 //!
 //! ## Merge order
 //!
@@ -339,7 +343,7 @@ impl<P> WalkBuf<P> {
 }
 
 /// One epoch's worth of pipeline buffers: the readings and the walk's.
-/// The pipeline owns two and alternates them when streaming.
+/// The pipeline owns one, or two that alternate when streaming.
 struct EpochBuf<P> {
     /// `values[i]` is source `i`'s reading, filled by the caller.
     values: Vec<u64>,
@@ -1118,14 +1122,11 @@ pub struct EpochPipeline<'a, S: AggregationScheme> {
     streaming: bool,
     shards: Vec<Shard>,
     contributors: Vec<SourceId>,
-    /// The two alternating epoch buffers ("front" and "back"); `None`
-    /// only transiently inside [`run`](Self::run).
-    bufs: Option<BufPair<S::Psr>>,
+    /// One `EpochBuf` per epoch in flight: one, or two alternating when
+    /// streaming. Empty only transiently inside [`run`](Self::run).
+    bufs: Vec<EpochBuf<S::Psr>>,
     last_final: Option<S::Psr>,
 }
-
-/// The pipeline's double buffer: one `EpochBuf` per in-flight epoch.
-type BufPair<P> = (EpochBuf<P>, EpochBuf<P>);
 
 impl<'a, S: AggregationScheme> EpochPipeline<'a, S> {
     /// Builds a pipeline over `flat` with the given worker count.
@@ -1135,10 +1136,10 @@ impl<'a, S: AggregationScheme> EpochPipeline<'a, S> {
         let threads = threads.resolve();
         let shards = plan_shards(flat, threads);
         let n_sources = flat.num_sources() as usize;
-        let bufs = Some((
-            EpochBuf::new(&shards, n_sources),
-            EpochBuf::new(&shards, n_sources),
-        ));
+        let in_flight = if streaming { 2 } else { 1 };
+        let bufs = (0..in_flight)
+            .map(|_| EpochBuf::new(&shards, n_sources))
+            .collect();
         EpochPipeline {
             scheme,
             flat,
@@ -1167,16 +1168,14 @@ impl<'a, S: AggregationScheme> EpochPipeline<'a, S> {
         self.last_final.as_ref()
     }
 
-    /// Heap bytes held by the pipeline's reusable epoch state (both
-    /// buffers plus shard bookkeeping), the pipeline's share of the
-    /// bytes-per-node budget. Excludes the arena — add
-    /// [`FlatTopology::bytes`] — and the scheme's key material.
+    /// Heap bytes held by the pipeline's reusable epoch state (its epoch
+    /// buffers — two when streaming, else one — plus shard bookkeeping),
+    /// the pipeline's share of the bytes-per-node budget. Excludes the
+    /// arena — add [`FlatTopology::bytes`] — and the scheme's key
+    /// material.
     pub fn state_bytes(&self) -> usize {
         use std::mem::size_of;
-        let bufs = match &self.bufs {
-            Some((a, b)) => a.bytes() + b.bytes(),
-            None => 0,
-        };
+        let bufs: usize = self.bufs.iter().map(EpochBuf::bytes).sum();
         let deferred: usize = self.shards.iter().map(|s| s.deferred.capacity()).sum();
         bufs + self.shards.capacity() * size_of::<Shard>()
             + deferred * size_of::<u32>()
@@ -1199,7 +1198,7 @@ impl<'a, S: AggregationScheme> EpochPipeline<'a, S> {
         if epochs == 0 {
             return;
         }
-        let (front, back) = self.bufs.take().expect("buffers present between runs");
+        let mut bufs = std::mem::take(&mut self.bufs);
         let mut last_final = self.last_final.take();
         let exec = Exec {
             scheme: self.scheme,
@@ -1217,7 +1216,7 @@ impl<'a, S: AggregationScheme> EpochPipeline<'a, S> {
         let gate = WarmGate::new();
 
         if !self.streaming {
-            let mut front = front;
+            let front = bufs.first_mut().expect("buffers present between runs");
             if prewarm {
                 // The scoped warmer (and the scope itself) only exist
                 // when the scheme opted in — the prewarm-off serial path
@@ -1240,15 +1239,14 @@ impl<'a, S: AggregationScheme> EpochPipeline<'a, S> {
                     exec.deliver(epoch, &mut front.walk, &mut last_final, &mut sink);
                 }
             }
-            self.bufs = Some((front, back));
+            self.bufs = bufs;
             self.last_final = last_final;
             return;
         }
 
         // Streaming: a scoped producer runs `produce` for epoch t+1
-        // while this thread consumes epoch t. `pool` holds idle buffers;
-        // the mailboxes move them by value (three Vec pointers).
-        let mut pool: Vec<EpochBuf<S::Psr>> = Vec::with_capacity(2);
+        // while this thread consumes epoch t. `bufs` holds the idle
+        // buffers; the mailboxes move them by value (three Vec pointers).
         let to_producer: Mailbox<(Epoch, EpochBuf<S::Psr>)> = Mailbox::new();
         let to_consumer: Mailbox<(Epoch, EpochBuf<S::Psr>)> = Mailbox::new();
         std::thread::scope(|scope| {
@@ -1272,13 +1270,12 @@ impl<'a, S: AggregationScheme> EpochPipeline<'a, S> {
             let _close = CloseOnDrop(tp);
             let _close_gate = WarmGateGuard(&gate);
 
-            let mut front = front;
+            let mut front = bufs.pop().expect("buffers present between runs");
             fill(first_epoch, &mut front.values);
             tp.send((first_epoch, front));
-            pool.push(back);
             for epoch in first_epoch..=last {
                 if epoch < last {
-                    let mut next = pool.pop().expect("a spare buffer is always free");
+                    let mut next = bufs.pop().expect("a spare buffer is always free");
                     fill(epoch + 1, &mut next.values);
                     tp.send((epoch + 1, next));
                 }
@@ -1288,13 +1285,12 @@ impl<'a, S: AggregationScheme> EpochPipeline<'a, S> {
                 debug_assert_eq!(produced_epoch, epoch, "epochs hand off in order");
                 exec.deliver(epoch, &mut buf.walk, &mut last_final, &mut sink);
                 gate.advance(epoch);
-                pool.push(buf);
+                bufs.push(buf);
             }
             tp.close();
         });
-        let b = pool.pop().expect("both buffers return to the pool");
-        let a = pool.pop().expect("both buffers return to the pool");
-        self.bufs = Some((a, b));
+        debug_assert_eq!(bufs.len(), 2, "both buffers return to the pool");
+        self.bufs = bufs;
         self.last_final = last_final;
     }
 }

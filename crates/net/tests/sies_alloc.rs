@@ -4,7 +4,9 @@
 //! in the querier's Σss recomputation, `K_t⁻¹` or decryption — and so
 //! none per source, whatever the population. A warm recovering epoch
 //! over a lossy radio stays within a small constant too: it reuses the
-//! walk's buffers and allocates only its reported contributor set.
+//! walk's buffers and allocates only its reported contributor set. And
+//! a deployment holds each source's key once: the heap it leaves
+//! resident grows by one 104-byte pre-absorbed key per source.
 //!
 //! Lives in its own test binary because the counter is process-wide:
 //! any concurrently running test would add its own allocations.
@@ -18,24 +20,29 @@ use sies_net::recovery::RecoveryConfig;
 use sies_net::{Engine, FlatTopology, SiesDeployment, Threads, Topology};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// `System` plus a relaxed counter of allocation events (alloc +
-/// realloc).
+/// `System` plus relaxed counters of allocation events (alloc +
+/// realloc) and of live bytes.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(new_size, Ordering::Relaxed);
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -98,6 +105,16 @@ fn warm_recovering_allocs(n: u64) -> u64 {
     ALLOCS.load(Ordering::Relaxed) - before
 }
 
+/// Heap bytes a freshly built deployment of `n` sources holds.
+fn deployment_heap(n: u64) -> usize {
+    let mut rng = StdRng::seed_from_u64(0xA110C);
+    let before = LIVE.load(Ordering::Relaxed);
+    let dep = SiesDeployment::new(&mut rng, SystemParams::new(n).unwrap());
+    let held = LIVE.load(Ordering::Relaxed) - before;
+    drop(dep);
+    held
+}
+
 #[test]
 fn warm_sies_epochs_allocate_independently_of_population() {
     // Telemetry would allocate on first touch of each metric; the claim
@@ -106,6 +123,7 @@ fn warm_sies_epochs_allocate_independently_of_population() {
     let small = warm_epoch_allocs(1024, 4);
     let large = warm_epoch_allocs(4096, 4);
     let recovering = [warm_recovering_allocs(1024), warm_recovering_allocs(4096)];
+    let per_source = (deployment_heap(4096) - deployment_heap(1024)) as f64 / 3072.0;
     sies_telemetry::clear_enabled();
     assert_eq!(
         small, large,
@@ -117,5 +135,11 @@ fn warm_sies_epochs_allocate_independently_of_population() {
     assert!(
         recovering.iter().all(|&a| a < 32),
         "warm recovering epochs allocate {recovering:?} times at N=1024 and N=4096"
+    );
+    // One 104-byte pre-absorbed key per source, held once for the
+    // sources and the querier.
+    assert!(
+        per_source <= 112.0,
+        "a deployment holds {per_source:.1} heap bytes per source (budget: 112)"
     );
 }

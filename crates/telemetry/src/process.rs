@@ -21,7 +21,7 @@ use crate::registry::global;
 pub const PEAK_RSS_GAUGE: &str = "process.peak_rss_bytes";
 
 /// Gauge name for the epoch engine's per-node state footprint, in bytes
-/// (arena + double-buffered epoch state, excluding scheme key material).
+/// (arena + the pipeline's epoch buffers, excluding scheme key material).
 pub const BYTES_PER_NODE_GAUGE: &str = "engine.bytes_per_node";
 
 /// Gauge name for cumulative process CPU time, in nanoseconds.
