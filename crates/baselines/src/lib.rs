@@ -19,14 +19,12 @@
 //! out of identical instrumentation.
 
 pub mod cmt;
-pub mod paillier_agg;
 pub mod plain;
 pub mod seal;
 pub mod secoa;
 pub mod sketch;
 
 pub use cmt::{CmtDeployment, CmtPsr};
-pub use paillier_agg::{PaillierDeployment, PaillierPsr};
 pub use plain::{PlainAggregation, PlainPsr};
 pub use seal::Seal;
 pub use secoa::{SecoaPsr, SecoaSum};

@@ -132,11 +132,10 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sies_crypto::rsa::RsaKeyPair;
 
     fn pk() -> RsaPublicKey {
         let mut rng = StdRng::seed_from_u64(42);
-        RsaKeyPair::generate(&mut rng, 256).public().clone()
+        RsaPublicKey::generate(&mut rng, 256)
     }
 
     #[test]

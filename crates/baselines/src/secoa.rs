@@ -25,7 +25,7 @@ use sies_core::{Epoch, SourceId};
 use sies_crypto::biguint::BigUint;
 use sies_crypto::hmac::ct_eq;
 use sies_crypto::prf::{self, KeyedPrf};
-use sies_crypto::rsa::{RsaKeyPair, RsaPublicKey};
+use sies_crypto::rsa::RsaPublicKey;
 use sies_net::scheme::{AggregationScheme, EvaluatedSum, SchemeError};
 
 /// Wire size of a sketch value (`S_sk`, Table II).
@@ -90,7 +90,7 @@ impl SecoaSum {
     /// Sets up `num_sources` sources with `j` sketches and a fresh RSA
     /// modulus of `modulus_bits` (1024 in the paper; tests use smaller).
     pub fn new(rng: &mut dyn RngCore, num_sources: u64, j: usize, modulus_bits: usize) -> Self {
-        let rsa = RsaKeyPair::generate(rng, modulus_bits).public().clone();
+        let rsa = RsaPublicKey::generate(rng, modulus_bits);
         Self::with_rsa(rng, num_sources, j, rsa)
     }
 

@@ -21,7 +21,7 @@
 //!                digest-checked against the serial engine and across
 //!                hash lane widths W ∈ {1,4,8} (also writes
 //!                BENCH_throughput.json)
-//!   micro    modexp kernels (windowed Montgomery, CRT, Montgomery
+//!   micro    modexp kernels (windowed Montgomery, Montgomery
 //!            batches) and lane-batched PRF kernels (hm1/hm256_epoch_many,
 //!            derive_mod_p_many at x4/x8) vs their generic oracles;
 //!            differential checks at 1/2/8 threads and lane widths
@@ -52,6 +52,9 @@
 //!            BENCH_recovery.json)
 //!   all      everything above
 //! ```
+//!
+//! An unknown flag or experiment name exits with status 2 before any
+//! experiment runs.
 //!
 //! `--threads T` sizes the sharded epoch walk (0 or omitted = all
 //! available cores) for the reliability and throughput experiments.
@@ -146,28 +149,14 @@ fn main() {
         println!("{HELP}");
         return;
     }
-    if requested.iter().any(|e| e == "all") {
-        requested = [
-            "table2",
-            "table3",
-            "params",
-            "table5",
-            "fig4",
-            "fig5",
-            "fig6a",
-            "fig6b",
-            "security",
-            "lifetime",
-            "reliability",
-            "throughput",
-            "micro",
-            "trace",
-            "profile",
-            "recovery",
-        ]
+    if let Some(bad) = requested
         .iter()
-        .map(|s| s.to_string())
-        .collect();
+        .find(|e| *e != "all" && !EXPERIMENTS.contains(&e.as_str()))
+    {
+        usage(&format!("unknown experiment '{bad}'"));
+    }
+    if requested.iter().any(|e| e == "all") {
+        requested = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
     }
 
     let costs = if use_paper_costs {
@@ -196,10 +185,30 @@ fn main() {
             "trace" => trace(&opts, chaos_epochs, threads, forensics, &out_dir),
             "profile" => profile_exp(&opts, chaos_epochs, threads, &out_dir),
             "recovery" => recovery_exp(&opts, chaos_epochs, threads, &out_dir),
-            other => eprintln!("skipping unknown experiment '{other}'"),
+            other => unreachable!("unchecked experiment '{other}'"),
         }
     }
 }
+
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: [&str; 16] = [
+    "table2",
+    "table3",
+    "params",
+    "table5",
+    "fig4",
+    "fig5",
+    "fig6a",
+    "fig6b",
+    "security",
+    "lifetime",
+    "reliability",
+    "throughput",
+    "micro",
+    "trace",
+    "profile",
+    "recovery",
+];
 
 const HELP: &str = "repro - regenerate the SIES paper's tables and figures
 

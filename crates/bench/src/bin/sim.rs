@@ -2,7 +2,7 @@
 //! topology with losses, failures and attacks, and read the verdicts.
 //!
 //! ```text
-//! sim [--scheme sies|cmt|secoa|paillier|tag] [--sources N] [--fanout F]
+//! sim [--scheme sies|cmt|secoa|tag] [--sources N] [--fanout F]
 //!     [--epochs E] [--loss P] [--retries R] [--attack tamper|drop|duplicate|replay]
 //!     [--attack-epoch E] [--seed S] [--domain-power K] [--threads T] [--json FILE]
 //! ```
@@ -12,12 +12,12 @@
 //! every epoch runs under the recovery protocol
 //! (`Engine::run_epoch_recovering` with `RecoveryConfig::default()`), so
 //! its stats charge retransmissions, ACKs, NACKs, re-solicitations and
-//! failure reports.
+//! failure reports. Malformed or out-of-range flags exit with status 2
+//! and the usage text.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sies_baselines::cmt::CmtDeployment;
-use sies_baselines::paillier_agg::PaillierDeployment;
 use sies_baselines::plain::PlainAggregation;
 use sies_baselines::secoa::SecoaSum;
 use sies_core::SystemParams;
@@ -65,7 +65,7 @@ impl Default for Args {
 
 const HELP: &str = "sim - run a secure in-network aggregation simulation
 
-usage: sim [--scheme sies|cmt|secoa|paillier|tag] [--sources N] [--fanout F]
+usage: sim [--scheme sies|cmt|secoa|tag] [--sources N] [--fanout F]
            [--epochs E] [--loss P] [--retries R]
            [--attack tamper|drop|duplicate|replay] [--attack-epoch E]
            [--seed S] [--domain-power K] [--threads T] [--json FILE]
@@ -76,47 +76,58 @@ retransmissions per uplink.
 --threads T runs the epoch walk on T worker threads (0 = all cores);
 results are byte-identical at every thread count.";
 
+/// Prints `msg` and the usage text, then exits with status 2.
+fn usage(msg: &str) -> ! {
+    eprintln!("error: {msg}\n\n{HELP}");
+    std::process::exit(2);
+}
+
+/// Parses `flag`'s value, or exits through [`usage`].
+fn number<T: std::str::FromStr>(flag: &str, v: String) -> T {
+    v.parse()
+        .unwrap_or_else(|_| usage(&format!("{flag} needs a number, got '{v}'")))
+}
+
 fn parse_args() -> Args {
     let mut args = Args::default();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> String {
+        let mut value = || {
             it.next()
-                .unwrap_or_else(|| {
-                    eprintln!("error: {name} needs a value\n\n{HELP}");
-                    std::process::exit(2);
-                })
-                .clone()
+                .cloned()
+                .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
         };
         match flag.as_str() {
-            "--scheme" => args.scheme = value("--scheme"),
-            "--sources" => args.sources = value("--sources").parse().expect("number"),
-            "--fanout" => args.fanout = value("--fanout").parse().expect("number"),
-            "--epochs" => args.epochs = value("--epochs").parse().expect("number"),
-            "--loss" => args.loss = value("--loss").parse().expect("probability"),
-            "--retries" => args.retries = value("--retries").parse().expect("number"),
-            "--attack" => args.attack = Some(value("--attack")),
-            "--attack-epoch" => {
-                args.attack_epoch = value("--attack-epoch").parse().expect("number")
-            }
-            "--seed" => args.seed = value("--seed").parse().expect("number"),
-            "--domain-power" => {
-                args.domain_power = value("--domain-power").parse().expect("number")
-            }
-            "--threads" => {
-                args.threads = Threads::fixed(value("--threads").parse().expect("number"))
-            }
-            "--json" => args.json_out = Some(value("--json")),
+            "--scheme" => args.scheme = value(),
+            "--sources" => args.sources = number(flag, value()),
+            "--fanout" => args.fanout = number(flag, value()),
+            "--epochs" => args.epochs = number(flag, value()),
+            "--loss" => args.loss = number(flag, value()),
+            "--retries" => args.retries = number(flag, value()),
+            "--attack" => args.attack = Some(value()),
+            "--attack-epoch" => args.attack_epoch = number(flag, value()),
+            "--seed" => args.seed = number(flag, value()),
+            "--domain-power" => args.domain_power = number(flag, value()),
+            "--threads" => args.threads = Threads::fixed(number(flag, value())),
+            "--json" => args.json_out = Some(value()),
             "--help" | "-h" => {
                 println!("{HELP}");
                 std::process::exit(0);
             }
-            other => {
-                eprintln!("error: unknown flag {other}\n\n{HELP}");
-                std::process::exit(2);
-            }
+            other => usage(&format!("unknown flag {other}")),
         }
+    }
+    // The topology and radio constructors assert these; check them here
+    // so bad input gets the usage text instead of a panic.
+    if args.sources == 0 {
+        usage("--sources must be at least 1");
+    }
+    if args.fanout < 2 {
+        usage("--fanout must be at least 2");
+    }
+    if !(0.0..=1.0).contains(&args.loss) {
+        usage(&format!("--loss must be in [0, 1], got {}", args.loss));
     }
     args
 }
@@ -161,10 +172,7 @@ fn run<S: AggregationScheme>(scheme: &S, args: &Args) {
                     "drop" => Attack::DropAtNode(victim),
                     "duplicate" => Attack::DuplicateAtNode(victim),
                     "replay" => Attack::ReplayFinal,
-                    other => {
-                        eprintln!("error: unknown attack '{other}'\n\n{HELP}");
-                        std::process::exit(2);
-                    }
+                    other => usage(&format!("unknown attack '{other}'")),
                 });
             }
         }
@@ -255,10 +263,8 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(args.seed);
     match args.scheme.as_str() {
         "sies" => {
-            let dep = SiesDeployment::new(
-                &mut rng,
-                SystemParams::new(args.sources).expect("valid parameters"),
-            );
+            let params = SystemParams::new(args.sources).unwrap_or_else(|e| usage(&e.to_string()));
+            let dep = SiesDeployment::new(&mut rng, params);
             run(&dep, &args);
         }
         "cmt" => run(&CmtDeployment::new(&mut rng, args.sources), &args),
@@ -267,11 +273,7 @@ fn main() {
             // measures the paper-grade configuration.
             run(&SecoaSum::new(&mut rng, args.sources, 60, 512), &args)
         }
-        "paillier" => run(&PaillierDeployment::new(&mut rng, args.sources, 512), &args),
         "tag" => run(&PlainAggregation, &args),
-        other => {
-            eprintln!("error: unknown scheme '{other}'\n\n{HELP}");
-            std::process::exit(2);
-        }
+        other => usage(&format!("unknown scheme '{other}'")),
     }
 }

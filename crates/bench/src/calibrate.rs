@@ -12,7 +12,7 @@ use serde::Serialize;
 use sies_baselines::sketch::FmSketch;
 use sies_crypto::biguint::BigUint;
 use sies_crypto::prf;
-use sies_crypto::rsa::RsaKeyPair;
+use sies_crypto::rsa::RsaPublicKey;
 use sies_crypto::u256::U256;
 use sies_crypto::DEFAULT_PRIME_256;
 
@@ -91,7 +91,7 @@ impl PrimitiveCosts {
         let key20 = [0x42u8; 20];
 
         // RSA with the paper's 1024-bit modulus.
-        let rsa = RsaKeyPair::generate(&mut rng, 1024).public().clone();
+        let rsa = RsaPublicKey::generate(&mut rng, 1024);
         let msg = BigUint::from_be_bytes(&[0x31; 100]);
         let n128 = rsa.modulus().clone();
         let x128 = msg.rem(&n128);
@@ -131,8 +131,8 @@ impl PrimitiveCosts {
         });
         let c_m128 = time_mean_us(iters, || black_box(&x128).mul_mod(black_box(&y128), &n128));
         // Euclid-based inverse, matching how the paper's C_MI32 was
-        // measured (GMP mpz_invert); the Fermat path is benchmarked
-        // separately in the ablation suite.
+        // measured (GMP mpz_invert); the querier's own K_t inverse is a
+        // Fermat exponentiation on a prebuilt context (DESIGN.md §8).
         let c_mi32 = time_mean_us(iters / 10 + 1, || black_box(&a32).inv_mod_euclid(&p256));
 
         PrimitiveCosts {

@@ -14,7 +14,7 @@ use serde::Serialize;
 use sies_baselines::cmt::CmtDeployment;
 use sies_baselines::secoa::SecoaSum;
 use sies_core::{SourceId, SystemParams};
-use sies_crypto::rsa::{RsaKeyPair, RsaPublicKey};
+use sies_crypto::rsa::RsaPublicKey;
 use sies_net::engine::Engine;
 use sies_net::scheme::AggregationScheme;
 use sies_net::SiesDeployment;
@@ -103,9 +103,7 @@ fn model_for(costs: &PrimitiveCosts, n: u64, f: u64, scale: DomainScale, j: usiz
 /// generation is setup-time and not part of any measured phase).
 pub fn shared_rsa(opts: &Options) -> RsaPublicKey {
     let mut rng = StdRng::seed_from_u64(opts.seed ^ 0x5EC0A);
-    RsaKeyPair::generate(&mut rng, opts.rsa_bits)
-        .public()
-        .clone()
+    RsaPublicKey::generate(&mut rng, opts.rsa_bits)
 }
 
 /// Measures the mean per-epoch cost in ms of `op(epoch) `over `epochs`.

@@ -12,19 +12,16 @@
 //! forensic pipeline that can't reconcile its own evidence streams
 //! can't be trusted on a real incident.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::Serialize;
-use sies_core::SystemParams;
 use sies_net::chaos::{run_chaos_with_restarts, RestartConfig};
 use sies_net::journal::{replay, JournalConfig};
-use sies_net::{SiesDeployment, Threads, Topology};
+use sies_net::Threads;
 use sies_telemetry as tel;
 use sies_telemetry::{Event, EventKind};
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use crate::observability::workload_config;
+use crate::observability::{deployment, workload_config};
 
 fn hex_of(digest: sies_crypto::sha256::Sha256) -> String {
     use sies_crypto::HashFunction;
@@ -138,10 +135,7 @@ pub fn forensic_timeline(
     threads: Threads,
     journal_path: &Path,
 ) -> ForensicsReport {
-    let n = 64u64;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let dep = SiesDeployment::new(&mut rng, SystemParams::new(n).unwrap());
-    let topo = Topology::complete_tree(n, 4);
+    let (dep, topo) = deployment(seed);
     let cfg = workload_config(seed, epochs, threads);
     let jcfg = JournalConfig {
         session: seed.wrapping_mul(2).wrapping_add(1),

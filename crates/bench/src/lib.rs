@@ -13,7 +13,7 @@
 //! * [`throughput`] — parallel epoch-pipeline throughput vs thread
 //!   count, with a digest-based determinism oracle;
 //! * [`micro`] — the modular-exponentiation kernel suite (windowed
-//!   Montgomery, CRT, Montgomery batches) and the lane-batched PRFs
+//!   Montgomery, Montgomery batches) and the lane-batched PRFs
 //!   measured against the generic oracles, with a CI regression gate;
 //! * [`observability`] — structured per-epoch traces from the telemetry
 //!   stack and the telemetry-on vs -off overhead benchmark, with a CI

@@ -6,8 +6,6 @@
 //!
 //! * 2048-bit RSA SEAL chain evaluation (windowed Montgomery chain vs
 //!   repeated generic `pow_mod`);
-//! * 2048-bit RSA and Paillier decryption (CRT + Garner vs full-size
-//!   exponentiation);
 //! * 256-bit windowed Montgomery exponentiation vs the generic path;
 //! * the SECOA verifier's seed-product fold (division-free CIOS
 //!   accumulator vs mul-then-divide);
@@ -39,21 +37,17 @@ use sies_crypto::bigmontxn;
 use sies_crypto::biguint::BigUint;
 use sies_crypto::lanes;
 use sies_crypto::mont::MontgomeryCtx;
-use sies_crypto::paillier::PaillierKeyPair;
 use sies_crypto::prf::{self, KeyedPrf};
-use sies_crypto::rsa::RsaKeyPair;
+use sies_crypto::rsa::RsaPublicKey;
 use sies_crypto::u256::U256;
 use sies_crypto::DEFAULT_PRIME_256;
 use sies_net::scheme::AggregationScheme;
 use sies_net::{PrewarmPolicy, SiesDeployment};
 
 /// Fixed 1024-bit primes, `≡ 2 (mod 3)`, found by seeded search with the
-/// in-tree prime generator. P0·P1 is the RSA-2048 fixture modulus, P2·P3
-/// the Paillier-2048 one.
+/// in-tree prime generator. P0·P1 is the RSA-2048 fixture modulus.
 const P0: &str = "e46f7c7cdbf540f26e0f1ce9064f372ca29a589ccda50147eeec49b5e6b306a6cba8c9fefdea1d6ab50dd6c37823e194d8a611814fc37ef05ca6cb4d80eba60ce4bb25e65af79481d44f138922e3db84364effd6c1aa0277c67d94620f877dd067da72181426b973822a6133f36f16e90f4f60f2310f2ad7c6f4e80308547b65";
 const P1: &str = "d5647120f7ef5c69488616383559f564584057a161d4618503ebb2d2d2ff471009027337a62a394c63f863f60459acc55983b2aad1d2941641d92c9c4dc62c60389bd522d1cb51917618c971623911c7cd15471a35b59b1955c4322eeb96eb5ef107dab0da4cc9be6c1779fad7a1ff30a2121d1c78d1bc2d8e539011067b8f67";
-const P2: &str = "d174474a0cc5c6087ea00509a1e7dbf842e39cd7107e0f25724f9945d9908968301b33a7c9100daaacebc1ddd1e0f21cb85ca3c84ba2a24a99f59e44bbf2e54478ec684b4ae37e9266ac2056e3a1f4d7fefb5807bfed8f8a240fff8aad04b91e975ff30e39029ee0ad41276a887a3cb7b70341d1d185ed4373c4a412feeff815";
-const P3: &str = "da56ed8b6e62b8e096179354b7bb3a92164cbb445de5aa3ad2e0353bb59a8e9be7d0935a84a9b70c3b120eb40057c0587f779fe2adc801eec55ce159b1d26263da18913d69cb28cc6224b76413415f8c5e0e5f206091289679c6b716eed2f29aa9fcd02d50b750194f330df63413b1e36c1bd94bcb29a3e0fa63f8d201afee8d";
 
 /// SEAL chain length timed by the headline kernel (a rolling distance of
 /// 16 positions, well inside SECOA's typical per-merge roll).
@@ -115,13 +109,8 @@ fn from_hex(s: &str) -> BigUint {
 
 /// The fixed 2048-bit RSA key used by every kernel measurement
 /// (reproducible: derived from pinned 1024-bit primes, seed 0xF17E).
-pub fn rsa_fixture() -> RsaKeyPair {
-    RsaKeyPair::from_primes(&from_hex(P0), &from_hex(P1))
-}
-
-/// The fixed 2048-bit Paillier key used by every kernel measurement.
-pub fn paillier_fixture() -> PaillierKeyPair {
-    PaillierKeyPair::from_primes(&from_hex(P2), &from_hex(P3))
+pub fn rsa_fixture() -> RsaPublicKey {
+    RsaPublicKey::from_primes(&from_hex(P0), &from_hex(P1))
 }
 
 /// A deterministic value stream below `m`, wide enough to exercise every
@@ -154,12 +143,6 @@ fn generic_chain(base: &BigUint, e: &BigUint, times: u64, n: &BigUint) -> BigUin
         acc = acc.pow_mod(e, n);
     }
     acc
-}
-
-/// The generic Paillier encryption body (pre-PR `encrypt_with_nonce`).
-fn generic_paillier_encrypt(m: &BigUint, r: &BigUint, n: &BigUint, n2: &BigUint) -> BigUint {
-    let g_m = BigUint::one().add(&m.mul(n)).rem(n2);
-    g_m.mul_mod(&r.pow_mod(n, n2), n2)
 }
 
 /// Deterministic 32-byte keys for the batched-PRF kernels (one per
@@ -256,8 +239,7 @@ pub fn run_mont_batch_oracle() -> Result<(), String> {
 /// returns the first mismatch description, if any.
 pub fn run_oracles(threads: usize) -> Result<(), String> {
     let rsa = rsa_fixture();
-    let paillier = paillier_fixture();
-    let n = rsa.public().modulus().clone();
+    let n = rsa.modulus().clone();
     let e3 = BigUint::from_u64(3);
     let cases: Vec<u64> = (0..16).collect();
     let results = parallel::map_chunks(threads, &cases, |chunk| {
@@ -278,34 +260,15 @@ pub fn run_oracles(threads: usize) -> Result<(), String> {
             // 2048-bit SEAL chain vs repeated generic pow.
             let seed = stream_below(&n, i, 1).remove(0);
             let k = i % 6;
-            let fast = rsa.public().encrypt_repeated(&seed, k);
+            let fast = rsa.encrypt_repeated(&seed, k);
             let oracle = generic_chain(&seed, &e3, k, &n);
             if fast != oracle {
                 return Err(format!("SEAL chain mismatch (case {i}, k = {k})"));
             }
 
-            // CRT RSA decryption vs the generic oracle.
-            let c = rsa.public().encrypt(&seed);
-            if rsa.decrypt(&c) != rsa.decrypt_generic(&c) {
-                return Err(format!("CRT RSA decrypt mismatch (case {i})"));
-            }
-
-            // CRT Paillier decryption vs the generic oracle.
-            let pn = paillier.public().modulus().clone();
-            let m = stream_below(&pn, i ^ 0xAA, 1).remove(0);
-            let r = stream_below(&pn, i ^ 0x55, 1).remove(0);
-            if r.is_zero() {
-                continue;
-            }
-            let c = paillier.public().encrypt_with_nonce(&m, &r);
-            let (crt, generic) = (paillier.decrypt(&c), paillier.decrypt_generic(&c));
-            if crt != generic || crt != m {
-                return Err(format!("CRT Paillier decrypt mismatch (case {i})"));
-            }
-
             // Fold accumulator vs generic mul_mod loop.
             let values = stream_below(&n, i ^ 0x77, 24);
-            let fast = rsa.public().fold_product(values.iter());
+            let fast = rsa.fold_product(values.iter());
             let mut oracle = BigUint::one();
             for v in &values {
                 oracle = v.mul_mod(&oracle, &n);
@@ -343,8 +306,7 @@ pub fn micro_suite(oracle_threads: &[usize]) -> MicroReport {
     }
 
     let rsa = rsa_fixture();
-    let paillier = paillier_fixture();
-    let n = rsa.public().modulus().clone();
+    let n = rsa.modulus().clone();
     let e3 = BigUint::from_u64(3);
     let mut kernels = Vec::new();
 
@@ -353,34 +315,7 @@ pub fn micro_suite(oracle_threads: &[usize]) -> MicroReport {
     kernels.push(KernelResult::measure(
         "rsa2048_seal_chain16",
         || generic_chain(&seed, &e3, CHAIN_LEN, &n),
-        || rsa.public().encrypt_repeated(&seed, CHAIN_LEN),
-    ));
-
-    // 2048-bit RSA decryption: CRT + Garner vs c^d mod n.
-    let c = rsa.public().encrypt(&seed);
-    kernels.push(KernelResult::measure(
-        "rsa2048_decrypt",
-        || rsa.decrypt_generic(&c),
-        || rsa.decrypt(&c),
-    ));
-
-    // 2048-bit Paillier decryption: CRT + Garner vs c^λ mod n².
-    let pn = paillier.public().modulus().clone();
-    let m = stream_below(&pn, 2, 1).remove(0);
-    let r = stream_below(&pn, 3, 1).remove(0);
-    let pc = paillier.public().encrypt_with_nonce(&m, &r);
-    kernels.push(KernelResult::measure(
-        "paillier2048_decrypt",
-        || paillier.decrypt_generic(&pc),
-        || paillier.decrypt(&pc),
-    ));
-
-    // 2048-bit Paillier encryption: windowed Montgomery r^n vs generic.
-    let n2 = pn.mul(&pn);
-    kernels.push(KernelResult::measure(
-        "paillier2048_encrypt",
-        || generic_paillier_encrypt(&m, &r, &pn, &n2),
-        || paillier.public().encrypt_with_nonce(&m, &r),
+        || rsa.encrypt_repeated(&seed, CHAIN_LEN),
     ));
 
     // 256-bit exponentiation: windowed Montgomery vs generic BigUint.
@@ -410,7 +345,7 @@ pub fn micro_suite(oracle_threads: &[usize]) -> MicroReport {
             }
             acc
         },
-        || rsa.public().fold_product(fold_values.iter()),
+        || rsa.fold_product(fold_values.iter()),
     ));
 
     // Lane-batched epoch PRFs: cached-pad HMAC at W lanes (exactly two
@@ -645,10 +580,7 @@ mod tests {
 
     #[test]
     fn fixtures_are_valid_keys() {
-        let rsa = rsa_fixture();
-        assert_eq!(rsa.public().modulus().bit_len(), 2048);
-        let paillier = paillier_fixture();
-        assert_eq!(paillier.public().modulus().bit_len(), 2048);
+        assert_eq!(rsa_fixture().modulus().bit_len(), 2048);
     }
 
     #[test]

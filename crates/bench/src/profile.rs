@@ -9,35 +9,26 @@
 //!    (flamegraph format) and Chrome `trace_event` JSON become on-disk
 //!    artifacts.
 //! 2. **Overhead** — the same workload run with the profiler
-//!    alternating off/on in short paired segments (the `repro trace`
-//!    interleaving idiom); the median paired ratio bounds the sampler's
-//!    cost, and the chaos result digest is asserted byte-identical
-//!    across the profiler switch and across worker threads 1/2/8.
+//!    alternating off/on in short paired segments (the
+//!    [`paired_overhead`] routine `repro trace` also uses); the median
+//!    paired ratio bounds the sampler's cost, and the chaos result
+//!    digest is asserted byte-identical across the profiler switch and
+//!    across worker threads 1/2/8.
 //! 3. **Oracle** — every injected fault class must raise its mapped
 //!    default alert rule, and a long clean seeded run must raise zero
 //!    alerts: the alert engine's detection is verified against the
 //!    chaos harness's ground truth, not just unit-tested.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::Serialize;
-use sies_core::SystemParams;
 use sies_net::chaos::{run_chaos, ChaosConfig};
 use sies_net::journal::{FsyncPolicy, JournalConfig, Receipt, ReceiptJournal};
 use sies_net::recovery::RecoveryConfig;
-use sies_net::{PrewarmPolicy, SiesDeployment, Threads, Topology};
+use sies_net::{PrewarmPolicy, Threads};
 use sies_telemetry as tel;
 use sies_telemetry::{AlertEngine, ProfileData, Profiler, TimelineCapture};
 use std::time::Instant;
 
-use crate::observability::workload_config;
-
-fn deployment(seed: u64) -> (SiesDeployment, Topology) {
-    let n = 64u64;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let dep = SiesDeployment::new(&mut rng, SystemParams::new(n).unwrap());
-    (dep, Topology::complete_tree(n, 4))
-}
+use crate::observability::{deployment, paired_overhead, workload_config, ThreadDigest};
 
 // ---------------------------------------------------------------------
 // Phase 1: profiled run → folded stacks + trace-event timeline
@@ -85,15 +76,6 @@ pub fn profiled_run(seed: u64, epochs: u64, threads: Threads, hz: u32) -> Profil
 // Phase 2: profiler overhead + digest transparency
 // ---------------------------------------------------------------------
 
-/// Digest of one thread-count determinism run (profiler on).
-#[derive(Debug, Clone, Serialize)]
-pub struct ThreadDigest {
-    /// Worker threads the run used.
-    pub threads: u64,
-    /// Chaos result digest it produced.
-    pub digest: String,
-}
-
 /// Profiler-on vs profiler-off cost on the chaos workload plus the
 /// determinism evidence.
 #[derive(Debug, Clone, Serialize)]
@@ -128,17 +110,9 @@ pub struct ProfileOverhead {
     pub threads_invariant: bool,
 }
 
-fn median(samples: &[f64]) -> f64 {
-    let mut v = samples.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    v[v.len() / 2]
-}
-
-/// Measures the chaos workload with the profiler alternating off/on in
-/// balanced segment pairs, then checks digest identity across the
-/// profiler switch and across threads 1/2/8. Telemetry itself stays ON
-/// in both modes — only the sampler thread is toggled, so the measured
-/// delta is the profiler's own cost.
+/// The sampling profiler through [`paired_overhead`]: telemetry stays ON
+/// in both modes and only the sampler thread at `hz` is toggled, so the
+/// measured delta is the profiler's own cost.
 ///
 /// Panics if either determinism check fails: the suite doubles as the
 /// profiler-transparency oracle.
@@ -149,99 +123,39 @@ pub fn profile_overhead(
     hz: u32,
     runs_per_mode: u64,
 ) -> ProfileOverhead {
-    let (dep, topo) = deployment(seed);
-
-    const SEGMENTS: u64 = 20;
-    let seg_epochs = (epochs / SEGMENTS).max(1);
-    let cfg = workload_config(seed, seg_epochs, threads);
-
-    let run_seg = |profiled: bool| -> (f64, String) {
-        tel::set_enabled(true);
-        let profiler = profiled.then(|| Profiler::start(hz));
-        let t0 = Instant::now();
-        let m = run_chaos(&dep, &topo, &cfg);
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        if let Some(p) = profiler {
-            let _ = p.stop();
-        }
-        tel::clear_enabled();
-        (ms, m.result_digest)
-    };
-
-    let mut off_ms = Vec::new();
-    let mut on_ms = Vec::new();
-    let mut digest_off = String::new();
-    let mut digest_on = String::new();
-    for _ in 0..runs_per_mode.max(1) {
-        let mut off_t = 0.0;
-        let mut on_t = 0.0;
-        for seg in 0..SEGMENTS {
-            // Balance pair order (off-first on even segments, on-first
-            // on odd) so neither mode systematically sits in the same
-            // position relative to periodic host-state flips.
-            let first_off = seg % 2 == 0;
-            let (ms_a, d_a) = run_seg(!first_off);
-            let (ms_b, d_b) = run_seg(first_off);
-            let (ms_off, d_off, ms_on, d_on) = if first_off {
-                (ms_a, d_a, ms_b, d_b)
-            } else {
-                (ms_b, d_b, ms_a, d_a)
-            };
-            off_t += ms_off;
-            digest_off = d_off;
-            on_t += ms_on;
-            digest_on = d_on;
-        }
-        off_ms.push(off_t);
-        on_ms.push(on_t);
-    }
-    let digests_match = digest_off == digest_on;
-    assert!(
-        digests_match,
-        "profiler changed the chaos result digest: off={digest_off} on={digest_on}"
-    );
-
-    let thread_digests: Vec<ThreadDigest> = [1usize, 2, 8]
-        .iter()
-        .map(|&t| {
+    let p = paired_overhead(
+        seed,
+        epochs,
+        threads,
+        runs_per_mode,
+        "profiler",
+        |profiled, dep, topo, cfg| {
             tel::set_enabled(true);
-            let profiler = Profiler::start(hz);
-            let cfg = ChaosConfig {
-                threads: Threads::fixed(t),
-                ..cfg
-            };
-            let m = run_chaos(&dep, &topo, &cfg);
-            let _ = profiler.stop();
-            tel::clear_enabled();
-            ThreadDigest {
-                threads: t as u64,
-                digest: m.result_digest,
+            let profiler = profiled.then(|| Profiler::start(hz));
+            let t0 = Instant::now();
+            let m = run_chaos(dep, topo, cfg);
+            let ms = t0.elapsed().as_secs_f64() * 1e3;
+            if let Some(p) = profiler {
+                let _ = p.stop();
             }
-        })
-        .collect();
-    let threads_invariant = thread_digests
-        .iter()
-        .all(|d| d.digest == thread_digests[0].digest && d.digest == digest_on);
-    assert!(
-        threads_invariant,
-        "chaos result digest varied with thread count under the profiler: {thread_digests:?}"
+            tel::clear_enabled();
+            (ms, m.result_digest)
+        },
     );
-
-    let ratios: Vec<f64> = off_ms.iter().zip(&on_ms).map(|(o, n)| n / o).collect();
     ProfileOverhead {
         epochs,
         hz,
-        runs_per_mode: runs_per_mode.max(1),
-        off_median_ms: median(&off_ms),
-        on_median_ms: median(&on_ms),
-        overhead_pct: (median(&ratios) - 1.0) * 100.0,
-        off_ms,
-        on_ms,
-        digest_off,
-        digest_on,
-        digests_match,
-        thread_digests,
-        threads_invariant,
+        runs_per_mode: p.runs_per_mode,
+        off_ms: p.off_ms,
+        on_ms: p.on_ms,
+        off_median_ms: p.off_median_ms,
+        on_median_ms: p.on_median_ms,
+        overhead_pct: p.overhead_pct,
+        digest_off: p.digest_off,
+        digest_on: p.digest_on,
+        digests_match: p.digests_match,
+        thread_digests: p.thread_digests,
+        threads_invariant: p.threads_invariant,
     }
 }
 

@@ -15,42 +15,16 @@
 //!    (records/sec, MB/sec) plus the journal's bytes/epoch are the
 //!    numbers a deployment would size its recovery window with.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::Serialize;
-use sies_core::SystemParams;
 use sies_net::chaos::{
     run_chaos, run_chaos_with_restarts, ChaosConfig, ChaosMetrics, RestartConfig,
 };
 use sies_net::journal::{replay, JournalConfig};
-use sies_net::recovery::RecoveryConfig;
-use sies_net::{SiesDeployment, Threads, Topology};
+use sies_net::Threads;
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// The chaos mix the recovery benchmark runs: the reliability
-/// experiment's `adversarial` scenario (10% frame loss, 20% crash
-/// epochs, 30% attack epochs) at `N = 64, F = 4`.
-pub fn workload_config(seed: u64, epochs: u64, threads: Threads) -> ChaosConfig {
-    ChaosConfig {
-        seed,
-        epochs,
-        loss_rate: 0.10,
-        max_retries: 3,
-        crash_prob: 0.20,
-        attack_prob: 0.30,
-        max_value: 1000,
-        recovery: RecoveryConfig::default(),
-        threads,
-    }
-}
-
-fn deployment(seed: u64) -> (SiesDeployment, Topology) {
-    let n = 64u64;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let dep = SiesDeployment::new(&mut rng, SystemParams::new(n).unwrap());
-    (dep, Topology::complete_tree(n, 4))
-}
+use crate::observability::{deployment, workload_config};
 
 fn journal_path(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sies-recovery-{}", std::process::id()));

@@ -1,6 +1,6 @@
-//! Small timing helpers for the calibration pass and the experiment
-//! harness (wall-clock medians over repeated runs; Criterion handles the
-//! statistically rigorous microbenchmarks separately).
+//! Small timing helpers for the calibration pass, the experiment harness
+//! and `repro micro`'s interleaved kernel rounds (wall-clock means and
+//! medians over repeated runs).
 //!
 //! Every measured section also runs inside a telemetry span, so `repro
 //! micro` and `repro trace` report bench wall-clock from the same clock

@@ -1,10 +1,9 @@
 //! Variable-width Montgomery multiplication for [`crate::biguint::BigUint`].
 //!
 //! The fixed-width [`crate::mont::MontgomeryCtx`] serves the 256-bit SIES
-//! hot path; this module brings the same CIOS reduction to the baselines'
-//! big moduli — SECOA's 1024/2048-bit RSA SEAL chains and the Paillier
-//! aggregate's `n²` — where the generic `BigUint::mul_mod` pays a full
-//! Knuth-D division per product. A context is built once per modulus and
+//! hot path; this module brings the same CIOS reduction to the SECOA
+//! baseline's big moduli — its 1024/2048-bit RSA SEAL chains — where the
+//! generic `BigUint::mul_mod` pays a full Knuth-D division per product. A context is built once per modulus and
 //! shared by every exponentiation, fold, and chain under it.
 //!
 //! Three kernels on top of the CIOS core:

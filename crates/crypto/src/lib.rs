@@ -35,7 +35,8 @@
 //!   ([`prf::hm1_epoch_many`], [`prf::hm256_epoch_many`],
 //!   [`prf::derive_mod_p_many`]; [`prf::for_each_epoch_key`] runs both
 //!   per-source epoch sweeps without allocating);
-//! * [`rsa`] — textbook RSA for the SECOA baseline's SEAL one-way chains.
+//! * [`rsa`] — the textbook RSA permutation for the SECOA baseline's SEAL
+//!   one-way chains (public-key operations only).
 //!
 //! ## Example
 //!
@@ -67,7 +68,6 @@ pub mod hmac;
 pub mod lanes;
 pub mod limbs;
 pub mod mont;
-pub mod paillier;
 pub mod prf;
 pub mod rsa;
 pub mod sha1;

@@ -4,8 +4,9 @@
 //! multiply followed by Knuth-D division. For repeated multiplication
 //! under one fixed modulus — modular exponentiation, i.e. the querier's
 //! Fermat inverse and the RSA-free SIES hot path — Montgomery (CIOS)
-//! reduction avoids the division entirely. The ablation bench compares
-//! both paths.
+//! reduction avoids the division entirely. `repro micro`'s `mont256_pow`
+//! row times windowed Montgomery exponentiation against the generic
+//! `BigUint` path.
 
 use crate::limbs;
 use crate::u256::U256;

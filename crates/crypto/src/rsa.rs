@@ -14,11 +14,8 @@
 //! Every public key owns a [`BigMontCtx`] for its modulus: encryption,
 //! SEAL rolling ([`RsaPublicKey::encrypt_repeated`], which stays in the
 //! Montgomery domain for the whole chain) and product folds
-//! ([`RsaPublicKey::fold_product`]) all share it. Private-key decryption
-//! goes through the Chinese Remainder Theorem — two half-size windowed
-//! exponentiations mod `p` and `q` plus Garner recombination — with the
-//! straight `c^d mod n` kept as [`RsaKeyPair::decrypt_generic`], the
-//! differential-test oracle.
+//! ([`RsaPublicKey::fold_product`]) all share it. SEALs only ever run the
+//! forward permutation, so key generation keeps no private exponent.
 
 use crate::bigmont::BigMontCtx;
 use crate::bigmontxn;
@@ -43,35 +40,43 @@ pub struct RsaPublicKey {
     ctx: Option<BigMontCtx>,
 }
 
-/// CRT private-key material: half-size exponents and Garner coefficient.
-#[derive(Clone, Debug)]
-struct RsaCrt {
-    q: BigUint,
-    /// `d mod (p−1)`.
-    d_p: BigUint,
-    /// `d mod (q−1)`.
-    d_q: BigUint,
-    /// `q⁻¹ mod p` (Garner recombination).
-    q_inv: BigUint,
-    /// Montgomery contexts for the half-size moduli.
-    ctx_p: BigMontCtx,
-    ctx_q: BigMontCtx,
-}
-
-/// An RSA key pair. The private exponent is unused by SEAL chains but kept
-/// for completeness and testing.
-#[derive(Clone, Debug)]
-pub struct RsaKeyPair {
-    public: RsaPublicKey,
-    d: BigUint,
-    crt: RsaCrt,
-}
-
 impl RsaPublicKey {
     /// Constructs from raw components.
     pub fn new(n: BigUint, e: BigUint) -> Self {
         let ctx = (n.is_odd() && n.bit_len() > 1).then(|| BigMontCtx::new(&n));
         RsaPublicKey { n, e, ctx }
+    }
+
+    /// Generates a fresh key with a `bits`-bit modulus and public
+    /// exponent [`SEAL_EXPONENT`]. Primes are drawn with `p, q ≡ 2 (mod 3)`
+    /// so that `gcd(e, φ(n)) = 1` holds by construction: `E` is a
+    /// permutation of `Z_n` for every key this returns.
+    pub fn generate(rng: &mut dyn RngCore, bits: usize) -> Self {
+        assert!(bits >= 32, "modulus too small");
+        let half = bits / 2;
+        loop {
+            let p = prime_2_mod_3(rng, half);
+            let q = prime_2_mod_3(rng, bits - half);
+            if p == q {
+                continue;
+            }
+            let n = p.mul(&q);
+            if n.bit_len() == bits {
+                return Self::new(n, BigUint::from_u64(SEAL_EXPONENT));
+            }
+        }
+    }
+
+    /// Builds the key `(3, p·q)` from caller-supplied primes, for
+    /// known-answer tests and reproducible fixtures. The primes must be
+    /// distinct and `≡ 2 (mod 3)` so that `gcd(e, φ(n)) = 1` with `e = 3`;
+    /// panics otherwise — fixed fixtures should fail loudly, not degrade.
+    pub fn from_primes(p: &BigUint, q: &BigUint) -> Self {
+        assert_ne!(p, q, "primes must be distinct");
+        let three = BigUint::from_u64(3);
+        assert_eq!(p.rem(&three).as_u64(), 2, "p must be ≡ 2 (mod 3)");
+        assert_eq!(q.rem(&three).as_u64(), 2, "q must be ≡ 2 (mod 3)");
+        Self::new(p.mul(q), BigUint::from_u64(SEAL_EXPONENT))
     }
 
     /// The modulus `n`.
@@ -195,97 +200,6 @@ impl RsaPublicKey {
     }
 }
 
-impl RsaKeyPair {
-    /// Generates a fresh key pair with an `bits`-bit modulus and public
-    /// exponent [`SEAL_EXPONENT`]. Primes are drawn with `p, q ≡ 2 (mod 3)`
-    /// so that `gcd(e, φ(n)) = 1` holds by construction.
-    pub fn generate(rng: &mut dyn RngCore, bits: usize) -> Self {
-        assert!(bits >= 32, "modulus too small");
-        let half = bits / 2;
-        loop {
-            let p = prime_2_mod_3(rng, half);
-            let q = prime_2_mod_3(rng, bits - half);
-            if p == q {
-                continue;
-            }
-            let n = p.mul(&q);
-            if n.bit_len() != bits {
-                continue;
-            }
-            if let Some(kp) = Self::try_from_primes(&p, &q) {
-                return kp;
-            }
-        }
-    }
-
-    /// Builds a key pair from caller-supplied primes, for known-answer
-    /// tests and reproducible fixtures. The primes must be distinct and
-    /// `≡ 2 (mod 3)` so that `gcd(e, φ(n)) = 1` with `e = 3`; panics
-    /// otherwise — fixed fixtures should fail loudly, not degrade.
-    pub fn from_primes(p: &BigUint, q: &BigUint) -> Self {
-        assert_ne!(p, q, "primes must be distinct");
-        let three = BigUint::from_u64(3);
-        assert_eq!(p.rem(&three).as_u64(), 2, "p must be ≡ 2 (mod 3)");
-        assert_eq!(q.rem(&three).as_u64(), 2, "q must be ≡ 2 (mod 3)");
-        Self::try_from_primes(p, q).expect("gcd(3, phi) = 1 for p, q = 2 (mod 3)")
-    }
-
-    /// Shared keygen core: derives `d` and the CRT parameters, or `None`
-    /// when `e` is not invertible mod `φ(n)`.
-    fn try_from_primes(p: &BigUint, q: &BigUint) -> Option<Self> {
-        let one = BigUint::one();
-        let p1 = p.sub(&one);
-        let q1 = q.sub(&one);
-        let phi = p1.mul(&q1);
-        let e = BigUint::from_u64(SEAL_EXPONENT);
-        let d = e.mod_inverse(&phi)?;
-        let n = p.mul(q);
-        let crt = RsaCrt {
-            q: q.clone(),
-            d_p: d.rem(&p1),
-            d_q: d.rem(&q1),
-            q_inv: q.mod_inverse(p).expect("p, q distinct primes"),
-            ctx_p: BigMontCtx::new(p),
-            ctx_q: BigMontCtx::new(q),
-        };
-        Some(RsaKeyPair {
-            public: RsaPublicKey::new(n, e),
-            d,
-            crt,
-        })
-    }
-
-    /// The public half.
-    pub fn public(&self) -> &RsaPublicKey {
-        &self.public
-    }
-
-    /// RSA decryption via the CRT: `m_p = c^{d_p} mod p`,
-    /// `m_q = c^{d_q} mod q` (half-size moduli and exponents, windowed
-    /// Montgomery), then Garner recombination
-    /// `m = m_q + q·(q⁻¹·(m_p − m_q) mod p)`.
-    pub fn decrypt(&self, c: &BigUint) -> BigUint {
-        let crt = &self.crt;
-        let m_p = crt.ctx_p.pow_mod(c, &crt.d_p);
-        let m_q = crt.ctx_q.pow_mod(c, &crt.d_q);
-        let p = crt.ctx_p.modulus();
-        // h = q_inv · (m_p − m_q) mod p (lift m_q into [0, p) first).
-        let diff = match m_p.checked_sub(&m_q.rem(&p)) {
-            Some(d) => d,
-            None => m_p.add(&p).sub(&m_q.rem(&p)),
-        };
-        let h = crt.q_inv.mul_mod(&diff, &p);
-        m_q.add(&h.mul(&crt.q))
-    }
-
-    /// The pre-CRT decryption path, `c^d mod n` over the generic
-    /// `BigUint` kernels — kept as the differential-test oracle for
-    /// [`Self::decrypt`].
-    pub fn decrypt_generic(&self, c: &BigUint) -> BigUint {
-        c.pow_mod(&self.d, &self.public.n)
-    }
-}
-
 /// Draws a random prime of the requested size with `p ≡ 2 (mod 3)`.
 fn prime_2_mod_3(rng: &mut dyn RngCore, bits: usize) -> BigUint {
     let three = BigUint::from_u64(3);
@@ -303,35 +217,14 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn small_keypair() -> RsaKeyPair {
+    fn small_key() -> RsaPublicKey {
         let mut rng = StdRng::seed_from_u64(11);
-        RsaKeyPair::generate(&mut rng, 128)
-    }
-
-    #[test]
-    fn encrypt_decrypt_round_trip() {
-        let kp = small_keypair();
-        for m in [0u64, 1, 2, 12345, 0xdead_beef] {
-            let m = BigUint::from_u64(m);
-            let c = kp.public().encrypt(&m);
-            assert_eq!(kp.decrypt(&c), m);
-        }
-    }
-
-    #[test]
-    fn crt_decrypt_matches_generic_oracle() {
-        let kp = small_keypair();
-        let mut rng = StdRng::seed_from_u64(77);
-        for _ in 0..32 {
-            let c = BigUint::random_below(&mut rng, kp.public().modulus());
-            assert_eq!(kp.decrypt(&c), kp.decrypt_generic(&c));
-        }
+        RsaPublicKey::generate(&mut rng, 128)
     }
 
     #[test]
     fn multiplicative_homomorphism() {
-        let kp = small_keypair();
-        let pk = kp.public();
+        let pk = small_key();
         let a = BigUint::from_u64(1234);
         let b = BigUint::from_u64(5678);
         let folded = pk.fold(&pk.encrypt(&a), &pk.encrypt(&b));
@@ -341,8 +234,7 @@ mod tests {
 
     #[test]
     fn fold_product_matches_fold_loop() {
-        let kp = small_keypair();
-        let pk = kp.public();
+        let pk = small_key();
         let mut rng = StdRng::seed_from_u64(5);
         let values: Vec<BigUint> = (0..17)
             .map(|_| BigUint::random_below(&mut rng, pk.modulus()))
@@ -359,8 +251,7 @@ mod tests {
     fn rolling_then_folding_commutes() {
         // E^k(x) · E^k(y) = E^k(x·y): the identity SECOA verification
         // depends on.
-        let kp = small_keypair();
-        let pk = kp.public();
+        let pk = small_key();
         let x = BigUint::from_u64(31337);
         let y = BigUint::from_u64(4242);
         let k = 5;
@@ -372,8 +263,7 @@ mod tests {
     #[test]
     fn chain_is_consistent() {
         // E^{a+b}(x) = E^b(E^a(x)): rolling composes additively.
-        let kp = small_keypair();
-        let pk = kp.public();
+        let pk = small_key();
         let x = BigUint::from_u64(999);
         let ea = pk.encrypt_repeated(&x, 3);
         assert_eq!(pk.encrypt_repeated(&ea, 4), pk.encrypt_repeated(&x, 7));
@@ -384,8 +274,7 @@ mod tests {
     fn chain_matches_generic_pow_loop() {
         // The Montgomery chain must agree with the pre-PR kernel: `times`
         // cold `pow_mod` calls over the generic BigUint path.
-        let kp = small_keypair();
-        let pk = kp.public();
+        let pk = small_key();
         let mut rng = StdRng::seed_from_u64(21);
         let x = BigUint::random_below(&mut rng, pk.modulus());
         let mut generic = x.rem(pk.modulus());
@@ -398,14 +287,13 @@ mod tests {
     #[test]
     fn generated_modulus_has_requested_bits() {
         let mut rng = StdRng::seed_from_u64(5);
-        let kp = RsaKeyPair::generate(&mut rng, 192);
-        assert_eq!(kp.public().modulus().bit_len(), 192);
-        assert_eq!(kp.public().modulus_bytes(), 24);
+        let pk = RsaPublicKey::generate(&mut rng, 192);
+        assert_eq!(pk.modulus().bit_len(), 192);
+        assert_eq!(pk.modulus_bytes(), 24);
     }
 
     #[test]
     fn exponent_is_three() {
-        let kp = small_keypair();
-        assert_eq!(kp.public().exponent().as_u64(), 3);
+        assert_eq!(small_key().exponent().as_u64(), 3);
     }
 }

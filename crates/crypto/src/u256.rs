@@ -268,7 +268,7 @@ impl U256 {
     /// Modular exponentiation `self^exp mod m` (square-and-multiply,
     /// most-significant-bit first). For odd moduli and long exponents the
     /// squaring chain runs in the Montgomery domain, avoiding one Knuth-D
-    /// division per multiplication (see the `ablation` bench).
+    /// division per multiplication.
     pub fn pow_mod(&self, exp: &U256, m: &U256) -> U256 {
         assert!(!m.is_zero(), "zero modulus");
         if m == &U256::ONE {

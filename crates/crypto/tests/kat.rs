@@ -6,9 +6,10 @@
 //!   vectors at every scheduling width;
 //! * HMAC-SHA1 — RFC 2202;
 //! * HMAC-SHA256 — RFC 4231;
-//! * RSA SEAL chains and Paillier encryption — fixed keys generated
-//!   once (see the inline constants) with every expected value computed
-//!   by an independent big-integer implementation and pinned here.
+//! * RSA SEAL chains — a fixed key generated once (see the inline
+//!   constants) with every expected value computed by an independent
+//!   big-integer implementation and pinned here, plus the modulus that
+//!   seeded key generation draws, which every SECOA key depends on.
 //!
 //! A KAT failure means the primitive itself regressed — not a protocol
 //! bug — so these run before anything else in CI's test job.
@@ -16,8 +17,7 @@
 use sies_crypto::biguint::BigUint;
 use sies_crypto::hash::HashFunction;
 use sies_crypto::hmac::hmac;
-use sies_crypto::paillier::PaillierKeyPair;
-use sies_crypto::rsa::RsaKeyPair;
+use sies_crypto::rsa::RsaPublicKey;
 use sies_crypto::sha1::Sha1;
 use sies_crypto::sha256::Sha256;
 
@@ -333,8 +333,7 @@ const SEAL_CHAIN: [&str; 5] = [
 
 #[test]
 fn rsa_seal_chain_kat() {
-    let kp = RsaKeyPair::from_primes(&big(RSA_P), &big(RSA_Q));
-    let pk = kp.public();
+    let pk = RsaPublicKey::from_primes(&big(RSA_P), &big(RSA_Q));
     assert_eq!(pk.modulus(), &big(RSA_N), "pinned modulus");
     assert_eq!(pk.exponent().as_u64(), 3);
 
@@ -349,17 +348,17 @@ fn rsa_seal_chain_kat() {
     }
     // One rolling step from the pinned midpoint reproduces the next link.
     assert_eq!(pk.encrypt(&big(SEAL_CHAIN[2])), big(SEAL_CHAIN[3]));
-    // The private exponent walks the chain backwards.
-    assert_eq!(kp.decrypt(&big(SEAL_CHAIN[0])), seed);
-    assert_eq!(kp.decrypt(&big(SEAL_CHAIN[4])), big(SEAL_CHAIN[3]));
+    // The pinned private exponent walks the chain backwards.
+    let back = |c: &str| big(c).pow_mod(&big(RSA_D), &big(RSA_N));
+    assert_eq!(back(SEAL_CHAIN[0]), seed);
+    assert_eq!(back(SEAL_CHAIN[4]), big(SEAL_CHAIN[3]));
 }
 
 /// Fold/roll commutation pinned as data:
 /// `E³(31337) · E³(424242) = E³(31337·424242 mod n)`.
 #[test]
 fn rsa_fold_roll_kat() {
-    let kp = RsaKeyPair::from_primes(&big(RSA_P), &big(RSA_Q));
-    let pk = kp.public();
+    let pk = RsaPublicKey::from_primes(&big(RSA_P), &big(RSA_Q));
     let want = big("14122aeeb0c1c0c9596e62bb9360c540f82ed891f66f94240b508f886b496689");
     let x = BigUint::from_u64(31337);
     let y = BigUint::from_u64(424242);
@@ -371,68 +370,32 @@ fn rsa_fold_roll_kat() {
 
 #[test]
 fn rsa_private_exponent_matches_pinned_value() {
-    // d = e⁻¹ mod φ(n) is reconstructed from the primes; pin it by
-    // decrypting a ciphertext formed with the pinned d directly.
-    let kp = RsaKeyPair::from_primes(&big(RSA_P), &big(RSA_Q));
+    // d = e⁻¹ mod φ(n) inverts the key built from the primes: a
+    // ciphertext under it decrypts with the pinned d directly.
+    let pk = RsaPublicKey::from_primes(&big(RSA_P), &big(RSA_Q));
     let m = BigUint::from_u64(0xfeed_f00d);
-    let c = kp.public().encrypt(&m);
+    let c = pk.encrypt(&m);
     assert_eq!(c.pow_mod(&big(RSA_D), &big(RSA_N)), m);
-    assert_eq!(kp.decrypt(&c), m);
 }
 
-// ------------------------------------------------------------ Paillier
-
-// A fixed 256-bit Paillier modulus (128-bit primes). The ciphertexts
-// below are `(1 + m·n) · r^n mod n²` with the pinned nonces.
-const PAI_P: &str = "d67f4279075aae2b8ea138a50e847373";
-const PAI_Q: &str = "df3d7e8d8a3e94d833324e5a8b19b171";
-const PAI_N: &str = "bb0c61437ee2f5f9304503eb35f03c5de691c6c99690c8b17f8815f1b38478c3";
-const PAI_R1: &str = "0123456789abcdef0123456789abcdef";
-const PAI_R2: &str = "feedface00000000deadbeef00000001";
-/// `E(1800; r1)` — the paper's domain lower bound as the plaintext.
-const PAI_C1: &str = "4243f2cdeb6ef62fb28a45bb827055d76897641a7db559afadb5b76d307b3422\
-                      f7713b738c5d13b1a3c33c5f7a72025ad8edf77228fb289db6d9d79cd1204810";
-/// `E(5000; r2)` — the domain upper bound.
-const PAI_C2: &str = "76843db41b9b8379404491a2f999f3ea573c815c07a30cf7e20c5cfe0f677156\
-                      5b29b064dee4c18f58f542302900f670d5bcd161e35d3f47e2c9aefc5759fd50";
-/// `E(1800; r1) · E(5000; r2) mod n²` = a ciphertext of 6800.
-const PAI_SUM_C: &str = "184b13c8628d1ab80076848005e719795f5f4951b3ac70598eb5635a21dab073\
-                         bcfb6f3d056b3e364f8e707ff4f219114dd2f74cf57453f22fd7d5a524c0d371";
-/// `E(0; r1)` — the additive identity is *not* the ciphertext 1.
-const PAI_ZERO_C: &str = "2d753ef8da474b9834eefd7feeada25ff8ae4741462a90cc61eacc79dda6c8bc\
-                          c20c31922c1b0abe015b0753508c6a64acc7ec05185cd767e6da13346968743e";
+/// Two 512-bit moduli drawn in turn by `RsaPublicKey::generate` from
+/// `StdRng::seed_from_u64(0x5EC0A)`. Every SECOA key comes from this
+/// function, so the reproduced figures depend on its draw sequence: the
+/// second modulus also pins how many draws the first one consumed.
+const GENERATED_N: [&str; 2] = [
+    "814aa7dd0cd3ff91e3ad64eaa8c343494915fe952105d3bd9574132eb7862879\
+     d02a87c085ac910affaf32f411f1e069a55655da00dc1e880c9e9cbf94060c8f",
+    "ac40d599fdf183fcbec8f67df5385fde8da80265b4fbc358a5c0c80c6a7bd640\
+     19177aa3916897ff448deb99883b8fbda3603f10ec5f0ef00bedef66b6d786bf",
+];
 
 #[test]
-fn paillier_encrypt_kat() {
-    let kp = PaillierKeyPair::from_primes(&big(PAI_P), &big(PAI_Q));
-    let pk = kp.public();
-    assert_eq!(pk.modulus(), &big(PAI_N), "pinned modulus");
-
-    let c1 = pk.encrypt_with_nonce(&BigUint::from_u64(1800), &big(PAI_R1));
-    let c2 = pk.encrypt_with_nonce(&BigUint::from_u64(5000), &big(PAI_R2));
-    assert_eq!(c1.raw(), &big(PAI_C1));
-    assert_eq!(c2.raw(), &big(PAI_C2));
-
-    let sum = pk.add(&c1, &c2);
-    assert_eq!(sum.raw(), &big(PAI_SUM_C));
-    assert_eq!(kp.decrypt(&sum), BigUint::from_u64(6800));
-
-    let zero = pk.encrypt_with_nonce(&BigUint::zero(), &big(PAI_R1));
-    assert_eq!(zero.raw(), &big(PAI_ZERO_C));
-    assert_eq!(kp.decrypt(&zero), BigUint::zero());
-}
-
-#[test]
-fn paillier_nonce_determinism_and_decrypt_round_trip() {
-    let kp = PaillierKeyPair::from_primes(&big(PAI_P), &big(PAI_Q));
-    let pk = kp.public();
-    // Same (m, r) → same ciphertext; different r → different ciphertext.
-    let m = BigUint::from_u64(42);
-    let a = pk.encrypt_with_nonce(&m, &big(PAI_R1));
-    let b = pk.encrypt_with_nonce(&m, &big(PAI_R1));
-    let c = pk.encrypt_with_nonce(&m, &big(PAI_R2));
-    assert_eq!(a, b);
-    assert_ne!(a, c);
-    assert_eq!(kp.decrypt(&a), m);
-    assert_eq!(kp.decrypt(&c), m);
+fn rsa_generate_kat() {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EC0A);
+    for want in GENERATED_N {
+        let pk = RsaPublicKey::generate(&mut rng, 512);
+        assert_eq!(pk.modulus(), &big(want), "seeded key generation drifted");
+        assert_eq!(pk.exponent().as_u64(), 3);
+    }
 }

@@ -7,32 +7,9 @@ use proptest::prelude::*;
 use sies_crypto::bigmont::BigMontCtx;
 use sies_crypto::biguint::BigUint;
 use sies_crypto::mont::MontgomeryCtx;
-use sies_crypto::paillier::{PaillierCiphertext, PaillierKeyPair};
-use sies_crypto::rsa::RsaKeyPair;
 use sies_crypto::u256::U256;
 use sies_crypto::DEFAULT_PRIME_256;
 use std::sync::OnceLock;
-
-/// Fixed RSA fixture (256-bit modulus, seeded keygen) shared by the CRT
-/// differential tests — prime search is too slow per proptest case.
-fn rsa_fixture() -> &'static RsaKeyPair {
-    static KP: OnceLock<RsaKeyPair> = OnceLock::new();
-    KP.get_or_init(|| {
-        use rand::SeedableRng as _;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed_0001);
-        RsaKeyPair::generate(&mut rng, 256)
-    })
-}
-
-/// Fixed Paillier fixture (256-bit modulus, seeded keygen).
-fn paillier_fixture() -> &'static PaillierKeyPair {
-    static KP: OnceLock<PaillierKeyPair> = OnceLock::new();
-    KP.get_or_init(|| {
-        use rand::SeedableRng as _;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed_0002);
-        PaillierKeyPair::generate(&mut rng, 256)
-    })
-}
 
 /// A seeded 256-bit prime other than `DEFAULT_PRIME_256` (a deployment
 /// may generate its own `p`).
@@ -526,46 +503,6 @@ proptest! {
             bigmontxn::product_mod_wide(&ctx, &values),
             ctx.product_mod(values.iter())
         );
-    }
-
-    // ---- CRT private-key ops vs the generic oracle ----------------------
-
-    #[test]
-    fn crt_rsa_decrypt_matches_generic(seed in any::<u64>()) {
-        let kp = rsa_fixture();
-        // Derive a ciphertext-range value deterministically from the seed.
-        let c = BigUint::from_u64(seed | 1)
-            .mul(&BigUint::from_u64(0x9E37_79B9_7F4A_7C15))
-            .pow_mod(&BigUint::from_u64(3), kp.public().modulus());
-        prop_assert_eq!(kp.decrypt(&c), kp.decrypt_generic(&c));
-    }
-
-    #[test]
-    fn crt_rsa_round_trips(m in any::<u64>()) {
-        let kp = rsa_fixture();
-        let m = BigUint::from_u64(m);
-        prop_assert_eq!(kp.decrypt(&kp.public().encrypt(&m)), m);
-    }
-
-    #[test]
-    fn crt_paillier_decrypt_matches_generic(m in any::<u64>(), r_seed in 2u64..u64::MAX) {
-        let kp = paillier_fixture();
-        let m = BigUint::from_u64(m).rem(kp.public().modulus());
-        let r = BigUint::from_u64(r_seed).rem(kp.public().modulus());
-        prop_assume!(!r.is_zero());
-        let c = kp.public().encrypt_with_nonce(&m, &r);
-        prop_assert_eq!(kp.decrypt(&c), m.clone());
-        prop_assert_eq!(kp.decrypt_generic(&c), m);
-    }
-
-    #[test]
-    fn crt_paillier_decrypt_matches_generic_on_raw_group_elements(limbs in any::<[u64; 7]>()) {
-        let kp = paillier_fixture();
-        let n2 = kp.public().modulus().mul(kp.public().modulus());
-        let c = BigUint::from_limbs(limbs.to_vec()).rem(&n2);
-        prop_assume!(!c.is_zero());
-        let c = PaillierCiphertext::from_raw(c);
-        prop_assert_eq!(kp.decrypt(&c), kp.decrypt_generic(&c));
     }
 
     // ---- Batched PRFs vs the mapped scalar oracle -----------------------

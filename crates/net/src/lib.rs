@@ -52,7 +52,6 @@ pub mod radio;
 pub mod recovery;
 pub mod scheme;
 pub mod topology;
-pub mod wire;
 
 pub use chaos::{
     absorb, run_chaos, run_chaos_with_restarts, ChaosConfig, ChaosMetrics, RestartConfig,

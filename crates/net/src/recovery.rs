@@ -9,16 +9,16 @@
 //!
 //! 1. **Normal phase** — the child transmits its PSR; the parent ACKs
 //!    each copy it receives. A frame that arrives corrupted (caught by
-//!    the wire CRC) triggers an immediate NACK and retransmission; a
+//!    the frame CRC) triggers an immediate NACK and retransmission; a
 //!    frame that vanishes entirely is retransmitted on timeout. The
 //!    retransmission budget is `1 + max_retries` data frames
 //!    ([`crate::radio::LossyRadio::max_retries`]).
 //! 2. **Re-solicitation phase** — when the epoch deadline passes with
-//!    the transfer still missing, the querier (told by a
-//!    [`crate::wire::PacketType::FailureReport`]) re-solicits the
-//!    missing subtree: each round costs a
-//!    [`crate::wire::PacketType::Resolicit`] frame per hop down to the
-//!    waiting parent and buys one more full retransmission budget.
+//!    the transfer still missing, the querier (told by a failure
+//!    report, [`FAILURE_REPORT_BYTES`]) re-solicits the missing subtree:
+//!    each round costs a re-solicitation frame ([`RESOLICIT_BYTES`]) per
+//!    hop down to the waiting parent and buys one more full
+//!    retransmission budget.
 //! 3. **Exclusion** — a transfer that is still missing after
 //!    [`RecoveryConfig::resolicit_rounds`] re-solicitations is declared
 //!    lost; the subtree's sources are excluded from the contributor set
@@ -35,16 +35,26 @@
 //! run, so a recovering epoch shards across worker threads like a clean
 //! one and still replays exactly from its seed.
 //!
+//! Control frames are charged at their wire size: a [`FRAME_OVERHEAD`]
+//! frame around a payload of at most one node id. PSR frames are charged
+//! their scheme payload only, as the paper's Table V counts them.
+//!
 //! A key property the chaos harness leans on: the protocol recovers
 //! *honest* faults only. A covert adversary ACKs like everyone else, so
 //! recovery never masks an attack — detection stays the scheme's job.
 
 use crate::radio::{LinkStats, LossyRadio};
 use crate::topology::NodeId;
-use crate::wire::FRAME_OVERHEAD;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use sies_telemetry as tel;
+
+/// Bytes a radio frame adds around its payload: an 18-byte header
+/// (2-byte magic, version, frame type, 8-byte epoch, 4-byte sender id,
+/// 2-byte payload length) plus a 4-byte CRC-32 that catches radio
+/// corruption (not a security mechanism: integrity comes from the
+/// schemes).
+pub const FRAME_OVERHEAD: usize = 22;
 
 /// Wire size of a link-layer acknowledgement (a bare frame: epoch and
 /// sender live in the header, no payload).

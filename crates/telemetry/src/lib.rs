@@ -13,8 +13,7 @@
 //! - **Journal** ([`journal`]): a bounded ring of typed per-epoch
 //!   events (NACK sent, retransmit, failure report, lane dispatch, ...).
 //! - **Registry** ([`registry`]): named metrics with cheap
-//!   [`Snapshot`]/[`Snapshot::diff`] and JSON / Prometheus-text
-//!   exporters.
+//!   [`Snapshot`]/[`Snapshot::diff`] and a JSON exporter.
 //! - **Profiler** ([`profiler`]): a watcher thread sampling every
 //!   thread's live-span stack at a configurable Hz, emitting
 //!   flamegraph folded stacks.
@@ -23,8 +22,8 @@
 //! - **Alerts** ([`alert`]): declarative threshold/rate/quantile rules
 //!   over snapshot diffs, journaling typed [`EventKind::AlertRaised`]
 //!   events.
-//! - **Endpoint** ([`server`]): a std-only TCP listener serving
-//!   `/metrics` (Prometheus), `/healthz`, and `/snapshot` (JSON).
+//! - **Process gauges** ([`process`]): peak RSS and the engine's
+//!   bytes-per-node footprint.
 //!
 //! ## Kill-switch
 //!
@@ -66,20 +65,15 @@ pub mod metric;
 pub mod process;
 pub mod profiler;
 pub mod registry;
-pub mod server;
 pub mod span;
 pub mod timeline;
 
 pub use alert::{Alert, AlertEngine, Rule};
 pub use journal::{Event, EventKind, Journal, EVENTS_DROPPED};
 pub use metric::{Counter, FloatCounter, Gauge, Histogram, HistogramSnapshot, HIST_BUCKETS};
-pub use process::{
-    cpu_time_ns, peak_rss_bytes, record_bytes_per_node, record_cpu_time, record_peak_rss,
-    record_process_gauges,
-};
+pub use process::{peak_rss_bytes, record_bytes_per_node, record_peak_rss};
 pub use profiler::{ProfileData, Profiler};
-pub use registry::{describe, global, Registry, Snapshot};
-pub use server::MetricsServer;
+pub use registry::{global, Registry, Snapshot};
 pub use span::{current_depth, current_path, sample_stacks, thread_tid, Span};
 pub use timeline::{
     dropped_total, is_recording, start_recording, stop_recording, to_trace_json, TimelineCapture,

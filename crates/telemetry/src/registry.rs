@@ -1,5 +1,5 @@
-//! Named-metric registry with point-in-time snapshots, diffs, and
-//! zero-dependency JSON / Prometheus-text exporters.
+//! Named-metric registry with point-in-time snapshots, diffs, and a
+//! zero-dependency JSON exporter.
 //!
 //! Metric handles are `Arc`s: looking a name up takes a `Mutex`, but
 //! call sites do that once (the recording macros cache the handle in a
@@ -141,56 +141,6 @@ pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
 }
 
-fn help_table() -> &'static Mutex<BTreeMap<&'static str, &'static str>> {
-    static HELPS: OnceLock<Mutex<BTreeMap<&'static str, &'static str>>> = OnceLock::new();
-    HELPS.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-/// Registers a help string for a metric name. Help strings are
-/// process-wide (shared by every registry — names mean the same thing
-/// everywhere) and surface as `# HELP` lines in the Prometheus
-/// exposition. Re-describing a name replaces the previous text.
-pub fn describe(name: &'static str, help: &'static str) {
-    help_table().lock().unwrap().insert(name, help);
-}
-
-/// The registered help string for `name`, if any.
-pub fn help_for(name: &str) -> Option<&'static str> {
-    help_table().lock().unwrap().get(name).copied()
-}
-
-/// Maps a metric name to a valid Prometheus metric name
-/// (`[a-zA-Z_:][a-zA-Z0-9_:]*`): every character outside
-/// `[a-zA-Z0-9]` becomes `_`, and a leading digit is prefixed with
-/// `_` so the first-character rule holds for any input.
-fn prom_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 1);
-    for (i, c) in name.chars().enumerate() {
-        if i == 0 && c.is_ascii_digit() {
-            out.push('_');
-        }
-        out.push(if c.is_ascii_alphanumeric() { c } else { '_' });
-    }
-    if out.is_empty() {
-        out.push('_');
-    }
-    out
-}
-
-/// Escapes a help string for a Prometheus `# HELP` line: backslashes
-/// and newlines must be escaped per the text exposition format.
-fn escape_help(help: &str) -> String {
-    let mut out = String::with_capacity(help.len());
-    for c in help.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Plain-data copy of a [`Registry`] at a point in time.
 ///
 /// Snapshots diff (`later.diff(&earlier)` = activity in between), merge,
@@ -317,55 +267,6 @@ impl Snapshot {
         out.push_str("}}");
         out
     }
-
-    /// Serializes the snapshot in the Prometheus text exposition format
-    /// (metric names have `.` mapped to `_`; histograms emit cumulative
-    /// `_bucket{le=...}` series plus `_count` and `_sum`; names with a
-    /// registered [`describe`] help string get a `# HELP` line with
-    /// backslash/newline escaping).
-    pub fn to_prometheus(&self) -> String {
-        fn push_help(out: &mut String, raw: &str, n: &str) {
-            if let Some(help) = help_for(raw) {
-                let _ = writeln!(out, "# HELP {n} {}", escape_help(help));
-            }
-        }
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            let n = prom_name(name);
-            push_help(&mut out, name, &n);
-            let _ = writeln!(out, "# TYPE {n} counter\n{n} {v}");
-        }
-        for (name, v) in &self.floats {
-            let n = prom_name(name);
-            push_help(&mut out, name, &n);
-            let _ = writeln!(out, "# TYPE {n} counter\n{n} {v}");
-        }
-        for (name, v) in &self.gauges {
-            let n = prom_name(name);
-            push_help(&mut out, name, &n);
-            let _ = writeln!(out, "# TYPE {n} gauge\n{n} {v}");
-        }
-        for (name, h) in &self.hists {
-            let n = prom_name(name);
-            push_help(&mut out, name, &n);
-            let _ = writeln!(out, "# TYPE {n} histogram");
-            let mut cum = 0u64;
-            for (i, &b) in h.buckets.iter().enumerate() {
-                if b == 0 {
-                    continue;
-                }
-                cum += b;
-                let _ = writeln!(
-                    out,
-                    "{n}_bucket{{le=\"{}\"}} {cum}",
-                    crate::metric::bucket_upper_bound(i)
-                );
-            }
-            let _ = writeln!(out, "{n}_bucket{{le=\"+Inf\"}} {}", h.count);
-            let _ = writeln!(out, "{n}_sum {}\n{n}_count {}", h.sum, h.count);
-        }
-        out
-    }
 }
 
 /// Writes `"key":<value>` pairs with JSON string escaping on keys.
@@ -487,47 +388,6 @@ mod tests {
         let open = js.matches('{').count();
         let close = js.matches('}').count();
         assert_eq!(open, close, "{js}");
-    }
-
-    #[test]
-    fn prometheus_exporter_shapes() {
-        let r = Registry::new();
-        r.counter("net.tx.bytes").add(3);
-        r.histogram("lat.ns").record(5);
-        r.histogram("lat.ns").record(900);
-        let text = r.snapshot().to_prometheus();
-        assert!(text.contains("# TYPE net_tx_bytes counter"), "{text}");
-        assert!(text.contains("net_tx_bytes 3"), "{text}");
-        assert!(text.contains("lat_ns_bucket{le=\"7\"} 1"), "{text}");
-        assert!(text.contains("lat_ns_bucket{le=\"1023\"} 2"), "{text}");
-        assert!(text.contains("lat_ns_bucket{le=\"+Inf\"} 2"), "{text}");
-        assert!(text.contains("lat_ns_count 2"), "{text}");
-    }
-
-    #[test]
-    fn help_lines_are_emitted_and_escaped() {
-        describe(
-            "helptest.counter",
-            "a counter\nwith a newline and a \\ slash",
-        );
-        let r = Registry::new();
-        r.counter("helptest.counter").add(1);
-        let text = r.snapshot().to_prometheus();
-        assert!(
-            text.contains("# HELP helptest_counter a counter\\nwith a newline and a \\\\ slash"),
-            "{text}"
-        );
-        // HELP precedes TYPE for the same metric.
-        let help_at = text.find("# HELP helptest_counter").unwrap();
-        let type_at = text.find("# TYPE helptest_counter").unwrap();
-        assert!(help_at < type_at);
-    }
-
-    #[test]
-    fn prom_names_never_start_with_a_digit() {
-        assert_eq!(prom_name("3rd.party"), "_3rd_party");
-        assert_eq!(prom_name("net.bytes"), "net_bytes");
-        assert_eq!(prom_name(""), "_");
     }
 
     #[test]

@@ -1,12 +1,9 @@
-//! Exporter-conformance properties: the Prometheus text exposition
-//! must use valid metric names and parse line-by-line for *any*
-//! registered metric name, help strings must come out escaped, and the
-//! hand-rolled JSON snapshot document must round-trip through an
-//! independent JSON parser (the vendored `serde_json`).
+//! Exporter-conformance property: the hand-rolled JSON snapshot
+//! document must round-trip through an independent JSON parser (the
+//! vendored `serde_json`) for *any* registered metric name.
 
 use proptest::prelude::*;
 use serde_json::Value;
-use sies_telemetry::registry::describe;
 use sies_telemetry::{HistogramSnapshot, Snapshot};
 
 /// Decodes a byte vector into a deliberately hostile metric name:
@@ -14,38 +11,6 @@ use sies_telemetry::{HistogramSnapshot, Snapshot};
 /// names, and high bytes all appear.
 fn hostile_name(bytes: &[u8]) -> String {
     bytes.iter().map(|&b| b as char).collect()
-}
-
-/// A Prometheus metric name must match `[a-zA-Z_:][a-zA-Z0-9_:]*`.
-fn is_valid_prom_name(name: &str) -> bool {
-    let mut chars = name.chars();
-    match chars.next() {
-        Some(c) if c.is_ascii_alphabetic() || c == '_' || c == ':' => {}
-        _ => return false,
-    }
-    chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-}
-
-/// Splits a sample line `name[{labels}] value` and validates both
-/// halves. Returns false for anything malformed.
-fn sample_line_is_valid(line: &str) -> bool {
-    let (series, value) = match line.rsplit_once(' ') {
-        Some(pair) => pair,
-        None => return false,
-    };
-    if value.parse::<f64>().is_err() && !matches!(value, "+Inf" | "-Inf" | "NaN") {
-        return false;
-    }
-    let name = match series.split_once('{') {
-        Some((name, labels)) => {
-            if !labels.ends_with('}') {
-                return false;
-            }
-            name
-        }
-        None => series,
-    };
-    is_valid_prom_name(name)
 }
 
 /// Builds a snapshot exercising every metric family from raw fuzz
@@ -97,105 +62,6 @@ fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
 }
 
 proptest! {
-    /// Every line of the Prometheus exposition is a comment line with
-    /// a valid metric name or a sample line with a valid name and a
-    /// numeric value — no matter how hostile the registered names are.
-    #[test]
-    fn prometheus_output_parses_line_by_line(
-        names in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 1..16), 1..12),
-        values in proptest::collection::vec(any::<u64>(), 1..12),
-    ) {
-        let text = build_snapshot(&names, &values).to_prometheus();
-        for line in text.lines() {
-            if let Some(rest) = line.strip_prefix("# TYPE ") {
-                let mut parts = rest.split(' ');
-                let name = parts.next().unwrap_or("");
-                let kind = parts.next().unwrap_or("");
-                prop_assert!(is_valid_prom_name(name), "bad TYPE name {name:?}");
-                prop_assert!(
-                    matches!(kind, "counter" | "gauge" | "histogram"),
-                    "bad TYPE kind {kind:?}"
-                );
-                prop_assert!(parts.next().is_none());
-            } else if let Some(rest) = line.strip_prefix("# HELP ") {
-                let name = rest.split(' ').next().unwrap_or("");
-                prop_assert!(is_valid_prom_name(name), "bad HELP name {name:?}");
-            } else {
-                prop_assert!(sample_line_is_valid(line), "bad sample line {line:?}");
-            }
-        }
-    }
-
-    /// Histogram series are internally consistent: cumulative buckets
-    /// are nondecreasing and `+Inf` equals `_count`.
-    #[test]
-    fn prometheus_histogram_series_are_cumulative(
-        samples in proptest::collection::vec(any::<u64>(), 1..60),
-    ) {
-        let mut h = HistogramSnapshot::default();
-        for &v in &samples {
-            h.buckets[sies_telemetry::metric::bucket_index(v)] += 1;
-            h.count += 1;
-            h.sum = h.sum.wrapping_add(v);
-        }
-        let mut s = Snapshot::default();
-        s.hists.insert("conf.hist".into(), h);
-        let text = s.to_prometheus();
-
-        let mut last_cum = 0u64;
-        let mut inf = None;
-        let mut count = None;
-        for line in text.lines() {
-            if let Some(rest) = line.strip_prefix("conf_hist_bucket{le=\"") {
-                let (bound, cum) = rest.split_once("\"} ").unwrap();
-                let cum: u64 = cum.parse().unwrap();
-                prop_assert!(cum >= last_cum, "bucket series not cumulative");
-                last_cum = cum;
-                if bound == "+Inf" {
-                    inf = Some(cum);
-                }
-            } else if let Some(c) = line.strip_prefix("conf_hist_count ") {
-                count = Some(c.parse::<u64>().unwrap());
-            }
-        }
-        prop_assert_eq!(inf, Some(samples.len() as u64));
-        prop_assert_eq!(count, Some(samples.len() as u64));
-    }
-
-    /// Help strings with backslashes/newlines come out escaped: the
-    /// HELP line never breaks the line-by-line framing.
-    #[test]
-    fn help_strings_are_escaped(raw in proptest::collection::vec(any::<u8>(), 0..24)) {
-        // `describe` requires 'static strs; the test set is bounded by
-        // the proptest case count, so leaking here is fine.
-        let help: &'static str =
-            Box::leak(hostile_name(&raw).replace('\r', "r").into_boxed_str());
-        describe("conf.help_fuzz", help);
-        let mut s = Snapshot::default();
-        s.counters.insert("conf.help_fuzz".into(), 1);
-        let text = s.to_prometheus();
-        let help_line = text
-            .lines()
-            .find(|l| l.starts_with("# HELP conf_help_fuzz"))
-            .expect("HELP line present");
-        prop_assert!(!help_line.contains('\n'));
-        // Unescaped backslashes may only appear as \\ or \n pairs.
-        let payload = help_line.strip_prefix("# HELP conf_help_fuzz").unwrap();
-        let mut chars = payload.chars();
-        while let Some(c) = chars.next() {
-            if c == '\\' {
-                let next = chars.next();
-                prop_assert!(
-                    matches!(next, Some('\\') | Some('n')),
-                    "dangling escape in {payload:?}"
-                );
-            }
-        }
-        // Exactly three lines for this metric: HELP, TYPE, sample.
-        prop_assert_eq!(text.lines().count(), 3);
-    }
-
     /// The hand-rolled JSON snapshot document parses with an
     /// independent parser and preserves every counter, float, gauge,
     /// and histogram count — including hostile metric names.

@@ -10,7 +10,6 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sies_baselines::cmt::CmtDeployment;
-use sies_baselines::paillier_agg::PaillierDeployment;
 use sies_baselines::secoa::SecoaSum;
 use sies_core::SystemParams;
 use sies_net::engine::Engine;
@@ -65,14 +64,9 @@ fn main() {
     let secoa = SecoaSum::new(&mut rng, n, secoa_j, rsa_bits);
     run_scheme(&secoa, &topo, &values, true_sum);
 
-    let paillier = PaillierDeployment::new(&mut rng, n, rsa_bits);
-    run_scheme(&paillier, &topo, &values, true_sum);
-
     println!(
         "\nSIES: exact + confidential + verified, 32 B edges.\n\
          CMT:  exact + confidential, but integrity column is 'false' - tampering would pass.\n\
-         SECOA: verified but approximate (nonzero err), and orders of magnitude more bytes.\n\
-         Paillier (ODB-style, sec. II-C): exact + confidential, no integrity, public-key cost\n\
-         per reading and wide ciphertexts - unfit for resource-constrained sources."
+         SECOA: verified but approximate (nonzero err), and orders of magnitude more bytes."
     );
 }
