@@ -168,13 +168,35 @@ impl PrimitiveCosts {
 mod tests {
     use super::*;
 
+    /// Each constant's minimum over `runs`.
+    fn minima(runs: &[PrimitiveCosts]) -> PrimitiveCosts {
+        let min = |f: fn(&PrimitiveCosts) -> f64| runs.iter().map(f).fold(f64::INFINITY, f64::min);
+        PrimitiveCosts {
+            c_sk: min(|c| c.c_sk),
+            c_rsa: min(|c| c.c_rsa),
+            c_hm1: min(|c| c.c_hm1),
+            c_hm256: min(|c| c.c_hm256),
+            c_a20: min(|c| c.c_a20),
+            c_a32: min(|c| c.c_a32),
+            c_m32: min(|c| c.c_m32),
+            c_m128: min(|c| c.c_m128),
+            c_mi32: min(|c| c.c_mi32),
+        }
+    }
+
     #[test]
     fn calibration_produces_positive_ordered_costs() {
-        let c = PrimitiveCosts::calibrate(true);
-        for (name, v) in c.rows() {
-            assert!(v > 0.0, "{name} non-positive: {v}");
-            assert!(v < 10_000.0, "{name} implausibly slow: {v} µs");
+        let runs: Vec<PrimitiveCosts> = (0..3).map(|_| PrimitiveCosts::calibrate(true)).collect();
+        for c in &runs {
+            for (name, v) in c.rows() {
+                assert!(v > 0.0, "{name} non-positive: {v}");
+                assert!(v < 10_000.0, "{name} implausibly slow: {v} µs");
+            }
         }
+        // The orderings compare per-constant minima over the runs: a
+        // loaded test runner's preemption only lengthens a measurement,
+        // so the minimum is the estimate contention disturbs least.
+        let c = minima(&runs);
         // Structural orderings that must hold on any host:
         assert!(
             c.c_rsa > c.c_m128,

@@ -12,6 +12,17 @@
 //! every row and each source reads its own ([`KeyTable::source`]).
 //! [`setup`] still hands out per-source credentials, from which
 //! [`Source::new`] builds a source with a one-row table of its own.
+//!
+//! Everything the querier computes per epoch except the final multiply
+//! depends only on `t` and the long-term keys (paper Eq. 9): `K_t⁻¹`,
+//! `Σ k_{i,t} mod p` and `Σ ss_{i,t}`. [`Querier::epoch_totals`] derives
+//! them over every source from the querier's own rows, so a querier
+//! that knows the next epoch can pay for them before the final PSR
+//! arrives; [`Querier::evaluate_with_totals`] then only decrypts,
+//! decodes and compares, and only when the contributor list is every
+//! source in id order. The totals never come from the sources' key
+//! material: the querier and the sensors are different devices, and the
+//! querier's PRFs move into the idle gap, they do not vanish.
 
 use crate::codec::{self, SecretShare};
 use crate::error::{Epoch, SiesError, SourceId};
@@ -134,6 +145,20 @@ pub struct Aggregator {
 /// and decryption.
 pub struct Querier {
     keys: Arc<KeyTable>,
+}
+
+/// The querier's precomputable half of one epoch's evaluation: the
+/// epoch, `K_t⁻¹`, `Σ k_{i,t} mod p` and `Σ ss_{i,t}`. Only
+/// [`Querier::epoch_totals`] hands them out, derived over every source
+/// from the querier's own key-table rows; [`Querier::evaluate_with_totals`]
+/// consumes them. Three 32-byte numbers and the epoch, so a copy is
+/// cheap.
+#[derive(Clone, Copy)]
+pub struct EpochTotals {
+    epoch: Epoch,
+    k_t_inv: U256,
+    k_sum: U256,
+    secret: U256,
 }
 
 /// A successfully verified SUM result.
@@ -470,10 +495,15 @@ impl Querier {
         &self.keys.params
     }
 
-    /// The evaluation phase `E`, assuming **all** `N` sources contributed.
+    /// The evaluation phase `E`, assuming **all** `N` sources contributed:
+    /// derives the epoch's totals ([`Querier::epoch_totals`]) and
+    /// finishes with them.
     pub fn evaluate(&self, final_psr: &Psr, epoch: Epoch) -> Result<VerifiedSum, SiesError> {
-        let all: Vec<SourceId> = (0..self.keys.num_sources() as SourceId).collect();
-        self.evaluate_with_contributors(final_psr, epoch, &all)
+        self.finish(
+            final_psr,
+            &self.epoch_totals(epoch),
+            self.keys.num_sources(),
+        )
     }
 
     /// The evaluation phase with an explicit contributor set (paper §IV-B,
@@ -489,62 +519,112 @@ impl Querier {
         epoch: Epoch,
         contributors: &[SourceId],
     ) -> Result<VerifiedSum, SiesError> {
-        self.evaluate_with_contributors_threaded(final_psr, epoch, contributors, 1)
+        self.evaluate_with_totals(final_psr, epoch, contributors, 1, |_| None)
     }
 
-    /// Per-chunk half of evaluation: `(Σ k_{i,t} mod p, Σ ss_{i,t})` over
-    /// one contiguous slice of the contributor list, or the first error in
-    /// slice order. Both PRF sweeps run through the multi-lane batch
-    /// pipeline ([`prf::for_each_epoch_key`]).
-    fn contributor_partial(
+    /// The querier's half of `epoch`'s evaluation over every source,
+    /// derived from its own key-table rows: one sweep of both PRFs
+    /// through the multi-lane batch pipeline ([`prf::for_each_epoch_key`])
+    /// and one Fermat inverse, allocating nothing. Everything Eq. 9
+    /// charges the querier but the final multiply, computable as soon
+    /// as the querier knows the epoch.
+    pub fn epoch_totals(&self, epoch: Epoch) -> EpochTotals {
+        let k_t_inv = self.k_t_inv(epoch);
+        let (k_sum, secret) = self.key_sums(epoch, self.keys.source_prfs.iter());
+        EpochTotals {
+            epoch,
+            k_t_inv,
+            k_sum,
+            secret,
+        }
+    }
+
+    /// `K_t⁻¹ mod p` for `epoch`.
+    fn k_t_inv(&self, epoch: Epoch) -> U256 {
+        let keys = &self.keys;
+        let k_t = keys
+            .global_prf
+            .derive_mod_nonzero(epoch, keys.params.prime());
+        // Fermat inversion: its multiplies follow the public exponent
+        // p − 2, not the secret K_t, and it allocates nothing.
+        keys.ctx
+            .inv_mod_prime(&k_t)
+            .expect("K_t is non-zero and p is prime")
+    }
+
+    /// `(Σ k_{i,t} mod p, Σ ss_{i,t})` over `prfs`, both PRF sweeps
+    /// through the multi-lane batch pipeline ([`prf::for_each_epoch_key`]).
+    fn key_sums<'a>(
         &self,
         epoch: Epoch,
-        ids: &[SourceId],
-    ) -> Result<(U256, U256), SiesError> {
-        let keys = &self.keys;
-        let p = keys.params.prime();
-        // Resolve every id first: the first unknown id in slice order is
-        // the error.
-        if let Some(&id) = ids.iter().find(|&&id| id as usize >= keys.num_sources()) {
-            return Err(SiesError::UnknownSource(id));
-        }
+        prfs: impl IntoIterator<Item = &'a KeyedPrf>,
+    ) -> (U256, U256) {
+        let p = self.keys.params.prime();
         let mut k_sum = U256::ZERO;
         let mut secret = U256::ZERO;
-        let prfs = ids.iter().map(|&id| &keys.source_prfs[id as usize]);
         prf::for_each_epoch_key(prfs, epoch, p, |_, k_it, ss| {
             k_sum = k_sum.add_mod(&k_it, p);
             secret = secret
                 .checked_add(&codec::share_to_u256(&ss))
                 .expect("share sum fits 256 bits");
         });
-        Ok((k_sum, secret))
+        (k_sum, secret)
+    }
+
+    /// Per-chunk half of the sweep: [`Querier::key_sums`] over one
+    /// contiguous slice of the contributor list, or the first unknown id
+    /// in slice order.
+    fn contributor_partial(
+        &self,
+        epoch: Epoch,
+        ids: &[SourceId],
+    ) -> Result<(U256, U256), SiesError> {
+        let keys = &self.keys;
+        // Resolve every id first: the first unknown id in slice order is
+        // the error.
+        if let Some(&id) = ids.iter().find(|&&id| id as usize >= keys.num_sources()) {
+            return Err(SiesError::UnknownSource(id));
+        }
+        Ok(self.key_sums(epoch, ids.iter().map(|&id| &keys.source_prfs[id as usize])))
+    }
+
+    /// Whether `contributors` is every source in id order: the one list
+    /// whose sums are an epoch's totals.
+    fn is_every_source(&self, contributors: &[SourceId]) -> bool {
+        contributors.len() == self.keys.num_sources()
+            && contributors.iter().zip(0..).all(|(&id, i)| id == i)
     }
 
     /// [`Querier::evaluate_with_contributors`] with the per-contributor
-    /// PRF recomputation sharded over `threads` scoped workers.
+    /// PRF recomputation sharded over `threads` scoped workers, and able
+    /// to finish from totals derived ahead ([`Querier::epoch_totals`]).
     ///
-    /// Deterministic by construction: chunks are contiguous slices of
-    /// `contributors` and the partial sums combine under exactly
-    /// associative operations (modular and integer addition), so the
-    /// result — including which `UnknownSource` error surfaces — is
-    /// identical to the serial loop for every thread count.
-    pub fn evaluate_with_contributors_threaded(
+    /// `pooled` is asked for `epoch`'s totals only when `contributors` is
+    /// every source in id order, the one list they answer; when it
+    /// returns totals for `epoch`, evaluation is one decrypt, decode and
+    /// compare. Any other list, or no totals, runs the sweep.
+    ///
+    /// Deterministic by construction: the sweep's chunks are contiguous
+    /// slices of `contributors` and the partial sums combine under
+    /// exactly associative operations (modular and integer addition), so
+    /// the result — including which `UnknownSource` error surfaces — is
+    /// identical to the serial loop for every thread count, and the
+    /// totals, the same sums over every source, give it too.
+    pub fn evaluate_with_totals(
         &self,
         final_psr: &Psr,
         epoch: Epoch,
         contributors: &[SourceId],
         threads: usize,
+        pooled: impl FnOnce(Epoch) -> Option<EpochTotals>,
     ) -> Result<VerifiedSum, SiesError> {
-        let keys = &self.keys;
-        let p = keys.params.prime();
-        let k_t = keys.global_prf.derive_mod_nonzero(epoch, p);
-        // Fermat inversion: its multiplies follow the public exponent
-        // p − 2, not the secret K_t, and it allocates nothing.
-        let k_t_inv = keys
-            .ctx
-            .inv_mod_prime(&k_t)
-            .expect("K_t is non-zero and p is prime");
-
+        if self.is_every_source(contributors) {
+            if let Some(totals) = pooled(epoch).filter(|t| t.epoch == epoch) {
+                return self.finish(final_psr, &totals, contributors.len());
+            }
+        }
+        let p = self.keys.params.prime();
+        let k_t_inv = self.k_t_inv(epoch);
         // Σ k_{i,t} mod p and Σ ss_{i,t} (plain integer) over contributors.
         // Chunks are in input order, so the first failing chunk holds the
         // globally first failing contributor. A serial evaluation sums
@@ -565,16 +645,39 @@ impl Querier {
             }
             (k_sum, expected_secret)
         };
+        let sums = EpochTotals {
+            epoch,
+            k_t_inv,
+            k_sum,
+            secret: expected_secret,
+        };
+        self.finish(final_psr, &sums, contributors.len())
+    }
 
-        let m_f = hom::decrypt_with_inv(final_psr.ciphertext(), &k_t_inv, &k_sum, &keys.ctx);
+    /// The evaluation's tail, shared by the totals path and the sweep:
+    /// decrypts with `K_t⁻¹` and `Σ k_{i,t}`, decodes, and accepts iff
+    /// the decoded secret equals `Σ ss_{i,t}`.
+    fn finish(
+        &self,
+        final_psr: &Psr,
+        sums: &EpochTotals,
+        contributors: usize,
+    ) -> Result<VerifiedSum, SiesError> {
+        let keys = &self.keys;
+        let m_f = hom::decrypt_with_inv(
+            final_psr.ciphertext(),
+            &sums.k_t_inv,
+            &sums.k_sum,
+            &keys.ctx,
+        );
         let decoded = codec::decode_final(&keys.params, &m_f);
-        if decoded.secret != expected_secret {
-            return Err(SiesError::IntegrityViolation { epoch });
+        if decoded.secret != sums.secret {
+            return Err(SiesError::IntegrityViolation { epoch: sums.epoch });
         }
         Ok(VerifiedSum {
             sum: decoded.result,
-            epoch,
-            contributors: contributors.len() as u64,
+            epoch: sums.epoch,
+            contributors: contributors as u64,
         })
     }
 }
@@ -881,7 +984,7 @@ mod tests {
             .unwrap();
         for threads in [1, 2, 3, 8, 64] {
             let par = querier
-                .evaluate_with_contributors_threaded(&merged, 6, &contributing, threads)
+                .evaluate_with_totals(&merged, 6, &contributing, threads, |_| None)
                 .unwrap();
             assert_eq!(par, serial, "threads = {threads}");
         }
@@ -890,7 +993,7 @@ mod tests {
         let bad: Vec<SourceId> = vec![0, 1, 99, 2, 77];
         for threads in [1, 2, 8] {
             assert!(matches!(
-                querier.evaluate_with_contributors_threaded(&merged, 6, &bad, threads),
+                querier.evaluate_with_totals(&merged, 6, &bad, threads, |_| None),
                 Err(SiesError::UnknownSource(99))
             ));
         }

@@ -10,7 +10,9 @@
 //! * the recovery runner (`run_epoch_recovering`) with crashed
 //!   aggregators, lossy radio, and covert attacks;
 //! * the chaos harness metrics and the serialized reliability JSON;
-//! * the throughput suite's SHA-256 digest oracle.
+//! * the throughput suite's SHA-256 digest oracle;
+//! * the streamed pipeline over a warm prewarm pool, whose every epoch
+//!   the querier evaluates from its pooled totals.
 //!
 //! CI runs this suite with `SIES_TEST_THREADS` ∈ {1, 2, 3, 8} to pin the
 //! guarantee on hosts with different core counts.
@@ -21,10 +23,11 @@ use sies_bench::experiments;
 use sies_bench::throughput::throughput_suite;
 use sies_core::SystemParams;
 use sies_net::engine::{Attack, Engine, EpochOutcome};
+use sies_net::pipeline::EpochPipeline;
 use sies_net::radio::LossyRadio;
 use sies_net::recovery::RecoveryConfig;
 use sies_net::topology::Role;
-use sies_net::{SiesDeployment, Threads, Topology};
+use sies_net::{FlatTopology, PrewarmPolicy, SiesDeployment, Threads, Topology};
 use std::collections::HashSet;
 
 const N: u64 = 64;
@@ -184,6 +187,54 @@ fn throughput_suite_digest_oracle_holds() {
     for pair in points.chunks(thread_sweep().len()) {
         for p in pair {
             assert_eq!(p.result_digest, pair[0].result_digest);
+        }
+    }
+}
+
+/// The streamed pipeline over a warm pool: every epoch of the run is
+/// derived ahead synchronously (no more than the default pool holds),
+/// so at every thread count, streaming off and on, each epoch's
+/// querier lookup hits and evaluation runs from the pooled totals —
+/// and the outcomes equal a cold deployment's. Hit counts are asserted
+/// only here, where no racing warmer decides them.
+#[test]
+fn warm_pool_evaluations_match_cold_across_thread_counts() {
+    const EPOCHS: u64 = 4;
+    assert!(EPOCHS as usize <= PrewarmPolicy::default().capacity);
+    let flat = FlatTopology::from_topology(&Topology::complete_tree(N, F));
+    let run = |dep: &SiesDeployment, threads: usize, streaming: bool| {
+        let mut pipeline = EpochPipeline::new(dep, &flat, Threads::fixed(threads), streaming);
+        let mut outs = Vec::new();
+        pipeline.run(
+            0,
+            EPOCHS,
+            |epoch, vals| vals.copy_from_slice(&values(epoch)),
+            |_, psr, result, contributors| {
+                let psr = psr.map(|p| p.to_bytes());
+                outs.push(format!("{result:?} {psr:?} {}", contributors.len()));
+            },
+        );
+        outs
+    };
+    let cold = run(&deployment(31), 1, false);
+    assert!(cold.iter().all(|o| o.starts_with("Ok(")), "{cold:?}");
+    for threads in thread_sweep() {
+        for streaming in [false, true] {
+            let warm = deployment(31).with_prewarm(PrewarmPolicy::default());
+            for epoch in 0..EPOCHS {
+                assert!(warm.prewarm_derive(epoch), "epoch {epoch} pooled");
+            }
+            assert_eq!(
+                run(&warm, threads, streaming),
+                cold,
+                "warm pool diverged at threads={threads} streaming={streaming}"
+            );
+            let stats = warm.prewarm_stats();
+            assert_eq!(
+                (stats.querier_hits, stats.querier_misses),
+                (EPOCHS, 0),
+                "querier lookups at threads={threads} streaming={streaming}"
+            );
         }
     }
 }

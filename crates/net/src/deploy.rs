@@ -7,11 +7,21 @@
 //! Σk/Σss recomputation, the sources' batch init and prewarm derivation
 //! all read by source id. A source is a view of its row
 //! ([`SiesDeployment::source`]), not a stored copy.
+//!
+//! Each prewarm pool entry ([`crate::prewarm`]) holds two halves, each
+//! derived by its own role's sweep: the sources' [`EpochKeyMaterial`],
+//! which only [`AggregationScheme::batch_source_init_into`] reads, and
+//! the querier's [`EpochTotals`], which only evaluation reads. The
+//! querier never reads the sources' half: in a deployment those are
+//! different devices, and the querier's PRFs (paper Eq. 9) move into the
+//! idle gap, they do not vanish.
 
 use crate::prewarm::{PrewarmPolicy, PrewarmPool, PrewarmStats};
 use crate::scheme::{AggregationScheme, EvaluatedSum, SchemeError};
 use rand::RngCore;
-use sies_core::scheme::{Aggregator, EpochKeyMaterial, KeyTable, Psr, Querier, Source};
+use sies_core::scheme::{
+    Aggregator, EpochKeyMaterial, EpochTotals, KeyTable, Psr, Querier, Source,
+};
 use sies_core::{Epoch, SiesError, SourceId, SystemParams};
 use sies_crypto::u256::U256;
 use std::sync::{Arc, Mutex};
@@ -28,7 +38,14 @@ pub struct SiesDeployment {
     /// Entries are `Arc`-shared so a lookup clones a pointer, not the
     /// per-source key vectors, and concurrent shard workers of one
     /// epoch all hit the same derivation.
-    prewarm: Mutex<PrewarmPool<Arc<EpochKeyMaterial>>>,
+    prewarm: Mutex<PrewarmPool<Arc<Prewarmed>>>,
+}
+
+/// One pooled epoch: the sources' key material and the querier's
+/// totals, derived by separate sweeps and read by separate roles.
+struct Prewarmed {
+    sources: EpochKeyMaterial,
+    querier: EpochTotals,
 }
 
 impl SiesDeployment {
@@ -102,9 +119,11 @@ impl SiesDeployment {
         self.prewarm.lock().expect("prewarm lock").retire(watermark);
     }
 
-    /// Derives and pools `epoch`'s full key set (shared cipher plus all
-    /// per-source keys and shares) through the same lane-batched PRF
-    /// sweeps the hot path uses. The expensive derivation runs outside
+    /// Derives and pools `epoch`'s two halves through the same
+    /// lane-batched PRF sweeps the hot path uses: the sources' key set
+    /// (shared cipher plus all per-source keys and shares) and, by the
+    /// querier's own sweep over its rows, the querier's totals
+    /// ([`Querier::epoch_totals`]). The expensive derivation runs outside
     /// the pool lock; returns whether the pool kept the result (`false`
     /// when disabled, already pooled, or lost a race to another
     /// warmer).
@@ -115,21 +134,35 @@ impl SiesDeployment {
                 return false;
             }
         }
-        let keys = self.keys.derive_epoch_keys(epoch);
+        let entry = Prewarmed {
+            sources: self.keys.derive_epoch_keys(epoch),
+            querier: self.querier.epoch_totals(epoch),
+        };
         self.prewarm
             .lock()
             .expect("prewarm lock")
-            .insert(epoch, Arc::new(keys))
+            .insert(epoch, Arc::new(entry))
     }
 
-    /// Non-destructive pool probe: the `Arc` clone is a pointer copy,
-    /// and the entry stays for the epoch's other shard workers.
-    fn prewarm_lookup(&self, epoch: Epoch) -> Option<Arc<EpochKeyMaterial>> {
+    /// The sources' pool probe, non-destructive: the `Arc` clone is a
+    /// pointer copy, and the entry stays for the epoch's other shard
+    /// workers.
+    fn prewarm_lookup(&self, epoch: Epoch) -> Option<Arc<Prewarmed>> {
         self.prewarm
             .lock()
             .expect("prewarm lock")
             .lookup(epoch)
             .cloned()
+    }
+
+    /// The querier's pool probe: a copy of the epoch's totals, counted
+    /// apart from the sources' lookups.
+    fn prewarm_totals(&self, epoch: Epoch) -> Option<EpochTotals> {
+        self.prewarm
+            .lock()
+            .expect("prewarm lock")
+            .lookup_querier(epoch)
+            .map(|entry| entry.querier)
     }
 }
 
@@ -181,13 +214,13 @@ impl AggregationScheme for SiesDeployment {
         // the critical path. Results (and error shapes) are identical to
         // the derive-on-demand path below, so digests never depend on
         // pool state.
-        if let Some(keys) = self.prewarm_lookup(epoch) {
+        if let Some(entry) = self.prewarm_lookup(epoch) {
             out.extend(jobs.iter().map(|&(source, value)| {
                 if !self.known(source) {
                     return Err(unknown_source(source));
                 }
                 self.keys
-                    .initialize_prewarmed(&keys, source, value)
+                    .initialize_prewarmed(&entry.sources, source, value)
                     .map_err(|e| SchemeError::Malformed(e.to_string()))
             }));
             return;
@@ -248,19 +281,7 @@ impl AggregationScheme for SiesDeployment {
         epoch: Epoch,
         contributors: &[SourceId],
     ) -> Result<EvaluatedSum, SchemeError> {
-        match self
-            .querier
-            .evaluate_with_contributors(final_psr, epoch, contributors)
-        {
-            Ok(v) => Ok(EvaluatedSum {
-                sum: v.sum as f64,
-                integrity_checked: true,
-            }),
-            Err(SiesError::IntegrityViolation { epoch }) => Err(SchemeError::VerificationFailed(
-                format!("secret mismatch at epoch {epoch}"),
-            )),
-            Err(e) => Err(SchemeError::Malformed(e.to_string())),
-        }
+        self.evaluate_par(final_psr, epoch, contributors, 1)
     }
 
     fn evaluate_par(
@@ -270,12 +291,14 @@ impl AggregationScheme for SiesDeployment {
         contributors: &[SourceId],
         threads: usize,
     ) -> Result<EvaluatedSum, SchemeError> {
-        match self.querier.evaluate_with_contributors_threaded(
-            final_psr,
-            epoch,
-            contributors,
-            threads,
-        ) {
+        // A pooled epoch over every source is one decrypt; the querier
+        // consults the pool only for that list, and reads only its own
+        // half of the entry.
+        match self
+            .querier
+            .evaluate_with_totals(final_psr, epoch, contributors, threads, |epoch| {
+                self.prewarm_totals(epoch)
+            }) {
             Ok(v) => Ok(EvaluatedSum {
                 sum: v.sum as f64,
                 integrity_checked: true,
@@ -380,11 +403,38 @@ mod tests {
     #[test]
     fn prewarmed_epoch_is_bit_identical_to_cold() {
         // Two deployments from the same seed; one precomputes, one
-        // derives on demand. Every PSR (and every error) must match —
-        // the deployment half of the prewarm digest-identity oracle.
+        // derives on demand. Every PSR and every verdict (and every
+        // error) must match — the deployment half of the prewarm
+        // digest-identity oracle.
         let cold = deployment(24);
         let warm = deployment(24).with_prewarm(PrewarmPolicy::default());
         let jobs: Vec<(SourceId, u64)> = (0..24).map(|i| (i, 500 + i as u64 * 7)).collect();
+        let all: Vec<SourceId> = (0..24).collect();
+        let some: Vec<SourceId> = (0..24).filter(|i| i % 5 != 1).collect();
+        // Five evaluations over every source (each one querier lookup)
+        // and two over a partial set (which never consult the pool): an
+        // honest and a tampered final PSR at threads 1 and 2, and the
+        // single-threaded `evaluate`.
+        let verdicts = |dep: &SiesDeployment, epoch: Epoch| {
+            let psrs: Vec<Psr> = cold
+                .batch_source_init(epoch, &jobs)
+                .into_iter()
+                .map(Result::unwrap)
+                .collect();
+            let full = cold.merge(&psrs);
+            let mut tampered = full;
+            cold.tamper(&mut tampered);
+            let picked: Vec<Psr> = some.iter().map(|&i| psrs[i as usize]).collect();
+            let partial = cold.merge(&picked);
+            let mut out = vec![dep.evaluate(&full, epoch, &all)];
+            for threads in [1, 2] {
+                out.push(dep.evaluate_par(&full, epoch, &all, threads));
+                out.push(dep.evaluate_par(&tampered, epoch, &all, threads));
+                out.push(dep.evaluate_par(&partial, epoch, &some, threads));
+            }
+            assert!(out[0].is_ok() && out[2].is_err() && out[3].is_ok());
+            out
+        };
         for epoch in 0..4u64 {
             if epoch % 2 == 0 {
                 assert!(warm.prewarm_derive(epoch), "derivation pooled");
@@ -399,6 +449,11 @@ mod tests {
                     "job {i} epoch {epoch}"
                 );
             }
+            assert_eq!(
+                verdicts(&cold, epoch),
+                verdicts(&warm, epoch),
+                "epoch {epoch}"
+            );
             warm.prewarm_retire(epoch);
         }
         let stats = warm.prewarm_stats();
@@ -406,12 +461,21 @@ mod tests {
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.derived, 2);
         assert_eq!(stats.evicted, 2);
+        // The querier's lookups count apart: five hits on each pooled
+        // epoch, five misses on each skipped one.
+        assert_eq!((stats.querier_hits, stats.querier_misses), (10, 10));
         // Error shapes are identical on both paths too.
         warm.prewarm_derive(9);
         let bad = [(99u32, 1u64), (0, u64::MAX)];
         assert_eq!(
             cold.batch_source_init(9, &bad),
             warm.batch_source_init(9, &bad)
+        );
+        let psr = cold.source_init(3, 9, 1);
+        let unknown = [0, 1, 99];
+        assert_eq!(
+            cold.evaluate_par(&psr, 9, &unknown, 2),
+            warm.evaluate_par(&psr, 9, &unknown, 2)
         );
         // Cancellation (e.g. topology repair) leaves results unchanged.
         warm.prewarm_derive(10);
@@ -420,6 +484,9 @@ mod tests {
             cold.batch_source_init(10, &jobs[..5]),
             warm.batch_source_init(10, &jobs[..5])
         );
+        assert_eq!(verdicts(&cold, 10), verdicts(&warm, 10));
+        let stats = warm.prewarm_stats();
+        assert_eq!((stats.querier_hits, stats.querier_misses), (10, 15));
     }
 
     #[test]

@@ -48,7 +48,12 @@
 //! * **Precompute-ahead.** When the scheme opts in
 //!   ([`AggregationScheme::prewarm_enabled`]), a scoped warmer thread
 //!   derives upcoming epochs' key material during the inter-epoch idle
-//!   gap, paced by the consumer's progress watermark (no polling).
+//!   gap, paced by the consumer's progress watermark (no polling). For
+//!   SIES that is both halves of Eq. 9's per-epoch PRFs: the sources'
+//!   keys and shares, and the querier's `K_t⁻¹`, `Σ k_{i,t}` and
+//!   `Σ ss_{i,t}`, which the pipeline's contributor list (every source
+//!   in id order) lets a pooled epoch's evaluation use as they are, so
+//!   the epoch is the encrypts, the merges and one decrypt.
 //!   Digests cannot change: the scheme's pool contract requires pooled
 //!   material to reproduce on-demand derivation bit-for-bit, so the
 //!   warmer may lag, race, or be absent without observable effect.
@@ -66,7 +71,8 @@
 //!   `threads > 1` the first shard runs on the calling thread and each
 //!   of the other `threads − 1` is a scoped-worker spawn; the spawns
 //!   and the parallel evaluation's chunk vectors allocate a constant
-//!   number of times per epoch, whatever the population.
+//!   number of times per epoch, whatever the population (an evaluation
+//!   from pooled totals runs no chunks, so it allocates nothing).
 //!
 //! ## Merge order
 //!

@@ -1,12 +1,20 @@
 //! Precompute-ahead pools for epoch crypto.
 //!
 //! An epoch's expensive setup — the PRF sweeps deriving `K_t`, every
-//! source's `k_{i,t}` and `ss_{i,t}` — depends only on the epoch number
-//! and long-term keys, so it can run during the inter-epoch idle gap
+//! source's `k_{i,t}` and `ss_{i,t}`, and the querier's `K_t⁻¹`,
+//! `Σ k_{i,t}` and `Σ ss_{i,t}` — depends only on the epoch number and
+//! long-term keys, so it can run during the inter-epoch idle gap
 //! instead of on the epoch's critical path. This module supplies the
 //! policy and the pool; [`crate::deploy::SiesDeployment`] provides the
-//! derivation and consumption, and [`crate::pipeline::EpochPipeline`]
-//! paces a background warmer thread.
+//! derivation and consumption (one entry per epoch, a sources' half and
+//! a querier's half), and [`crate::pipeline::EpochPipeline`] paces a
+//! background warmer thread.
+//!
+//! The two halves are looked up and counted apart: [`PrewarmPool::lookup`]
+//! is the sources' probe (`hits`, `misses`, the `net.prewarm.{lookups,
+//! hits,misses}` counters and the `prewarm_miss_rate` alert), and
+//! [`PrewarmPool::lookup_querier`] the querier's (`querier_hits`,
+//! `querier_misses`, `net.prewarm.querier_*`).
 //!
 //! The split is deliberate: [`PrewarmPolicy`] is pure arithmetic (what
 //! to derive next, what to evict) and [`PrewarmPool`] is a plain keyed
@@ -76,14 +84,19 @@ impl PrewarmPolicy {
     }
 }
 
-/// Lifetime counters for one pool. `hits`/`misses` only count lookups
+/// Lifetime counters for one pool. Hits and misses only count lookups
 /// while the policy is enabled, so a disabled pool reports all zeros.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrewarmStats {
-    /// Lookups served from the pool.
+    /// Sources' lookups served from the pool.
     pub hits: u64,
-    /// Enabled lookups that fell through to on-demand derivation.
+    /// Enabled sources' lookups that fell through to on-demand
+    /// derivation.
     pub misses: u64,
+    /// Querier lookups served from the pool.
+    pub querier_hits: u64,
+    /// Enabled querier lookups that fell through to the sweep.
+    pub querier_misses: u64,
     /// Entries inserted (successful derivations).
     pub derived: u64,
     /// Entries dropped for capacity or staleness.
@@ -159,9 +172,10 @@ impl<T> PrewarmPool<T> {
         true
     }
 
-    /// Non-destructive lookup: the entry stays pooled, so concurrent
-    /// shard workers of one epoch all hit. Counts a hit or miss only
-    /// while enabled — a disabled pool is invisible in the stats.
+    /// The sources' lookup, non-destructive: the entry stays pooled, so
+    /// concurrent shard workers of one epoch all hit. Counts a hit or
+    /// miss only while enabled — a disabled pool is invisible in the
+    /// stats.
     pub fn lookup(&mut self, epoch: Epoch) -> Option<&T> {
         if !self.policy.enabled {
             return None;
@@ -178,6 +192,29 @@ impl<T> PrewarmPool<T> {
             None => {
                 self.stats.misses += 1;
                 tel::count!("net.prewarm.misses");
+                None
+            }
+        }
+    }
+
+    /// The querier's lookup: [`PrewarmPool::lookup`], counted in
+    /// `querier_hits`/`querier_misses` and the `net.prewarm.querier_*`
+    /// counters, so the sources' hit ratio and miss-rate alert keep
+    /// their meaning.
+    pub fn lookup_querier(&mut self, epoch: Epoch) -> Option<&T> {
+        if !self.policy.enabled {
+            return None;
+        }
+        tel::count!("net.prewarm.querier_lookups");
+        match self.entries.get(&epoch) {
+            Some(v) => {
+                self.stats.querier_hits += 1;
+                tel::count!("net.prewarm.querier_hits");
+                Some(v)
+            }
+            None => {
+                self.stats.querier_misses += 1;
+                tel::count!("net.prewarm.querier_misses");
                 None
             }
         }
@@ -251,6 +288,12 @@ mod tests {
         assert_eq!(pool.lookup(5), Some(&"keys-5"));
         let s = pool.stats();
         assert_eq!((s.hits, s.misses, s.derived), (2, 1, 1));
+        // The querier's lookups count apart from the sources'.
+        assert_eq!(pool.lookup_querier(5), Some(&"keys-5"));
+        assert!(pool.lookup_querier(6).is_none());
+        let s = pool.stats();
+        assert_eq!((s.hits, s.misses), (2, 1));
+        assert_eq!((s.querier_hits, s.querier_misses), (1, 1));
     }
 
     #[test]
@@ -327,6 +370,8 @@ mod tests {
         assert!(live.is_empty());
         assert_eq!(live.stats().cancelled, 1);
         assert!(live.lookup(4).is_none());
+        assert!(live.lookup_querier(4).is_none());
         assert_eq!(live.stats().misses, 0, "disabled misses are not counted");
+        assert_eq!(live.stats().querier_misses, 0);
     }
 }

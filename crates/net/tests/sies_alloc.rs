@@ -4,20 +4,25 @@
 //! in the querier's Σss recomputation, `K_t⁻¹` or decryption — and so
 //! none per source, whatever the population. A warm recovering epoch
 //! over a lossy radio stays within a small constant too: it reuses the
-//! walk's buffers and allocates only its reported contributor set. And
-//! a deployment holds each source's key once: the heap it leaves
-//! resident grows by one 104-byte pre-absorbed key per source.
+//! walk's buffers and allocates only its reported contributor set. An
+//! evaluation over every source of an epoch the prewarm pool holds
+//! makes none at threads 1 or 2: it reads the pooled totals and runs no
+//! chunked sweep. And a deployment holds each source's key once: the
+//! heap it leaves resident grows by one 104-byte pre-absorbed key per
+//! source.
 //!
 //! Lives in its own test binary because the counter is process-wide:
 //! any concurrently running test would add its own allocations.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sies_core::SystemParams;
+use sies_core::{SourceId, SystemParams};
 use sies_net::pipeline::EpochPipeline;
 use sies_net::radio::LossyRadio;
 use sies_net::recovery::RecoveryConfig;
-use sies_net::{Engine, FlatTopology, SiesDeployment, Threads, Topology};
+use sies_net::{
+    AggregationScheme, Engine, FlatTopology, PrewarmPolicy, SiesDeployment, Threads, Topology,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -105,6 +110,38 @@ fn warm_recovering_allocs(n: u64) -> u64 {
     ALLOCS.load(Ordering::Relaxed) - before
 }
 
+/// Allocation events of one `evaluate_par` over all `n` sources at
+/// `threads`, with the epoch pooled by a synchronous `prewarm_derive`,
+/// after one warm-up evaluation.
+fn pooled_evaluation_allocs(n: u64, threads: usize) -> u64 {
+    let mut rng = StdRng::seed_from_u64(0xA110C);
+    let dep = SiesDeployment::new(&mut rng, SystemParams::new(n).unwrap())
+        .with_prewarm(PrewarmPolicy::default());
+    let epoch = 7;
+    let jobs: Vec<(SourceId, u64)> = (0..n as SourceId)
+        .map(|i| (i, u64::from(i) & 0xFFF))
+        .collect();
+    let psrs: Vec<_> = dep
+        .batch_source_init(epoch, &jobs)
+        .into_iter()
+        .map(Result::unwrap)
+        .collect();
+    let final_psr = dep.merge(&psrs);
+    let all: Vec<SourceId> = (0..n as SourceId).collect();
+    assert!(dep.prewarm_derive(epoch));
+    let run = || {
+        let out = dep.evaluate_par(&final_psr, epoch, &all, threads);
+        assert!(out.unwrap().integrity_checked);
+    };
+    run();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    run();
+    let delta = ALLOCS.load(Ordering::Relaxed) - before;
+    let stats = dep.prewarm_stats();
+    assert_eq!((stats.querier_hits, stats.querier_misses), (2, 0));
+    delta
+}
+
 /// Heap bytes a freshly built deployment of `n` sources holds.
 fn deployment_heap(n: u64) -> usize {
     let mut rng = StdRng::seed_from_u64(0xA110C);
@@ -123,6 +160,10 @@ fn warm_sies_epochs_allocate_independently_of_population() {
     let small = warm_epoch_allocs(1024, 4);
     let large = warm_epoch_allocs(4096, 4);
     let recovering = [warm_recovering_allocs(1024), warm_recovering_allocs(4096)];
+    let pooled = [
+        pooled_evaluation_allocs(1024, 1),
+        pooled_evaluation_allocs(1024, 2),
+    ];
     let per_source = (deployment_heap(4096) - deployment_heap(1024)) as f64 / 3072.0;
     sies_telemetry::clear_enabled();
     assert_eq!(
@@ -135,6 +176,11 @@ fn warm_sies_epochs_allocate_independently_of_population() {
     assert!(
         recovering.iter().all(|&a| a < 32),
         "warm recovering epochs allocate {recovering:?} times at N=1024 and N=4096"
+    );
+    assert_eq!(
+        pooled,
+        [0, 0],
+        "pooled evaluations over every source allocate at threads 1 and 2"
     );
     // One 104-byte pre-absorbed key per source, held once for the
     // sources and the querier.
