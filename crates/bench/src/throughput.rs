@@ -32,7 +32,7 @@ use sies_crypto::sha256::Sha256;
 use sies_net::engine::Engine;
 use sies_net::pipeline::EpochPipeline;
 use sies_net::scheme::SchemeError;
-use sies_net::{FlatTopology, PrewarmPolicy, SiesDeployment, Threads, Topology};
+use sies_net::{PrewarmPolicy, SiesDeployment, Threads, Topology};
 use std::time::Instant;
 
 /// The population sizes the throughput sweep covers.
@@ -321,7 +321,7 @@ pub struct ScalePoint {
     pub merge_cpu_ms: f64,
     /// Summed querier evaluation CPU, ms.
     pub querier_cpu_ms: f64,
-    /// Heap bytes of the flat topology arena (SoA points; 0 for legacy).
+    /// Heap bytes of the topology arena (SoA points; 0 for legacy).
     pub arena_bytes: u64,
     /// Heap bytes of the pipeline's reusable epoch state: one epoch
     /// buffer, two when streaming (SoA points; 0 for legacy).
@@ -354,8 +354,7 @@ pub fn scale_suite(seed: u64, ns: &[u64], epochs_for: impl Fn(u64) -> u64) -> Ve
         let mut rng = StdRng::seed_from_u64(seed ^ n);
         let dep = SiesDeployment::new(&mut rng, SystemParams::new(n).unwrap());
         let topo = Topology::complete_tree(n, 4);
-        let flat = FlatTopology::from_topology(&topo);
-        let nodes = flat.num_nodes() as u64;
+        let nodes = topo.num_nodes() as u64;
 
         let legacy = run_engine_measured(&dep, &topo, seed, n, 1, epochs);
         let reference = legacy.digest.clone();
@@ -380,14 +379,14 @@ pub fn scale_suite(seed: u64, ns: &[u64], epochs_for: impl Fn(u64) -> u64) -> Ve
         for &threads in &SCALE_THREADS {
             for streaming in [false, true] {
                 let mut pipeline =
-                    EpochPipeline::new(&dep, &flat, Threads::fixed(threads), streaming);
+                    EpochPipeline::new(&dep, &topo, Threads::fixed(threads), streaming);
                 let m = run_pipeline_measured(&mut pipeline, seed, n, 0, epochs);
                 assert_eq!(
                     m.digest, reference,
                     "serial-equivalence oracle violated: N={n} threads={threads} \
                      streaming={streaming} diverged from the legacy engine"
                 );
-                let arena_bytes = flat.bytes() as u64;
+                let arena_bytes = topo.bytes() as u64;
                 let state_bytes = pipeline.state_bytes() as u64;
                 points.push(ScalePoint {
                     n,
@@ -453,7 +452,6 @@ pub struct PrewarmPoint {
 /// serial run, or when a warm run derived nothing ahead of time.
 pub fn prewarm_suite(seed: u64, n: u64, epochs: u64) -> Vec<PrewarmPoint> {
     let topo = Topology::complete_tree(n, 4);
-    let flat = FlatTopology::from_topology(&topo);
     let mut points = Vec::new();
     let mut reference: Option<String> = None;
     for &threads in &PREWARM_THREADS {
@@ -468,7 +466,7 @@ pub fn prewarm_suite(seed: u64, n: u64, epochs: u64) -> Vec<PrewarmPoint> {
                     dep.set_prewarm_policy(PrewarmPolicy::default());
                 }
                 let mut pipeline =
-                    EpochPipeline::new(&dep, &flat, Threads::fixed(threads), streaming);
+                    EpochPipeline::new(&dep, &topo, Threads::fixed(threads), streaming);
                 let m = run_pipeline_measured(&mut pipeline, seed, n, 0, epochs);
                 match &reference {
                     None => reference = Some(m.digest.clone()),
@@ -540,9 +538,8 @@ pub fn soa_vs_legacy(seed: u64, n: u64, epochs_per_round: u64, rounds: usize) ->
     let mut rng = StdRng::seed_from_u64(seed ^ n);
     let dep = SiesDeployment::new(&mut rng, SystemParams::new(n).unwrap());
     let topo = Topology::complete_tree(n, 4);
-    let flat = FlatTopology::from_topology(&topo);
     let mut engine = Engine::new(&dep, &topo).with_threads(Threads::fixed(1));
-    let mut pipeline = EpochPipeline::new(&dep, &flat, Threads::fixed(1), false);
+    let mut pipeline = EpochPipeline::new(&dep, &topo, Threads::fixed(1), false);
 
     // Values for one round are pregenerated outside the timed region so
     // both paths pay identical input costs.

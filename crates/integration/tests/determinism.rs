@@ -26,8 +26,7 @@ use sies_net::engine::{Attack, Engine, EpochOutcome};
 use sies_net::pipeline::EpochPipeline;
 use sies_net::radio::LossyRadio;
 use sies_net::recovery::RecoveryConfig;
-use sies_net::topology::Role;
-use sies_net::{FlatTopology, PrewarmPolicy, SiesDeployment, Threads, Topology};
+use sies_net::{PrewarmPolicy, SiesDeployment, Threads, Topology};
 use std::collections::HashSet;
 
 const N: u64 = 64;
@@ -116,8 +115,8 @@ fn epoch_pipeline_is_byte_identical_across_thread_counts() {
 fn recovery_runner_is_thread_count_invariant() {
     let dep = deployment(23);
     let topo = Topology::complete_tree(N, F);
-    let crashed_agg = topo.node(topo.root()).children[1];
-    assert!(matches!(topo.node(crashed_agg).role, Role::Aggregator));
+    let crashed_agg = topo.children(topo.root())[1] as usize;
+    assert!(!topo.is_source(crashed_agg));
     let victim = topo.source_node(40).unwrap();
 
     let run = |threads: Option<usize>| {
@@ -201,9 +200,9 @@ fn throughput_suite_digest_oracle_holds() {
 fn warm_pool_evaluations_match_cold_across_thread_counts() {
     const EPOCHS: u64 = 4;
     assert!(EPOCHS as usize <= PrewarmPolicy::default().capacity);
-    let flat = FlatTopology::from_topology(&Topology::complete_tree(N, F));
+    let topo = Topology::complete_tree(N, F);
     let run = |dep: &SiesDeployment, threads: usize, streaming: bool| {
-        let mut pipeline = EpochPipeline::new(dep, &flat, Threads::fixed(threads), streaming);
+        let mut pipeline = EpochPipeline::new(dep, &topo, Threads::fixed(threads), streaming);
         let mut outs = Vec::new();
         pipeline.run(
             0,

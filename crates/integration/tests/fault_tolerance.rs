@@ -23,7 +23,6 @@ use sies_net::chaos::{run_chaos, ChaosConfig};
 use sies_net::engine::Engine;
 use sies_net::radio::LossyRadio;
 use sies_net::recovery::RecoveryConfig;
-use sies_net::topology::Role;
 use sies_net::{SiesDeployment, Topology};
 use std::collections::HashSet;
 
@@ -44,8 +43,8 @@ fn failed_aggregator_epoch_recovers_via_backup_parent() {
     let dep = sies(1);
     let topo = Topology::complete_tree(N, F);
     // Pick a real aggregator (a child of the sink), not a source.
-    let crashed_agg = topo.node(topo.root()).children[2];
-    assert!(matches!(topo.node(crashed_agg).role, Role::Aggregator));
+    let crashed_agg = topo.children(topo.root())[2] as usize;
+    assert!(!topo.is_source(crashed_agg));
 
     let values: Vec<u64> = (0..N).map(|i| 1800 + 13 * i).collect();
     let expected: u64 = values.iter().sum();
@@ -84,7 +83,7 @@ fn failed_aggregator_epoch_recovers_via_backup_parent() {
 fn repair_composes_with_lossy_radio() {
     let dep = sies(3);
     let topo = Topology::complete_tree(N, F);
-    let crashed_agg = topo.node(topo.root()).children[0];
+    let crashed_agg = topo.children(topo.root())[0] as usize;
     let values = vec![100u64; N as usize];
     let mut engine = Engine::new(&dep, &topo);
     let mut rng = StdRng::seed_from_u64(4);

@@ -11,7 +11,7 @@ use sies_baselines::secoa::SecoaSum;
 use sies_net::engine::{Attack, Engine};
 use sies_net::radio::LossyRadio;
 use sies_net::recovery::RecoveryConfig;
-use sies_net::topology::{Role, Topology};
+use sies_net::topology::Topology;
 use std::collections::HashSet;
 
 const N: u64 = 16;
@@ -80,11 +80,8 @@ fn max_rank_inflation_at_aggregators_is_detected() {
     let dep = secoa(43);
     for (name, topo) in fixtures() {
         let values: Vec<u64> = (0..N).map(|i| 2000 + 37 * i).collect();
-        let aggregators: Vec<_> = topo
-            .nodes()
-            .iter()
-            .filter(|n| matches!(n.role, Role::Aggregator) && n.id != topo.root())
-            .map(|n| n.id)
+        let aggregators: Vec<_> = (0..topo.num_nodes())
+            .filter(|&id| !topo.is_source(id) && id != topo.root())
             .collect();
         for agg in aggregators {
             let mut engine = Engine::new(&dep, &topo);
@@ -105,8 +102,8 @@ fn max_rank_inflation_at_aggregators_is_detected() {
 fn max_rank_inflation_is_detected_on_repaired_topology() {
     let dep = secoa(44);
     let topo = Topology::complete_tree(N, 4);
-    let crashed_agg = topo.node(topo.root()).children[1];
-    assert!(matches!(topo.node(crashed_agg).role, Role::Aggregator));
+    let crashed_agg = topo.children(topo.root())[1] as usize;
+    assert!(!topo.is_source(crashed_agg));
     let values: Vec<u64> = (0..N).map(|i| 1900 + 53 * i).collect();
 
     for victim_source in 0..N as u32 {

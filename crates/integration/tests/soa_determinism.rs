@@ -18,7 +18,7 @@ use sies_crypto::sha256::Sha256;
 use sies_net::engine::Engine;
 use sies_net::pipeline::EpochPipeline;
 use sies_net::scheme::SchemeError;
-use sies_net::{EvaluatedSum, FlatTopology, SiesDeployment, Threads, Topology};
+use sies_net::{EvaluatedSum, SiesDeployment, Threads, Topology};
 
 const SEED: u64 = 42;
 const EPOCHS: u64 = 4;
@@ -84,7 +84,6 @@ fn soa_pipeline_digest_matches_legacy_engine() {
     let mut rng = StdRng::seed_from_u64(SEED ^ n);
     let dep = SiesDeployment::new(&mut rng, SystemParams::new(n).unwrap());
     let topo = Topology::complete_tree(n, 4);
-    let flat = FlatTopology::from_topology(&topo);
 
     // Legacy serial reference.
     let reference = {
@@ -106,7 +105,7 @@ fn soa_pipeline_digest_matches_legacy_engine() {
 
     for threads in thread_sweep() {
         for streaming in [false, true] {
-            let mut pipeline = EpochPipeline::new(&dep, &flat, Threads::fixed(threads), streaming);
+            let mut pipeline = EpochPipeline::new(&dep, &topo, Threads::fixed(threads), streaming);
             let mut values_rng = StdRng::seed_from_u64(SEED ^ n ^ 0xEB0C);
             let mut digest = Sha256::new();
             pipeline.run(
@@ -141,13 +140,12 @@ fn soa_state_stays_inside_byte_budget() {
     let mut rng = StdRng::seed_from_u64(SEED ^ n);
     let dep = SiesDeployment::new(&mut rng, SystemParams::new(n).unwrap());
     let topo = Topology::complete_tree(n, 4);
-    let flat = FlatTopology::from_topology(&topo);
     for (streaming, budget) in [(false, 112), (true, 256)] {
-        let mut pipeline = EpochPipeline::new(&dep, &flat, Threads::fixed(8), streaming);
+        let mut pipeline = EpochPipeline::new(&dep, &topo, Threads::fixed(8), streaming);
         // Warm every buffer so capacities reflect steady state.
         pipeline.run(0, 2, |_, v| v.fill(1), |_, _, _, _| {});
-        let total = flat.bytes() + pipeline.state_bytes();
-        let per_node = total.div_ceil(flat.num_nodes());
+        let total = topo.bytes() + pipeline.state_bytes();
+        let per_node = total.div_ceil(topo.num_nodes());
         assert!(
             per_node <= budget,
             "arena + epoch state is {per_node} B/node at N={n}, streaming={streaming} \

@@ -252,14 +252,10 @@ impl<'a, S: AggregationScheme> ChaosDriver<'a, S> {
     fn new(scheme: &'a S, topology: &'a Topology, cfg: &ChaosConfig) -> Self {
         // Non-root nodes are fair game for crashes and attacks; the sink
         // staying up keeps availability attributable to the protocol
-        // under test (sink crash is covered by unit tests). Drawn from
-        // the engine's struct-of-arrays arena (dense ids, same numbering
-        // as the legacy node list).
+        // under test (sink crash is covered by unit tests).
         let engine = Engine::new(scheme, topology).with_threads(cfg.threads);
-        let root = engine.flat().root();
-        let candidates: Vec<NodeId> = (0..engine.flat().num_nodes())
-            .filter(|&id| id != root)
-            .collect();
+        let root = topology.root();
+        let candidates: Vec<NodeId> = (0..topology.num_nodes()).filter(|&id| id != root).collect();
         ChaosDriver {
             engine,
             rng: StdRng::seed_from_u64(cfg.seed),
@@ -295,11 +291,17 @@ impl<'a, S: AggregationScheme> ChaosDriver<'a, S> {
                 .copied()
                 .filter(|id| !crashed.contains(id))
                 .collect();
-            let attack = match self.rng.random_range(0..4u32) {
-                0 => Attack::TamperAtNode(live[self.rng.random_range(0..live.len())]),
-                1 => Attack::DropAtNode(live[self.rng.random_range(0..live.len())]),
-                2 => Attack::DuplicateAtNode(live[self.rng.random_range(0..live.len())]),
-                _ => Attack::ReplayFinal,
+            // With every non-root node down, only the querier's input
+            // is left to attack.
+            let attack = if live.is_empty() {
+                Attack::ReplayFinal
+            } else {
+                match self.rng.random_range(0..4u32) {
+                    0 => Attack::TamperAtNode(live[self.rng.random_range(0..live.len())]),
+                    1 => Attack::DropAtNode(live[self.rng.random_range(0..live.len())]),
+                    2 => Attack::DuplicateAtNode(live[self.rng.random_range(0..live.len())]),
+                    _ => Attack::ReplayFinal,
+                }
             };
             let (kind, target) = match attack {
                 Attack::TamperAtNode(n) => (0u64, n as u64),
@@ -583,6 +585,29 @@ mod tests {
             (m.data_bytes + m.control_bytes) as f64 / m.data_bytes as f64
         );
         assert_eq!(m.retransmit_bytes, 0);
+    }
+
+    /// On trees this small a crash can take every non-root node down, and
+    /// an attack drawn then has no live target: it replays the final PSR.
+    #[test]
+    fn tiny_trees_survive_crashing_every_node() {
+        let pair = ChaosConfig {
+            seed: 3,
+            epochs: 400,
+            ..ChaosConfig::default()
+        };
+        let lone = ChaosConfig {
+            crash_prob: 1.0,
+            attack_prob: 1.0,
+            ..ChaosConfig::default()
+        };
+        for (n, fanout, cfg) in [(2, 2, pair), (1, 4, lone)] {
+            let dep = sies(n);
+            let topo = Topology::complete_tree(n, fanout);
+            let m = run_chaos(&dep, &topo, &cfg);
+            assert_eq!(m.epochs, cfg.epochs, "{n} sources");
+            assert!(m.sound(), "{n} sources: {m:?}");
+        }
     }
 
     fn tmp(name: &str) -> PathBuf {

@@ -358,7 +358,7 @@ mod tests {
         let dep = deployment(16);
         let topo = Topology::complete_tree(16, 4);
         let node = topo.source_node(5).unwrap();
-        let agg = topo.node(topo.root()).children[0];
+        let agg = topo.children(topo.root())[0] as usize;
         for attacks in [
             vec![Attack::TamperAtNode(node)],
             vec![Attack::DropAtNode(node)],

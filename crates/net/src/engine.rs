@@ -2,7 +2,9 @@
 //! with timing, byte and energy accounting plus failure and attack
 //! injection.
 //!
-//! Every epoch runs through the same sharded post-order walk as
+//! An [`Engine`] borrows the caller's [`Topology`] arena, as the
+//! pipeline does, and holds no tree of its own. Every epoch runs through
+//! the same sharded post-order walk as
 //! [`crate::pipeline::EpochPipeline`]: honest failures, covert attacks
 //! and adoptions are translated to post-order positions once per epoch,
 //! so they change only which PSRs reach a merge, never how a merge
@@ -16,7 +18,6 @@
 //! epoch under the [`metric`] names.
 
 use crate::energy::RadioModel;
-use crate::flat::FlatTopology;
 use crate::journal::ReceiptJournal;
 use crate::pipeline::{cut, is_cut, plan_shards, Exec, Mark, Marked, Shard, Uplinks, WalkBuf};
 use crate::radio::LossyRadio;
@@ -506,8 +507,8 @@ struct Walk<P> {
 }
 
 impl<P> Walk<P> {
-    fn new(flat: &FlatTopology, threads: usize) -> Self {
-        let shards = plan_shards(flat, threads);
+    fn new(topo: &Topology, threads: usize) -> Self {
+        let shards = plan_shards(topo, threads);
         Walk {
             buf: WalkBuf::new(&shards),
             shards,
@@ -522,7 +523,7 @@ impl<P> Walk<P> {
     /// replayed.
     fn mark(
         &mut self,
-        flat: &FlatTopology,
+        topo: &Topology,
         failed: &HashSet<NodeId>,
         attacks: &[Attack],
         adopted: &BTreeMap<NodeId, NodeId>,
@@ -548,8 +549,8 @@ impl<P> Walk<P> {
         self.marks.extend(
             down.chain(on_nodes)
                 .chain(orphans)
-                .filter(|&(id, _)| id < flat.num_nodes())
-                .map(|(id, m)| (flat.post_position(id) as u32, m)),
+                .filter(|&(id, _)| id < topo.num_nodes())
+                .map(|(id, m)| (topo.post_position(id) as u32, m)),
         );
         self.marks.sort_unstable_by_key(|&(pos, _)| pos);
         self.marks.dedup_by(|later, kept| {
@@ -565,11 +566,11 @@ impl<P> Walk<P> {
 
 /// The sources outside every one of the ascending, disjoint post-order
 /// `cuts`, ascending: the contributor set an honest querier is told.
-fn contributors(flat: &FlatTopology, cuts: &[Range<usize>]) -> Vec<SourceId> {
-    let mut out = Vec::with_capacity(flat.num_sources() as usize);
-    out.extend((0..flat.num_sources() as SourceId).filter(|&sid| {
-        let node = flat.source_node(sid).expect("every source id has a node");
-        !is_cut(cuts, flat.post_position(node))
+fn contributors(topo: &Topology, cuts: &[Range<usize>]) -> Vec<SourceId> {
+    let mut out = Vec::with_capacity(topo.num_sources() as usize);
+    out.extend((0..topo.num_sources() as SourceId).filter(|&sid| {
+        let node = topo.source_node(sid).expect("every source id has a node");
+        !is_cut(cuts, topo.post_position(node))
     }));
     out
 }
@@ -577,11 +578,9 @@ fn contributors(flat: &FlatTopology, cuts: &[Range<usize>]) -> Vec<SourceId> {
 /// The simulation engine for one deployed scheme on one topology.
 pub struct Engine<'a, S: AggregationScheme> {
     scheme: &'a S,
+    /// The caller's arena: the per-epoch walks read its cached
+    /// post-order and dense child ranges.
     topology: &'a Topology,
-    /// Struct-of-arrays view of `topology`, built once: the per-epoch
-    /// walks read its cached post-order and dense child ranges instead
-    /// of re-deriving them from the pointer-based node list.
-    flat: FlatTopology,
     radio: RadioModel,
     /// Worker count for the sharded walk (1 = fully serial).
     threads: usize,
@@ -596,12 +595,13 @@ pub struct Engine<'a, S: AggregationScheme> {
 }
 
 impl<'a, S: AggregationScheme> Engine<'a, S> {
-    /// Creates an engine with the default radio model, running serially.
+    /// Creates an engine over the caller's `topology`, with the default
+    /// radio model, running serially. It allocates nothing until its
+    /// first epoch.
     pub fn new(scheme: &'a S, topology: &'a Topology) -> Self {
         Engine {
             scheme,
             topology,
-            flat: FlatTopology::from_topology(topology),
             radio: RadioModel::default(),
             threads: 1,
             prev_final: None,
@@ -653,13 +653,8 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
     }
 
     /// The topology in use.
-    pub fn topology(&self) -> &Topology {
+    pub fn topology(&self) -> &'a Topology {
         self.topology
-    }
-
-    /// The struct-of-arrays arena the per-epoch walks actually use.
-    pub fn flat(&self) -> &FlatTopology {
-        &self.flat
     }
 
     /// The final PSR of the most recent epoch (what the querier saw) —
@@ -709,7 +704,7 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
     /// Journals the epoch's dissemination and lane-dispatch events and
     /// checks that `values` holds one reading per source.
     fn begin(&self, epoch: Epoch, values: &[u64]) -> Result<(), SchemeError> {
-        let n = self.flat.num_sources();
+        let n = self.topology.num_sources();
         tel::event(epoch, EventKind::QueryDisseminated, n, 0);
         // a = requested lane width (what SIES_LANES asked for), b = the
         // hardware-clamped width actually dispatched; they differ when a
@@ -759,20 +754,20 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
         if let Err(e) = self.begin(epoch, values) {
             return self.outcome(epoch, Err(e), &EpochCounts::default(), Vec::new());
         }
-        let (flat, threads) = (&self.flat, self.threads);
-        let walk = self.walk.get_or_insert_with(|| Walk::new(flat, threads));
-        let replay = walk.mark(flat, failed, attacks, &BTreeMap::new());
+        let (topo, threads) = (self.topology, self.threads);
+        let walk = self.walk.get_or_insert_with(|| Walk::new(topo, threads));
+        let replay = walk.mark(topo, failed, attacks, &BTreeMap::new());
         // A failed node's sources do not contribute, whatever their
         // subtree still sends.
         walk.cuts.clear();
         for &(pos, _) in walk.marks.iter().filter(|(_, m)| m.failed) {
-            let node = flat.post_order()[pos as usize] as usize;
-            cut(&mut walk.cuts, flat.subtree_range(node));
+            let node = topo.post_order()[pos as usize] as usize;
+            cut(&mut walk.cuts, topo.subtree_range(node));
         }
-        let contributors = contributors(flat, &walk.cuts);
+        let contributors = contributors(topo, &walk.cuts);
         let exec = Exec {
             scheme: self.scheme,
-            flat,
+            topo,
             shards: &walk.shards,
             contributors: &contributors,
             marks: &walk.marks,
@@ -843,7 +838,7 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
             let outcome = self.outcome(epoch, Err(e), &none, Vec::new());
             return lost(outcome, RecoveryReport::default(), RepairPlan::default());
         }
-        let repairs = self.flat.repair_plan(crashed);
+        let repairs = self.topology.repair_plan(crashed);
         let mut upfront = EpochCounts::default();
         upfront.recovery.adoptions = repairs.adoptions.len() as u64;
         upfront.recovery.stranded = repairs.stranded.len() as u64;
@@ -860,7 +855,7 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
 
         // A crashed sink means nothing can reach the querier: the epoch
         // is an availability loss, never a false accept or reject.
-        let root = self.flat.root();
+        let root = self.topology.root();
         if crashed.contains(&root) {
             let sink_lost = Err(SchemeError::Malformed("sink crashed; epoch lost".into()));
             let outcome = self.outcome(epoch, sink_lost, &none, Vec::new());
@@ -872,23 +867,23 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
         for (&orphan, &adopter) in &repairs.adoptions {
             tel::event(epoch, EventKind::Reattach, orphan as u64, adopter as u64);
         }
-        let (flat, threads) = (&self.flat, self.threads);
-        let walk = self.walk.get_or_insert_with(|| Walk::new(flat, threads));
-        let replay = walk.mark(flat, crashed, attacks, &repairs.adoptions);
+        let (topo, threads) = (self.topology, self.threads);
+        let walk = self.walk.get_or_insert_with(|| Walk::new(topo, threads));
+        let replay = walk.mark(topo, crashed, attacks, &repairs.adoptions);
         // A live parent notices its crashed child never transmitted and
         // reports the failure up to the querier, one frame per hop.
         for &(pos, _) in walk.marks.iter().filter(|(_, m)| m.failed) {
-            let node = flat.post_order()[pos as usize] as usize;
-            let parent = flat.parent(node).expect("the sink is live");
+            let node = topo.post_order()[pos as usize] as usize;
+            let parent = topo.parent(node).expect("the sink is live");
             if !crashed.contains(&parent) {
-                upfront.failure_report(flat.depth(parent) + 1);
+                upfront.failure_report(topo.depth(parent) + 1);
                 tel::event(epoch, EventKind::FailureReport, node as u64, parent as u64);
             }
         }
 
         let exec = Exec {
             scheme: self.scheme,
-            flat,
+            topo,
             shards: &walk.shards,
             contributors: &[],
             marks: &walk.marks,
@@ -905,12 +900,12 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
         // What the walk's parents never heard, in serial walk order.
         let lost = &mut walk.buf.joined().lost;
         lost.events.flush();
-        let contributors = contributors(flat, &lost.cuts);
+        let contributors = contributors(topo, &lost.cuts);
         // A covert attack corrupts the aggregate when it acts on a live
         // node's PSR and every PSR above it reached the sink: no cut
         // holds the node. The sink's own tamper and a replay of an
         // earlier final PSR corrupt it too.
-        let root_pos = flat.post_position(root);
+        let root_pos = topo.post_position(root);
         let mut corrupted = (replay && self.prev_final.is_some())
             || walk.marks.iter().any(|&(pos, m)| match pos as usize {
                 pos if pos == root_pos => m.tampers > 0,
@@ -947,7 +942,6 @@ mod tests {
     use super::*;
     use crate::radio::LossyRadio;
     use crate::recovery::RecoveryConfig;
-    use crate::topology::Role;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1074,7 +1068,7 @@ mod tests {
         let (topo, scheme) = engine_fixture(16, 4);
         let mut engine = Engine::new(&scheme, &topo);
         // Fail the first level-1 aggregator: 4 sources vanish.
-        let agg = topo.node(topo.root()).children[0];
+        let agg = topo.children(topo.root())[0] as usize;
         let failed: HashSet<NodeId> = [agg].into();
         let out = engine.run_epoch_with(0, &[5; 16], &failed, &[]);
         let res = out.result.unwrap();
@@ -1291,8 +1285,8 @@ mod tests {
             // Crash one aggregator: its 4 source children re-attach to
             // the root, and the epoch still sums ALL 16 sources.
             let (topo, scheme) = engine_fixture(16, 4);
-            let crashed_agg = topo.node(topo.root()).children[1];
-            assert!(matches!(topo.node(crashed_agg).role, Role::Aggregator));
+            let crashed_agg = topo.children(topo.root())[1] as usize;
+            assert!(!topo.is_source(crashed_agg));
             let mut engine = Engine::new(&scheme, &topo);
             let values: Vec<u64> = (1..=16).collect();
             let mut rng = StdRng::seed_from_u64(1);

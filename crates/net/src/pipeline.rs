@@ -7,7 +7,7 @@
 //! honest failures and covert attacks, translated once per epoch to
 //! marks on post-order positions, and
 //! [`crate::engine::Engine::run_epoch_recovering`] drives it under the
-//! recovery protocol. Over the [`FlatTopology`] arena it gives:
+//! recovery protocol. Over the [`Topology`] arena it gives:
 //!
 //! * **Sharding at source quantiles.** Every subtree is a contiguous
 //!   segment of the arena's post-order, so the walk cuts the post-order
@@ -83,16 +83,16 @@
 //! the child failed, was dropped or was duplicated — is reversed before
 //! the scheme sees it, and the sink's window, which the join leaves on
 //! the first shard's stack in post order, is reversed into child order.
-//! The `flat_equivalence`
-//! tests hold the engine and the pipeline to an independent recursive
-//! fold over the pointer `Topology`; `soa_determinism` pins the digests
-//! across thread counts and streaming modes.
+//! The `flat_equivalence` tests hold the engine and the pipeline to an
+//! independent recursive fold over a pointer tree of their own, built
+//! from the same inputs by its own builders; `soa_determinism` pins the
+//! digests across thread counts and streaming modes.
 
 use crate::engine::EpochCounts;
-use crate::flat::FlatTopology;
 use crate::radio::LossyRadio;
 use crate::recovery::{uplink_stream, RecoveryConfig, ACK_BYTES, NACK_BYTES, RESOLICIT_BYTES};
 use crate::scheme::{AggregationScheme, EvaluatedSum, SchemeError};
+use crate::topology::Topology;
 use sies_core::{parallel, Epoch, SourceId, Threads};
 use sies_telemetry as tel;
 use sies_telemetry::EventKind;
@@ -555,7 +555,7 @@ pub(crate) struct Uplinks<'a> {
 /// shared between the main thread and the streaming producer.
 pub(crate) struct Exec<'a, S: AggregationScheme> {
     pub(crate) scheme: &'a S,
-    pub(crate) flat: &'a FlatTopology,
+    pub(crate) topo: &'a Topology,
     pub(crate) shards: &'a [Shard],
     /// The sources the querier is told contributed.
     pub(crate) contributors: &'a [SourceId],
@@ -621,7 +621,7 @@ impl<S: AggregationScheme> Exec<'_, S> {
 
     /// The positions in `range` paired with their node ids.
     fn walk(&self, range: Range<usize>) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let post = &self.flat.post_order()[range.clone()];
+        let post = &self.topo.post_order()[range.clone()];
         range.zip(post.iter().map(|&id| id as usize))
     }
 
@@ -632,7 +632,7 @@ impl<S: AggregationScheme> Exec<'_, S> {
         st.jobs.clear();
         let mut marks = self.marks_from(shard.range.start);
         for (pos, id) in self.walk(shard.range.clone()) {
-            if let Some(sid) = self.flat.source_id(id) {
+            if let Some(sid) = self.topo.source_id(id) {
                 if !marks.at(pos).failed {
                     st.jobs.push((sid, values[sid as usize]));
                 }
@@ -731,7 +731,7 @@ impl<S: AggregationScheme> Exec<'_, S> {
                 counts.add(&checkpoint.counts);
                 from = checkpoint.at;
                 let pos = pos as usize;
-                let node = (pos, self.flat.post_order()[pos] as usize);
+                let node = (pos, self.topo.post_order()[pos] as usize);
                 let mark = self.marks_from(pos).at(pos);
                 let step = self.step::<MARKED, RECOVERING>(
                     epoch,
@@ -783,7 +783,7 @@ impl<S: AggregationScheme> Exec<'_, S> {
             lost,
             ..
         } = w;
-        let from_source = self.flat.is_source(id);
+        let from_source = self.topo.is_source(id);
         let mut psr = if from_source {
             if mark.failed {
                 if RECOVERING {
@@ -803,7 +803,7 @@ impl<S: AggregationScheme> Exec<'_, S> {
                 }
             }
         } else {
-            let mut window = self.flat.children(id).len();
+            let mut window = self.topo.children(id).len();
             while let Some(&(parent, copies)) = uneven.last() {
                 if parent as usize != pos {
                     break;
@@ -876,8 +876,8 @@ impl<S: AggregationScheme> Exec<'_, S> {
     /// The `uneven` entry telling `id`'s parent that `copies` PSR copies
     /// arrived from `id`.
     fn to_parent(&self, id: usize, copies: u32) -> (u32, u32) {
-        let parent = self.flat.parent(id).expect("shards hold no sink");
-        (self.flat.post_position(parent) as u32, copies)
+        let parent = self.topo.parent(id).expect("shards hold no sink");
+        (self.topo.post_position(parent) as u32, copies)
     }
 
     /// The live node that receives `id`'s PSR in a recovering epoch: its
@@ -885,7 +885,7 @@ impl<S: AggregationScheme> Exec<'_, S> {
     fn receiver(&self, id: usize, mark: Mark) -> usize {
         match mark.adopter {
             Some(adopter) => adopter as usize,
-            None => self.flat.parent(id).expect("shards hold no sink"),
+            None => self.topo.parent(id).expect("shards hold no sink"),
         }
     }
 
@@ -905,8 +905,8 @@ impl<S: AggregationScheme> Exec<'_, S> {
         let out = links
             .recovery
             .simulate_uplink(links.radio, &mut uplink_stream(links.draw, id));
-        let hops = self.flat.depth(self.receiver(id, mark)) as u64 + 1;
-        walked.uplink(self.flat.is_source(id), size);
+        let hops = self.topo.depth(self.receiver(id, mark)) as u64 + 1;
+        walked.uplink(self.topo.is_source(id), size);
         walked.bytes.retransmit += size * (u64::from(out.data_attempts) - 1);
         walked.rx_bytes += size * u64::from(out.acks);
         walked.bytes.control += u64::from(out.acks) * ACK_BYTES as u64
@@ -939,9 +939,9 @@ impl<S: AggregationScheme> Exec<'_, S> {
         uneven: &mut Vec<(u32, u32)>,
         walked: &mut EpochCounts,
     ) {
-        cut(&mut lost.cuts, self.flat.subtree_range(id));
+        cut(&mut lost.cuts, self.topo.subtree_range(id));
         let receiver = self.receiver(id, mark);
-        walked.failure_report(self.flat.depth(receiver) + 1);
+        walked.failure_report(self.topo.depth(receiver) + 1);
         let event = EventKind::FailureReport;
         lost.events.push(epoch, event, id as u64, receiver as u64);
         uneven.push(self.to_parent(id, 0));
@@ -986,7 +986,7 @@ impl<S: AggregationScheme> Exec<'_, S> {
         let window = &mut joined.stack;
         window.reverse();
 
-        let root = self.flat.post_order().len() - 1;
+        let root = self.topo.post_order().len() - 1;
         let mark = self.marks_from(root).at(root);
         if mark.failed || window.is_empty() {
             return (counts, Err(nothing_reached_querier()));
@@ -1058,15 +1058,15 @@ impl<S: AggregationScheme> Exec<'_, S> {
 /// position: at most the tree's depth of them per boundary, found here
 /// by walking up from it. (An ancestor whose subtree begins at that
 /// position lies wholly inside the shard.)
-pub(crate) fn plan_shards(flat: &FlatTopology, threads: usize) -> Vec<Shard> {
-    let post = flat.post_order();
+pub(crate) fn plan_shards(topo: &Topology, threads: usize) -> Vec<Shard> {
+    let post = topo.post_order();
     let root = post.len() - 1;
-    let n = flat.num_sources() as usize;
+    let n = topo.num_sources() as usize;
     let count = threads.clamp(1, n.max(1));
     let mut starts = vec![0];
     let mut rank = 0;
     for (pos, &id) in post[..root].iter().enumerate() {
-        if flat.is_source(id as usize) {
+        if topo.is_source(id as usize) {
             if starts.len() < count && rank == starts.len() * n / count {
                 starts.push(pos);
             }
@@ -1080,15 +1080,15 @@ pub(crate) fn plan_shards(flat: &FlatTopology, threads: usize) -> Vec<Shard> {
         .enumerate()
         .map(|(k, (&start, end))| {
             let mut deferred = Vec::new();
-            let mut up = flat.parent(post[start] as usize);
-            while let Some(subtree) = up.map(|a| flat.subtree_range(a)) {
+            let mut up = topo.parent(post[start] as usize);
+            while let Some(subtree) = up.map(|a| topo.subtree_range(a)) {
                 if subtree.end > end {
                     break;
                 }
                 if subtree.start < start {
                     deferred.push(subtree.end as u32 - 1);
                 }
-                up = flat.parent(post[subtree.end - 1] as usize);
+                up = topo.parent(post[subtree.end - 1] as usize);
             }
             Shard {
                 range: start..end,
@@ -1099,22 +1099,20 @@ pub(crate) fn plan_shards(flat: &FlatTopology, threads: usize) -> Vec<Shard> {
         .collect()
 }
 
-/// The streamed clean-path epoch runner over a [`FlatTopology`] arena.
+/// The streamed clean-path epoch runner over a borrowed [`Topology`].
 ///
 /// ```
 /// use rand::rngs::StdRng;
 /// use rand::SeedableRng;
 /// use sies_core::{SystemParams, Threads};
 /// use sies_net::deploy::SiesDeployment;
-/// use sies_net::flat::FlatTopology;
 /// use sies_net::pipeline::EpochPipeline;
 /// use sies_net::topology::Topology;
 ///
 /// let mut rng = StdRng::seed_from_u64(1);
 /// let deployment = SiesDeployment::new(&mut rng, SystemParams::new(16).unwrap());
 /// let topology = Topology::complete_tree(16, 4);
-/// let flat = FlatTopology::from_topology(&topology);
-/// let mut pipeline = EpochPipeline::new(&deployment, &flat, Threads::serial(), false);
+/// let mut pipeline = EpochPipeline::new(&deployment, &topology, Threads::serial(), false);
 /// let mut sums = Vec::new();
 /// pipeline.run(0, 2, |_, values| values.fill(3), |_, _, result, _| {
 ///     sums.push(result.as_ref().unwrap().sum);
@@ -1123,7 +1121,7 @@ pub(crate) fn plan_shards(flat: &FlatTopology, threads: usize) -> Vec<Shard> {
 /// ```
 pub struct EpochPipeline<'a, S: AggregationScheme> {
     scheme: &'a S,
-    flat: &'a FlatTopology,
+    topo: &'a Topology,
     threads: usize,
     streaming: bool,
     shards: Vec<Shard>,
@@ -1135,20 +1133,20 @@ pub struct EpochPipeline<'a, S: AggregationScheme> {
 }
 
 impl<'a, S: AggregationScheme> EpochPipeline<'a, S> {
-    /// Builds a pipeline over `flat` with the given worker count.
+    /// Builds a pipeline over `topo` with the given worker count.
     /// `streaming` overlaps epoch `t+1`'s source phase with epoch `t`'s
     /// merge/evaluate on a dedicated producer thread.
-    pub fn new(scheme: &'a S, flat: &'a FlatTopology, threads: Threads, streaming: bool) -> Self {
+    pub fn new(scheme: &'a S, topo: &'a Topology, threads: Threads, streaming: bool) -> Self {
         let threads = threads.resolve();
-        let shards = plan_shards(flat, threads);
-        let n_sources = flat.num_sources() as usize;
+        let shards = plan_shards(topo, threads);
+        let n_sources = topo.num_sources() as usize;
         let in_flight = if streaming { 2 } else { 1 };
         let bufs = (0..in_flight)
             .map(|_| EpochBuf::new(&shards, n_sources))
             .collect();
         EpochPipeline {
             scheme,
-            flat,
+            topo,
             threads,
             streaming,
             shards,
@@ -1177,7 +1175,7 @@ impl<'a, S: AggregationScheme> EpochPipeline<'a, S> {
     /// Heap bytes held by the pipeline's reusable epoch state (its epoch
     /// buffers — two when streaming, else one — plus shard bookkeeping),
     /// the pipeline's share of the bytes-per-node budget. Excludes the
-    /// arena — add [`FlatTopology::bytes`] — and the scheme's key
+    /// arena — add [`Topology::bytes`] — and the scheme's key
     /// material.
     pub fn state_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -1208,7 +1206,7 @@ impl<'a, S: AggregationScheme> EpochPipeline<'a, S> {
         let mut last_final = self.last_final.take();
         let exec = Exec {
             scheme: self.scheme,
-            flat: self.flat,
+            topo: self.topo,
             shards: &self.shards,
             contributors: &self.contributors,
             marks: &[],
@@ -1305,7 +1303,6 @@ impl<'a, S: AggregationScheme> EpochPipeline<'a, S> {
 mod tests {
     use super::*;
     use crate::engine::Engine;
-    use crate::topology::Topology;
 
     /// A transparent scheme (plain sum + contribution count) mirroring
     /// the engine's test scheme, so pipeline behaviour is observable
@@ -1373,8 +1370,7 @@ mod tests {
         streaming: bool,
         epochs: u64,
     ) -> Vec<(Option<PlainPsr>, Result<EvaluatedSum, SchemeError>)> {
-        let flat = FlatTopology::from_topology(topo);
-        let mut pipeline = EpochPipeline::new(&PlainSum, &flat, Threads::fixed(threads), streaming);
+        let mut pipeline = EpochPipeline::new(&PlainSum, topo, Threads::fixed(threads), streaming);
         let mut seen = Vec::new();
         pipeline.run(
             0,
@@ -1416,12 +1412,12 @@ mod tests {
     #[test]
     fn shards_split_sources_evenly_anywhere_in_the_tree() {
         for n in [1_000u64, 10_000, 16_384, 50_000, 100_000] {
-            let flat = FlatTopology::from_topology(&Topology::complete_tree(n, 4));
-            let post = flat.post_order();
+            let topo = Topology::complete_tree(n, 4);
+            let post = topo.post_order();
             let root = post.len() - 1;
             for threads in [1usize, 2, 3, 8] {
                 let case = format!("n={n} threads={threads}");
-                let shards = plan_shards(&flat, threads);
+                let shards = plan_shards(&topo, threads);
                 let count = threads.min(n as usize);
                 assert_eq!(shards.len(), count, "{case}");
                 let (fewest, most) = (n as usize / count, (n as usize).div_ceil(count));
@@ -1433,7 +1429,7 @@ mod tests {
                     next = end;
                     let sources = post[start..end]
                         .iter()
-                        .filter(|&&id| flat.is_source(id as usize))
+                        .filter(|&&id| topo.is_source(id as usize))
                         .count();
                     assert_eq!(sources, shard.sources, "{case}");
                     assert!((fewest..=most).contains(&sources), "{case}: {sources}");
@@ -1442,18 +1438,18 @@ mod tests {
                     // position (the shard holds all of theirs); none in
                     // the first shard, which begins at position 0.
                     let mut ancestors = Vec::new();
-                    let mut up = flat.parent(post[start] as usize);
+                    let mut up = topo.parent(post[start] as usize);
                     while let Some(a) = up {
-                        let pos = flat.post_position(a);
-                        if pos < end && flat.subtree_range(a).start < start {
+                        let pos = topo.post_position(a);
+                        if pos < end && topo.subtree_range(a).start < start {
                             ancestors.push(pos as u32);
                         }
-                        up = flat.parent(a);
+                        up = topo.parent(a);
                     }
                     assert!(k > 0 || ancestors.is_empty(), "{case}");
                     assert_eq!(shard.deferred, ancestors, "{case}: shard {k}");
                     let reaching_back: Vec<u32> = (start..end)
-                        .filter(|&pos| flat.subtree_range(post[pos] as usize).start < start)
+                        .filter(|&pos| topo.subtree_range(post[pos] as usize).start < start)
                         .map(|pos| pos as u32)
                         .collect();
                     assert_eq!(shard.deferred, reaching_back, "{case}: shard {k}");
@@ -1491,8 +1487,7 @@ mod tests {
     #[test]
     fn buffers_survive_across_runs() {
         let topo = Topology::complete_tree(16, 4);
-        let flat = FlatTopology::from_topology(&topo);
-        let mut pipeline = EpochPipeline::new(&PlainSum, &flat, Threads::serial(), true);
+        let mut pipeline = EpochPipeline::new(&PlainSum, &topo, Threads::serial(), true);
         let mut count = 0usize;
         pipeline.run(0, 3, |_, v| v.fill(1), |_, _, _, _| count += 1);
         let bytes = pipeline.state_bytes();
@@ -1516,14 +1511,13 @@ mod tests {
         use sies_core::SystemParams;
 
         let topo = Topology::complete_tree(32, 4);
-        let flat = FlatTopology::from_topology(&topo);
         let run = |policy: Option<PrewarmPolicy>, threads: usize, streaming: bool| {
             let mut rng = StdRng::seed_from_u64(5);
             let dep = SiesDeployment::new(&mut rng, SystemParams::new(32).unwrap());
             if let Some(p) = policy {
                 dep.set_prewarm_policy(p);
             }
-            let mut pipeline = EpochPipeline::new(&dep, &flat, Threads::fixed(threads), streaming);
+            let mut pipeline = EpochPipeline::new(&dep, &topo, Threads::fixed(threads), streaming);
             let mut outs = Vec::new();
             pipeline.run(
                 0,
@@ -1606,8 +1600,7 @@ mod tests {
             }
         }
         let topo = Topology::complete_tree(8, 2);
-        let flat = FlatTopology::from_topology(&topo);
-        let mut pipeline = EpochPipeline::new(&Rejecting, &flat, Threads::serial(), false);
+        let mut pipeline = EpochPipeline::new(&Rejecting, &topo, Threads::serial(), false);
         let mut finals = Vec::new();
         pipeline.run(
             0,

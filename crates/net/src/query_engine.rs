@@ -84,6 +84,11 @@ impl<'a> QueryEngine<'a> {
 
     /// [`Self::run_epoch`] with failure and attack injection, applied to
     /// every sub-query round.
+    ///
+    /// A wrong number of readings, or an epoch above
+    /// `u64::MAX / EPOCH_STRIDE` (whose sub-epochs would wrap onto
+    /// another epoch's keys), is `SchemeError::Malformed`, returned
+    /// before any round runs.
     pub fn run_epoch_with(
         &mut self,
         epoch: Epoch,
@@ -91,11 +96,16 @@ impl<'a> QueryEngine<'a> {
         failed: &HashSet<NodeId>,
         attacks: &[Attack],
     ) -> Result<QueryOutcome, SchemeError> {
-        assert_eq!(
-            readings.len() as u64,
-            self.engine.topology().num_sources(),
-            "one reading per source required"
-        );
+        let sources = self.engine.topology().num_sources();
+        if readings.len() as u64 != sources {
+            return Err(SchemeError::Malformed(format!(
+                "{} readings for {sources} sources",
+                readings.len()
+            )));
+        }
+        let first_sub_epoch = epoch.checked_mul(EPOCH_STRIDE).ok_or_else(|| {
+            SchemeError::Malformed(format!("epoch {epoch}'s sub-epochs would wrap"))
+        })?;
         let per_source: Vec<Vec<u64>> = readings
             .iter()
             .map(|r| self.plan.source_values(r))
@@ -104,7 +114,7 @@ impl<'a> QueryEngine<'a> {
         let mut sums = Vec::with_capacity(self.plan.terms().len());
         let mut rounds = Vec::with_capacity(self.plan.terms().len());
         for term_idx in 0..self.plan.terms().len() {
-            let sub_epoch = epoch * EPOCH_STRIDE + term_idx as u64;
+            let sub_epoch = first_sub_epoch + term_idx as u64;
             let values: Vec<u64> = per_source.iter().map(|v| v[term_idx]).collect();
             let out = self
                 .engine
@@ -278,6 +288,37 @@ mod tests {
             .all(|r| r.verdict == Verdict::Accepted && r.integrity_checked && r.session == 9));
         assert_eq!(state.next_epoch, EPOCH_STRIDE + 2);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn caller_input_errors_come_before_any_round() {
+        let (dep, topo) = fixture(4);
+        let ones = [SensorReading::new(1, 1, 1, 1); 4];
+        let last = u64::MAX / EPOCH_STRIDE;
+        for (aggregate, want) in [
+            (
+                Aggregate::Sum(Attribute::Temperature),
+                QueryResult::Exact(4),
+            ),
+            (
+                Aggregate::Avg(Attribute::Temperature),
+                QueryResult::Real(1.0),
+            ),
+        ] {
+            let q = Query {
+                aggregate,
+                predicate: Predicate::True,
+                epoch_duration_ms: 1000,
+            };
+            let mut engine = QueryEngine::new(&dep, &topo, &q);
+            let short = engine.run_epoch(0, &ones[..3]);
+            assert!(matches!(short, Err(SchemeError::Malformed(_))), "{short:?}");
+            let wraps = engine.run_epoch(last + 1, &ones);
+            assert!(matches!(wraps, Err(SchemeError::Malformed(_))), "{wraps:?}");
+            assert!(engine.engine.last_final_psr().is_none(), "a round ran");
+            // The largest epoch whose sub-epochs all fit still verifies.
+            assert_eq!(engine.run_epoch(last, &ones).unwrap().result, want);
+        }
     }
 
     #[test]

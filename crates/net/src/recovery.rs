@@ -24,10 +24,10 @@
 //!    lost; the subtree's sources are excluded from the contributor set
 //!    and the epoch still verifies exactly over the survivors.
 //!
-//! Crash recovery (topology repair) is planned by
-//! [`crate::topology::Topology::repair_plan`]: live children of a
-//! crashed aggregator re-attach to their nearest live ancestor within
-//! the same epoch, at the cost of a Reattach/ACK handshake each.
+//! Crash recovery (topology repair) is planned on the arena the engine
+//! borrows, by [`crate::topology::Topology::repair_plan`]: live children
+//! of a crashed aggregator re-attach to their nearest live ancestor
+//! within the same epoch, at the cost of a Reattach/ACK handshake each.
 //!
 //! Every uplink draws its loss, retry and jitter outcomes from its own
 //! stream, [`uplink_stream`], keyed by one per-epoch draw and the

@@ -10,7 +10,7 @@
 
 use sies_net::pipeline::EpochPipeline;
 use sies_net::scheme::{AggregationScheme, EvaluatedSum, SchemeError};
-use sies_net::{FlatTopology, Threads, Topology};
+use sies_net::{Threads, Topology};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -126,10 +126,9 @@ fn steady_state_epochs_allocate_nothing() {
     sies_telemetry::set_enabled(false);
 
     let topo = Topology::complete_tree(10_000, 4);
-    let flat = FlatTopology::from_topology(&topo);
 
     // --- Non-streaming, threads = 1: strictly zero after warm-up. ---
-    let mut pipeline = EpochPipeline::new(&PlainSum, &flat, Threads::fixed(1), false);
+    let mut pipeline = EpochPipeline::new(&PlainSum, &topo, Threads::fixed(1), false);
     allocs_for_run(&mut pipeline, 0, 3); // warm-up grows every buffer
     let steady = allocs_for_run(&mut pipeline, 3, 5);
     assert_eq!(
@@ -140,7 +139,7 @@ fn steady_state_epochs_allocate_nothing() {
     // --- Streaming: the scoped producer thread is one fixed per-run
     // cost, so compare two warm runs of different lengths — any
     // per-epoch allocation would separate them. ---
-    let mut streaming = EpochPipeline::new(&PlainSum, &flat, Threads::fixed(1), true);
+    let mut streaming = EpochPipeline::new(&PlainSum, &topo, Threads::fixed(1), true);
     allocs_for_run(&mut streaming, 0, 3); // warm-up
     let short = allocs_for_run(&mut streaming, 3, 4);
     let long = allocs_for_run(&mut streaming, 7, 24);

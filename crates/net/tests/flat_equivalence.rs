@@ -1,13 +1,18 @@
-//! Property-based equivalence oracles for the epoch walk.
+//! Property-based equivalence oracles for the topology and the epoch
+//! walk.
 //!
-//! * [`FlatTopology`] must be an exact drop-in for the pointer-tree
-//!   `Topology` on random irregular trees: same post-order, same
-//!   per-node metadata, same repair plans under random crash sets.
+//! * [`RefTree`] is the pointer tree the arena replaced, kept here as
+//!   test support: a `Vec` of nodes with owned child lists, built by its
+//!   own complete and random builders. Both of the arena's builders must
+//!   match it from the same inputs: same nodes, edges, depths, source
+//!   placement, post-order, subtree ranges and repair plans under random
+//!   crash sets, and `random_tree` must leave the caller's RNG where the
+//!   reference's builder leaves it. No test converts one into the other.
 //! * [`Engine::run_epoch_with`] and [`EpochPipeline::run`] must agree
-//!   with [`Reference`], a recursive fold over the pointer `Topology`
-//!   that shares no code with `sies-net`'s walk: same verdicts, final
-//!   PSRs, replay cache, contributors, run counts and per-class bytes,
-//!   under random failures, covert attacks, rejected readings and
+//!   with [`Reference`], a recursive fold over the [`RefTree`] that
+//!   shares no code with `sies-net`'s topology or walk: same verdicts,
+//!   final PSRs, replay cache, contributors, run counts and per-class
+//!   bytes, under random failures, covert attacks, rejected readings and
 //!   refused merges, at every thread count and streaming mode.
 //! * [`Engine::run_epoch_recovering`] must agree with the reference's
 //!   recovering fold, which keeps per-node contributor lists and poison
@@ -31,8 +36,171 @@ use sies_net::recovery::{
     REATTACH_BYTES, RESOLICIT_BYTES,
 };
 use sies_net::scheme::{AggregationScheme, EvaluatedSum, SchemeError};
-use sies_net::{FlatTopology, NodeId, RepairPlan, Role, Threads, Topology};
+use sies_net::{NodeId, RepairPlan, Threads, Topology};
 use std::collections::HashSet;
+
+/// The role a [`RefNode`] plays in the aggregation tree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    Source(u32),
+    Aggregator,
+}
+
+/// One node of the reference tree.
+struct RefNode {
+    /// Parent node (`None` for the sink).
+    parent: Option<NodeId>,
+    /// Children, in child order; empty for sources.
+    children: Vec<NodeId>,
+    role: Role,
+    /// Hop distance from the sink (sink = 0).
+    depth: usize,
+}
+
+/// The pointer-based aggregation tree, built bottom-up like the paper's
+/// complete tree: every group of one level is adopted by a fresh
+/// aggregator at the next, until a single aggregator (the sink)
+/// remains, even over a single source.
+struct RefTree {
+    nodes: Vec<RefNode>,
+    root: NodeId,
+}
+
+impl RefTree {
+    fn complete_tree(num_sources: u64, fanout: usize) -> Self {
+        Self::build(num_sources, |level| {
+            level.chunks(fanout).map(<[NodeId]>::to_vec).collect()
+        })
+    }
+
+    /// Groups of 1 to `max_fanout` nodes, one draw per group.
+    fn random_tree(rng: &mut dyn RngCore, num_sources: u64, max_fanout: usize) -> Self {
+        Self::build(num_sources, |level| {
+            let mut groups = Vec::new();
+            let mut i = 0;
+            while i < level.len() {
+                let take = rng.random_range(1..=max_fanout).min(level.len() - i);
+                groups.push(level[i..i + take].to_vec());
+                i += take;
+            }
+            groups
+        })
+    }
+
+    /// `groups` cuts one level into the child lists of the next.
+    fn build(num_sources: u64, mut groups: impl FnMut(&[NodeId]) -> Vec<Vec<NodeId>>) -> Self {
+        let mut nodes: Vec<RefNode> = (0..num_sources as u32)
+            .map(|sid| RefNode {
+                parent: None,
+                children: Vec::new(),
+                role: Role::Source(sid),
+                depth: 0,
+            })
+            .collect();
+        let mut level: Vec<NodeId> = (0..nodes.len()).collect();
+        while level.len() > 1 || matches!(nodes[level[0]].role, Role::Source(_)) {
+            let mut next = Vec::new();
+            for children in groups(&level) {
+                let id = nodes.len();
+                for &child in &children {
+                    nodes[child].parent = Some(id);
+                }
+                nodes.push(RefNode {
+                    parent: None,
+                    children,
+                    role: Role::Aggregator,
+                    depth: 0,
+                });
+                next.push(id);
+            }
+            level = next;
+        }
+        let root = level[0];
+        let mut stack = vec![(root, 0usize)];
+        while let Some((id, depth)) = stack.pop() {
+            nodes[id].depth = depth;
+            stack.extend(nodes[id].children.iter().map(|&c| (c, depth + 1)));
+        }
+        RefTree { nodes, root }
+    }
+
+    fn root(&self) -> NodeId {
+        self.root
+    }
+
+    fn node(&self, id: NodeId) -> &RefNode {
+        &self.nodes[id]
+    }
+
+    /// Children before parents, each node's last child first.
+    fn post_order(&self) -> Vec<NodeId> {
+        let mut order = Vec::with_capacity(self.nodes.len());
+        let mut stack = vec![(self.root, false)];
+        while let Some((id, expanded)) = stack.pop() {
+            if expanded {
+                order.push(id);
+            } else {
+                stack.push((id, true));
+                for &c in &self.nodes[id].children {
+                    stack.push((c, false));
+                }
+            }
+        }
+        order
+    }
+
+    /// The node hosting `source`, by a scan.
+    fn source_node(&self, source: u32) -> Option<NodeId> {
+        self.nodes
+            .iter()
+            .position(|n| n.role == Role::Source(source))
+    }
+
+    /// All source ids in the subtree rooted at `id`, sorted.
+    fn sources_under(&self, id: NodeId) -> Vec<u32> {
+        let mut out = Vec::new();
+        let mut stack = vec![id];
+        while let Some(n) = stack.pop() {
+            match self.nodes[n].role {
+                Role::Source(s) => out.push(s),
+                Role::Aggregator => stack.extend(&self.nodes[n].children),
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    /// The nearest live ancestor of `orphan`'s parent.
+    fn backup_parent(&self, orphan: NodeId, crashed: &HashSet<NodeId>) -> Option<NodeId> {
+        let mut candidate = self.nodes[orphan].parent;
+        while let Some(id) = candidate {
+            if !crashed.contains(&id) {
+                return Some(id);
+            }
+            candidate = self.nodes[id].parent;
+        }
+        None
+    }
+
+    /// Every live child of a crashed node re-attaches to its backup
+    /// parent, or is stranded when it has none.
+    fn repair_plan(&self, crashed: &HashSet<NodeId>) -> RepairPlan {
+        let mut plan = RepairPlan::default();
+        for (id, node) in self.nodes.iter().enumerate() {
+            let Some(parent) = node.parent else { continue };
+            if crashed.contains(&id) || !crashed.contains(&parent) {
+                continue;
+            }
+            match self.backup_parent(id, crashed) {
+                Some(backup) => {
+                    plan.adoptions.insert(id, backup);
+                }
+                None => plan.stranded.push(id),
+            }
+        }
+        plan
+    }
+}
 
 /// A cheap transparent scheme whose PSR preserves merge structure
 /// (weighted sum + count), so any reordering or regrouping of merge
@@ -177,8 +345,8 @@ struct RefEpoch<P> {
 }
 
 /// The engine's epoch semantics, written as a recursive fold over the
-/// pointer `Topology` so it shares no code with the flat arena or the
-/// shard walk:
+/// pointer [`RefTree`] so it shares no code with the arena or the shard
+/// walk:
 ///
 /// * a failed node sends nothing and discards what its children sent,
 ///   but its descendants still initialise, merge and transmit;
@@ -191,14 +359,14 @@ struct RefEpoch<P> {
 ///   first scheme error ends the epoch with the counts reached so far.
 struct Reference<'a, S: AggregationScheme> {
     scheme: &'a S,
-    topo: &'a Topology,
+    topo: &'a RefTree,
     last_final: Option<S::Psr>,
 }
 
 /// The per-epoch state of one [`Reference`] fold.
 struct Fold<'r, S: AggregationScheme> {
     scheme: &'r S,
-    topo: &'r Topology,
+    topo: &'r RefTree,
     epoch: u64,
     values: &'r [u64],
     failed: &'r HashSet<NodeId>,
@@ -311,7 +479,7 @@ impl<P> Default for Up<P> {
 ///   poisoned while every PSR above reaches the sink.
 struct Recover<'r, S: AggregationScheme> {
     scheme: &'r S,
-    topo: &'r Topology,
+    topo: &'r RefTree,
     epoch: u64,
     values: &'r [u64],
     crashed: &'r HashSet<NodeId>,
@@ -439,7 +607,7 @@ impl<S: AggregationScheme> Recover<'_, S> {
 }
 
 /// Sources with no failed node between them and the sink, unsorted.
-fn live_sources(topo: &Topology, id: NodeId, failed: &HashSet<NodeId>, out: &mut Vec<u32>) {
+fn live_sources(topo: &RefTree, id: NodeId, failed: &HashSet<NodeId>, out: &mut Vec<u32>) {
     if failed.contains(&id) {
         return;
     }
@@ -454,7 +622,7 @@ fn live_sources(topo: &Topology, id: NodeId, failed: &HashSet<NodeId>, out: &mut
 }
 
 impl<'a, S: AggregationScheme> Reference<'a, S> {
-    fn new(scheme: &'a S, topo: &'a Topology) -> Self {
+    fn new(scheme: &'a S, topo: &'a RefTree) -> Self {
         Reference {
             scheme,
             topo,
@@ -654,7 +822,7 @@ fn random_chaos(
     topo: &Topology,
     crash_pct: u32,
 ) -> (HashSet<NodeId>, Vec<Attack>) {
-    let nodes = topo.nodes().len();
+    let nodes = topo.num_nodes();
     let crashed: HashSet<NodeId> = (0..nodes)
         .filter(|_| rng.random_range(0..100u32) < crash_pct)
         .collect();
@@ -690,7 +858,7 @@ fn random_faults(
     fail_pct: u32,
     max_attacks: usize,
 ) -> (HashSet<NodeId>, Vec<Attack>) {
-    let nodes = topo.nodes().len();
+    let nodes = topo.num_nodes();
     let failed = (0..nodes)
         .filter(|_| rng.random_range(0..100u32) < fail_pct)
         .collect();
@@ -713,9 +881,66 @@ fn random_faults(
     (failed, attacks)
 }
 
-fn random_topology(seed: u64, n: u64, fanout: usize) -> Topology {
-    let mut rng = StdRng::seed_from_u64(seed);
-    Topology::random_tree(&mut rng, n, fanout)
+/// The arena and the reference tree, each built by its own random-tree
+/// builder from the same seed.
+fn random_trees(seed: u64, n: u64, fanout: usize) -> (Topology, RefTree) {
+    let topo = Topology::random_tree(&mut StdRng::seed_from_u64(seed), n, fanout);
+    let tree = RefTree::random_tree(&mut StdRng::seed_from_u64(seed), n, fanout);
+    (topo, tree)
+}
+
+/// Both of the arena's builders against the reference's, from the same
+/// `seed`, `n` and `fanout`.
+fn builders_agree(seed: u64, n: u64, fanout: usize) -> Result<(), TestCaseError> {
+    let (mut topo_rng, mut tree_rng) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+    let pairs = [
+        (
+            Topology::complete_tree(n, fanout),
+            RefTree::complete_tree(n, fanout),
+        ),
+        (
+            Topology::random_tree(&mut topo_rng, n, fanout),
+            RefTree::random_tree(&mut tree_rng, n, fanout),
+        ),
+    ];
+    prop_assert!(
+        topo_rng.next_u64() == tree_rng.next_u64(),
+        "random_tree left the RNG elsewhere"
+    );
+    for (topo, tree) in &pairs {
+        prop_assert_eq!(topo.validate(), Ok(()));
+        prop_assert_eq!(topo.num_nodes(), tree.nodes.len());
+        prop_assert_eq!(topo.root(), tree.root());
+        prop_assert_eq!(topo.num_sources(), n);
+        let post: Vec<NodeId> = topo.post_order().iter().map(|&id| id as NodeId).collect();
+        prop_assert_eq!(&post, &tree.post_order());
+        for (id, node) in tree.nodes.iter().enumerate() {
+            prop_assert_eq!(topo.parent(id), node.parent);
+            prop_assert_eq!(topo.depth(id), node.depth);
+            let kids: Vec<NodeId> = topo.children(id).iter().map(|&c| c as NodeId).collect();
+            prop_assert_eq!(&kids, &node.children);
+            let sid = match node.role {
+                Role::Source(sid) => Some(sid),
+                Role::Aggregator => None,
+            };
+            prop_assert_eq!(topo.source_id(id), sid);
+            // Subtree contiguity: the range holds exactly the reference
+            // subtree's sources and ends at the node itself.
+            let range = topo.subtree_range(id);
+            prop_assert_eq!(post[range.end - 1], id);
+            let mut under: Vec<u32> = post[range]
+                .iter()
+                .filter_map(|&v| topo.source_id(v))
+                .collect();
+            under.sort_unstable();
+            prop_assert_eq!(under, tree.sources_under(id));
+        }
+        // One id past the last source too.
+        for sid in 0..=n as u32 {
+            prop_assert_eq!(topo.source_node(sid), tree.source_node(sid));
+        }
+    }
+    Ok(())
 }
 
 /// An engine epoch's outcome in the reference's terms.
@@ -744,7 +969,7 @@ fn observed_recovering<S: AggregationScheme>(
 }
 
 /// `(first, height)` of node `id`'s PSR in a clean epoch.
-fn merge_id(topo: &Topology, id: NodeId) -> (u32, u32) {
+fn merge_id(topo: &RefTree, id: NodeId) -> (u32, u32) {
     let node = topo.node(id);
     match node.role {
         Role::Source(sid) => (sid, 0),
@@ -761,62 +986,44 @@ fn merge_id(topo: &Topology, id: NodeId) -> (u32, u32) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    /// Both builders against the reference's over random seeds, sizes
+    /// and fanouts; [`builders_agree_on_the_smallest_trees`] pins N = 1
+    /// and fanout ≥ N.
     #[test]
     fn arena_mirrors_legacy_on_random_trees(
         seed in any::<u64>(),
-        n in 1u64..120,
-        fanout in 2usize..7,
+        n in 1u64..=300,
+        fanout in 2usize..=6,
     ) {
-        let topo = random_topology(seed, n, fanout);
-        let flat = FlatTopology::from_topology(&topo);
-        flat.validate().expect("arena invariants");
-
-        prop_assert_eq!(flat.num_nodes(), topo.nodes().len());
-        prop_assert_eq!(flat.root(), topo.root());
-        prop_assert_eq!(flat.num_sources(), n);
-
-        let legacy_post = topo.post_order();
-        let flat_post: Vec<NodeId> =
-            flat.post_order().iter().map(|&id| id as NodeId).collect();
-        prop_assert_eq!(&flat_post, &legacy_post);
-
-        for id in 0..topo.nodes().len() {
-            let node = topo.node(id);
-            prop_assert_eq!(flat.parent(id), node.parent);
-            prop_assert_eq!(flat.depth(id), node.depth);
-            prop_assert_eq!(flat.role(id), node.role);
-            let kids: Vec<NodeId> =
-                flat.children(id).iter().map(|&c| c as NodeId).collect();
-            prop_assert_eq!(&kids, &node.children);
-            prop_assert_eq!(flat.sources_under(id), topo.sources_under(id));
-            // Subtree contiguity: the flat range holds exactly the
-            // post-order positions of the legacy subtree.
-            let range = flat.subtree_range(id);
-            prop_assert_eq!(range.len(), flat.subtree_size(id));
-            prop_assert_eq!(*flat_post[range.clone()].last().unwrap(), id);
-        }
+        builders_agree(seed, n, fanout)?;
     }
 
+    /// Both builders' repair plans and backup parents against the
+    /// reference's under random crash sets, from none to most nodes
+    /// down; the sink may crash too (the stranded branch).
     #[test]
     fn repair_plans_match_on_random_crash_sets(
         seed in any::<u64>(),
-        n in 1u64..80,
-        fanout in 2usize..6,
-        crash_bits in any::<u64>(),
+        n in 1u64..=300,
+        fanout in 2usize..=6,
+        crash_seed in any::<u64>(),
+        crash_pct in 0u32..60,
     ) {
-        let topo = random_topology(seed, n, fanout);
-        let flat = FlatTopology::from_topology(&topo);
-        // Derive a pseudo-random crash set from the bits; the sink may
-        // crash too (the stranded branch).
-        let crashed: HashSet<NodeId> = (0..topo.nodes().len())
-            .filter(|id| (crash_bits >> (id % 64)) & 1 == 1)
-            .collect();
-        prop_assert_eq!(flat.repair_plan(&crashed), topo.repair_plan(&crashed));
-        for orphan in 0..topo.nodes().len() {
-            prop_assert_eq!(
-                flat.backup_parent(orphan, &crashed),
-                topo.backup_parent(orphan, &crashed)
-            );
+        let mut rng = StdRng::seed_from_u64(crash_seed);
+        let (random, random_ref) = random_trees(seed, n, fanout);
+        let complete = Topology::complete_tree(n, fanout);
+        let complete_ref = RefTree::complete_tree(n, fanout);
+        for (topo, tree) in [(&random, &random_ref), (&complete, &complete_ref)] {
+            let crashed: HashSet<NodeId> = (0..topo.num_nodes())
+                .filter(|_| rng.random_range(0..100u32) < crash_pct)
+                .collect();
+            prop_assert_eq!(topo.repair_plan(&crashed), tree.repair_plan(&crashed));
+            for orphan in 0..topo.num_nodes() {
+                prop_assert_eq!(
+                    topo.backup_parent(orphan, &crashed),
+                    tree.backup_parent(orphan, &crashed)
+                );
+            }
         }
     }
 
@@ -830,7 +1037,7 @@ proptest! {
         reject_pick in 0u32..3,
         reject_src in any::<u64>(),
     ) {
-        let topo = random_topology(seed, n, fanout);
+        let (topo, tree) = random_trees(seed, n, fanout);
         // A third of the cases refuse one source's readings and a third
         // the merges of one size, so the first-error abort is exercised
         // wherever the error sits.
@@ -840,7 +1047,7 @@ proptest! {
             ..WSUM
         };
         let mut engine = Engine::new(&scheme, &topo).with_threads(Threads::fixed(threads));
-        let mut reference = Reference::new(&scheme, &topo);
+        let mut reference = Reference::new(&scheme, &tree);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xFA17);
         for epoch in 0..4u64 {
             let values: Vec<u64> = (0..n).map(|i| mix(seed ^ epoch, i) & 0xFFFF).collect();
@@ -868,7 +1075,7 @@ proptest! {
         retries in 0u32..4,
         rounds in 0u32..3,
     ) {
-        let topo = random_topology(seed, n, fanout);
+        let (topo, tree) = random_trees(seed, n, fanout);
         let scheme = WeightedSum {
             reject: (reject_pick == 0).then_some((reject_src % n) as u32),
             refuse_merge: (reject_pick == 1).then_some(reject_src % n + 1),
@@ -877,7 +1084,7 @@ proptest! {
         let radio = LossyRadio::new(loss, retries);
         let recovery = RecoveryConfig::new(rounds, 0.5);
         let mut engine = Engine::new(&scheme, &topo).with_threads(Threads::fixed(threads));
-        let mut reference = Reference::new(&scheme, &topo);
+        let mut reference = Reference::new(&scheme, &tree);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EC0);
         for epoch in 0..4u64 {
             let values: Vec<u64> = (0..n).map(|i| mix(seed ^ epoch, i) & 0xFFFF).collect();
@@ -907,13 +1114,12 @@ proptest! {
         threads in 1usize..9,
         streaming in any::<bool>(),
     ) {
-        let topo = random_topology(seed, n, fanout);
-        let flat = FlatTopology::from_topology(&topo);
+        let (topo, tree) = random_trees(seed, n, fanout);
         let epochs = 3u64;
 
         // The engine and the pipeline share one walk, so each is held
         // to the independent reference fold, not just to the other.
-        let mut reference = Reference::new(&WSUM, &topo);
+        let mut reference = Reference::new(&WSUM, &tree);
         let mut engine = Engine::new(&WSUM, &topo);
         let mut expected = Vec::new();
         for epoch in 0..epochs {
@@ -928,7 +1134,7 @@ proptest! {
         }
 
         let mut pipeline =
-            EpochPipeline::new(&WSUM, &flat, Threads::fixed(threads), streaming);
+            EpochPipeline::new(&WSUM, &topo, Threads::fixed(threads), streaming);
         let mut got = Vec::new();
         pipeline.run(
             0,
@@ -943,6 +1149,19 @@ proptest! {
             },
         );
         prop_assert_eq!(&got, &expected);
+    }
+}
+
+/// The smallest trees, which random sizes rarely reach: N = 1 and every
+/// fanout at or above N, for both builders over a few seeds.
+#[test]
+fn builders_agree_on_the_smallest_trees() {
+    for n in 1..=7u64 {
+        for fanout in 2..=6 {
+            for seed in 0..4 {
+                builders_agree(seed, n, fanout).unwrap();
+            }
+        }
     }
 }
 
@@ -966,27 +1185,29 @@ fn every_aggregator_fault_matches_reference_at_every_thread_count() {
     let radio = LossyRadio::new(0.3, 1);
     let recovery = RecoveryConfig::new(1, 0.5);
     let none = HashSet::new();
-    for topo in [
-        Topology::complete_tree(64, 4),
-        random_topology(0x5EED, 90, 5),
+    for (topo, tree) in [
+        (
+            Topology::complete_tree(64, 4),
+            RefTree::complete_tree(64, 4),
+        ),
+        random_trees(0x5EED, 90, 5),
     ] {
         let n = topo.num_sources();
         let values: Vec<u64> = (0..n).map(|i| mix(n, i) & 0xFFFF).collect();
-        let aggregators =
-            (0..topo.nodes().len()).filter(|&id| topo.node(id).role == Role::Aggregator);
+        let aggregators = (0..topo.num_nodes()).filter(|&id| !topo.is_source(id));
         for a in aggregators {
             let refusing = WeightedSum {
-                refuse_node: Some(merge_id(&topo, a)),
+                refuse_node: Some(merge_id(&tree, a)),
                 ..WSUM
             };
             let crashed = HashSet::from([a]);
             let links = || StdRng::seed_from_u64(mix(n, a as u64));
-            let abort = Reference::new(&refusing, &topo).epoch(0, &values, &none, &[]);
+            let abort = Reference::new(&refusing, &tree).epoch(0, &values, &none, &[]);
             assert!(
                 matches!(&abort.result, Err(SchemeError::Malformed(e)) if e.contains("refused")),
                 "aggregator {a}: its merge must be the one refused"
             );
-            let crash = Reference::new(&WSUM, &topo).recovering(
+            let crash = Reference::new(&WSUM, &tree).recovering(
                 0,
                 &values,
                 &crashed,
@@ -995,7 +1216,7 @@ fn every_aggregator_fault_matches_reference_at_every_thread_count() {
                 &recovery,
                 &mut links(),
             );
-            let silenced = Reference::new(&refusing, &topo).recovering(
+            let silenced = Reference::new(&refusing, &tree).recovering(
                 0,
                 &values,
                 &none,
@@ -1052,12 +1273,10 @@ fn sies_pipeline_matches_engine_deterministically() {
     let n = 96u64;
     let mut rng = StdRng::seed_from_u64(7);
     let dep = SiesDeployment::new(&mut rng, SystemParams::new(n).unwrap());
-    let mut topo_rng = StdRng::seed_from_u64(11);
-    let topo = Topology::random_tree(&mut topo_rng, n, 5);
-    let flat = FlatTopology::from_topology(&topo);
+    let (topo, tree) = random_trees(11, n, 5);
     let values = |epoch: u64| -> Vec<u64> { (0..n).map(|i| (epoch * 37 + i * 3) % 4999).collect() };
 
-    let mut reference = Reference::new(&dep, &topo);
+    let mut reference = Reference::new(&dep, &tree);
     let mut expected = Vec::new();
     for epoch in 0..3u64 {
         let want = reference.epoch(epoch, &values(epoch), &HashSet::new(), &[]);
@@ -1074,7 +1293,7 @@ fn sies_pipeline_matches_engine_deterministically() {
             .collect();
         assert_eq!(got, expected, "engine, threads={threads}");
         for streaming in [false, true] {
-            let mut pipeline = EpochPipeline::new(&dep, &flat, Threads::fixed(threads), streaming);
+            let mut pipeline = EpochPipeline::new(&dep, &topo, Threads::fixed(threads), streaming);
             let mut got = Vec::new();
             pipeline.run(
                 0,

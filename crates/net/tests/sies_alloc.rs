@@ -7,9 +7,10 @@
 //! walk's buffers and allocates only its reported contributor set. An
 //! evaluation over every source of an epoch the prewarm pool holds
 //! makes none at threads 1 or 2: it reads the pooled totals and runs no
-//! chunked sweep. And a deployment holds each source's key once: the
-//! heap it leaves resident grows by one 104-byte pre-absorbed key per
-//! source.
+//! chunked sweep. A deployment holds each source's key once: the heap
+//! it leaves resident grows by one 104-byte pre-absorbed key per source.
+//! The topology arena is all a built tree leaves on the heap, at most
+//! 40 bytes per node, and an engine borrows it without allocating.
 //!
 //! Lives in its own test binary because the counter is process-wide:
 //! any concurrently running test would add its own allocations.
@@ -20,9 +21,7 @@ use sies_core::{SourceId, SystemParams};
 use sies_net::pipeline::EpochPipeline;
 use sies_net::radio::LossyRadio;
 use sies_net::recovery::RecoveryConfig;
-use sies_net::{
-    AggregationScheme, Engine, FlatTopology, PrewarmPolicy, SiesDeployment, Threads, Topology,
-};
+use sies_net::{AggregationScheme, Engine, PrewarmPolicy, SiesDeployment, Threads, Topology};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -61,8 +60,7 @@ fn warm_epoch_allocs(n: u64, epochs: u64) -> u64 {
     let mut rng = StdRng::seed_from_u64(0xA110C);
     let dep = SiesDeployment::new(&mut rng, SystemParams::new(n).unwrap());
     let topo = Topology::complete_tree(n, 4);
-    let flat = FlatTopology::from_topology(&topo);
-    let mut pipeline = EpochPipeline::new(&dep, &flat, Threads::fixed(1), false);
+    let mut pipeline = EpochPipeline::new(&dep, &topo, Threads::fixed(1), false);
     let mut verified = 0u64;
     let mut run = |pipeline: &mut EpochPipeline<'_, SiesDeployment>, first: u64, epochs: u64| {
         pipeline.run(
@@ -152,6 +150,22 @@ fn deployment_heap(n: u64) -> usize {
     held
 }
 
+/// Heap bytes a freshly built `complete_tree(n, 4)` holds, with its
+/// [`Topology::bytes`] and node count, and the heap an engine over it
+/// holds.
+fn topology_heap(n: u64) -> (usize, usize, usize, usize) {
+    let mut rng = StdRng::seed_from_u64(0xA110C);
+    let dep = SiesDeployment::new(&mut rng, SystemParams::new(n).unwrap());
+    let before = LIVE.load(Ordering::Relaxed);
+    let topo = Topology::complete_tree(n, 4);
+    let held = LIVE.load(Ordering::Relaxed) - before;
+    let before = LIVE.load(Ordering::Relaxed);
+    let engine = Engine::new(&dep, &topo);
+    let engine_held = LIVE.load(Ordering::Relaxed) - before;
+    drop(engine);
+    (held, topo.bytes(), topo.num_nodes(), engine_held)
+}
+
 #[test]
 fn warm_sies_epochs_allocate_independently_of_population() {
     // Telemetry would allocate on first touch of each metric; the claim
@@ -165,6 +179,7 @@ fn warm_sies_epochs_allocate_independently_of_population() {
         pooled_evaluation_allocs(1024, 2),
     ];
     let per_source = (deployment_heap(4096) - deployment_heap(1024)) as f64 / 3072.0;
+    let topologies = [topology_heap(1024), topology_heap(4096)];
     sies_telemetry::clear_enabled();
     assert_eq!(
         small, large,
@@ -188,4 +203,16 @@ fn warm_sies_epochs_allocate_independently_of_population() {
         per_source <= 112.0,
         "a deployment holds {per_source:.1} heap bytes per source (budget: 112)"
     );
+    for (held, bytes, nodes, engine_held) in topologies {
+        assert_eq!(
+            held, bytes,
+            "a {nodes}-node tree holds {held} heap bytes, its arena {bytes}"
+        );
+        let per_node = held as f64 / nodes as f64;
+        assert!(
+            per_node <= 40.0,
+            "a {nodes}-node tree holds {per_node:.1} heap bytes per node (budget: 40)"
+        );
+        assert_eq!(engine_held, 0, "an engine over {nodes} nodes holds heap");
+    }
 }
