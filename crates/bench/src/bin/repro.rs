@@ -537,7 +537,6 @@ struct ThroughputArtifact {
     sweep: Vec<throughput::ThroughputPoint>,
     scale: Vec<throughput::ScalePoint>,
     prewarm: Vec<throughput::PrewarmPoint>,
-    soa_vs_legacy: Option<throughput::SoaComparison>,
 }
 
 fn throughput_exp(opts: &Options, threads: Threads, max_n: u64, out: &Path) {
@@ -597,7 +596,7 @@ fn throughput_exp(opts: &Options, threads: Threads, max_n: u64, out: &Path) {
     );
 
     // Prewarm on/off digest sweep: the precompute-ahead key pool must
-    // change no result byte at any thread count or streaming mode.
+    // change no result byte at any thread count.
     println!(
         "\n-- Prewarm: precompute-ahead epoch crypto on/off, N={}, threads {:?} --",
         throughput::THROUGHPUT_N[0],
@@ -609,7 +608,6 @@ fn throughput_exp(opts: &Options, threads: Threads, max_n: u64, out: &Path) {
         .map(|p| {
             vec![
                 p.threads.to_string(),
-                if p.streaming { "on" } else { "off" }.to_string(),
                 if p.prewarmed { "on" } else { "off" }.to_string(),
                 format!("{:.1}", p.epochs_per_sec),
                 fmt_ms(p.wall_ms),
@@ -623,7 +621,6 @@ fn throughput_exp(opts: &Options, threads: Threads, max_n: u64, out: &Path) {
         render_table(
             &[
                 "threads",
-                "stream",
                 "prewarm",
                 "epochs/s",
                 "wall",
@@ -635,29 +632,27 @@ fn throughput_exp(opts: &Options, threads: Threads, max_n: u64, out: &Path) {
     );
     println!(
         "prewarm digest oracle passed: warm and cold runs bit-identical at \
-         threads {:?} x streaming off/on",
+         threads {:?}",
         throughput::PREWARM_THREADS
     );
 
-    // Struct-of-arrays scale sweep: legacy serial reference vs the flat
-    // pipeline at 1/2/8 threads × streaming off/on, digest-asserted.
+    // Struct-of-arrays scale sweep: serial single-epoch reference vs
+    // clean runs at 1/2/8 threads, digest-asserted.
     let scale_ns: Vec<u64> = throughput::SCALE_N
         .iter()
         .copied()
         .filter(|&n| n <= max_n)
         .collect();
     let mut scale = Vec::new();
-    let mut comparison = None;
     if scale_ns.is_empty() {
         println!("scale sweep skipped (--max-n {max_n} below the smallest population)");
     } else {
         println!(
-            "\n-- Scale: struct-of-arrays pipeline, N up to {} --",
+            "\n-- Scale: clean runs over the struct-of-arrays arena, N up to {} --",
             scale_ns.last().unwrap()
         );
         // Epoch budget shrinks with N so the 1M point stays minutes, not
-        // hours, on a 1-core host; every point still runs >= 2 epochs so
-        // the streaming overlap path is exercised.
+        // hours, on a 1-core host; every point still runs >= 2 epochs.
         let epoch_budget = move |n: u64| epochs.min((200_000 / n).max(2));
         scale = throughput::scale_suite(opts.seed, &scale_ns, epoch_budget);
         let rows: Vec<Vec<String>> = scale
@@ -667,7 +662,6 @@ fn throughput_exp(opts: &Options, threads: Threads, max_n: u64, out: &Path) {
                     p.n.to_string(),
                     p.layout.clone(),
                     p.threads.to_string(),
-                    if p.streaming { "on" } else { "off" }.to_string(),
                     p.epochs.to_string(),
                     format!("{:.2}", p.epochs_per_sec),
                     fmt_ms(p.wall_ms),
@@ -682,13 +676,13 @@ fn throughput_exp(opts: &Options, threads: Threads, max_n: u64, out: &Path) {
         println!(
             "{}",
             render_table(
-                &["N", "layout", "threads", "stream", "epochs", "epochs/s", "wall", "B/node"],
+                &["N", "layout", "threads", "epochs", "epochs/s", "wall", "B/node"],
                 &rows
             )
         );
         println!(
             "serial-equivalence digest asserted: every SoA configuration \
-             (threads 1/2/8 x streaming off/on) matches the legacy engine per N"
+             (threads 1/2/8) matches the legacy serial reference per N"
         );
         // The largest SoA point's footprint feeds the telemetry gauge the
         // CI budget gate reads.
@@ -697,21 +691,6 @@ fn throughput_exp(opts: &Options, threads: Threads, max_n: u64, out: &Path) {
                 (p.arena_bytes + p.state_bytes) as usize,
                 p.nodes as usize,
             );
-        }
-
-        // Paired layout comparison at N=10k, same estimator as `repro micro`.
-        if max_n >= 10_000 {
-            let cmp = throughput::soa_vs_legacy(opts.seed, 10_000, 4, 5);
-            println!(
-                "SoA vs legacy layout at N=10000 (serial, paired-ratio median of \
-                 {} rounds x {} epochs): legacy {} soa {} -> {:.2}x",
-                cmp.rounds,
-                cmp.epochs_per_round,
-                fmt_ms(cmp.legacy_median_ms),
-                fmt_ms(cmp.soa_median_ms),
-                cmp.speedup
-            );
-            comparison = Some(cmp);
         }
     }
 
@@ -723,14 +702,12 @@ fn throughput_exp(opts: &Options, threads: Threads, max_n: u64, out: &Path) {
             lane_width: sies_crypto::lanes::lane_width(),
             scale_max_n: scale_ns.last().copied().unwrap_or(0),
             note: "speedup_vs_serial ~1.0 is expected when cpu_cores is 1; \
-                   bytes_per_node covers the flat arena plus the pipeline's epoch \
-                   buffers (two when streaming, else one)"
+                   bytes_per_node covers the flat arena plus the engine's epoch state"
                 .to_string(),
         },
         sweep: points,
         scale,
         prewarm,
-        soa_vs_legacy: comparison,
     };
     println!("detected {cpu_cores} CPU core(s)");
     let _ = write_json_seeded(out, "throughput", opts.seed, &artifact);

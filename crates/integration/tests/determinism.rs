@@ -11,8 +11,8 @@
 //!   aggregators, lossy radio, and covert attacks;
 //! * the chaos harness metrics and the serialized reliability JSON;
 //! * the throughput suite's SHA-256 digest oracle;
-//! * the streamed pipeline over a warm prewarm pool, whose every epoch
-//!   the querier evaluates from its pooled totals.
+//! * clean runs over a warm prewarm pool, whose every epoch the querier
+//!   evaluates from its pooled totals.
 //!
 //! CI runs this suite with `SIES_TEST_THREADS` ∈ {1, 2, 3, 8} to pin the
 //! guarantee on hosts with different core counts.
@@ -23,7 +23,6 @@ use sies_bench::experiments;
 use sies_bench::throughput::throughput_suite;
 use sies_core::SystemParams;
 use sies_net::engine::{Attack, Engine, EpochOutcome};
-use sies_net::pipeline::EpochPipeline;
 use sies_net::radio::LossyRadio;
 use sies_net::recovery::RecoveryConfig;
 use sies_net::{PrewarmPolicy, SiesDeployment, Threads, Topology};
@@ -115,7 +114,7 @@ fn epoch_pipeline_is_byte_identical_across_thread_counts() {
 fn recovery_runner_is_thread_count_invariant() {
     let dep = deployment(23);
     let topo = Topology::complete_tree(N, F);
-    let crashed_agg = topo.children(topo.root())[1] as usize;
+    let crashed_agg = topo.children(topo.root()).nth(1).unwrap();
     assert!(!topo.is_source(crashed_agg));
     let victim = topo.source_node(40).unwrap();
 
@@ -190,21 +189,21 @@ fn throughput_suite_digest_oracle_holds() {
     }
 }
 
-/// The streamed pipeline over a warm pool: every epoch of the run is
-/// derived ahead synchronously (no more than the default pool holds),
-/// so at every thread count, streaming off and on, each epoch's
-/// querier lookup hits and evaluation runs from the pooled totals —
-/// and the outcomes equal a cold deployment's. Hit counts are asserted
-/// only here, where no racing warmer decides them.
+/// A clean run over a warm pool: every epoch of the run is derived
+/// ahead synchronously (no more than the default pool holds), so at
+/// every thread count each epoch's querier lookup hits and evaluation
+/// runs from the pooled totals — and the outcomes equal a cold
+/// deployment's. Hit counts are asserted only here, where no racing
+/// warmer decides them.
 #[test]
 fn warm_pool_evaluations_match_cold_across_thread_counts() {
     const EPOCHS: u64 = 4;
     assert!(EPOCHS as usize <= PrewarmPolicy::default().capacity);
     let topo = Topology::complete_tree(N, F);
-    let run = |dep: &SiesDeployment, threads: usize, streaming: bool| {
-        let mut pipeline = EpochPipeline::new(dep, &topo, Threads::fixed(threads), streaming);
+    let run = |dep: &SiesDeployment, threads: usize| {
+        let mut engine = Engine::new(dep, &topo).with_threads(Threads::fixed(threads));
         let mut outs = Vec::new();
-        pipeline.run(
+        engine.run_epochs(
             0,
             EPOCHS,
             |epoch, vals| vals.copy_from_slice(&values(epoch)),
@@ -215,25 +214,23 @@ fn warm_pool_evaluations_match_cold_across_thread_counts() {
         );
         outs
     };
-    let cold = run(&deployment(31), 1, false);
+    let cold = run(&deployment(31), 1);
     assert!(cold.iter().all(|o| o.starts_with("Ok(")), "{cold:?}");
     for threads in thread_sweep() {
-        for streaming in [false, true] {
-            let warm = deployment(31).with_prewarm(PrewarmPolicy::default());
-            for epoch in 0..EPOCHS {
-                assert!(warm.prewarm_derive(epoch), "epoch {epoch} pooled");
-            }
-            assert_eq!(
-                run(&warm, threads, streaming),
-                cold,
-                "warm pool diverged at threads={threads} streaming={streaming}"
-            );
-            let stats = warm.prewarm_stats();
-            assert_eq!(
-                (stats.querier_hits, stats.querier_misses),
-                (EPOCHS, 0),
-                "querier lookups at threads={threads} streaming={streaming}"
-            );
+        let warm = deployment(31).with_prewarm(PrewarmPolicy::default());
+        for epoch in 0..EPOCHS {
+            assert!(warm.prewarm_derive(epoch), "epoch {epoch} pooled");
         }
+        assert_eq!(
+            run(&warm, threads),
+            cold,
+            "warm pool diverged at threads={threads}"
+        );
+        let stats = warm.prewarm_stats();
+        assert_eq!(
+            (stats.querier_hits, stats.querier_misses),
+            (EPOCHS, 0),
+            "querier lookups at threads={threads}"
+        );
     }
 }

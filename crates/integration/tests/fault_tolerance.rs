@@ -43,7 +43,7 @@ fn failed_aggregator_epoch_recovers_via_backup_parent() {
     let dep = sies(1);
     let topo = Topology::complete_tree(N, F);
     // Pick a real aggregator (a child of the sink), not a source.
-    let crashed_agg = topo.children(topo.root())[2] as usize;
+    let crashed_agg = topo.children(topo.root()).nth(2).unwrap();
     assert!(!topo.is_source(crashed_agg));
 
     let values: Vec<u64> = (0..N).map(|i| 1800 + 13 * i).collect();
@@ -83,7 +83,7 @@ fn failed_aggregator_epoch_recovers_via_backup_parent() {
 fn repair_composes_with_lossy_radio() {
     let dep = sies(3);
     let topo = Topology::complete_tree(N, F);
-    let crashed_agg = topo.children(topo.root())[0] as usize;
+    let crashed_agg = topo.children(topo.root()).start;
     let values = vec![100u64; N as usize];
     let mut engine = Engine::new(&dep, &topo);
     let mut rng = StdRng::seed_from_u64(4);

@@ -102,7 +102,7 @@ fn max_rank_inflation_at_aggregators_is_detected() {
 fn max_rank_inflation_is_detected_on_repaired_topology() {
     let dep = secoa(44);
     let topo = Topology::complete_tree(N, 4);
-    let crashed_agg = topo.children(topo.root())[1] as usize;
+    let crashed_agg = topo.children(topo.root()).nth(1).unwrap();
     assert!(!topo.is_source(crashed_agg));
     let values: Vec<u64> = (0..N).map(|i| 1900 + 53 * i).collect();
 

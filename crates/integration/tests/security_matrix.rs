@@ -32,7 +32,7 @@ fn attack_result<S: AggregationScheme>(scheme: &S, topo: &Topology, attacks: &[A
 
 fn attack_suite(topo: &Topology) -> Vec<(&'static str, Vec<Attack>)> {
     let victim_source = topo.source_node(5).unwrap();
-    let victim_agg = topo.children(topo.root())[0] as usize;
+    let victim_agg = topo.children(topo.root()).start;
     vec![
         (
             "tamper at source",

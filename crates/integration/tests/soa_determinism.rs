@@ -1,14 +1,13 @@
-//! Serial-equivalence oracle for the struct-of-arrays epoch pipeline at
-//! CI scale (the throughput smoke leg of the determinism matrix).
+//! Serial-equivalence oracle for clean runs over the struct-of-arrays
+//! arena at CI scale (the throughput smoke leg of the determinism
+//! matrix).
 //!
-//! One SIES deployment, one complete tree: the legacy pointer-tree
-//! engine run serially produces the reference SHA-256 digest; the SoA
-//! [`EpochPipeline`] must reproduce it bit-for-bit at threads
-//! {1, 2, 8} ∪ {`SIES_TEST_THREADS`} × streaming {off, on}. The
-//! population defaults to 2 000 and CI's determinism matrix raises it to
-//! 10 000 via `SIES_SOA_N`, so the exact configuration the acceptance
-//! criterion names ("digest asserted at threads 1/2/8, streaming
-//! on/off, N = 10k") runs on every push.
+//! One SIES deployment, one complete tree: serial single epochs
+//! ([`Engine::run_epoch`]) produce the reference SHA-256 digest; a clean
+//! run ([`Engine::run_epochs`]) must reproduce it bit-for-bit at threads
+//! {1, 2, 8} ∪ {`SIES_TEST_THREADS`}. The population defaults to 2 000
+//! and CI's determinism matrix raises it to 10 000 via `SIES_SOA_N`, so
+//! the digest is asserted at threads 1/2/8 and N = 10k on every push.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -16,7 +15,6 @@ use sies_core::SystemParams;
 use sies_crypto::hash::HashFunction;
 use sies_crypto::sha256::Sha256;
 use sies_net::engine::Engine;
-use sies_net::pipeline::EpochPipeline;
 use sies_net::scheme::SchemeError;
 use sies_net::{EvaluatedSum, SiesDeployment, Threads, Topology};
 
@@ -85,7 +83,7 @@ fn soa_pipeline_digest_matches_legacy_engine() {
     let dep = SiesDeployment::new(&mut rng, SystemParams::new(n).unwrap());
     let topo = Topology::complete_tree(n, 4);
 
-    // Legacy serial reference.
+    // Serial single-epoch reference.
     let reference = {
         let mut engine = Engine::new(&dep, &topo);
         let mut values_rng = StdRng::seed_from_u64(SEED ^ n ^ 0xEB0C);
@@ -104,52 +102,46 @@ fn soa_pipeline_digest_matches_legacy_engine() {
     };
 
     for threads in thread_sweep() {
-        for streaming in [false, true] {
-            let mut pipeline = EpochPipeline::new(&dep, &topo, Threads::fixed(threads), streaming);
-            let mut values_rng = StdRng::seed_from_u64(SEED ^ n ^ 0xEB0C);
-            let mut digest = Sha256::new();
-            pipeline.run(
-                0,
-                EPOCHS,
-                |_, values| {
-                    for v in values.iter_mut() {
-                        *v = values_rng.random_range(0..5000);
-                    }
-                },
-                |_, final_psr, result, contributors| {
-                    fold_epoch(&mut digest, final_psr, result, contributors);
-                },
-            );
-            assert_eq!(
-                hex(&digest.finalize()),
-                reference,
-                "SoA pipeline diverged from the legacy engine at N={n} \
-                 threads={threads} streaming={streaming}"
-            );
-        }
+        let mut engine = Engine::new(&dep, &topo).with_threads(Threads::fixed(threads));
+        let mut values_rng = StdRng::seed_from_u64(SEED ^ n ^ 0xEB0C);
+        let mut digest = Sha256::new();
+        engine.run_epochs(
+            0,
+            EPOCHS,
+            |_, values| {
+                for v in values.iter_mut() {
+                    *v = values_rng.random_range(0..5000);
+                }
+            },
+            |_, final_psr, result, contributors| {
+                fold_epoch(&mut digest, final_psr, result, contributors);
+            },
+        );
+        assert_eq!(
+            hex(&digest.finalize()),
+            reference,
+            "a clean run diverged from serial single epochs at N={n} threads={threads}"
+        );
     }
 }
 
-/// The pipeline's memory accounting must stay inside the stated budget:
-/// arena plus the epoch buffers a pipeline holds — one with streaming
-/// off, two with it on — within 112 and 256 bytes/node at the test
-/// population (the CI gate checks the same bounds on the 1M artifact).
+/// The engine's memory accounting must stay inside the stated budget:
+/// arena plus a clean run's epoch state within 112 bytes/node at the
+/// test population (the CI gate checks the same bound on the 1M
+/// artifact).
 #[test]
 fn soa_state_stays_inside_byte_budget() {
     let n = population();
     let mut rng = StdRng::seed_from_u64(SEED ^ n);
     let dep = SiesDeployment::new(&mut rng, SystemParams::new(n).unwrap());
     let topo = Topology::complete_tree(n, 4);
-    for (streaming, budget) in [(false, 112), (true, 256)] {
-        let mut pipeline = EpochPipeline::new(&dep, &topo, Threads::fixed(8), streaming);
-        // Warm every buffer so capacities reflect steady state.
-        pipeline.run(0, 2, |_, v| v.fill(1), |_, _, _, _| {});
-        let total = topo.bytes() + pipeline.state_bytes();
-        let per_node = total.div_ceil(topo.num_nodes());
-        assert!(
-            per_node <= budget,
-            "arena + epoch state is {per_node} B/node at N={n}, streaming={streaming} \
-             (budget: {budget})"
-        );
-    }
+    let mut engine = Engine::new(&dep, &topo).with_threads(Threads::fixed(8));
+    // Warm every buffer so capacities reflect steady state.
+    engine.run_epochs(0, 2, |_, v| v.fill(1), |_, _, _, _| {});
+    let total = topo.bytes() + engine.state_bytes();
+    let per_node = total.div_ceil(topo.num_nodes());
+    assert!(
+        per_node <= 112,
+        "arena + epoch state is {per_node} B/node at N={n} (budget: 112)"
+    );
 }

@@ -33,7 +33,7 @@ pub struct SiesDeployment {
     aggregator: Aggregator,
     querier: Querier,
     /// Precomputed next-epoch key material ([`crate::prewarm`]). Starts
-    /// disabled so existing callers see identical behavior; a pipeline
+    /// disabled so existing callers see identical behavior; a caller
     /// (or test) opts in via [`SiesDeployment::set_prewarm_policy`].
     /// Entries are `Arc`-shared so a lookup clones a pointer, not the
     /// per-source key vectors, and concurrent shard workers of one
@@ -358,7 +358,7 @@ mod tests {
         let dep = deployment(16);
         let topo = Topology::complete_tree(16, 4);
         let node = topo.source_node(5).unwrap();
-        let agg = topo.children(topo.root())[0] as usize;
+        let agg = topo.children(topo.root()).start;
         for attacks in [
             vec![Attack::TamperAtNode(node)],
             vec![Attack::DropAtNode(node)],

@@ -2,24 +2,32 @@
 //! with timing, byte and energy accounting plus failure and attack
 //! injection.
 //!
-//! An [`Engine`] borrows the caller's [`Topology`] arena, as the
-//! pipeline does, and holds no tree of its own. Every epoch runs through
-//! the same sharded post-order walk as
-//! [`crate::pipeline::EpochPipeline`]: honest failures, covert attacks
-//! and adoptions are translated to post-order positions once per epoch,
-//! so they change only which PSRs reach a merge, never how a merge
-//! works. [`Engine::run_epoch_recovering`] runs the walk under the
-//! recovery protocol: one draw from the caller's RNG keys a random
-//! stream per uplink, so its outcomes, like a clean epoch's, are the
-//! same at every thread count.
+//! An [`Engine`] borrows the caller's [`Topology`] arena and holds no
+//! tree of its own. It is the one epoch executor: every kind of epoch
+//! runs through the same sharded post-order walk (`crate::pipeline`).
 //!
-//! Each epoch's stats come from plain per-epoch counters; when
-//! telemetry is on they are added to the global registry once per
+//! * [`Engine::run_epochs`] runs consecutive clean epochs, with the
+//!   precompute-ahead warmer beside them when the scheme opts in. It
+//!   keeps no stats, journal or events, so a warm serial run allocates
+//!   nothing.
+//! * [`Engine::run_epoch_with`] runs one epoch with honest failures,
+//!   covert attacks and a receipt journal. Failures and attacks are
+//!   translated to post-order positions once per epoch, so they change
+//!   only which PSRs reach a merge, never how a merge works.
+//! * [`Engine::run_epoch_recovering`] runs the walk under the recovery
+//!   protocol: one draw from the caller's RNG keys a random stream per
+//!   uplink, so its outcomes, like a clean epoch's, are the same at
+//!   every thread count.
+//!
+//! The single-epoch runners' stats come from plain per-epoch counters;
+//! when telemetry is on they are added to the global registry once per
 //! epoch under the [`metric`] names.
 
 use crate::energy::RadioModel;
 use crate::journal::ReceiptJournal;
-use crate::pipeline::{cut, is_cut, plan_shards, Exec, Mark, Marked, Shard, Uplinks, WalkBuf};
+use crate::pipeline::{
+    cut, is_cut, plan_shards, with_warmer, Exec, Mark, Marked, Shard, Uplinks, WalkBuf,
+};
 use crate::radio::LossyRadio;
 use crate::recovery::{
     RecoveryConfig, RecoveryReport, ACK_BYTES, FAILURE_REPORT_BYTES, REATTACH_BYTES,
@@ -131,6 +139,20 @@ impl EdgeBytes {
             (data + self.retransmit + self.control) as f64 / data as f64
         }
     }
+}
+
+/// Per-epoch CPU breakdown handed to [`Engine::run_epochs`]' sink,
+/// mirroring [`EpochStats`]' source/aggregator/querier split.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EpochReport {
+    /// The epoch this report covers.
+    pub epoch: Epoch,
+    /// Summed in-worker source-init CPU time.
+    pub source_cpu_ns: u64,
+    /// Summed merge (+ sink finalize) CPU time.
+    pub merge_cpu_ns: u64,
+    /// Evaluation CPU time at the querier.
+    pub querier_cpu_ns: u64,
 }
 
 /// Measurements collected over one epoch.
@@ -504,6 +526,12 @@ struct Walk<P> {
     /// The failed subtrees, whose sources do not contribute, as
     /// ascending, disjoint post-order ranges.
     cuts: Vec<Range<usize>>,
+    /// A clean run's readings, `values[i]` for source `i`, filled by the
+    /// caller; empty until [`Engine::run_epochs`] first runs.
+    values: Vec<u64>,
+    /// Every source id in order: a clean run's contributor set. Empty
+    /// until [`Engine::run_epochs`] first runs.
+    everyone: Vec<SourceId>,
 }
 
 impl<P> Walk<P> {
@@ -514,7 +542,22 @@ impl<P> Walk<P> {
             shards,
             marks: Vec::new(),
             cuts: Vec::new(),
+            values: Vec::new(),
+            everyone: Vec::new(),
         }
+    }
+
+    /// Heap bytes held by the buffers.
+    fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        let deferred: usize = self.shards.iter().map(Shard::deferred_bytes).sum();
+        self.buf.bytes()
+            + self.shards.capacity() * size_of::<Shard>()
+            + deferred
+            + self.marks.capacity() * size_of::<Marked>()
+            + self.cuts.capacity() * size_of::<Range<usize>>()
+            + self.values.capacity() * size_of::<u64>()
+            + self.everyone.capacity() * size_of::<SourceId>()
     }
 
     /// Translates the epoch's `failed` nodes, `attacks` and the
@@ -661,6 +704,104 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
     /// used by harnesses that digest aggregates byte-for-byte.
     pub fn last_final_psr(&self) -> Option<&S::Psr> {
         self.prev_final.as_ref()
+    }
+
+    /// Heap bytes held by the engine's reusable epoch state: the walk's
+    /// shard plan and buffers, and a clean run's readings and
+    /// contributor list. Excludes the arena (add [`Topology::bytes`])
+    /// and the scheme's key material. Zero before the first epoch.
+    pub fn state_bytes(&self) -> usize {
+        self.walk.as_ref().map_or(0, Walk::bytes)
+    }
+
+    /// Runs `epochs` consecutive clean epochs starting at `first_epoch`,
+    /// through `first_epoch + epochs - 1` or `u64::MAX`, whichever comes
+    /// first: epochs past `u64::MAX` are not run.
+    ///
+    /// Per epoch, `fill(epoch, values)` writes the readings, one slot
+    /// per source, then `sink(report, final_psr, result, contributors)`
+    /// observes the outcome. Every source contributes. `final_psr`
+    /// follows [`last_final_psr`](Self::last_final_psr): set before
+    /// evaluation, stale on early aborts. Both callbacks run on the
+    /// calling thread, in epoch order.
+    ///
+    /// When the scheme opts into prewarm
+    /// ([`AggregationScheme::prewarm_enabled`]), a scoped warmer thread
+    /// precomputes upcoming epochs' key material during the run.
+    /// Unlike the single-epoch runners, `run_epochs` records no journal
+    /// receipt, builds no [`EpochStats`] and emits no events: after its
+    /// first epoch, a serial run without prewarm allocates nothing.
+    ///
+    /// ```
+    /// use rand::rngs::StdRng;
+    /// use rand::SeedableRng;
+    /// use sies_core::SystemParams;
+    /// use sies_net::deploy::SiesDeployment;
+    /// use sies_net::engine::Engine;
+    /// use sies_net::topology::Topology;
+    ///
+    /// let mut rng = StdRng::seed_from_u64(1);
+    /// let deployment = SiesDeployment::new(&mut rng, SystemParams::new(16).unwrap());
+    /// let topology = Topology::complete_tree(16, 4);
+    /// let mut engine = Engine::new(&deployment, &topology);
+    /// let mut sums = Vec::new();
+    /// engine.run_epochs(0, 2, |_, values| values.fill(3), |_, _, result, _| {
+    ///     sums.push(result.as_ref().unwrap().sum);
+    /// });
+    /// assert_eq!(sums, [48.0, 48.0]);
+    /// ```
+    pub fn run_epochs<F, G>(&mut self, first_epoch: Epoch, epochs: u64, mut fill: F, mut sink: G)
+    where
+        F: FnMut(Epoch, &mut [u64]),
+        G: FnMut(&EpochReport, Option<&S::Psr>, &Result<EvaluatedSum, SchemeError>, &[SourceId]),
+    {
+        if epochs == 0 {
+            return;
+        }
+        let last = first_epoch.saturating_add(epochs - 1);
+        let (topo, threads) = (self.topology, self.threads);
+        let walk = self.walk.get_or_insert_with(|| Walk::new(topo, threads));
+        if walk.everyone.is_empty() {
+            let n = topo.num_sources() as usize;
+            walk.values = vec![0; n];
+            walk.everyone = (0..n as SourceId).collect();
+        }
+        let exec = Exec {
+            scheme: self.scheme,
+            topo,
+            shards: &walk.shards,
+            contributors: &walk.everyone,
+            marks: &[],
+            replay: false,
+            threads,
+            uplinks: None,
+        };
+        let prev_final = &mut self.prev_final;
+        let mut run = |epoch| {
+            fill(epoch, &mut walk.values);
+            exec.produce(epoch, &walk.values, &mut walk.buf);
+            let (counts, result) = exec.consume(epoch, &mut walk.buf, prev_final);
+            let report = EpochReport {
+                epoch,
+                source_cpu_ns: counts.source_ns,
+                merge_cpu_ns: counts.aggregator_ns,
+                querier_cpu_ns: counts.querier_ns,
+            };
+            sink(&report, prev_final.as_ref(), &result, exec.contributors);
+        };
+        if self.scheme.prewarm_enabled() {
+            // The warmer (and its thread scope) exist only when the
+            // scheme opted in, so a run without prewarm stays
+            // allocation-free per epoch.
+            with_warmer(self.scheme, first_epoch, last, |gate| {
+                for epoch in first_epoch..=last {
+                    run(epoch);
+                    gate.advance(epoch);
+                }
+            });
+        } else {
+            (first_epoch..=last).for_each(run);
+        }
     }
 
     /// Runs a clean epoch: no failures, no attacks.
@@ -1068,7 +1209,7 @@ mod tests {
         let (topo, scheme) = engine_fixture(16, 4);
         let mut engine = Engine::new(&scheme, &topo);
         // Fail the first level-1 aggregator: 4 sources vanish.
-        let agg = topo.children(topo.root())[0] as usize;
+        let agg = topo.children(topo.root()).start;
         let failed: HashSet<NodeId> = [agg].into();
         let out = engine.run_epoch_with(0, &[5; 16], &failed, &[]);
         let res = out.result.unwrap();
@@ -1285,7 +1426,7 @@ mod tests {
             // Crash one aggregator: its 4 source children re-attach to
             // the root, and the epoch still sums ALL 16 sources.
             let (topo, scheme) = engine_fixture(16, 4);
-            let crashed_agg = topo.children(topo.root())[1] as usize;
+            let crashed_agg = topo.children(topo.root()).nth(1).unwrap();
             assert!(!topo.is_source(crashed_agg));
             let mut engine = Engine::new(&scheme, &topo);
             let values: Vec<u64> = (1..=16).collect();

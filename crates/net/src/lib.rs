@@ -14,16 +14,16 @@
 //! identically — the setup the paper's §VI experiments need.
 //!
 //! Every epoch runs through one sharded post-order walk over a
-//! [`topology::Topology`], which the caller builds once and every
-//! executor borrows. Its shards are cut at source-count quantiles
-//! anywhere in the tree, and the few ancestors that straddle a cut are
-//! merged by a serial join: [`engine::Engine`] drives it one epoch at a
-//! time with failures, attacks and a receipt journal, and
-//! [`pipeline::EpochPipeline`] drives it over runs of clean epochs with
-//! streaming and precompute-ahead. [`engine::Engine::run_epoch_recovering`]
-//! runs the same walk under the recovery protocol, with crashed nodes
-//! forwarding to their adopters and every uplink on its own random
-//! stream.
+//! [`topology::Topology`], which the caller builds once and the one
+//! executor, [`engine::Engine`], borrows. Its shards are cut at
+//! source-count quantiles anywhere in the tree, and the few ancestors
+//! that straddle a cut are merged by a serial join. The engine drives it
+//! over runs of clean epochs with precompute-ahead
+//! ([`engine::Engine::run_epochs`]), one epoch at a time with failures,
+//! attacks and a receipt journal ([`engine::Engine::run_epoch_with`]),
+//! and under the recovery protocol, with crashed nodes forwarding to
+//! their adopters and every uplink on its own random stream
+//! ([`engine::Engine::run_epoch_recovering`]).
 //!
 //! ```
 //! use rand::rngs::StdRng;
@@ -62,9 +62,10 @@ pub use chaos::{
 };
 pub use deploy::SiesDeployment;
 pub use energy::RadioModel;
-pub use engine::{Attack, EdgeBytes, Engine, EpochOutcome, EpochStats, RecoveredEpoch};
+pub use engine::{
+    Attack, EdgeBytes, Engine, EpochOutcome, EpochReport, EpochStats, RecoveredEpoch,
+};
 pub use journal::{fold_receipt, replay, JournalConfig, ReceiptJournal, ReplayedState};
-pub use pipeline::{EpochPipeline, EpochReport};
 pub use prewarm::{PrewarmPolicy, PrewarmPool, PrewarmStats};
 pub use query_engine::{QueryEngine, QueryOutcome};
 pub use recovery::{BackoffConfig, RecoveryConfig, RecoveryReport, UplinkOutcome};

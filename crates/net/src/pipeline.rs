@@ -1,13 +1,13 @@
-//! The epoch walk, and the streamed struct-of-arrays epoch pipeline for
-//! million-sensor populations built on it.
+//! The epoch walk over the struct-of-arrays arena, for populations up
+//! to a million sensors.
 //!
 //! The walk (`Exec`: `produce` then `consume`) is the one execution
-//! path of an epoch: [`EpochPipeline::run`] drives it on the clean path,
-//! [`crate::engine::Engine::run_epoch_with`] drives it with the epoch's
-//! honest failures and covert attacks, translated once per epoch to
-//! marks on post-order positions, and
-//! [`crate::engine::Engine::run_epoch_recovering`] drives it under the
-//! recovery protocol. Over the [`Topology`] arena it gives:
+//! path of an epoch, and [`Engine`] is its one executor:
+//! [`Engine::run_epochs`] drives it over runs of clean epochs,
+//! [`Engine::run_epoch_with`] with the epoch's honest failures and
+//! covert attacks, translated once per epoch to marks on post-order
+//! positions, and [`Engine::run_epoch_recovering`] under the recovery
+//! protocol. Over the [`Topology`] arena it gives:
 //!
 //! * **Sharding at source quantiles.** Every subtree is a contiguous
 //!   segment of the arena's post-order, so the walk cuts the post-order
@@ -38,41 +38,35 @@
 //!   cut post-order range, from which the engine reads the contributor
 //!   set. A deferred node's cut swallows earlier shards' cuts inside its
 //!   subtree, and its recovery events land in walk order.
-//! * **Epoch streaming.** With `streaming` enabled, the pipeline holds
-//!   two epoch buffers (otherwise one), which alternate through a
-//!   one-producer hand-off: while the main thread
-//!   merges/evaluates epoch `t`, a producer thread runs source init for
-//!   epoch `t+1` in the other buffer. Results are identical with
-//!   streaming on or off because the phases of one epoch never reorder —
-//!   only phases of *different* epochs overlap.
 //! * **Precompute-ahead.** When the scheme opts in
 //!   ([`AggregationScheme::prewarm_enabled`]), a scoped warmer thread
 //!   derives upcoming epochs' key material during the inter-epoch idle
 //!   gap, paced by the consumer's progress watermark (no polling). For
 //!   SIES that is both halves of Eq. 9's per-epoch PRFs: the sources'
 //!   keys and shares, and the querier's `K_t⁻¹`, `Σ k_{i,t}` and
-//!   `Σ ss_{i,t}`, which the pipeline's contributor list (every source
+//!   `Σ ss_{i,t}`, which a clean run's contributor list (every source
 //!   in id order) lets a pooled epoch's evaluation use as they are, so
 //!   the epoch is the encrypts, the merges and one decrypt.
 //!   Digests cannot change: the scheme's pool contract requires pooled
 //!   material to reproduce on-demand derivation bit-for-bit, so the
 //!   warmer may lag, race, or be absent without observable effect.
 //! * **No per-source allocation in steady state.** All per-epoch state
-//!   (values, jobs, init results, merge stacks) lives in the reused
-//!   `EpochBuf`s (one per epoch in flight); schemes write init results
-//!   through [`AggregationScheme::batch_source_init_into`]. After a
-//!   warm-up epoch per buffer, the pipeline itself performs no heap
-//!   allocation per epoch at `threads = 1` (the `alloc_free`
-//!   integration test pins this with a counting allocator and a trivial
-//!   scheme). SIES adds none of its own: its PRF sweeps run in stack
-//!   tiles, its epoch cipher and `K_t⁻¹` use the Montgomery context
-//!   built at setup, and a serial evaluation sums in place, so a warm
-//!   SIES epoch makes zero allocations (the `sies_alloc` test). With
-//!   `threads > 1` the first shard runs on the calling thread and each
-//!   of the other `threads − 1` is a scoped-worker spawn; the spawns
-//!   and the parallel evaluation's chunk vectors allocate a constant
-//!   number of times per epoch, whatever the population (an evaluation
-//!   from pooled totals runs no chunks, so it allocates nothing).
+//!   (readings, jobs, init results, merge stacks) lives in the engine's
+//!   reused walk buffers; schemes write init results through
+//!   [`AggregationScheme::batch_source_init_into`]. After a warm-up
+//!   epoch, [`Engine::run_epochs`] itself performs no heap allocation
+//!   per epoch at `threads = 1` (the `alloc_free` integration test pins
+//!   this with a counting allocator and a trivial scheme). SIES adds
+//!   none of its own: its PRF sweeps run in stack tiles, its epoch
+//!   cipher and `K_t⁻¹` use the Montgomery context built at setup, and a
+//!   serial evaluation sums in place, so a warm SIES epoch makes zero
+//!   allocations (the `sies_alloc` test). With `threads > 1` the first
+//!   shard runs on the calling thread and each of the other
+//!   `threads − 1` is a scoped-worker spawn; the spawns and the parallel
+//!   evaluation's chunk vectors allocate a constant number of times per
+//!   epoch, whatever the population: 10 times at `threads = 2`, which
+//!   `sies_alloc` pins too. An evaluation from pooled totals runs no
+//!   chunks, so it allocates nothing.
 //!
 //! ## Merge order
 //!
@@ -83,12 +77,12 @@
 //! the child failed, was dropped or was duplicated — is reversed before
 //! the scheme sees it, and the sink's window, which the join leaves on
 //! the first shard's stack in post order, is reversed into child order.
-//! The `flat_equivalence` tests hold the engine and the pipeline to an
+//! The `flat_equivalence` tests hold every kind of epoch to an
 //! independent recursive fold over a pointer tree of their own, built
 //! from the same inputs by its own builders; `soa_determinism` pins the
-//! digests across thread counts and streaming modes.
+//! digests across thread counts.
 
-use crate::engine::EpochCounts;
+use crate::engine::{Engine, EpochCounts, EpochReport};
 use crate::radio::LossyRadio;
 use crate::recovery::{uplink_stream, RecoveryConfig, ACK_BYTES, NACK_BYTES, RESOLICIT_BYTES};
 use crate::scheme::{AggregationScheme, EvaluatedSum, SchemeError};
@@ -112,6 +106,13 @@ pub(crate) struct Shard {
     /// ascending position, all proper ancestors of its first position.
     /// The shard walk defers them to the join.
     deferred: Vec<u32>,
+}
+
+impl Shard {
+    /// Heap bytes of the deferred list.
+    pub(crate) fn deferred_bytes(&self) -> usize {
+        self.deferred.capacity() * std::mem::size_of::<u32>()
+    }
 }
 
 /// What one epoch does to a node besides the clean path: an honest
@@ -343,116 +344,8 @@ impl<P> WalkBuf<P> {
         self.shards.iter().map(|st| st.jobs.len() as u64).sum()
     }
 
-    fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         self.shards.iter().map(ShardState::bytes).sum()
-    }
-}
-
-/// One epoch's worth of pipeline buffers: the readings and the walk's.
-/// The pipeline owns one, or two that alternate when streaming.
-struct EpochBuf<P> {
-    /// `values[i]` is source `i`'s reading, filled by the caller.
-    values: Vec<u64>,
-    walk: WalkBuf<P>,
-}
-
-impl<P> EpochBuf<P> {
-    fn new(shards: &[Shard], values: usize) -> Self {
-        EpochBuf {
-            values: vec![0u64; values],
-            walk: WalkBuf::new(shards),
-        }
-    }
-
-    fn bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.values.capacity() * size_of::<u64>() + self.walk.bytes()
-    }
-}
-
-/// Per-epoch CPU breakdown handed to the sink callback, mirroring the
-/// engine's source/aggregator/querier split.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EpochReport {
-    /// The epoch this report covers.
-    pub epoch: Epoch,
-    /// Summed in-worker source-init CPU time.
-    pub source_cpu_ns: u64,
-    /// Summed merge (+ sink finalize) CPU time.
-    pub merge_cpu_ns: u64,
-    /// Evaluation CPU time at the querier.
-    pub querier_cpu_ns: u64,
-}
-
-/// A single-slot rendezvous channel: `Mutex<Option<T>>` + condvars, so
-/// buffer hand-off moves values without allocating or spinning.
-struct Mailbox<T> {
-    slot: Mutex<MailSlot<T>>,
-    cv: Condvar,
-}
-
-struct MailSlot<T> {
-    item: Option<T>,
-    closed: bool,
-}
-
-impl<T> Mailbox<T> {
-    fn new() -> Self {
-        Mailbox {
-            slot: Mutex::new(MailSlot {
-                item: None,
-                closed: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Deposits `item`, blocking while the slot is full. Dropped
-    /// silently if the mailbox closed (only happens during unwinding).
-    fn send(&self, item: T) {
-        let mut slot = self.slot.lock().expect("mailbox poisoned");
-        while slot.item.is_some() && !slot.closed {
-            slot = self.cv.wait(slot).expect("mailbox poisoned");
-        }
-        if slot.closed {
-            return;
-        }
-        slot.item = Some(item);
-        self.cv.notify_all();
-    }
-
-    /// Takes the next item, blocking while the slot is empty; `None`
-    /// once the mailbox is closed and drained.
-    fn recv(&self) -> Option<T> {
-        let mut slot = self.slot.lock().expect("mailbox poisoned");
-        loop {
-            if let Some(item) = slot.item.take() {
-                self.cv.notify_all();
-                return Some(item);
-            }
-            if slot.closed {
-                return None;
-            }
-            slot = self.cv.wait(slot).expect("mailbox poisoned");
-        }
-    }
-
-    /// Closes the mailbox: blocked and future `recv`s drain then return
-    /// `None`; future `send`s become no-ops.
-    fn close(&self) {
-        let mut slot = self.slot.lock().expect("mailbox poisoned");
-        slot.closed = true;
-        self.cv.notify_all();
-    }
-}
-
-/// Closes a mailbox when dropped, so a panicking thread can never leave
-/// its peer blocked forever.
-struct CloseOnDrop<'m, T>(&'m Mailbox<T>);
-
-impl<T> Drop for CloseOnDrop<'_, T> {
-    fn drop(&mut self) {
-        self.0.close();
     }
 }
 
@@ -460,7 +353,7 @@ impl<T> Drop for CloseOnDrop<'_, T> {
 /// publishes its progress watermark (last fully consumed epoch) and the
 /// warmer blocks here between re-planning passes, so precomputation
 /// runs exactly during the inter-epoch gaps instead of polling.
-struct WarmGate {
+pub(crate) struct WarmGate {
     state: Mutex<(Option<Epoch>, bool)>,
     cv: Condvar,
 }
@@ -474,7 +367,7 @@ impl WarmGate {
     }
 
     /// Publishes that `epoch` is fully consumed.
-    fn advance(&self, epoch: Epoch) {
+    pub(crate) fn advance(&self, epoch: Epoch) {
         let mut st = self.state.lock().expect("warm gate poisoned");
         st.0 = Some(epoch);
         self.cv.notify_all();
@@ -541,6 +434,25 @@ fn warm_loop<S: AggregationScheme>(scheme: &S, gate: &WarmGate, first_epoch: Epo
     }
 }
 
+/// Runs `epochs` beside a scoped warmer thread that precomputes key
+/// material for epochs up to `last`, paced by the watermark `epochs`
+/// publishes through the gate. The gate closes when `epochs` returns or
+/// unwinds, so the warmer never outlives it.
+pub(crate) fn with_warmer<S: AggregationScheme>(
+    scheme: &S,
+    first_epoch: Epoch,
+    last: Epoch,
+    epochs: impl FnOnce(&WarmGate),
+) {
+    let gate = WarmGate::new();
+    std::thread::scope(|scope| {
+        let g = &gate;
+        scope.spawn(move || warm_loop(scheme, g, first_epoch, last));
+        let _close = WarmGateGuard(g);
+        epochs(g);
+    });
+}
+
 /// The recovery protocol a recovering epoch runs every uplink under.
 #[derive(Clone, Copy)]
 pub(crate) struct Uplinks<'a> {
@@ -550,9 +462,8 @@ pub(crate) struct Uplinks<'a> {
     pub(crate) draw: u64,
 }
 
-/// The epoch walk's immutable view: the one execution path behind
-/// [`EpochPipeline::run`] and every [`crate::engine::Engine`] epoch,
-/// shared between the main thread and the streaming producer.
+/// The epoch walk's immutable view: the one execution path behind every
+/// [`Engine`] epoch.
 pub(crate) struct Exec<'a, S: AggregationScheme> {
     pub(crate) scheme: &'a S,
     pub(crate) topo: &'a Topology,
@@ -1027,26 +938,6 @@ impl<S: AggregationScheme> Exec<'_, S> {
         counts.querier_ns = now_ns(t1);
         (counts, result)
     }
-
-    /// Consumes one produced epoch and hands its outcome to `sink`.
-    fn deliver<G>(
-        &self,
-        epoch: Epoch,
-        buf: &mut WalkBuf<S::Psr>,
-        last_final: &mut Option<S::Psr>,
-        sink: &mut G,
-    ) where
-        G: FnMut(&EpochReport, Option<&S::Psr>, &Result<EvaluatedSum, SchemeError>, &[SourceId]),
-    {
-        let (counts, result) = self.consume(epoch, buf, last_final);
-        let report = EpochReport {
-            epoch,
-            source_cpu_ns: counts.source_ns,
-            merge_cpu_ns: counts.aggregator_ns,
-            querier_cpu_ns: counts.querier_ns,
-        };
-        sink(&report, last_final.as_ref(), &result, self.contributors);
-    }
 }
 
 /// Cuts the post-order below the sink into `min(threads, sources)`
@@ -1099,214 +990,45 @@ pub(crate) fn plan_shards(topo: &Topology, threads: usize) -> Vec<Shard> {
         .collect()
 }
 
-/// The streamed clean-path epoch runner over a borrowed [`Topology`].
-///
-/// ```
-/// use rand::rngs::StdRng;
-/// use rand::SeedableRng;
-/// use sies_core::{SystemParams, Threads};
-/// use sies_net::deploy::SiesDeployment;
-/// use sies_net::pipeline::EpochPipeline;
-/// use sies_net::topology::Topology;
-///
-/// let mut rng = StdRng::seed_from_u64(1);
-/// let deployment = SiesDeployment::new(&mut rng, SystemParams::new(16).unwrap());
-/// let topology = Topology::complete_tree(16, 4);
-/// let mut pipeline = EpochPipeline::new(&deployment, &topology, Threads::serial(), false);
-/// let mut sums = Vec::new();
-/// pipeline.run(0, 2, |_, values| values.fill(3), |_, _, result, _| {
-///     sums.push(result.as_ref().unwrap().sum);
-/// });
-/// assert_eq!(sums, [48.0, 48.0]);
-/// ```
-pub struct EpochPipeline<'a, S: AggregationScheme> {
-    scheme: &'a S,
-    topo: &'a Topology,
-    threads: usize,
-    streaming: bool,
-    shards: Vec<Shard>,
-    contributors: Vec<SourceId>,
-    /// One `EpochBuf` per epoch in flight: one, or two alternating when
-    /// streaming. Empty only transiently inside [`run`](Self::run).
-    bufs: Vec<EpochBuf<S::Psr>>,
-    last_final: Option<S::Psr>,
-}
+/// The clean-path executor's former type: [`Engine::run_epochs`] behind
+/// the constructor `benchmark/src/sut.rs` calls. Kept only for that
+/// file; the next benchmark change drops it.
+pub struct EpochPipeline<'a, S: AggregationScheme>(Engine<'a, S>);
 
 impl<'a, S: AggregationScheme> EpochPipeline<'a, S> {
-    /// Builds a pipeline over `topo` with the given worker count.
-    /// `streaming` overlaps epoch `t+1`'s source phase with epoch `t`'s
-    /// merge/evaluate on a dedicated producer thread.
-    pub fn new(scheme: &'a S, topo: &'a Topology, threads: Threads, streaming: bool) -> Self {
-        let threads = threads.resolve();
-        let shards = plan_shards(topo, threads);
-        let n_sources = topo.num_sources() as usize;
-        let in_flight = if streaming { 2 } else { 1 };
-        let bufs = (0..in_flight)
-            .map(|_| EpochBuf::new(&shards, n_sources))
-            .collect();
-        EpochPipeline {
-            scheme,
-            topo,
-            threads,
-            streaming,
-            shards,
-            contributors: (0..n_sources as SourceId).collect(),
-            bufs,
-            last_final: None,
-        }
+    /// An [`Engine`] over `topo` with `threads` workers. The last
+    /// argument is ignored.
+    pub fn new(scheme: &'a S, topo: &'a Topology, threads: Threads, _streaming: bool) -> Self {
+        EpochPipeline(Engine::new(scheme, topo).with_threads(threads))
     }
 
-    /// The resolved worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Whether epoch streaming is enabled.
-    pub fn streaming(&self) -> bool {
-        self.streaming
-    }
-
-    /// The final PSR of the most recent completed epoch (what the
-    /// querier saw) — the engine's `last_final_psr` counterpart.
-    pub fn last_final_psr(&self) -> Option<&S::Psr> {
-        self.last_final.as_ref()
-    }
-
-    /// Heap bytes held by the pipeline's reusable epoch state (its epoch
-    /// buffers — two when streaming, else one — plus shard bookkeeping),
-    /// the pipeline's share of the bytes-per-node budget. Excludes the
-    /// arena — add [`Topology::bytes`] — and the scheme's key
-    /// material.
-    pub fn state_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let bufs: usize = self.bufs.iter().map(EpochBuf::bytes).sum();
-        let deferred: usize = self.shards.iter().map(|s| s.deferred.capacity()).sum();
-        bufs + self.shards.capacity() * size_of::<Shard>()
-            + deferred * size_of::<u32>()
-            + self.contributors.capacity() * size_of::<SourceId>()
-    }
-
-    /// Runs `epochs` consecutive epochs starting at `first_epoch`.
-    ///
-    /// Per epoch, `fill(epoch, values)` populates the readings (one slot
-    /// per source), then `sink(report, final_psr, result, contributors)`
-    /// observes the outcome — `final_psr` follows the engine's replay
-    /// cache semantics (set before evaluation, stale on early aborts).
-    /// Both callbacks run on the calling thread, in epoch order, even
-    /// when streaming.
-    pub fn run<F, G>(&mut self, first_epoch: Epoch, epochs: u64, mut fill: F, mut sink: G)
+    /// [`Engine::run_epochs`].
+    pub fn run<F, G>(&mut self, first_epoch: Epoch, epochs: u64, fill: F, sink: G)
     where
         F: FnMut(Epoch, &mut [u64]),
         G: FnMut(&EpochReport, Option<&S::Psr>, &Result<EvaluatedSum, SchemeError>, &[SourceId]),
     {
-        if epochs == 0 {
-            return;
-        }
-        let mut bufs = std::mem::take(&mut self.bufs);
-        let mut last_final = self.last_final.take();
-        let exec = Exec {
-            scheme: self.scheme,
-            topo: self.topo,
-            shards: &self.shards,
-            contributors: &self.contributors,
-            marks: &[],
-            replay: false,
-            threads: self.threads,
-            uplinks: None,
-        };
-        let last = first_epoch + epochs - 1;
+        self.0.run_epochs(first_epoch, epochs, fill, sink);
+    }
 
-        let prewarm = self.scheme.prewarm_enabled();
-        let gate = WarmGate::new();
+    /// [`Engine::last_final_psr`].
+    pub fn last_final_psr(&self) -> Option<&S::Psr> {
+        self.0.last_final_psr()
+    }
 
-        if !self.streaming {
-            let front = bufs.first_mut().expect("buffers present between runs");
-            if prewarm {
-                // The scoped warmer (and the scope itself) only exist
-                // when the scheme opted in — the prewarm-off serial path
-                // must stay allocation-free per epoch.
-                std::thread::scope(|scope| {
-                    let (scheme, g) = (self.scheme, &gate);
-                    scope.spawn(move || warm_loop(scheme, g, first_epoch, last));
-                    let _close = WarmGateGuard(&gate);
-                    for epoch in first_epoch..=last {
-                        fill(epoch, &mut front.values);
-                        exec.produce(epoch, &front.values, &mut front.walk);
-                        exec.deliver(epoch, &mut front.walk, &mut last_final, &mut sink);
-                        gate.advance(epoch);
-                    }
-                });
-            } else {
-                for epoch in first_epoch..=last {
-                    fill(epoch, &mut front.values);
-                    exec.produce(epoch, &front.values, &mut front.walk);
-                    exec.deliver(epoch, &mut front.walk, &mut last_final, &mut sink);
-                }
-            }
-            self.bufs = bufs;
-            self.last_final = last_final;
-            return;
-        }
-
-        // Streaming: a scoped producer runs `produce` for epoch t+1
-        // while this thread consumes epoch t. `bufs` holds the idle
-        // buffers; the mailboxes move them by value (three Vec pointers).
-        let to_producer: Mailbox<(Epoch, EpochBuf<S::Psr>)> = Mailbox::new();
-        let to_consumer: Mailbox<(Epoch, EpochBuf<S::Psr>)> = Mailbox::new();
-        std::thread::scope(|scope| {
-            let exec = &exec;
-            let tp = &to_producer;
-            let tc = &to_consumer;
-            scope.spawn(move || {
-                // Closing on exit (or panic) unblocks the consumer.
-                let _close = CloseOnDrop(tc);
-                while let Some((epoch, mut buf)) = tp.recv() {
-                    exec.produce(epoch, &buf.values, &mut buf.walk);
-                    tc.send((epoch, buf));
-                }
-            });
-            if prewarm {
-                let (scheme, g) = (self.scheme, &gate);
-                scope.spawn(move || warm_loop(scheme, g, first_epoch, last));
-            }
-            // Symmetric guards: a panicking consumer unblocks the
-            // producer and the warmer.
-            let _close = CloseOnDrop(tp);
-            let _close_gate = WarmGateGuard(&gate);
-
-            let mut front = bufs.pop().expect("buffers present between runs");
-            fill(first_epoch, &mut front.values);
-            tp.send((first_epoch, front));
-            for epoch in first_epoch..=last {
-                if epoch < last {
-                    let mut next = bufs.pop().expect("a spare buffer is always free");
-                    fill(epoch + 1, &mut next.values);
-                    tp.send((epoch + 1, next));
-                }
-                let (produced_epoch, mut buf) = tc
-                    .recv()
-                    .expect("producer terminated before the last epoch");
-                debug_assert_eq!(produced_epoch, epoch, "epochs hand off in order");
-                exec.deliver(epoch, &mut buf.walk, &mut last_final, &mut sink);
-                gate.advance(epoch);
-                bufs.push(buf);
-            }
-            tp.close();
-        });
-        debug_assert_eq!(bufs.len(), 2, "both buffers return to the pool");
-        self.bufs = bufs;
-        self.last_final = last_final;
+    /// [`Engine::state_bytes`].
+    pub fn state_bytes(&self) -> usize {
+        self.0.state_bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Engine;
 
     /// A transparent scheme (plain sum + contribution count) mirroring
-    /// the engine's test scheme, so pipeline behaviour is observable
-    /// without cryptography.
+    /// the engine's test scheme, so clean runs are observable without
+    /// cryptography.
     struct PlainSum;
 
     #[derive(Clone, Copy, Debug, PartialEq)]
@@ -1364,16 +1086,13 @@ mod tests {
         }
     }
 
-    fn run_collect(
-        topo: &Topology,
-        threads: usize,
-        streaming: bool,
-        epochs: u64,
-    ) -> Vec<(Option<PlainPsr>, Result<EvaluatedSum, SchemeError>)> {
-        let mut pipeline = EpochPipeline::new(&PlainSum, topo, Threads::fixed(threads), streaming);
+    type Seen = Vec<(Option<PlainPsr>, Result<EvaluatedSum, SchemeError>)>;
+
+    /// What the sink sees over `epochs` clean epochs from `first`.
+    fn run_from(engine: &mut Engine<'_, PlainSum>, first: Epoch, epochs: u64) -> Seen {
         let mut seen = Vec::new();
-        pipeline.run(
-            0,
+        engine.run_epochs(
+            first,
             epochs,
             |epoch, values| {
                 for (i, v) in values.iter_mut().enumerate() {
@@ -1387,6 +1106,11 @@ mod tests {
         seen
     }
 
+    fn run_collect(topo: &Topology, threads: usize, epochs: u64) -> Seen {
+        let mut engine = Engine::new(&PlainSum, topo).with_threads(Threads::fixed(threads));
+        run_from(&mut engine, 0, epochs)
+    }
+
     #[test]
     fn matches_engine_for_every_config() {
         let topo = Topology::complete_tree(64, 4);
@@ -1398,11 +1122,54 @@ mod tests {
             expected.push((engine.last_final_psr().copied(), out.result));
         }
         for threads in [1, 2, 3, 8] {
-            for streaming in [false, true] {
-                let got = run_collect(&topo, threads, streaming, 4);
-                assert_eq!(got, expected, "threads={threads} streaming={streaming}");
-            }
+            let got = run_collect(&topo, threads, 4);
+            assert_eq!(got, expected, "threads={threads}");
         }
+    }
+
+    /// The shim ignores its last argument: either value runs
+    /// [`Engine::run_epochs`].
+    #[test]
+    fn pipeline_shim_runs_the_engine() {
+        let topo = Topology::complete_tree(64, 4);
+        let expected = run_collect(&topo, 2, 4);
+        for ignored in [false, true] {
+            let mut pipeline = EpochPipeline::new(&PlainSum, &topo, Threads::fixed(2), ignored);
+            let mut got = Vec::new();
+            pipeline.run(
+                0,
+                4,
+                |epoch, values| {
+                    for (i, v) in values.iter_mut().enumerate() {
+                        *v = epoch * 1000 + i as u64;
+                    }
+                },
+                |_, final_psr, result, _| got.push((final_psr.copied(), result.clone())),
+            );
+            assert_eq!(got, expected, "last argument {ignored}");
+            assert_eq!(pipeline.last_final_psr(), expected[3].0.as_ref());
+            let mut engine = Engine::new(&PlainSum, &topo).with_threads(Threads::fixed(2));
+            run_from(&mut engine, 0, 4);
+            assert_eq!(pipeline.state_bytes(), engine.state_bytes());
+        }
+    }
+
+    /// A run that reaches `u64::MAX` stops there instead of overflowing.
+    #[test]
+    fn runs_stop_at_the_last_epoch() {
+        let topo = Topology::complete_tree(8, 2);
+        let mut engine = Engine::new(&PlainSum, &topo);
+        let mut epochs = Vec::new();
+        engine.run_epochs(
+            u64::MAX - 1,
+            5,
+            |_, values| values.fill(1),
+            |report, _, result, _| {
+                assert_eq!(result.as_ref().unwrap().sum, 8.0);
+                epochs.push(report.epoch);
+            },
+        );
+        assert_eq!(epochs, [u64::MAX - 1, u64::MAX]);
     }
 
     /// The planner cuts the post-order at source quantiles anywhere in
@@ -1466,12 +1233,10 @@ mod tests {
         for seed in 0..5u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let topo = Topology::random_tree(&mut rng, 37 + seed * 11, 5);
-            let serial = run_collect(&topo, 1, false, 3);
+            let serial = run_collect(&topo, 1, 3);
             for threads in [2, 4, 16] {
-                for streaming in [false, true] {
-                    let got = run_collect(&topo, threads, streaming, 3);
-                    assert_eq!(got, serial, "seed={seed} threads={threads}");
-                }
+                let got = run_collect(&topo, threads, 3);
+                assert_eq!(got, serial, "seed={seed} threads={threads}");
             }
         }
     }
@@ -1479,7 +1244,7 @@ mod tests {
     #[test]
     fn single_source_tree() {
         let topo = Topology::complete_tree(1, 2);
-        let seen = run_collect(&topo, 4, true, 2);
+        let seen = run_collect(&topo, 4, 2);
         assert_eq!(seen[0].1.as_ref().unwrap().sum, 0.0);
         assert_eq!(seen[1].1.as_ref().unwrap().sum, 1000.0);
     }
@@ -1487,17 +1252,18 @@ mod tests {
     #[test]
     fn buffers_survive_across_runs() {
         let topo = Topology::complete_tree(16, 4);
-        let mut pipeline = EpochPipeline::new(&PlainSum, &topo, Threads::serial(), true);
+        let mut engine = Engine::new(&PlainSum, &topo);
+        assert_eq!(engine.state_bytes(), 0);
         let mut count = 0usize;
-        pipeline.run(0, 3, |_, v| v.fill(1), |_, _, _, _| count += 1);
-        let bytes = pipeline.state_bytes();
+        engine.run_epochs(0, 3, |_, v| v.fill(1), |_, _, _, _| count += 1);
+        let bytes = engine.state_bytes();
         assert!(bytes > 0);
-        pipeline.run(3, 3, |_, v| v.fill(2), |_, _, _, _| count += 1);
+        engine.run_epochs(3, 3, |_, v| v.fill(2), |_, _, _, _| count += 1);
         assert_eq!(count, 6);
         // Warm buffers: a second run must not have grown the state.
-        assert_eq!(pipeline.state_bytes(), bytes);
+        assert_eq!(engine.state_bytes(), bytes);
         assert_eq!(
-            pipeline.last_final_psr(),
+            engine.last_final_psr(),
             Some(&PlainPsr { sum: 32, count: 16 })
         );
     }
@@ -1511,15 +1277,15 @@ mod tests {
         use sies_core::SystemParams;
 
         let topo = Topology::complete_tree(32, 4);
-        let run = |policy: Option<PrewarmPolicy>, threads: usize, streaming: bool| {
+        let run = |policy: Option<PrewarmPolicy>, threads: usize| {
             let mut rng = StdRng::seed_from_u64(5);
             let dep = SiesDeployment::new(&mut rng, SystemParams::new(32).unwrap());
             if let Some(p) = policy {
                 dep.set_prewarm_policy(p);
             }
-            let mut pipeline = EpochPipeline::new(&dep, &topo, Threads::fixed(threads), streaming);
+            let mut engine = Engine::new(&dep, &topo).with_threads(Threads::fixed(threads));
             let mut outs = Vec::new();
-            pipeline.run(
+            engine.run_epochs(
                 0,
                 6,
                 |epoch, values| {
@@ -1533,23 +1299,18 @@ mod tests {
             );
             (outs, dep.prewarm_stats())
         };
-        let (cold, cold_stats) = run(None, 1, false);
+        let (cold, cold_stats) = run(None, 1);
         assert_eq!(cold_stats.derived, 0, "disabled pool stays inert");
         for threads in [1, 2, 8] {
-            for streaming in [false, true] {
-                let (warm, stats) = run(Some(PrewarmPolicy::default()), threads, streaming);
-                assert_eq!(
-                    warm, cold,
-                    "prewarm changed results at threads={threads} streaming={streaming}"
-                );
-                // The warmer's initial fill-ahead (epochs 1 and 2) runs
-                // unconditionally before the gate can close; later
-                // derivations race the main loop and may or may not land.
-                assert!(
-                    stats.derived >= 2,
-                    "warmer never derived (threads={threads} streaming={streaming}): {stats:?}"
-                );
-            }
+            let (warm, stats) = run(Some(PrewarmPolicy::default()), threads);
+            assert_eq!(warm, cold, "prewarm changed results at threads={threads}");
+            // The warmer's initial fill-ahead (epochs 1 and 2) runs
+            // unconditionally before the gate can close; later
+            // derivations race the main loop and may or may not land.
+            assert!(
+                stats.derived >= 2,
+                "warmer never derived (threads={threads}): {stats:?}"
+            );
         }
     }
 
@@ -1600,9 +1361,9 @@ mod tests {
             }
         }
         let topo = Topology::complete_tree(8, 2);
-        let mut pipeline = EpochPipeline::new(&Rejecting, &topo, Threads::serial(), false);
+        let mut engine = Engine::new(&Rejecting, &topo);
         let mut finals = Vec::new();
-        pipeline.run(
+        engine.run_epochs(
             0,
             3,
             |_, v| v.fill(5),

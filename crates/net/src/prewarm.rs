@@ -7,7 +7,7 @@
 //! instead of on the epoch's critical path. This module supplies the
 //! policy and the pool; [`crate::deploy::SiesDeployment`] provides the
 //! derivation and consumption (one entry per epoch, a sources' half and
-//! a querier's half), and [`crate::pipeline::EpochPipeline`] paces a
+//! a querier's half), and [`crate::engine::Engine::run_epochs`] paces a
 //! background warmer thread.
 //!
 //! The two halves are looked up and counted apart: [`PrewarmPool::lookup`]

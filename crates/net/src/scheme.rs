@@ -114,8 +114,9 @@ pub trait AggregationScheme: Sync {
     }
 
     /// Whether this scheme can precompute upcoming epochs' key material
-    /// during idle gaps. When `true`, epoch drivers (the streamed
-    /// pipeline) pace a background warmer that calls
+    /// during idle gaps. When `true`, a clean run
+    /// ([`Engine::run_epochs`](crate::engine::Engine::run_epochs)) paces a
+    /// background warmer that calls
     /// [`prewarm_epoch`](Self::prewarm_epoch) ahead of the engine's
     /// watermark. Default: `false` (no prewarm support).
     fn prewarm_enabled(&self) -> bool {

@@ -15,10 +15,14 @@
 //! children are therefore consecutive ids in child order, every parent
 //! id exceeds its children's, and the sink is the last node.
 //!
-//! Node ids index dense `u32` vectors: every node's children occupy one
-//! contiguous `(start, len)` range of a single child array, and the
-//! post-order the epoch walk follows is computed once, at build time.
-//! Two layout facts carry the walk (`crate::pipeline`):
+//! Node ids index dense `u32` vectors. Under this numbering a node's
+//! children are the id range `start..start + len`, source `s` is node
+//! `s`, and node `v` is a source exactly when `v < N`, so the arena
+//! stores no child list and no source map. It holds seven arrays: each
+//! node's `(start, len)`, parent, depth, subtree size and post-order
+//! position, and the post-order the epoch walk follows, all computed
+//! once at build time. Two layout facts carry the walk
+//! (`crate::pipeline`):
 //!
 //! * **Subtree contiguity.** In the post-order array the subtree of any
 //!   node `v` is the contiguous segment ending at `v`'s own position
@@ -29,7 +33,7 @@
 //!   cannot merge alone are the ones whose segment begins before it —
 //!   proper ancestors of its first position, known from the ranges.
 //! * **Dense `u32` indices.** All per-node state is `u32`, so the arena
-//!   costs ~40 bytes/node ([`bytes`](Topology::bytes)) and a
+//!   costs 28 bytes/node ([`bytes`](Topology::bytes)) and a
 //!   10⁶-sensor tree fits comfortably in cache-friendly flat storage.
 //!
 //! The `flat_equivalence` tests hold both builders, and every epoch
@@ -47,8 +51,6 @@ pub type NodeId = usize;
 
 /// Sentinel for "no node" in the `u32` arrays (the sink's parent).
 const NO_NODE: u32 = u32::MAX;
-/// Sentinel marking an aggregator in the `source_of` array.
-const NOT_SOURCE: u32 = u32::MAX;
 
 /// The within-epoch re-homing plan for children orphaned by crashed
 /// nodes (recovery protocol, see `sies_net::recovery`).
@@ -75,18 +77,12 @@ impl RepairPlan {
 pub struct Topology {
     /// Parent of each node (`NO_NODE` for the sink).
     parent: Vec<u32>,
-    /// Start of each node's child range in `children`.
+    /// First id of each node's child range.
     child_start: Vec<u32>,
     /// Length of each node's child range.
     child_len: Vec<u32>,
-    /// All child lists, concatenated in node-id order.
-    children: Vec<u32>,
     /// Hop distance from the sink.
     depth: Vec<u32>,
-    /// Source id of each node, or `NOT_SOURCE` for aggregators.
-    source_of: Vec<u32>,
-    /// Node hosting each source id.
-    source_node: Vec<u32>,
     /// Post-order traversal (children before parents, last child first).
     post: Vec<u32>,
     /// Position of each node in `post`.
@@ -162,9 +158,8 @@ impl Topology {
         child_len.resize(sources, 0);
         child_len.extend_from_slice(&groups);
         drop(groups);
-        // Groups take each level's nodes in id order, so the child lists,
-        // concatenated in node-id order, are every node but the sink.
-        let children: Vec<u32> = (0..root as u32).collect();
+        // Groups take each level's nodes in id order, so each node's
+        // children are the ids that follow its predecessor's.
         let mut child_start = Vec::with_capacity(n);
         let mut parent = Vec::with_capacity(n);
         let mut next_child = 0u32;
@@ -179,10 +174,6 @@ impl Topology {
         for id in (0..root).rev() {
             depth[id] = depth[parent[id] as usize] + 1;
         }
-        let source_of: Vec<u32> = (0..n as u32)
-            .map(|id| if id < sources as u32 { id } else { NOT_SOURCE })
-            .collect();
-        let source_node: Vec<u32> = (0..sources as u32).collect();
 
         // Children are pushed in order and popped in reverse, so the walk
         // visits each node's last child first.
@@ -193,9 +184,8 @@ impl Topology {
                 post.push(id);
             } else {
                 stack.push((id, true));
-                let s = child_start[id as usize] as usize;
-                let l = child_len[id as usize] as usize;
-                for &c in &children[s..s + l] {
+                let s = child_start[id as usize];
+                for c in s..s + child_len[id as usize] {
                     stack.push((c, false));
                 }
             }
@@ -210,22 +200,15 @@ impl Topology {
         let mut subtree_size = vec![0u32; n];
         for &id in &post {
             let s = child_start[id as usize] as usize;
-            let l = child_len[id as usize] as usize;
-            let mut size = 1u32;
-            for &c in &children[s..s + l] {
-                size += subtree_size[c as usize];
-            }
-            subtree_size[id as usize] = size;
+            let kids = &subtree_size[s..s + child_len[id as usize] as usize];
+            subtree_size[id as usize] = 1 + kids.iter().sum::<u32>();
         }
 
         Topology {
             parent,
             child_start,
             child_len,
-            children,
             depth,
-            source_of,
-            source_node,
             post,
             post_index,
             subtree_size,
@@ -257,10 +240,11 @@ impl Topology {
         }
     }
 
-    /// This node's children as a dense slice (empty for sources).
-    pub fn children(&self, id: NodeId) -> &[u32] {
+    /// This node's children, consecutive ids in child order (empty for
+    /// sources).
+    pub fn children(&self, id: NodeId) -> Range<NodeId> {
         let s = self.child_start[id] as usize;
-        &self.children[s..s + self.child_len[id] as usize]
+        s..s + self.child_len[id] as usize
     }
 
     /// Hop distance from the sink (sink = 0).
@@ -268,25 +252,19 @@ impl Topology {
         self.depth[id] as usize
     }
 
-    /// True when `id` is a source leaf.
+    /// True when `id` is a source leaf: sources are nodes `0..N`.
     pub fn is_source(&self, id: NodeId) -> bool {
-        self.source_of[id] != NOT_SOURCE
+        (id as u64) < self.num_sources
     }
 
-    /// The source id hosted at `id`, if it is a source.
+    /// The source id hosted at `id`, if it is a source: its node id.
     pub fn source_id(&self, id: NodeId) -> Option<SourceId> {
-        match self.source_of[id] {
-            NOT_SOURCE => None,
-            sid => Some(sid as SourceId),
-        }
+        self.is_source(id).then_some(id as SourceId)
     }
 
-    /// The node hosting `source`, in O(1).
+    /// The node hosting `source`: node `source`, when it exists.
     pub fn source_node(&self, source: SourceId) -> Option<NodeId> {
-        match self.source_node.get(source as usize) {
-            Some(&n) if n != NO_NODE => Some(n as usize),
-            _ => None,
-        }
+        self.is_source(source as NodeId).then_some(source as NodeId)
     }
 
     /// The precomputed post-order traversal (children before parents,
@@ -363,10 +341,7 @@ impl Topology {
         (self.parent.capacity()
             + self.child_start.capacity()
             + self.child_len.capacity()
-            + self.children.capacity()
             + self.depth.capacity()
-            + self.source_of.capacity()
-            + self.source_node.capacity()
             + self.post.capacity()
             + self.post_index.capacity()
             + self.subtree_size.capacity())
@@ -385,11 +360,11 @@ impl Topology {
             ));
         }
         for id in 0..n {
-            for &c in self.children(id) {
-                if self.parent(c as usize) != Some(id) {
+            for c in self.children(id) {
+                if self.parent(c) != Some(id) {
                     return Err(format!("child {c} does not point back to {id}"));
                 }
-                let cr = self.subtree_range(c as usize);
+                let cr = self.subtree_range(c);
                 let pr = self.subtree_range(id);
                 if cr.start < pr.start || cr.end > pr.end {
                     return Err(format!("subtree of {c} escapes its parent {id}'s range"));
@@ -433,8 +408,8 @@ mod tests {
 
     /// The post-order of `id`'s subtree by recursion: last child first.
     fn post_order_of(t: &Topology, id: NodeId, out: &mut Vec<u32>) {
-        for &c in t.children(id).iter().rev() {
-            post_order_of(t, c as usize, out);
+        for c in t.children(id).rev() {
+            post_order_of(t, c, out);
         }
         out.push(id as u32);
     }
@@ -475,8 +450,8 @@ mod tests {
         assert_eq!(order.len(), t.num_nodes());
         let mut seen = vec![false; t.num_nodes()];
         for &id in order {
-            for &c in t.children(id as usize) {
-                assert!(seen[c as usize], "child {c} visited after parent {id}");
+            for c in t.children(id as usize) {
+                assert!(seen[c], "child {c} visited after parent {id}");
             }
             seen[id as usize] = true;
         }
@@ -492,7 +467,7 @@ mod tests {
     #[test]
     fn sources_under_subtree_is_partial() {
         let t = Topology::complete_tree(16, 4);
-        let first_agg = t.children(t.root())[0] as usize;
+        let first_agg = t.children(t.root()).start;
         let s = sources_under(&t, first_agg);
         assert!(!s.is_empty() && s.len() < 16);
     }
@@ -529,10 +504,10 @@ mod tests {
     #[test]
     fn backup_parent_is_grandparent() {
         let t = Topology::complete_tree(16, 4);
-        let agg = t.children(t.root())[0] as usize;
+        let agg = t.children(t.root()).start;
         let crashed: HashSet<NodeId> = [agg].into();
-        for &child in t.children(agg) {
-            assert_eq!(t.backup_parent(child as usize, &crashed), Some(t.root()));
+        for child in t.children(agg) {
+            assert_eq!(t.backup_parent(child, &crashed), Some(t.root()));
         }
     }
 
@@ -541,18 +516,18 @@ mod tests {
         // 64 sources, fanout 2: deep tree. Crash a node and its parent;
         // the orphan must re-home two levels up.
         let t = Topology::complete_tree(64, 2);
-        let l1 = t.children(t.root())[0] as usize;
-        let l2 = t.children(l1)[0] as usize;
+        let l1 = t.children(t.root()).start;
+        let l2 = t.children(l1).start;
         let crashed: HashSet<NodeId> = [l1, l2].into();
-        for &child in t.children(l2) {
-            assert_eq!(t.backup_parent(child as usize, &crashed), Some(t.root()));
+        for child in t.children(l2) {
+            assert_eq!(t.backup_parent(child, &crashed), Some(t.root()));
         }
     }
 
     #[test]
     fn repair_plan_adopts_all_orphans() {
         let t = Topology::complete_tree(16, 4);
-        let agg = t.children(t.root())[1] as usize;
+        let agg = t.children(t.root()).nth(1).unwrap();
         let crashed: HashSet<NodeId> = [agg].into();
         let plan = t.repair_plan(&crashed);
         assert_eq!(plan.adoptions.len(), t.children(agg).len());
@@ -584,19 +559,17 @@ mod tests {
         // aggregators 10, 11, 12, and those the sink 13.
         let t = Topology::complete_tree(10, 4);
         t.validate().unwrap();
-        let kids = |id| t.children(id).to_vec();
-        assert_eq!(kids(10), [0, 1, 2, 3]);
-        assert_eq!(kids(11), [4, 5, 6, 7]);
-        assert_eq!(kids(12), [8, 9]);
-        assert_eq!(kids(13), [10, 11, 12]);
+        assert_eq!(t.children(10), 0..4);
+        assert_eq!(t.children(11), 4..8);
+        assert_eq!(t.children(12), 8..10);
+        assert_eq!(t.children(13), 10..13);
         assert_eq!(t.root(), 13);
         assert_eq!((t.depth(13), t.depth(12), t.depth(9)), (0, 1, 2));
         let mut rng = StdRng::seed_from_u64(9);
         let t = Topology::random_tree(&mut rng, 47, 5);
         for id in 0..t.num_nodes() {
             assert_eq!(t.source_id(id), (id < 47).then_some(id as SourceId));
-            let c = t.children(id);
-            assert!(c.windows(2).all(|w| w[1] == w[0] + 1), "node {id}: {c:?}");
+            assert!(t.children(id).all(|c| t.parent(c) == Some(id)), "node {id}");
             if let Some(p) = t.parent(id) {
                 assert!(p > id && t.depth(id) == t.depth(p) + 1);
             }
@@ -642,9 +615,9 @@ mod tests {
     fn repair_plans_for_nested_crashes() {
         let t = Topology::complete_tree(64, 4);
         let root = t.root();
-        let agg = t.children(root)[1] as usize;
-        let lower = t.children(agg)[0] as usize;
-        let kids = |id: NodeId| t.children(id).iter().map(|&c| c as NodeId);
+        let agg = t.children(root).nth(1).unwrap();
+        let lower = t.children(agg).start;
+        let kids = |id: NodeId| t.children(id);
         let adopted_by_root = |ids: Vec<NodeId>| ids.into_iter().map(|c| (c, root)).collect();
         assert!(t.repair_plan(&HashSet::new()).is_empty());
         let plan = t.repair_plan(&HashSet::from([agg]));
@@ -663,6 +636,6 @@ mod tests {
     fn arena_stays_under_byte_budget() {
         let t = Topology::complete_tree(10_000, 4);
         let per_node = t.bytes() as f64 / t.num_nodes() as f64;
-        assert!(per_node < 64.0, "arena costs {per_node:.1} B/node");
+        assert!(per_node <= 28.0, "arena costs {per_node:.1} B/node");
     }
 }

@@ -1,16 +1,13 @@
-//! Counting-allocator oracle for the streamed epoch pipeline: after a
-//! warm-up, a `threads = 1` run performs **zero** heap allocations per
-//! epoch at N = 10 000, in both streaming modes.
+//! Counting-allocator oracle for clean runs
+//! ([`Engine::run_epochs`](sies_net::Engine::run_epochs)): after a
+//! warm-up, a `threads = 1` run performs **zero** heap allocations at
+//! N = 10 000, for the whole run, not just per epoch.
 //!
 //! The test swaps in a global allocator that counts `alloc`/`realloc`
-//! calls and compares runs of different epoch counts: any per-epoch
-//! allocation would make the longer run strictly more expensive. The
-//! non-streaming path is additionally held to *zero* allocations for the
-//! whole run, not just per epoch.
+//! calls around a warm run.
 
-use sies_net::pipeline::EpochPipeline;
 use sies_net::scheme::{AggregationScheme, EvaluatedSum, SchemeError};
-use sies_net::{Threads, Topology};
+use sies_net::{Engine, Threads, Topology};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -41,7 +38,7 @@ fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
-/// A trivial `Copy`-PSR scheme so the oracle measures the pipeline's own
+/// A trivial `Copy`-PSR scheme so the oracle measures the engine's own
 /// allocations, not a scheme's internal batching.
 struct PlainSum;
 
@@ -96,12 +93,12 @@ impl AggregationScheme for PlainSum {
     }
 }
 
-/// Runs `epochs` epochs on a warm pipeline and returns how many
-/// allocation events the run performed.
-fn allocs_for_run(pipeline: &mut EpochPipeline<'_, PlainSum>, first: u64, epochs: u64) -> u64 {
+/// Runs `epochs` clean epochs and returns how many allocation events
+/// the run performed.
+fn allocs_for_run(engine: &mut Engine<'_, PlainSum>, first: u64, epochs: u64) -> u64 {
     let mut checksum = 0u64;
     let before = allocs();
-    pipeline.run(
+    engine.run_epochs(
         first,
         epochs,
         |epoch, values| {
@@ -121,32 +118,17 @@ fn allocs_for_run(pipeline: &mut EpochPipeline<'_, PlainSum>, first: u64, epochs
 #[test]
 fn steady_state_epochs_allocate_nothing() {
     // Telemetry spans/gauges would allocate on first touch of each
-    // metric; the claim under test is the pipeline's, so switch them off
+    // metric; the claim under test is the engine's, so switch them off
     // exactly like a headless deployment would (SIES_TELEMETRY=off).
     sies_telemetry::set_enabled(false);
 
     let topo = Topology::complete_tree(10_000, 4);
-
-    // --- Non-streaming, threads = 1: strictly zero after warm-up. ---
-    let mut pipeline = EpochPipeline::new(&PlainSum, &topo, Threads::fixed(1), false);
-    allocs_for_run(&mut pipeline, 0, 3); // warm-up grows every buffer
-    let steady = allocs_for_run(&mut pipeline, 3, 5);
+    let mut engine = Engine::new(&PlainSum, &topo).with_threads(Threads::fixed(1));
+    allocs_for_run(&mut engine, 0, 3); // warm-up grows every buffer
+    let steady = allocs_for_run(&mut engine, 3, 5);
     assert_eq!(
         steady, 0,
-        "non-streaming serial pipeline must not allocate at all once warm"
-    );
-
-    // --- Streaming: the scoped producer thread is one fixed per-run
-    // cost, so compare two warm runs of different lengths — any
-    // per-epoch allocation would separate them. ---
-    let mut streaming = EpochPipeline::new(&PlainSum, &topo, Threads::fixed(1), true);
-    allocs_for_run(&mut streaming, 0, 3); // warm-up
-    let short = allocs_for_run(&mut streaming, 3, 4);
-    let long = allocs_for_run(&mut streaming, 7, 24);
-    assert_eq!(
-        short, long,
-        "streaming pipeline allocated per epoch: {short} allocs over 4 epochs \
-         vs {long} over 24"
+        "a serial clean run must not allocate at all once warm"
     );
 
     sies_telemetry::clear_enabled();

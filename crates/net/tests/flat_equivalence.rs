@@ -8,12 +8,12 @@
 //!   placement, post-order, subtree ranges and repair plans under random
 //!   crash sets, and `random_tree` must leave the caller's RNG where the
 //!   reference's builder leaves it. No test converts one into the other.
-//! * [`Engine::run_epoch_with`] and [`EpochPipeline::run`] must agree
+//! * [`Engine::run_epoch_with`] and [`Engine::run_epochs`] must agree
 //!   with [`Reference`], a recursive fold over the [`RefTree`] that
 //!   shares no code with `sies-net`'s topology or walk: same verdicts,
 //!   final PSRs, replay cache, contributors, run counts and per-class
 //!   bytes, under random failures, covert attacks, rejected readings and
-//!   refused merges, at every thread count and streaming mode.
+//!   refused merges, at every thread count.
 //! * [`Engine::run_epoch_recovering`] must agree with the reference's
 //!   recovering fold, which keeps per-node contributor lists and poison
 //!   flags where the walk keeps cut ranges, under random crash sets,
@@ -29,7 +29,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use sies_net::engine::{Attack, EdgeBytes, Engine, EpochOutcome, RecoveredEpoch};
-use sies_net::pipeline::EpochPipeline;
 use sies_net::radio::LossyRadio;
 use sies_net::recovery::{
     uplink_stream, RecoveryConfig, RecoveryReport, ACK_BYTES, FAILURE_REPORT_BYTES, NACK_BYTES,
@@ -917,7 +916,7 @@ fn builders_agree(seed: u64, n: u64, fanout: usize) -> Result<(), TestCaseError>
         for (id, node) in tree.nodes.iter().enumerate() {
             prop_assert_eq!(topo.parent(id), node.parent);
             prop_assert_eq!(topo.depth(id), node.depth);
-            let kids: Vec<NodeId> = topo.children(id).iter().map(|&c| c as NodeId).collect();
+            let kids: Vec<NodeId> = topo.children(id).collect();
             prop_assert_eq!(&kids, &node.children);
             let sid = match node.role {
                 Role::Source(sid) => Some(sid),
@@ -1112,12 +1111,11 @@ proptest! {
         n in 1u64..90,
         fanout in 2usize..6,
         threads in 1usize..9,
-        streaming in any::<bool>(),
     ) {
         let (topo, tree) = random_trees(seed, n, fanout);
         let epochs = 3u64;
 
-        // The engine and the pipeline share one walk, so each is held
+        // Single epochs and clean runs share one walk, so each is held
         // to the independent reference fold, not just to the other.
         let mut reference = Reference::new(&WSUM, &tree);
         let mut engine = Engine::new(&WSUM, &topo);
@@ -1133,10 +1131,9 @@ proptest! {
             expected.push((want.last_final, want.result, want.contributors));
         }
 
-        let mut pipeline =
-            EpochPipeline::new(&WSUM, &topo, Threads::fixed(threads), streaming);
+        let mut engine = Engine::new(&WSUM, &topo).with_threads(Threads::fixed(threads));
         let mut got = Vec::new();
-        pipeline.run(
+        engine.run_epochs(
             0,
             epochs,
             |epoch, values| {
@@ -1263,7 +1260,7 @@ fn every_aggregator_fault_matches_reference_at_every_thread_count() {
 }
 
 /// One deterministic SIES case so the cryptographic scheme (not just
-/// the transparent one) is pinned through the engine and the pipeline
+/// the transparent one) is pinned through single epochs and clean runs
 /// against the reference fold.
 #[test]
 fn sies_pipeline_matches_engine_deterministically() {
@@ -1291,19 +1288,17 @@ fn sies_pipeline_matches_engine_deterministically() {
                 (engine.last_final_psr().map(|p| p.to_bytes()), result)
             })
             .collect();
-        assert_eq!(got, expected, "engine, threads={threads}");
-        for streaming in [false, true] {
-            let mut pipeline = EpochPipeline::new(&dep, &topo, Threads::fixed(threads), streaming);
-            let mut got = Vec::new();
-            pipeline.run(
-                0,
-                3,
-                |epoch, slots| slots.copy_from_slice(&values(epoch)),
-                |_, final_psr, result, _| {
-                    got.push((final_psr.map(|p| p.to_bytes()), result.clone()));
-                },
-            );
-            assert_eq!(got, expected, "threads={threads} streaming={streaming}");
-        }
+        assert_eq!(got, expected, "single epochs, threads={threads}");
+        let mut engine = Engine::new(&dep, &topo).with_threads(Threads::fixed(threads));
+        let mut got = Vec::new();
+        engine.run_epochs(
+            0,
+            3,
+            |epoch, slots| slots.copy_from_slice(&values(epoch)),
+            |_, final_psr, result, _| {
+                got.push((final_psr.map(|p| p.to_bytes()), result.clone()));
+            },
+        );
+        assert_eq!(got, expected, "clean run, threads={threads}");
     }
 }

@@ -1,8 +1,12 @@
-//! Counting-allocator oracle for SIES on the streamed epoch pipeline: a
-//! warm `threads = 1` epoch makes no heap allocation at all — not in the
-//! lane-batched PRF sweeps at the sources, not in the epoch cipher, not
-//! in the querier's Σss recomputation, `K_t⁻¹` or decryption — and so
-//! none per source, whatever the population. A warm recovering epoch
+//! Counting-allocator oracle for SIES on clean runs
+//! ([`Engine::run_epochs`]): a warm `threads = 1` epoch makes no heap
+//! allocation at all — not in the lane-batched PRF sweeps at the
+//! sources, not in the epoch cipher, not in the querier's Σss
+//! recomputation, `K_t⁻¹` or decryption — and so none per source,
+//! whatever the population. A warm `threads = 2` epoch makes the same
+//! few allocations at every population: the scoped spawns of the walk
+//! and of the parallel evaluation, and the evaluation's two chunk
+//! vectors, 10 in all where a spawn makes 4. A warm recovering epoch
 //! over a lossy radio stays within a small constant too: it reuses the
 //! walk's buffers and allocates only its reported contributor set. An
 //! evaluation over every source of an epoch the prewarm pool holds
@@ -10,7 +14,7 @@
 //! chunked sweep. A deployment holds each source's key once: the heap
 //! it leaves resident grows by one 104-byte pre-absorbed key per source.
 //! The topology arena is all a built tree leaves on the heap, at most
-//! 40 bytes per node, and an engine borrows it without allocating.
+//! 28 bytes per node, and an engine borrows it without allocating.
 //!
 //! Lives in its own test binary because the counter is process-wide:
 //! any concurrently running test would add its own allocations.
@@ -18,7 +22,6 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sies_core::{SourceId, SystemParams};
-use sies_net::pipeline::EpochPipeline;
 use sies_net::radio::LossyRadio;
 use sies_net::recovery::RecoveryConfig;
 use sies_net::{AggregationScheme, Engine, PrewarmPolicy, SiesDeployment, Threads, Topology};
@@ -54,16 +57,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocation events of `epochs` verified SIES epochs over `n` sources,
-/// after two warm-up epochs have grown every reusable buffer.
-fn warm_epoch_allocs(n: u64, epochs: u64) -> u64 {
+/// Allocation events of `epochs` verified SIES epochs over `n` sources
+/// at `threads`, after two warm-up epochs have grown every reusable
+/// buffer.
+fn warm_epoch_allocs(n: u64, threads: usize, epochs: u64) -> u64 {
     let mut rng = StdRng::seed_from_u64(0xA110C);
     let dep = SiesDeployment::new(&mut rng, SystemParams::new(n).unwrap());
     let topo = Topology::complete_tree(n, 4);
-    let mut pipeline = EpochPipeline::new(&dep, &topo, Threads::fixed(1), false);
+    let mut engine = Engine::new(&dep, &topo).with_threads(Threads::fixed(threads));
     let mut verified = 0u64;
-    let mut run = |pipeline: &mut EpochPipeline<'_, SiesDeployment>, first: u64, epochs: u64| {
-        pipeline.run(
+    let mut run = |engine: &mut Engine<'_, SiesDeployment>, first: u64, epochs: u64| {
+        engine.run_epochs(
             first,
             epochs,
             |epoch, values| {
@@ -77,12 +81,26 @@ fn warm_epoch_allocs(n: u64, epochs: u64) -> u64 {
             },
         );
     };
-    run(&mut pipeline, 0, 2);
+    run(&mut engine, 0, 2);
     let before = ALLOCS.load(Ordering::Relaxed);
-    run(&mut pipeline, 2, epochs);
+    run(&mut engine, 2, epochs);
     let delta = ALLOCS.load(Ordering::Relaxed) - before;
     assert_eq!(verified, 2 + epochs);
     delta
+}
+
+/// Allocation events of one empty scoped spawn in this process: 4 in a
+/// plain binary, more under a test harness that captures output, which
+/// every spawned thread inherits.
+fn spawn_allocs() -> u64 {
+    std::thread::scope(|s| {
+        s.spawn(|| {});
+    });
+    let before = ALLOCS.load(Ordering::Relaxed);
+    std::thread::scope(|s| {
+        s.spawn(|| {});
+    });
+    ALLOCS.load(Ordering::Relaxed) - before
 }
 
 /// Allocation events of one verified SIES recovering epoch over `n`
@@ -169,10 +187,12 @@ fn topology_heap(n: u64) -> (usize, usize, usize, usize) {
 #[test]
 fn warm_sies_epochs_allocate_independently_of_population() {
     // Telemetry would allocate on first touch of each metric; the claim
-    // is about the scheme and the pipeline.
+    // is about the scheme and the engine.
     sies_telemetry::set_enabled(false);
-    let small = warm_epoch_allocs(1024, 4);
-    let large = warm_epoch_allocs(4096, 4);
+    let small = warm_epoch_allocs(1024, 1, 4);
+    let large = warm_epoch_allocs(4096, 1, 4);
+    let parallel = [warm_epoch_allocs(1024, 2, 4), warm_epoch_allocs(4096, 2, 4)];
+    let spawn = spawn_allocs();
     let recovering = [warm_recovering_allocs(1024), warm_recovering_allocs(4096)];
     let pooled = [
         pooled_evaluation_allocs(1024, 1),
@@ -188,6 +208,20 @@ fn warm_sies_epochs_allocate_independently_of_population() {
     );
     assert_eq!(small, 0, "{small} allocations over 4 warm epochs at N=1024");
     assert_eq!(large, 0, "{large} allocations over 4 warm epochs at N=4096");
+    assert_eq!(
+        parallel[0], parallel[1],
+        "2-thread SIES epochs allocate per source: {parallel:?} allocations over 4 epochs \
+         at N=1024 and N=4096"
+    );
+    // Two spawns and two chunk vectors per epoch: 10 where a spawn
+    // makes 4, as outside a capturing test harness.
+    let budget = 2 * spawn + 2;
+    assert!(
+        parallel[0] <= 4 * budget,
+        "{} allocations over 4 warm 2-thread epochs (budget: {budget} per epoch, \
+         a spawn making {spawn})",
+        parallel[0]
+    );
     assert!(
         recovering.iter().all(|&a| a < 32),
         "warm recovering epochs allocate {recovering:?} times at N=1024 and N=4096"
@@ -210,8 +244,8 @@ fn warm_sies_epochs_allocate_independently_of_population() {
         );
         let per_node = held as f64 / nodes as f64;
         assert!(
-            per_node <= 40.0,
-            "a {nodes}-node tree holds {per_node:.1} heap bytes per node (budget: 40)"
+            per_node <= 28.0,
+            "a {nodes}-node tree holds {per_node:.1} heap bytes per node (budget: 28)"
         );
         assert_eq!(engine_held, 0, "an engine over {nodes} nodes holds heap");
     }

@@ -18,7 +18,7 @@ use crate::registry::global;
 pub const PEAK_RSS_GAUGE: &str = "process.peak_rss_bytes";
 
 /// Gauge name for the epoch engine's per-node state footprint, in bytes
-/// (arena + the pipeline's epoch buffers, excluding scheme key material).
+/// (arena + the engine's epoch state, excluding scheme key material).
 pub const BYTES_PER_NODE_GAUGE: &str = "engine.bytes_per_node";
 
 /// Reads the process's peak resident set size in bytes from

@@ -47,7 +47,7 @@ fn main() {
     let mut engine = Engine::new(&deployment, &topology);
     let mut workload = IntelLabGenerator::new(9, n as usize);
     let victim_source = topology.source_node(17).unwrap();
-    let victim_agg = topology.children(topology.root())[0] as usize;
+    let victim_agg = topology.children(topology.root()).start;
 
     let scenarios: Vec<(&str, Vec<Attack>)> = vec![
         ("honest epoch", vec![]),
