@@ -28,23 +28,15 @@
 //!            1/4/8/16 (also writes BENCH_micro.json); `--baseline FILE`
 //!            gates on >25% median regression
 //!   trace    telemetry: structured per-epoch trace (events + metric
-//!            snapshot, written to trace.json) and the telemetry-on vs
-//!            -off overhead benchmark on the chaos workload, with
-//!            digest-checked determinism across the kill-switch and
-//!            across 1/2/8 threads (also writes
+//!            snapshot, written to trace.json; the span timeline as
+//!            Chrome trace events, written to trace_timeline.json) and
+//!            the telemetry-on vs -off overhead benchmark on the chaos
+//!            workload, with digest-checked determinism across the
+//!            kill-switch and across 1/2/8 threads (also writes
 //!            BENCH_observability.json); `--forensics` additionally
 //!            runs a journaled chaos run and correlates the telemetry
 //!            event stream with the replayed signed receipt journal
 //!            into per-epoch incident reports (forensics.json)
-//!   profile  continuous sampling profiler on the chaos workload:
-//!            folded stacks (profile.folded) + Chrome trace-event
-//!            timeline (profile_trace.json), the profiler-on vs -off
-//!            overhead benchmark (CI gates at 3%), digest-checked
-//!            determinism across the profiler switch and 1/2/8
-//!            threads, and the SLO alert detection oracle — every
-//!            injected fault class must raise its mapped alert, a
-//!            clean seeded run must raise zero (also writes
-//!            BENCH_profile.json)
 //!   recovery durable receipt journal: seeded kill-restart chaos run
 //!            recovered from the journal alone, digest-checked against
 //!            the uninterrupted run at 1/2/8 threads, plus cold-replay
@@ -183,7 +175,6 @@ fn main() {
             "throughput" => throughput_exp(&opts, threads, max_n, &out_dir),
             "micro" => micro(&opts, baseline.as_deref(), &out_dir),
             "trace" => trace(&opts, chaos_epochs, threads, forensics, &out_dir),
-            "profile" => profile_exp(&opts, chaos_epochs, threads, &out_dir),
             "recovery" => recovery_exp(&opts, chaos_epochs, threads, &out_dir),
             other => unreachable!("unchecked experiment '{other}'"),
         }
@@ -191,7 +182,7 @@ fn main() {
 }
 
 /// Every experiment, in the order `all` runs them.
-const EXPERIMENTS: [&str; 16] = [
+const EXPERIMENTS: [&str; 15] = [
     "table2",
     "table3",
     "params",
@@ -206,7 +197,6 @@ const EXPERIMENTS: [&str; 16] = [
     "throughput",
     "micro",
     "trace",
-    "profile",
     "recovery",
 ];
 
@@ -222,7 +212,7 @@ also correlate telemetry events with the replayed signed receipt
 journal into per-epoch incident reports (forensics.json).
 
 experiments: table2 table3 table5 fig4 fig5 fig6a fig6b params security lifetime
-             reliability throughput micro trace profile recovery all";
+             reliability throughput micro trace recovery all";
 
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}\n\n{HELP}");
@@ -836,11 +826,27 @@ fn trace(opts: &Options, chaos_epochs: u64, threads: Threads, forensics: bool, o
         println!("  {name} = {}", trace.metrics.counter(name));
     }
 
+    let threads_seen: HashSet<u64> = trace.timeline.events.iter().map(|e| e.tid).collect();
+    println!(
+        "timeline: {} spans ({} dropped) on {} thread label(s)",
+        trace.timeline.events.len(),
+        trace.timeline.dropped,
+        threads_seen.len()
+    );
+
     let _ = std::fs::create_dir_all(out);
-    let trace_path = out.join("trace.json");
-    match std::fs::write(&trace_path, trace.to_json()) {
-        Ok(()) => println!("trace written to {}", trace_path.display()),
-        Err(e) => eprintln!("cannot write {}: {e}", trace_path.display()),
+    for (name, body) in [
+        ("trace.json", trace.to_json()),
+        (
+            "trace_timeline.json",
+            sies_telemetry::to_trace_json(&trace.timeline.events),
+        ),
+    ] {
+        let path = out.join(name);
+        match std::fs::write(&path, body) {
+            Ok(()) => println!("written: {}", path.display()),
+            Err(e) => eprintln!("cannot write {}: {e}", path.display()),
+        }
     }
 
     // Phase 2: the overhead benchmark on the full chaos workload.
@@ -937,122 +943,6 @@ fn trace(opts: &Options, chaos_epochs: u64, threads: Threads, forensics: bool, o
         );
         let _ = write_json_seeded(out, "forensics", opts.seed, &freport);
     }
-}
-
-fn profile_exp(opts: &Options, chaos_epochs: u64, threads: Threads, out: &Path) {
-    use sies_bench::profile::{detection_oracle, profile_overhead, profiled_run, ProfileReport};
-
-    // Phase 1 oversamples (997 Hz) so even a short run yields a dense
-    // flamegraph; the overhead gate runs at the production default rate
-    // (97 Hz — what a deployment would leave on continuously), where
-    // the sampler's wakeups are an order of magnitude sparser.
-    const HZ: u32 = 997;
-    const GATE_HZ: u32 = 97;
-
-    // Phase 1: one profiled run → flamegraph + timeline artifacts.
-    let prof_epochs = chaos_epochs.clamp(1, 400);
-    println!(
-        "\n== Profile: sampling profiler on the chaos workload (seed {}, {} epochs, {} Hz, {} worker thread(s)) ==",
-        opts.seed,
-        prof_epochs,
-        HZ,
-        threads.resolve()
-    );
-    let cap = profiled_run(opts.seed, prof_epochs, threads, HZ);
-    println!(
-        "{} samples ({} idle), {} distinct stacks, {} timeline events ({} dropped)",
-        cap.data.samples,
-        cap.data.idle_samples,
-        cap.data.distinct_stacks(),
-        cap.timeline.events.len(),
-        cap.timeline.dropped
-    );
-    let mut top: Vec<(&String, &u64)> = cap.data.stacks.iter().collect();
-    top.sort_by(|a, b| b.1.cmp(a.1));
-    let rows: Vec<Vec<String>> = top
-        .iter()
-        .take(10)
-        .map(|(s, n)| vec![s.to_string(), n.to_string()])
-        .collect();
-    println!("{}", render_table(&["stack", "samples"], &rows));
-
-    let _ = std::fs::create_dir_all(out);
-    for (name, body) in [
-        ("profile.folded", &cap.folded),
-        ("profile_trace.json", &cap.trace_json),
-    ] {
-        let path = out.join(name);
-        match std::fs::write(&path, body) {
-            Ok(()) => println!("written: {}", path.display()),
-            Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-        }
-    }
-
-    // Phase 2: the profiler's own overhead, paired and gated.
-    println!(
-        "\n== Profiler overhead: sampler on vs off (chaos workload, {} epochs/run, {} Hz) ==",
-        chaos_epochs, GATE_HZ
-    );
-    let overhead = profile_overhead(opts.seed, chaos_epochs, threads, GATE_HZ, 7);
-    println!(
-        "off median {} | on median {} | overhead (median of {} paired ratios): {:+.2}% | digest identical across profiler: {} | across threads 1/2/8: {}",
-        fmt_ms(overhead.off_median_ms),
-        fmt_ms(overhead.on_median_ms),
-        overhead.runs_per_mode,
-        overhead.overhead_pct,
-        overhead.digests_match,
-        overhead.threads_invariant
-    );
-
-    // Phase 3: the alert detection oracle.
-    let clean_epochs = chaos_epochs.max(100);
-    println!(
-        "\n== Alert oracle: every fault class must raise its alert; {} clean epochs must raise none ==",
-        clean_epochs
-    );
-    let oracle = detection_oracle(opts.seed, clean_epochs, threads);
-    let rows: Vec<Vec<String>> = oracle
-        .scenarios
-        .iter()
-        .map(|s| {
-            vec![
-                s.name.clone(),
-                s.expected_alert.clone(),
-                format!("{:?}", s.raised),
-                if s.detected {
-                    "yes".into()
-                } else {
-                    "NO".into()
-                },
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(&["scenario", "expected alert", "raised", "detected"], &rows)
-    );
-    println!(
-        "clean run: {} epochs, {} alert(s) | oracle passed: {}",
-        oracle.clean_epochs, oracle.clean_alerts, oracle.passed
-    );
-    assert!(
-        oracle.passed,
-        "alert oracle failed: clean_alerts={} scenarios={:?}",
-        oracle.clean_alerts, oracle.scenarios
-    );
-
-    let report = ProfileReport {
-        samples: cap.data.samples,
-        idle_samples: cap.data.idle_samples,
-        distinct_stacks: cap.data.distinct_stacks() as u64,
-        timeline_events: cap.timeline.events.len() as u64,
-        timeline_dropped: cap.timeline.dropped,
-        overhead,
-        oracle,
-    };
-    let _ = write_json_seeded(out, "profile", opts.seed, &report);
-    // The canonical artifact lives at the repo root for the paper repro.
-    let _ = write_json_seeded(Path::new("."), "BENCH_profile", opts.seed, &report);
 }
 
 fn recovery_exp(opts: &Options, chaos_epochs: u64, threads: Threads, out: &Path) {

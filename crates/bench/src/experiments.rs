@@ -629,7 +629,7 @@ mod tests {
     use super::*;
     // Engine runs record into the process-global event journal; every
     // such test holds the shared switch lock so the capture tests
-    // (observability, profile, forensics) see only their own events.
+    // (observability, forensics) see only their own events.
     use sies_telemetry::switch_lock;
 
     /// End-to-end smoke test of every experiment at tiny scale. The full

@@ -16,12 +16,8 @@
 //!   Montgomery, Montgomery batches) and the lane-batched PRFs
 //!   measured against the generic oracles, with a CI regression gate;
 //! * [`observability`] — structured per-epoch traces from the telemetry
-//!   stack and the telemetry-on vs -off overhead benchmark, with a CI
-//!   regression gate;
-//! * [`profile`] — the continuous sampling profiler on the chaos
-//!   workload (folded stacks + Chrome trace-event timeline), its paired
-//!   on/off overhead gate, and the chaos-verified SLO alert detection
-//!   oracle;
+//!   stack (journal events, metric diff and the span timeline) and the
+//!   telemetry-on vs -off overhead benchmark, with a CI regression gate;
 //! * [`forensics`] — per-epoch incident reports correlating the
 //!   telemetry event journal with the replayed signed receipt journal;
 //! * [`recovery`] — crash-restart recovery from the durable receipt
@@ -37,7 +33,6 @@ pub mod experiments;
 pub mod forensics;
 pub mod micro;
 pub mod observability;
-pub mod profile;
 pub mod recovery;
 pub mod report;
 pub mod throughput;
@@ -49,6 +44,5 @@ pub use experiments::{Options, SeriesPoint};
 pub use forensics::{forensic_timeline, ForensicsReport};
 pub use micro::{micro_suite, MicroReport};
 pub use observability::{capture_trace, overhead_suite, ObservabilityReport};
-pub use profile::{detection_oracle, profile_overhead, profiled_run, ProfileReport};
 pub use recovery::{recovery_suite, RecoveryReport};
 pub use throughput::{throughput_suite, ThroughputPoint};

@@ -4,9 +4,11 @@
 //!
 //! Two phases:
 //!
-//! 1. **Trace** — a short chaos run with telemetry enabled and a journal
-//!    sized to hold every event; the drained journal plus the global
-//!    metric snapshot diff become one structured JSON document.
+//! 1. **Trace** — a short chaos run with telemetry enabled, a journal
+//!    sized to hold every event and the span timeline recording; the
+//!    drained journal plus the global metric snapshot diff become one
+//!    structured JSON document, and the timeline a Chrome trace of every
+//!    span's exact interval.
 //! 2. **Overhead** — the reliability workload (the `adversarial` chaos
 //!    mix) run repeatedly with the kill-switch alternating off/on;
 //!    medians bound the record-site cost, and the chaos result digest is
@@ -21,7 +23,7 @@ use sies_net::chaos::{run_chaos, ChaosConfig};
 use sies_net::recovery::RecoveryConfig;
 use sies_net::{SiesDeployment, Threads, Topology};
 use sies_telemetry as tel;
-use sies_telemetry::{Event, Snapshot};
+use sies_telemetry::{Event, Snapshot, TimelineCapture};
 use std::time::Instant;
 
 /// The chaos mix every harness on [`deployment`] runs: the reliability
@@ -42,8 +44,7 @@ pub fn workload_config(seed: u64, epochs: u64, threads: Threads) -> ChaosConfig 
 }
 
 /// The `N = 64, F = 4` SIES deployment every chaos harness in this crate
-/// runs: the trace, both overhead benchmarks, the alert oracle,
-/// forensics and recovery.
+/// runs: the trace, the overhead benchmark, forensics and recovery.
 pub fn deployment(seed: u64) -> (SiesDeployment, Topology) {
     let n = 64u64;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -56,7 +57,8 @@ pub fn deployment(seed: u64) -> (SiesDeployment, Topology) {
 // ---------------------------------------------------------------------
 
 /// A captured trace: the journal's typed events, the metric snapshot
-/// diff the run produced, and the run's result fingerprint.
+/// diff the run produced, the span timeline, and the run's result
+/// fingerprint.
 pub struct Trace {
     /// Epochs traced.
     pub epochs: u64,
@@ -69,6 +71,9 @@ pub struct Trace {
     pub dropped: u64,
     /// Global metric diff attributable to the traced run.
     pub metrics: Snapshot,
+    /// Every span completed during the run, with its exact interval and
+    /// thread (render with [`tel::to_trace_json`]).
+    pub timeline: TimelineCapture,
 }
 
 impl Trace {
@@ -103,8 +108,9 @@ impl Trace {
     }
 }
 
-/// Runs `epochs` of the trace workload with telemetry enabled and a
-/// journal sized to hold every event, then drains journal and metrics.
+/// Runs `epochs` of the trace workload with telemetry enabled, a journal
+/// sized to hold every event and the span timeline recording, then
+/// drains journal, metrics and timeline.
 pub fn capture_trace(seed: u64, epochs: u64, threads: Threads) -> Trace {
     let (dep, topo) = deployment(seed);
     let cfg = workload_config(seed, epochs, threads);
@@ -116,9 +122,11 @@ pub fn capture_trace(seed: u64, epochs: u64, threads: Threads) -> Trace {
     let _ = tel::journal().drain();
     let dropped_before = tel::journal().dropped();
     let before = tel::global().snapshot();
+    tel::start_recording(tel::DEFAULT_TIMELINE_CAPACITY);
 
     let m = run_chaos(&dep, &topo, &cfg);
 
+    let timeline = tel::stop_recording();
     let after = tel::global().snapshot();
     let events = tel::journal().drain();
     let dropped = tel::journal().dropped() - dropped_before;
@@ -130,6 +138,7 @@ pub fn capture_trace(seed: u64, epochs: u64, threads: Threads) -> Trace {
         events,
         dropped,
         metrics: after.diff(&before),
+        timeline,
     }
 }
 
@@ -137,8 +146,7 @@ pub fn capture_trace(seed: u64, epochs: u64, threads: Threads) -> Trace {
 // Phase 2: overhead benchmark
 // ---------------------------------------------------------------------
 
-/// Digest of one thread-count determinism run (the measured feature
-/// on).
+/// Digest of one thread-count determinism run (telemetry on).
 #[derive(Debug, Clone, Serialize)]
 pub struct ThreadDigest {
     /// Worker threads the run used.
@@ -147,141 +155,10 @@ pub struct ThreadDigest {
     pub digest: String,
 }
 
-/// Paired feature-off vs feature-on rounds of the chaos workload plus the
-/// determinism evidence: what [`paired_overhead`] measures for `repro
-/// trace` (the telemetry kill-switch) and `repro profile` (the sampler).
-#[derive(Debug)]
-pub struct PairedOverhead {
-    /// Measured rounds per setting.
-    pub runs_per_mode: u64,
-    /// Wall-clock of each feature-off round, milliseconds.
-    pub off_ms: Vec<f64>,
-    /// Wall-clock of each feature-on round, milliseconds.
-    pub on_ms: Vec<f64>,
-    /// Median of `off_ms`.
-    pub off_median_ms: f64,
-    /// Median of `on_ms`.
-    pub on_median_ms: f64,
-    /// Median of the per-round ratios `on_i / off_i`, minus one, in
-    /// percent; negative means noise favoured on.
-    pub overhead_pct: f64,
-    /// Result digest with the feature off.
-    pub digest_off: String,
-    /// Result digest with the feature on.
-    pub digest_on: String,
-    /// Whether the digests match (asserted: they must).
-    pub digests_match: bool,
-    /// Digest per worker-thread count, feature on.
-    pub thread_digests: Vec<ThreadDigest>,
-    /// Whether every thread count produced the same digest (asserted).
-    pub threads_invariant: bool,
-}
-
 fn median(samples: &[f64]) -> f64 {
     let mut v = samples.to_vec();
     v.sort_by(|a, b| a.partial_cmp(b).unwrap());
     v[v.len() / 2]
-}
-
-/// Measures the chaos workload `runs_per_mode` rounds per setting of a
-/// switchable `feature`, then checks digest identity across the switch
-/// and, with the feature on, across threads 1/2/8.
-///
-/// `run_seg(on, dep, topo, cfg)` runs one segment of the workload with
-/// the feature on or off and returns its wall-clock in milliseconds and
-/// its chaos result digest.
-///
-/// Panics if either determinism check fails — each benchmark doubles as
-/// its feature's transparency oracle.
-pub fn paired_overhead(
-    seed: u64,
-    epochs: u64,
-    threads: Threads,
-    runs_per_mode: u64,
-    feature: &str,
-    mut run_seg: impl FnMut(bool, &SiesDeployment, &Topology, &ChaosConfig) -> (f64, String),
-) -> PairedOverhead {
-    let (dep, topo) = deployment(seed);
-
-    // Hosts (especially shared or thermally-throttled single-core ones)
-    // flip between CPU frequency states on a ~100 ms timescale, which
-    // makes whole-run wall-clocks bimodal. Chopping each measured round
-    // into short alternating off/on segment pairs keeps both modes
-    // inside the same host state, so the per-round ratio compares like
-    // with like; the identical segment workload also means every
-    // segment's digest is directly comparable across modes.
-    const SEGMENTS: u64 = 20;
-    let seg_epochs = (epochs / SEGMENTS).max(1);
-    let cfg = workload_config(seed, seg_epochs, threads);
-
-    let mut off_ms = Vec::new();
-    let mut on_ms = Vec::new();
-    let mut digest_off = String::new();
-    let mut digest_on = String::new();
-    for _ in 0..runs_per_mode.max(1) {
-        let mut off_t = 0.0;
-        let mut on_t = 0.0;
-        for seg in 0..SEGMENTS {
-            // Balance pair order (off-first on even segments, on-first
-            // on odd) so neither mode systematically occupies the same
-            // position relative to periodic host-state flips.
-            let first_off = seg % 2 == 0;
-            let (ms_a, d_a) = run_seg(!first_off, &dep, &topo, &cfg);
-            let (ms_b, d_b) = run_seg(first_off, &dep, &topo, &cfg);
-            let (ms_off, d_off, ms_on, d_on) = if first_off {
-                (ms_a, d_a, ms_b, d_b)
-            } else {
-                (ms_b, d_b, ms_a, d_a)
-            };
-            off_t += ms_off;
-            digest_off = d_off;
-            on_t += ms_on;
-            digest_on = d_on;
-        }
-        off_ms.push(off_t);
-        on_ms.push(on_t);
-    }
-    let digests_match = digest_off == digest_on;
-    assert!(
-        digests_match,
-        "{feature} changed the chaos result digest: off={digest_off} on={digest_on}"
-    );
-
-    let thread_digests: Vec<ThreadDigest> = [1usize, 2, 8]
-        .iter()
-        .map(|&t| {
-            let cfg = ChaosConfig {
-                threads: Threads::fixed(t),
-                ..cfg
-            };
-            ThreadDigest {
-                threads: t as u64,
-                digest: run_seg(true, &dep, &topo, &cfg).1,
-            }
-        })
-        .collect();
-    let threads_invariant = thread_digests
-        .iter()
-        .all(|d| d.digest == thread_digests[0].digest && d.digest == digest_on);
-    assert!(
-        threads_invariant,
-        "chaos result digest varied with thread count ({feature} on): {thread_digests:?}"
-    );
-
-    let ratios: Vec<f64> = off_ms.iter().zip(&on_ms).map(|(o, n)| n / o).collect();
-    PairedOverhead {
-        runs_per_mode: runs_per_mode.max(1),
-        off_median_ms: median(&off_ms),
-        on_median_ms: median(&on_ms),
-        overhead_pct: (median(&ratios) - 1.0) * 100.0,
-        off_ms,
-        on_ms,
-        digest_off,
-        digest_on,
-        digests_match,
-        thread_digests,
-        threads_invariant,
-    }
 }
 
 /// Telemetry-on vs telemetry-off cost on the reliability workload, plus
@@ -325,8 +202,9 @@ pub struct ObservabilityReport {
     pub threads_invariant: bool,
 }
 
-/// The telemetry kill-switch through [`paired_overhead`]: each segment
-/// runs with telemetry forced off or on.
+/// Measures the chaos workload `runs_per_mode` rounds per kill-switch
+/// setting, then checks digest identity across the switch and, with
+/// telemetry on, across threads 1/2/8.
 ///
 /// Panics if either determinism check fails — the benchmark doubles as
 /// the telemetry-transparency oracle.
@@ -336,37 +214,101 @@ pub fn overhead_suite(
     threads: Threads,
     runs_per_mode: u64,
 ) -> ObservabilityReport {
-    let p = paired_overhead(
-        seed,
-        epochs,
-        threads,
-        runs_per_mode,
-        "telemetry",
-        |on, dep, topo, cfg| {
-            tel::set_enabled(on);
-            let t0 = Instant::now();
-            let m = run_chaos(dep, topo, cfg);
-            let ms = t0.elapsed().as_secs_f64() * 1e3;
-            tel::clear_enabled();
-            (ms, m.result_digest)
-        },
+    let (dep, topo) = deployment(seed);
+
+    // Hosts (especially shared or thermally-throttled single-core ones)
+    // flip between CPU frequency states on a ~100 ms timescale, which
+    // makes whole-run wall-clocks bimodal. Chopping each measured round
+    // into short alternating off/on segment pairs keeps both modes
+    // inside the same host state, so the per-round ratio compares like
+    // with like; the identical segment workload also means every
+    // segment's digest is directly comparable across modes.
+    const SEGMENTS: u64 = 20;
+    let seg_epochs = (epochs / SEGMENTS).max(1);
+    let cfg = workload_config(seed, seg_epochs, threads);
+
+    // One segment with telemetry forced on or off: its wall-clock in
+    // milliseconds and its chaos result digest.
+    let run_seg = |on: bool, cfg: &ChaosConfig| {
+        tel::set_enabled(on);
+        let t0 = Instant::now();
+        let m = run_chaos(&dep, &topo, cfg);
+        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        tel::clear_enabled();
+        (ms, m.result_digest)
+    };
+
+    let mut off_ms = Vec::new();
+    let mut on_ms = Vec::new();
+    let mut digest_off = String::new();
+    let mut digest_on = String::new();
+    for _ in 0..runs_per_mode.max(1) {
+        let mut off_t = 0.0;
+        let mut on_t = 0.0;
+        for seg in 0..SEGMENTS {
+            // Balance pair order (off-first on even segments, on-first
+            // on odd) so neither mode systematically occupies the same
+            // position relative to periodic host-state flips.
+            let first_off = seg % 2 == 0;
+            let (ms_a, d_a) = run_seg(!first_off, &cfg);
+            let (ms_b, d_b) = run_seg(first_off, &cfg);
+            let (ms_off, d_off, ms_on, d_on) = if first_off {
+                (ms_a, d_a, ms_b, d_b)
+            } else {
+                (ms_b, d_b, ms_a, d_a)
+            };
+            off_t += ms_off;
+            digest_off = d_off;
+            on_t += ms_on;
+            digest_on = d_on;
+        }
+        off_ms.push(off_t);
+        on_ms.push(on_t);
+    }
+    let digests_match = digest_off == digest_on;
+    assert!(
+        digests_match,
+        "telemetry changed the chaos result digest: off={digest_off} on={digest_on}"
     );
+
+    let thread_digests: Vec<ThreadDigest> = [1usize, 2, 8]
+        .iter()
+        .map(|&t| {
+            let cfg = ChaosConfig {
+                threads: Threads::fixed(t),
+                ..cfg
+            };
+            ThreadDigest {
+                threads: t as u64,
+                digest: run_seg(true, &cfg).1,
+            }
+        })
+        .collect();
+    let threads_invariant = thread_digests
+        .iter()
+        .all(|d| d.digest == thread_digests[0].digest && d.digest == digest_on);
+    assert!(
+        threads_invariant,
+        "chaos result digest varied with thread count (telemetry on): {thread_digests:?}"
+    );
+
+    let ratios: Vec<f64> = off_ms.iter().zip(&on_ms).map(|(o, n)| n / o).collect();
     let min = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
     ObservabilityReport {
         epochs,
-        runs_per_mode: p.runs_per_mode,
-        off_min_ms: min(&p.off_ms),
-        on_min_ms: min(&p.on_ms),
-        off_ms: p.off_ms,
-        on_ms: p.on_ms,
-        off_median_ms: p.off_median_ms,
-        on_median_ms: p.on_median_ms,
-        overhead_pct: p.overhead_pct,
-        digest_off: p.digest_off,
-        digest_on: p.digest_on,
-        digests_match: p.digests_match,
-        thread_digests: p.thread_digests,
-        threads_invariant: p.threads_invariant,
+        runs_per_mode: runs_per_mode.max(1),
+        off_median_ms: median(&off_ms),
+        on_median_ms: median(&on_ms),
+        off_min_ms: min(&off_ms),
+        on_min_ms: min(&on_ms),
+        overhead_pct: (median(&ratios) - 1.0) * 100.0,
+        off_ms,
+        on_ms,
+        digest_off,
+        digest_on,
+        digests_match,
+        thread_digests,
+        threads_invariant,
     }
 }
 
@@ -409,6 +351,19 @@ mod tests {
         let json = trace.to_json();
         assert!(json.contains("\"result_digest\""));
         assert!(json.contains("query_disseminated"));
+        // The timeline: a serial run's epochs all complete on this
+        // thread, one `engine.epoch` span each (other tests' spans carry
+        // other thread labels).
+        let me = tel::thread_tid();
+        let epoch_spans = trace
+            .timeline
+            .events
+            .iter()
+            .filter(|e| e.tid == me && e.name == "engine.epoch")
+            .count();
+        assert_eq!(epoch_spans, 8);
+        assert_eq!(trace.timeline.dropped, 0);
+        assert!(tel::to_trace_json(&trace.timeline.events).starts_with("{\"traceEvents\":["));
     }
 
     #[test]

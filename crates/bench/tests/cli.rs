@@ -65,6 +65,8 @@ fn repro_rejects_unknown_experiments_before_running_any() {
         &["nosuch"][..],
         &["--paper-costs", "nosuch"],
         &["params", "nosuch"],
+        // A removed experiment is as unknown as a misspelt one.
+        &["profile"],
     ] {
         let out = assert_usage_error(repro, args);
         assert!(

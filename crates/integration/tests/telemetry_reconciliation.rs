@@ -1,8 +1,9 @@
 //! Telemetry cross-checks: the counters the stack records must
 //! reconcile exactly with the ground truth the engine and chaos harness
-//! hand back through their return values, and turning telemetry on or
-//! off (or changing the worker-thread count) must not change a single
-//! result byte.
+//! hand back through their return values, turning telemetry on or off
+//! (or changing the worker-thread count) must not change a single result
+//! byte, and every injected fault class must leave its evidence in the
+//! counters while a clean run leaves none.
 //!
 //! Every test here snapshots the process-global registry around a run
 //! and compares the diff against independently accumulated reports.
@@ -14,11 +15,12 @@ use rand::SeedableRng;
 use sies_core::{SystemParams, Threads};
 use sies_net::chaos::{run_chaos, ChaosConfig};
 use sies_net::engine::{metric, Engine, EpochStats};
+use sies_net::journal::{FsyncPolicy, JournalConfig, Receipt, ReceiptJournal};
 use sies_net::radio::LossyRadio;
 use sies_net::recovery::{RecoveryConfig, RecoveryReport};
-use sies_net::{SiesDeployment, Topology};
+use sies_net::{PrewarmPolicy, SiesDeployment, Topology};
 use sies_telemetry as tel;
-use sies_telemetry::switch_lock;
+use sies_telemetry::{switch_lock, Snapshot};
 use std::collections::HashSet;
 
 const N: u64 = 16;
@@ -345,4 +347,179 @@ fn engine_counters_reconcile_with_epoch_stats() {
             (2, tel::EventKind::EpochLost)
         ]
     );
+}
+
+/// What `work` returns, and the global registry's diff across it.
+fn window<T>(work: impl FnOnce() -> T) -> (T, Snapshot) {
+    let before = tel::global().snapshot();
+    let out = work();
+    (out, tel::global().snapshot().diff(&before))
+}
+
+/// Every kind of fault evidence a registry window holds, at the
+/// thresholds worth paging on: a rejected or lost epoch, a
+/// retransmission, an adoption or a dropped event at all; more than 64
+/// receipts not yet durable; prewarm misses above 0.9 of at least 16
+/// lookups; an `engine.epoch` p99 bucket bound above 10 s.
+fn evidence(d: &Snapshot) -> Vec<&'static str> {
+    let lookups = d.counter("net.prewarm.lookups");
+    [
+        ("reject", d.counter(metric::EPOCHS_REJECTED) > 0),
+        ("lost epoch", d.counter(metric::EPOCHS_LOST) > 0),
+        ("retransmit", d.counter("recovery.retransmits") > 0),
+        ("adoption", d.counter(metric::ADOPTIONS) > 0),
+        ("dropped event", d.counter(tel::EVENTS_DROPPED) > 0),
+        ("fsync lag", d.gauge("journal.fsync_lag") > 64),
+        (
+            "prewarm misses",
+            lookups >= 16 && d.counter("net.prewarm.misses") as f64 > 0.9 * lookups as f64,
+        ),
+        (
+            "slow epochs",
+            d.hist(metric::EPOCH_SPAN).quantile_upper_bound(0.99) > 10_000_000_000,
+        ),
+    ]
+    .into_iter()
+    .filter_map(|(kind, seen)| seen.then_some(kind))
+    .collect()
+}
+
+/// The fault-evidence oracle on the N = 64, F = 4 chaos deployment:
+/// 2 000 clean epochs, in 8 windows, leave no evidence at all, and each
+/// fault class leaves its own in its window — and in the run's own
+/// report where it has one.
+#[test]
+fn every_fault_class_leaves_its_evidence_and_a_clean_run_none() {
+    let _guard = switch_lock();
+    let seed = 42;
+    let (dep, topo) = sies_bench::observability::deployment(seed);
+    let clean = ChaosConfig {
+        seed,
+        epochs: 250,
+        loss_rate: 0.0,
+        crash_prob: 0.0,
+        attack_prob: 0.0,
+        threads: Threads::serial(),
+        ..ChaosConfig::default()
+    };
+    let run = |cfg: ChaosConfig| run_chaos(&dep, &topo, &cfg);
+
+    tel::set_enabled(true);
+    // Sized so no clean window overflows the event ring.
+    tel::journal().set_capacity(2_000 * 96);
+    let _ = tel::journal().drain();
+    for w in 0..8 {
+        let (_, d) = window(|| {
+            run(ChaosConfig {
+                seed: seed + w,
+                ..clean
+            })
+        });
+        let _ = tel::journal().drain();
+        let found = evidence(&d);
+        assert!(found.is_empty(), "clean window {w} holds {found:?}");
+    }
+
+    let (m, d) = window(|| {
+        run(ChaosConfig {
+            attack_prob: 1.0,
+            epochs: 40,
+            ..clean
+        })
+    });
+    assert!(
+        evidence(&d).contains(&"reject"),
+        "attack storm: {:?}",
+        evidence(&d)
+    );
+    assert!(m.detected_corruptions > 0);
+
+    let (m, d) = window(|| {
+        run(ChaosConfig {
+            crash_prob: 1.0,
+            epochs: 40,
+            ..clean
+        })
+    });
+    assert!(
+        evidence(&d).contains(&"adoption"),
+        "crash storm: {:?}",
+        evidence(&d)
+    );
+    assert!(m.adoptions > 0);
+
+    let (m, d) = window(|| {
+        run(ChaosConfig {
+            loss_rate: 0.5,
+            epochs: 40,
+            ..clean
+        })
+    });
+    assert!(
+        evidence(&d).contains(&"retransmit"),
+        "lossy links: {:?}",
+        evidence(&d)
+    );
+    assert!(m.retransmit_bytes > 0);
+    let _ = tel::journal().drain();
+
+    tel::journal().set_capacity(64);
+    let (_, d) = window(|| {
+        run(ChaosConfig {
+            epochs: 20,
+            ..clean
+        })
+    });
+    tel::journal().set_capacity(tel::journal::DEFAULT_CAPACITY);
+    let _ = tel::journal().drain();
+    assert!(
+        evidence(&d).contains(&"dropped event"),
+        "64-event ring: {:?}",
+        evidence(&d)
+    );
+
+    let path = std::env::temp_dir().join(format!("sies-fsync-lag-{}.journal", std::process::id()));
+    let lazy = JournalConfig {
+        fsync: FsyncPolicy::Never,
+        ..JournalConfig::default()
+    };
+    let mut journal = ReceiptJournal::create(&path, &lazy).unwrap();
+    let (_, d) = window(|| {
+        for epoch in 0..100 {
+            journal.record(&mut Receipt {
+                epoch,
+                ..Receipt::default()
+            });
+        }
+    });
+    assert!(
+        evidence(&d).contains(&"fsync lag"),
+        "lazy fsync: {:?}",
+        evidence(&d)
+    );
+    journal.finish().unwrap();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(
+        tel::global().snapshot().gauge("journal.fsync_lag"),
+        0,
+        "finish() made every receipt durable"
+    );
+
+    dep.set_prewarm_policy(PrewarmPolicy::default());
+    let (_, d) = window(|| {
+        run(ChaosConfig {
+            epochs: 32,
+            ..clean
+        })
+    });
+    let misses = dep.prewarm_stats().misses;
+    dep.set_prewarm_policy(PrewarmPolicy::disabled());
+    let _ = tel::journal().drain();
+    tel::clear_enabled();
+    assert!(
+        evidence(&d).contains(&"prewarm misses"),
+        "cold pool: {:?}",
+        evidence(&d)
+    );
+    assert!(misses > 0);
 }

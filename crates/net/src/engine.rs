@@ -268,11 +268,11 @@ pub mod metric {
     /// Epochs with no result (availability loss / malformed input).
     pub const EPOCHS_LOST: &str = "engine.epochs_lost";
     /// Wall-clock histogram (ns) of whole epochs — fed by the
-    /// `engine.epoch` root span, so it is also the profiler's outermost
-    /// frame. The `epoch_latency_p99` alert rule reads its quantiles.
+    /// `engine.epoch` root span, so it is also the outermost interval of
+    /// each epoch on the trace timeline.
     pub const EPOCH_SPAN: &str = "engine.epoch";
     /// Orphans adopted by backup parents during in-epoch repair (the
-    /// detection-side crash signal the `crash_churn` alert rule reads).
+    /// detection-side evidence of a crash).
     pub const ADOPTIONS: &str = "engine.adoptions";
     /// Child-failure reports escalated to the querier.
     pub const FAILURE_REPORTS: &str = "engine.failure_reports";
@@ -889,8 +889,8 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
         attacks: &[Attack],
     ) -> EpochOutcome {
         // The RAII span covers every exit path, so `engine.epoch` is a
-        // complete wall-clock latency histogram and the profiler's
-        // outermost stack frame.
+        // complete wall-clock latency histogram and the epoch's
+        // outermost timeline interval.
         let _epoch_span = tel::span!("engine.epoch");
         if let Err(e) = self.begin(epoch, values) {
             return self.outcome(epoch, Err(e), &EpochCounts::default(), Vec::new());
@@ -983,8 +983,8 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
         let mut upfront = EpochCounts::default();
         upfront.recovery.adoptions = repairs.adoptions.len() as u64;
         upfront.recovery.stranded = repairs.stranded.len() as u64;
-        // Detection-side churn signal: the `crash_churn` alert rule
-        // fires on any nonzero delta of this counter.
+        // Detection-side churn signal: any nonzero delta of this counter
+        // in a window is evidence of a crash.
         tel::count!("engine.adoptions", upfront.recovery.adoptions);
         if !repairs.is_empty() {
             // The tree changed under us: drop any precomputed epoch

@@ -25,9 +25,9 @@ use sies_crypto::HashFunction;
 use sies_receipts::{
     EpochReceipt, ReceiptError, Recorder, RecorderStats, ReplaySummary, Replayer, SessionHeader,
 };
-// Re-exported so downstream crates (the bench harness drives fsync-lag
-// scenarios) can configure journals and build receipts without a
-// sies-receipts dependency.
+// Re-exported so downstream crates (the telemetry reconciliation test
+// drives an fsync-lag scenario) can configure journals and build
+// receipts without a sies-receipts dependency.
 pub use sies_receipts::{EpochReceipt as Receipt, FsyncPolicy};
 use sies_telemetry as tel;
 use sies_telemetry::EventKind;
@@ -278,19 +278,7 @@ impl ReceiptJournal {
         }
         self.recorder.append(receipt);
         self.recorder.commit_epoch();
-        let stats = self.recorder.stats();
-        // Durability lag: receipts appended since the last fsync the
-        // recorder performed. Under `FsyncPolicy::EveryEpoch` this stays
-        // 0; a lazy policy lets it climb until the `fsync_lag` alert
-        // rule fires.
-        if stats.fsyncs != self.fsyncs_seen {
-            self.fsyncs_seen = stats.fsyncs;
-            self.records_at_last_fsync = stats.records;
-        }
-        tel::set_gauge!(
-            "journal.fsync_lag",
-            stats.records - self.records_at_last_fsync
-        );
+        let stats = self.publish_fsync_lag();
         tel::count!("journal.receipts");
         tel::event(
             receipt.epoch,
@@ -304,12 +292,29 @@ impl ReceiptJournal {
     /// then flushes the recorder totals into the telemetry registry.
     pub fn finish(&mut self) -> std::io::Result<()> {
         let res = self.recorder.sync();
-        let stats = self.recorder.stats();
+        let stats = self.publish_fsync_lag();
         tel::count!("journal.commits", stats.commits);
         tel::count!("journal.bytes_written", stats.bytes_written);
         tel::count!("journal.fsyncs", stats.fsyncs);
         tel::count!("journal.io_errors", stats.io_errors);
         res
+    }
+
+    /// Sets the `journal.fsync_lag` gauge from the recorder's totals:
+    /// receipts appended since the last fsync the recorder performed.
+    /// Under `FsyncPolicy::EveryEpoch` it stays 0; a lazy policy lets it
+    /// climb until the next fsync, [`finish`](Self::finish)'s included.
+    fn publish_fsync_lag(&mut self) -> RecorderStats {
+        let stats = self.recorder.stats();
+        if stats.fsyncs != self.fsyncs_seen {
+            self.fsyncs_seen = stats.fsyncs;
+            self.records_at_last_fsync = stats.records;
+        }
+        tel::set_gauge!(
+            "journal.fsync_lag",
+            stats.records - self.records_at_last_fsync
+        );
+        stats
     }
 }
 

@@ -413,8 +413,8 @@ impl Drop for WarmGateGuard<'_> {
 /// can lag, race, or die without affecting any digest.
 fn warm_loop<S: AggregationScheme>(scheme: &S, gate: &WarmGate, first_epoch: Epoch, last: Epoch) {
     let fill_ahead = |watermark: Epoch| {
-        // The span makes the warmer visible to the sampling profiler as
-        // its own thread lane (`pipeline.prewarm` frames).
+        // The span makes the warmer visible on the trace timeline as
+        // its own thread lane (`pipeline.prewarm` intervals).
         let _warm = tel::span!("pipeline.prewarm");
         for e in scheme.prewarm_plan(watermark) {
             if e > last {

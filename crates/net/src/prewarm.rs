@@ -11,8 +11,8 @@
 //! background warmer thread.
 //!
 //! The two halves are looked up and counted apart: [`PrewarmPool::lookup`]
-//! is the sources' probe (`hits`, `misses`, the `net.prewarm.{lookups,
-//! hits,misses}` counters and the `prewarm_miss_rate` alert), and
+//! is the sources' probe (`hits`, `misses` and the `net.prewarm.{lookups,
+//! hits,misses}` counters, whose ratio is the pool's miss rate), and
 //! [`PrewarmPool::lookup_querier`] the querier's (`querier_hits`,
 //! `querier_misses`, `net.prewarm.querier_*`).
 //!
@@ -180,8 +180,8 @@ impl<T> PrewarmPool<T> {
         if !self.policy.enabled {
             return None;
         }
-        // Denominator for the `prewarm_miss_rate` alert rule (hits and
-        // misses alone can't give the engine a stable rate window).
+        // Denominator of the miss rate over a snapshot window (hits and
+        // misses alone can't give a stable rate).
         tel::count!("net.prewarm.lookups");
         match self.entries.get(&epoch) {
             Some(v) => {
@@ -199,8 +199,8 @@ impl<T> PrewarmPool<T> {
 
     /// The querier's lookup: [`PrewarmPool::lookup`], counted in
     /// `querier_hits`/`querier_misses` and the `net.prewarm.querier_*`
-    /// counters, so the sources' hit ratio and miss-rate alert keep
-    /// their meaning.
+    /// counters, so the sources' hit ratio and miss rate keep their
+    /// meaning.
     pub fn lookup_querier(&mut self, epoch: Epoch) -> Option<&T> {
         if !self.policy.enabled {
             return None;

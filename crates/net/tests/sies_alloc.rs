@@ -14,7 +14,9 @@
 //! chunked sweep. A deployment holds each source's key once: the heap
 //! it leaves resident grows by one 104-byte pre-absorbed key per source.
 //! The topology arena is all a built tree leaves on the heap, at most
-//! 28 bytes per node, and an engine borrows it without allocating.
+//! 28 bytes per node, and an engine borrows it without allocating. With
+//! telemetry on, a warm 2-thread epoch makes the same allocations as
+//! with it off and leaves no heap bytes behind.
 //!
 //! Lives in its own test binary because the counter is process-wide:
 //! any concurrently running test would add its own allocations.
@@ -61,6 +63,13 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// at `threads`, after two warm-up epochs have grown every reusable
 /// buffer.
 fn warm_epoch_allocs(n: u64, threads: usize, epochs: u64) -> u64 {
+    warm_epochs(n, threads, 2, epochs).0
+}
+
+/// Allocation events of `epochs` verified SIES epochs over `n` sources
+/// at `threads`, after `warmup` epochs, and the heap bytes those epochs
+/// leave behind.
+fn warm_epochs(n: u64, threads: usize, warmup: u64, epochs: u64) -> (u64, isize) {
     let mut rng = StdRng::seed_from_u64(0xA110C);
     let dep = SiesDeployment::new(&mut rng, SystemParams::new(n).unwrap());
     let topo = Topology::complete_tree(n, 4);
@@ -81,12 +90,13 @@ fn warm_epoch_allocs(n: u64, threads: usize, epochs: u64) -> u64 {
             },
         );
     };
-    run(&mut engine, 0, 2);
-    let before = ALLOCS.load(Ordering::Relaxed);
-    run(&mut engine, 2, epochs);
+    run(&mut engine, 0, warmup);
+    let (before, live) = (ALLOCS.load(Ordering::Relaxed), LIVE.load(Ordering::Relaxed));
+    run(&mut engine, warmup, epochs);
     let delta = ALLOCS.load(Ordering::Relaxed) - before;
-    assert_eq!(verified, 2 + epochs);
-    delta
+    let left = LIVE.load(Ordering::Relaxed) as isize - live as isize;
+    assert_eq!(verified, warmup + epochs);
+    (delta, left)
 }
 
 /// Allocation events of one empty scoped spawn in this process: 4 in a
@@ -200,6 +210,10 @@ fn warm_sies_epochs_allocate_independently_of_population() {
     ];
     let per_source = (deployment_heap(4096) - deployment_heap(1024)) as f64 / 3072.0;
     let topologies = [topology_heap(1024), topology_heap(4096)];
+    // Telemetry on, as by default: a span on a worker thread leaves
+    // nothing behind once the worker exits.
+    sies_telemetry::set_enabled(true);
+    let (traced, traced_left) = warm_epochs(1024, 2, 8, 64);
     sies_telemetry::clear_enabled();
     assert_eq!(
         small, large,
@@ -220,6 +234,17 @@ fn warm_sies_epochs_allocate_independently_of_population() {
         parallel[0] <= 4 * budget,
         "{} allocations over 4 warm 2-thread epochs (budget: {budget} per epoch, \
          a spawn making {spawn})",
+        parallel[0]
+    );
+    assert_eq!(
+        traced_left, 0,
+        "64 warm 2-thread epochs with telemetry on leave {traced_left} heap bytes"
+    );
+    assert_eq!(
+        traced * 4,
+        parallel[0] * 64,
+        "telemetry changes a 2-thread epoch's allocations: {traced} over 64 epochs with it \
+         on, {} over 4 with it off",
         parallel[0]
     );
     assert!(

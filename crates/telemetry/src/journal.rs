@@ -11,9 +11,9 @@ use std::collections::VecDeque;
 use std::sync::{Mutex, OnceLock};
 
 /// Global counter advanced whenever a bounded telemetry buffer (the
-/// event ring here, or the trace-event timeline) silently discards an
-/// entry. Exported so the alert engine can turn silent truncation into
-/// a visible `events_dropped` alert.
+/// event ring here, or the trace-event timeline) discards an entry, so
+/// a window whose record is incomplete says so in its own snapshot
+/// diff.
 pub const EVENTS_DROPPED: &str = "telemetry.events_dropped";
 
 /// Bumps [`EVENTS_DROPPED`] in the global registry. The counter handle
@@ -67,11 +67,6 @@ pub enum EventKind {
     ReceiptCommitted,
     /// Receipts: a journal was replayed at startup. `(records, torn_tail)`
     JournalReplayed,
-    /// SLO alerting: a rule fired over a snapshot window.
-    /// `(rule_id, observed_value)` — `rule_id` indexes the engine's
-    /// rule list; `observed_value` is the triggering value rounded to
-    /// u64.
-    AlertRaised,
 }
 
 impl EventKind {
@@ -94,7 +89,6 @@ impl EventKind {
             EventKind::LaneDispatch => "lane_dispatch",
             EventKind::ReceiptCommitted => "receipt_committed",
             EventKind::JournalReplayed => "journal_replayed",
-            EventKind::AlertRaised => "alert_raised",
         }
     }
 }

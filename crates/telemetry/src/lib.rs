@@ -9,19 +9,14 @@
 //!   (energy joules), [`Gauge`]s, and fixed-width log2-bucketed
 //!   [`Histogram`]s that merge and diff exactly.
 //! - **Spans** ([`span`]): RAII wall-clock sections recording into
-//!   histograms, with a thread-local stack for nesting.
+//!   histograms.
 //! - **Journal** ([`journal`]): a bounded ring of typed per-epoch
 //!   events (NACK sent, retransmit, failure report, lane dispatch, ...).
 //! - **Registry** ([`registry`]): named metrics with cheap
 //!   [`Snapshot`]/[`Snapshot::diff`] and a JSON exporter.
-//! - **Profiler** ([`profiler`]): a watcher thread sampling every
-//!   thread's live-span stack at a configurable Hz, emitting
-//!   flamegraph folded stacks.
 //! - **Timeline** ([`timeline`]): Chrome `trace_event` capture of span
-//!   completions for `chrome://tracing` / Perfetto.
-//! - **Alerts** ([`alert`]): declarative threshold/rate/quantile rules
-//!   over snapshot diffs, journaling typed [`EventKind::AlertRaised`]
-//!   events.
+//!   completions, each with its exact interval and thread, for
+//!   `chrome://tracing` / Perfetto.
 //! - **Process gauges** ([`process`]): peak RSS and the engine's
 //!   bytes-per-node footprint.
 //!
@@ -59,25 +54,21 @@
 //! let _json = snap.to_json();
 //! ```
 
-pub mod alert;
 pub mod journal;
 pub mod metric;
 pub mod process;
-pub mod profiler;
 pub mod registry;
 pub mod span;
 pub mod timeline;
 
-pub use alert::{Alert, AlertEngine, Rule};
 pub use journal::{Event, EventKind, Journal, EVENTS_DROPPED};
 pub use metric::{Counter, FloatCounter, Gauge, Histogram, HistogramSnapshot, HIST_BUCKETS};
 pub use process::{peak_rss_bytes, record_bytes_per_node, record_peak_rss};
-pub use profiler::{ProfileData, Profiler};
 pub use registry::{global, Registry, Snapshot};
-pub use span::{current_depth, current_path, sample_stacks, thread_tid, Span};
+pub use span::{thread_tid, Span};
 pub use timeline::{
-    dropped_total, is_recording, start_recording, stop_recording, to_trace_json, TimelineCapture,
-    TraceEvent, DEFAULT_TIMELINE_CAPACITY,
+    is_recording, start_recording, stop_recording, to_trace_json, TimelineCapture, TraceEvent,
+    DEFAULT_TIMELINE_CAPACITY,
 };
 
 use std::sync::atomic::{AtomicU8, Ordering};

@@ -278,55 +278,6 @@ impl HistogramSnapshot {
         }
         u64::MAX
     }
-
-    /// Interpolated `q`-quantile estimate (`0.0 ≤ q ≤ 1.0`); 0 when
-    /// empty.
-    ///
-    /// Finds the log2 bucket containing the `q`-rank sample and
-    /// linearly interpolates within `[lower, upper]` of that bucket by
-    /// the rank's position among the bucket's samples — the standard
-    /// histogram-quantile estimator (what PromQL's `histogram_quantile`
-    /// computes), assuming samples are uniform within a bucket. Exact
-    /// for buckets holding one value (0 and 1); within a factor of 2
-    /// worst-case elsewhere, and much tighter for smooth distributions.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= rank && b > 0 {
-                let hi = bucket_upper_bound(i) as f64;
-                let lo = match i {
-                    0 => 0.0,
-                    _ => bucket_upper_bound(i - 1) as f64 + 1.0,
-                };
-                // rank falls `into`-th (1-based) among this bucket's
-                // `b` samples.
-                let into = rank - (seen - b);
-                let frac = into as f64 / b as f64;
-                return lo + (hi - lo) * frac;
-            }
-        }
-        u64::MAX as f64
-    }
-
-    /// Interpolated median. See [`HistogramSnapshot::quantile`].
-    pub fn p50(&self) -> f64 {
-        self.quantile(0.50)
-    }
-
-    /// Interpolated 95th percentile. See [`HistogramSnapshot::quantile`].
-    pub fn p95(&self) -> f64 {
-        self.quantile(0.95)
-    }
-
-    /// Interpolated 99th percentile. See [`HistogramSnapshot::quantile`].
-    pub fn p99(&self) -> f64 {
-        self.quantile(0.99)
-    }
 }
 
 #[cfg(test)]
@@ -434,66 +385,5 @@ mod tests {
         assert!(p99 >= 990, "p99 bound {p99}");
         assert!((s.mean() - 500.5).abs() < 1e-9);
         assert_eq!(HistogramSnapshot::default().quantile_upper_bound(0.5), 0);
-    }
-
-    #[test]
-    fn interpolated_quantiles_pin_known_distributions() {
-        // Empty and all-zero distributions.
-        assert_eq!(HistogramSnapshot::default().quantile(0.5), 0.0);
-        let zeros = Histogram::new();
-        for _ in 0..10 {
-            zeros.record(0);
-        }
-        assert_eq!(zeros.snapshot().p50(), 0.0);
-
-        // Four samples in bucket [8, 15]: ranks interpolate at
-        // 1/4, 2/4, 3/4, 4/4 of the bucket span [8, 15].
-        let h = Histogram::new();
-        for _ in 0..4 {
-            h.record(10);
-        }
-        let s = h.snapshot();
-        assert!((s.quantile(0.25) - 9.75).abs() < 1e-9);
-        assert!((s.p50() - 11.5).abs() < 1e-9);
-        assert!((s.quantile(0.75) - 13.25).abs() < 1e-9);
-        assert!((s.quantile(1.0) - 15.0).abs() < 1e-9);
-
-        // Uniform 1..=1024: interpolation recovers the true quantiles
-        // closely (bucket [512, 1023] holds exactly its value range).
-        let u = Histogram::new();
-        for v in 1..=1024u64 {
-            u.record(v);
-        }
-        let s = u.snapshot();
-        // rank 512 is the 1st of 512 samples in [512, 1023]:
-        // 512 + 511/512.
-        assert!((s.p50() - (512.0 + 511.0 / 512.0)).abs() < 1e-9);
-        // rank 1014 is the 503rd: 512 + 511 * 503/512.
-        assert!((s.p99() - (512.0 + 511.0 * 503.0 / 512.0)).abs() < 1e-9);
-        assert!((s.p50() - 512.0).abs() < 2.0, "p50 {}", s.p50());
-        assert!((s.p99() - 1014.0).abs() < 2.0, "p99 {}", s.p99());
-
-        // Single-value buckets are exact.
-        let ones = Histogram::new();
-        for _ in 0..7 {
-            ones.record(1);
-        }
-        assert_eq!(ones.snapshot().p95(), 1.0);
-
-        // Quantiles are monotone in q and never exceed the bucket
-        // upper bound.
-        let m = Histogram::new();
-        for v in [3u64, 9, 27, 81, 243, 729, 2187, 6561] {
-            m.record(v);
-        }
-        let s = m.snapshot();
-        let mut last = -1.0f64;
-        for i in 0..=20 {
-            let q = i as f64 / 20.0;
-            let v = s.quantile(q);
-            assert!(v >= last, "quantile not monotone at q={q}");
-            assert!(v <= s.quantile_upper_bound(q) as f64);
-            last = v;
-        }
     }
 }

@@ -1,61 +1,30 @@
-//! RAII span timers with a per-thread span stack that a profiler can
-//! sample from outside the thread.
+//! RAII span timers.
 //!
 //! A span measures one wall-clock section and records its duration (in
-//! nanoseconds) into a histogram when dropped. Spans nest: each thread
-//! keeps a stack of the names of its live spans, so instrumentation can
-//! ask "where am I?" ([`current_path`]) without threading context
-//! through call signatures.
-//!
-//! The stack is *shared*, not thread-local-only: each thread registers
-//! an `Arc`-held mirror of its stack in a process-wide table, so the
-//! sampling profiler ([`crate::profiler`]) can walk every live thread's
-//! stack from its own watcher thread. The mirror is guarded by a plain
-//! `Mutex` — span enter/exit and profiler samples are both rare (spans
-//! wrap whole epoch phases, samples run at ~100 Hz), so the lock is
-//! effectively uncontended and costs ~20 ns per operation. A disabled
-//! span ([`Span::noop`]) still skips everything.
+//! nanoseconds) into a histogram when dropped. While the
+//! [`timeline`](crate::timeline) is recording, the drop also appends the
+//! span's exact interval, labelled with its thread's [`thread_tid`], so
+//! nesting and concurrency are read off the timeline rather than kept
+//! in a live stack. A disabled span ([`Span::noop`]) skips everything.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Instant;
 
 use crate::metric::Histogram;
 
-/// One thread's live-span stack, shared with the sampling profiler.
-struct ThreadStack {
-    /// Small dense thread label (registration order, starting at 1) —
-    /// stable for the thread's lifetime, used as `tid` in trace events.
-    tid: u64,
-    names: Mutex<Vec<&'static str>>,
-}
-
-/// Process-wide table of all registered thread stacks. Holds weak refs
-/// so exited threads are pruned on the next sample instead of leaking.
-fn stack_table() -> &'static Mutex<Vec<Weak<ThreadStack>>> {
-    static TABLE: OnceLock<Mutex<Vec<Weak<ThreadStack>>>> = OnceLock::new();
-    TABLE.get_or_init(|| Mutex::new(Vec::new()))
-}
-
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
-    static LOCAL_STACK: Arc<ThreadStack> = {
-        let stack = Arc::new(ThreadStack {
-            tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
-            names: Mutex::new(Vec::new()),
-        });
-        stack_table().lock().unwrap().push(Arc::downgrade(&stack));
-        stack
-    };
+    /// This thread's label, drawn from [`NEXT_TID`] on first use.
+    static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
 }
 
 /// A live timed section. Created by [`Span::enter`] (usually via the
 /// [`span!`](crate::span!) macro); records on drop.
 ///
-/// A disabled span ([`Span::noop`]) skips the clock read, the stack
-/// push, and the histogram record entirely — the kill-switch reduces a
-/// `span!` site to one relaxed load and a branch.
+/// A disabled span ([`Span::noop`]) skips the clock read and the
+/// histogram record entirely — the kill-switch reduces a `span!` site to
+/// one relaxed load and a branch.
 #[must_use = "a span records when dropped; binding it to _ discards the timing"]
 pub struct Span {
     inner: Option<SpanInner>,
@@ -65,21 +34,16 @@ struct SpanInner {
     name: &'static str,
     start: Instant,
     hist: &'static Histogram,
-    stack: Arc<ThreadStack>,
 }
 
 impl Span {
-    /// Starts a span that records its duration into `hist` on drop and
-    /// appears on this thread's span stack while live.
+    /// Starts a span that records its duration into `hist` on drop.
     pub fn enter(name: &'static str, hist: &'static Histogram) -> Span {
-        let stack = LOCAL_STACK.with(Arc::clone);
-        stack.names.lock().unwrap().push(name);
         Span {
             inner: Some(SpanInner {
                 name,
                 start: Instant::now(),
                 hist,
-                stack,
             }),
         }
     }
@@ -100,49 +64,15 @@ impl Drop for Span {
         if let Some(inner) = self.inner.take() {
             let elapsed = inner.start.elapsed();
             inner.hist.record_duration(elapsed);
-            crate::timeline::record_complete(inner.name, inner.start, elapsed, inner.stack.tid);
-            let mut stack = inner.stack.names.lock().unwrap();
-            // Spans are RAII-scoped so LIFO order holds; defend
-            // against mem::forget-style misuse anyway.
-            if let Some(pos) = stack.iter().rposition(|&n| n == inner.name) {
-                stack.remove(pos);
-            }
+            crate::timeline::record_complete(inner.name, inner.start, elapsed);
         }
     }
 }
 
-/// Number of live spans on this thread.
-pub fn current_depth() -> usize {
-    LOCAL_STACK.with(|s| s.names.lock().unwrap().len())
-}
-
-/// The names of this thread's live spans, outermost first, joined with
-/// `/` (empty string when no span is live).
-pub fn current_path() -> String {
-    LOCAL_STACK.with(|s| s.names.lock().unwrap().join("/"))
-}
-
-/// This thread's stable profiler/trace label (assigned on first span
-/// activity, registration order starting at 1).
+/// This thread's stable trace label: a small dense number assigned on
+/// first call, in call order starting at 1.
 pub fn thread_tid() -> u64 {
-    LOCAL_STACK.with(|s| s.tid)
-}
-
-/// Snapshots every registered thread's live-span stack, outermost
-/// first: `(tid, names)` pairs. Exited threads are pruned in passing.
-/// This is the profiler's sampling primitive, but it is public so tests
-/// and ad-hoc tooling can observe cross-thread span state.
-pub fn sample_stacks() -> Vec<(u64, Vec<&'static str>)> {
-    let mut table = stack_table().lock().unwrap();
-    let mut out = Vec::with_capacity(table.len());
-    table.retain(|weak| match weak.upgrade() {
-        Some(stack) => {
-            out.push((stack.tid, stack.names.lock().unwrap().clone()));
-            true
-        }
-        None => false,
-    });
-    out
+    TID.with(|tid| *tid)
 }
 
 #[cfg(test)]
@@ -156,55 +86,44 @@ mod tests {
     }
 
     #[test]
-    fn span_records_on_drop_and_tracks_stack() {
+    fn span_records_on_drop() {
         let before = hist().snapshot().count;
         {
             let _outer = Span::enter("outer", hist());
-            assert_eq!(current_depth(), 1);
             {
                 let _inner = Span::enter("inner", hist());
-                assert_eq!(current_path(), "outer/inner");
             }
-            assert_eq!(current_depth(), 1);
+            assert_eq!(hist().snapshot().count, before + 1);
         }
-        assert_eq!(current_depth(), 0);
         assert_eq!(hist().snapshot().count, before + 2);
     }
 
     #[test]
     fn noop_span_is_invisible() {
-        let before = hist().snapshot().count;
+        static H: OnceLock<Histogram> = OnceLock::new();
+        let h = H.get_or_init(Histogram::new);
         {
             let s = Span::noop();
             assert!(!s.is_recording());
-            assert_eq!(current_depth(), 0);
+            let _live = Span::enter("live", h);
         }
-        assert_eq!(hist().snapshot().count, before);
+        assert_eq!(h.snapshot().count, 1, "only the live span records");
     }
 
     #[test]
-    fn sampler_sees_other_threads_stacks() {
-        use std::sync::mpsc;
-        let (ready_tx, ready_rx) = mpsc::channel();
-        let (done_tx, done_rx) = mpsc::channel::<()>();
-        let worker = std::thread::spawn(move || {
-            let _outer = Span::enter("worker_outer", hist());
-            let _inner = Span::enter("worker_inner", hist());
-            let tid = thread_tid();
-            ready_tx.send(tid).unwrap();
-            done_rx.recv().unwrap();
-        });
-        let worker_tid = ready_rx.recv().unwrap();
-        let stacks = sample_stacks();
-        let seen = stacks
-            .iter()
-            .find(|(tid, _)| *tid == worker_tid)
-            .expect("worker stack registered");
-        assert_eq!(seen.1, vec!["worker_outer", "worker_inner"]);
-        done_tx.send(()).unwrap();
-        worker.join().unwrap();
-        // After the thread exits its stack is pruned on the next sample.
-        let stacks = sample_stacks();
-        assert!(stacks.iter().all(|(tid, _)| *tid != worker_tid));
+    fn each_thread_gets_a_distinct_stable_tid() {
+        let me = thread_tid();
+        assert_eq!(thread_tid(), me, "a thread's label is stable");
+        let others: Vec<(u64, u64)> = (0..4)
+            .map(|_| std::thread::spawn(|| (thread_tid(), thread_tid())))
+            .map(|h| h.join().unwrap())
+            .collect();
+        let mut seen = vec![me];
+        for (first, again) in others {
+            assert_eq!(first, again, "a thread's label is stable");
+            assert!(first >= 1);
+            assert!(!seen.contains(&first), "label {first} reused");
+            seen.push(first);
+        }
     }
 }

@@ -14,7 +14,7 @@
 //! in [`TimelineCapture::dropped`] and the `telemetry.events_dropped`
 //! counter) rather than growing without bound.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -52,7 +52,6 @@ struct Buffer {
 }
 
 static RECORDING: AtomicBool = AtomicBool::new(false);
-static DROPPED_TOTAL: AtomicU64 = AtomicU64::new(0);
 
 fn buffer() -> &'static Mutex<Option<Buffer>> {
     static BUF: OnceLock<Mutex<Option<Buffer>>> = OnceLock::new();
@@ -92,22 +91,17 @@ pub fn stop_recording() -> TimelineCapture {
     }
 }
 
-/// Total timeline events discarded on overflow across all recording
-/// sessions in this process.
-pub fn dropped_total() -> u64 {
-    DROPPED_TOTAL.load(Ordering::Relaxed)
-}
-
-/// Hook called from `Span::drop`. Cheap no-op unless recording.
-pub(crate) fn record_complete(name: &'static str, start: Instant, dur: Duration, tid: u64) {
+/// Hook called from `Span::drop`. Cheap no-op unless recording; only a
+/// recorded span reads its thread's [`thread_tid`](crate::thread_tid).
+pub(crate) fn record_complete(name: &'static str, start: Instant, dur: Duration) {
     if !is_recording() {
         return;
     }
+    let tid = crate::span::thread_tid();
     let mut buf = buffer().lock().unwrap();
     let Some(b) = buf.as_mut() else { return };
     if b.events.len() >= b.cap {
         b.dropped += 1;
-        DROPPED_TOTAL.fetch_add(1, Ordering::Relaxed);
         crate::journal::note_events_dropped(1);
         return;
     }
