@@ -266,7 +266,8 @@ impl KeyTable {
     /// Builds this epoch's shared cipher: `K_t` derived once and entered
     /// into the Montgomery domain of the table's context. Every source
     /// of a deployment derives the *same* `K_t`, so one [`EpochCipher`]
-    /// (one per shard worker) serves the whole population for the epoch.
+    /// serves a whole batch of sources (one per chunk of the engine's
+    /// walk).
     pub fn epoch_cipher(&self, epoch: Epoch) -> EpochCipher {
         let k_t = self
             .global_prf
@@ -274,7 +275,7 @@ impl KeyTable {
         EpochCipher::with_ctx(&k_t, &self.ctx)
     }
 
-    /// Initialization for a whole shard of sources at once: both
+    /// Initialization for a batch of sources at once: both
     /// per-source PRF sweeps (`k_{i,t}` and `ss_{i,t}`) over the jobs'
     /// rows run through the multi-lane batch pipeline
     /// ([`prf::for_each_epoch_key`], one sensor per hash lane), then each

@@ -145,8 +145,8 @@ impl SiesDeployment {
     }
 
     /// The sources' pool probe, non-destructive: the `Arc` clone is a
-    /// pointer copy, and the entry stays for the epoch's other shard
-    /// workers.
+    /// pointer copy, and the entry stays for the epoch's other chunks
+    /// and shard workers.
     fn prewarm_lookup(&self, epoch: Epoch) -> Option<Arc<Prewarmed>> {
         self.prewarm
             .lock()
@@ -225,18 +225,18 @@ impl AggregationScheme for SiesDeployment {
             }));
             return;
         }
-        // An unknown id sends the whole shard down the per-job path,
+        // An unknown id sends the whole batch down the per-job path,
         // which reports it in the same shape as the serial loop.
         if !jobs.iter().all(|&(s, _)| self.known(s)) {
             out.extend(jobs.iter().map(|&(s, v)| self.try_source_init(s, epoch, v)));
             return;
         }
         // Hoist the epoch-shared work: K_t derived once and entered into
-        // the Montgomery domain once per shard; then every job's k_{i,t}
-        // and ss_{i,t} come from the lane-batched, allocation-free PRF
-        // sweeps of `KeyTable::initialize_batch_into` over the jobs'
-        // rows. Ciphertexts are bit-identical to `try_source_init` (the
-        // EpochCipher contract).
+        // the Montgomery domain once per call (one walk chunk); then
+        // every job's k_{i,t} and ss_{i,t} come from the lane-batched,
+        // allocation-free PRF sweeps of `KeyTable::initialize_batch_into`
+        // over the jobs' rows. Ciphertexts are bit-identical to
+        // `try_source_init` (the EpochCipher contract).
         let cipher = self.keys.epoch_cipher(epoch);
         self.keys.initialize_batch_into(&cipher, epoch, jobs, |r| {
             out.push(r.map_err(|e| SchemeError::Malformed(e.to_string())))

@@ -560,6 +560,14 @@ impl<P> Walk<P> {
             + self.everyone.capacity() * size_of::<SourceId>()
     }
 
+    /// Sources not failed this epoch: what the walk initialises unless
+    /// a first error stops it, wherever it sits and at any thread count.
+    fn live_sources(&self, topo: &Topology) -> u64 {
+        let post = topo.post_order();
+        let failed = |&(pos, m): &Marked| m.failed && topo.is_source(post[pos as usize] as usize);
+        topo.num_sources() - self.marks.iter().filter(|m| failed(m)).count() as u64
+    }
+
     /// Translates the epoch's `failed` nodes, `attacks` and the
     /// `adopted` orphans' adopters to marks by post-order position (ids
     /// outside the tree are ignored); returns whether the final PSR is
@@ -706,10 +714,13 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
         self.prev_final.as_ref()
     }
 
-    /// Heap bytes held by the engine's reusable epoch state: the walk's
-    /// shard plan and buffers, and a clean run's readings and
-    /// contributor list. Excludes the arena (add [`Topology::bytes`])
-    /// and the scheme's key material. Zero before the first epoch.
+    /// Heap bytes held by the engine's reusable epoch state, zero before
+    /// the first epoch: the shard plan and deferred nodes; per shard, one
+    /// chunk's jobs and init results, the merge stack, window corrections,
+    /// checkpoints, and a recovering walk's cuts and events; the epoch's
+    /// marks and failed subtrees; a clean run's readings and contributor
+    /// list (12 B per source). Excludes the arena (add
+    /// [`Topology::bytes`]) and the scheme's key material.
     pub fn state_bytes(&self) -> usize {
         self.walk.as_ref().map_or(0, Walk::bytes)
     }
@@ -917,7 +928,7 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
             uplinks: None,
         };
         exec.produce(epoch, values, &mut walk.buf);
-        tel::event(epoch, EventKind::SourceInit, walk.buf.live_sources(), 0);
+        tel::event(epoch, EventKind::SourceInit, walk.live_sources(topo), 0);
         let (counts, result) = exec.consume(epoch, &mut walk.buf, &mut self.prev_final);
         self.outcome(epoch, result, &counts, contributors)
     }
@@ -1037,7 +1048,7 @@ impl<'a, S: AggregationScheme> Engine<'a, S> {
             }),
         };
         exec.produce(epoch, values, &mut walk.buf);
-        tel::event(epoch, EventKind::SourceInit, walk.buf.live_sources(), 0);
+        tel::event(epoch, EventKind::SourceInit, walk.live_sources(topo), 0);
         // What the walk's parents never heard, in serial walk order.
         let lost = &mut walk.buf.joined().lost;
         lost.events.flush();

@@ -13,17 +13,18 @@
 //!   segment of the arena's post-order, so the walk cuts the post-order
 //!   below the sink into `min(threads, sources)` contiguous shards of
 //!   ⌊n/T⌋ or ⌈n/T⌉ sources each, anywhere in the tree. Each worker
-//!   walks its segment exactly as a serial post-order walk would —
-//!   batched source init, then a stack merge — except for its
-//!   *deferred* nodes, whose subtrees begin in an earlier shard: proper
-//!   ancestors of its first position, at most the tree's depth of them
-//!   per boundary, listed at plan time. Where the walk meets one it
-//!   records a checkpoint of its state's heights and walks on; `produce`
-//!   ends with a serial join that replays the later shards in order onto
-//!   the first shard's state and runs each deferred node through the
-//!   same per-node step, where the serial walk would. The final PSR is
-//!   bit-identical for every thread count, and one thread means one
-//!   shard with nothing deferred and nothing to join.
+//!   walks its segment exactly as a serial post-order walk would — a
+//!   batched init of [`CHUNK`] live sources, then a stack merge through
+//!   them, chunk by chunk — except for its *deferred* nodes, whose
+//!   subtrees begin in an earlier shard: proper ancestors of its first
+//!   position, at most the tree's depth of them per boundary, listed at
+//!   plan time. Where the walk meets one it records a checkpoint of its
+//!   state's heights and walks on; `produce` ends with a serial join that
+//!   replays the later shards in order onto the first shard's state and
+//!   runs each deferred node through the same per-node step, where the
+//!   serial walk would. The final PSR is bit-identical for every thread
+//!   count, and one thread means one shard with nothing deferred and
+//!   nothing to join.
 //! * **Exact accounting.** Run counts and per-class bytes accumulate in
 //!   shard-local integers, one block per segment between checkpoints,
 //!   and the join folds them in walk order; it stops at the first scheme
@@ -51,22 +52,22 @@
 //!   material to reproduce on-demand derivation bit-for-bit, so the
 //!   warmer may lag, race, or be absent without observable effect.
 //! * **No per-source allocation in steady state.** All per-epoch state
-//!   (readings, jobs, init results, merge stacks) lives in the engine's
-//!   reused walk buffers; schemes write init results through
-//!   [`AggregationScheme::batch_source_init_into`]. After a warm-up
-//!   epoch, [`Engine::run_epochs`] itself performs no heap allocation
-//!   per epoch at `threads = 1` (the `alloc_free` integration test pins
-//!   this with a counting allocator and a trivial scheme). SIES adds
-//!   none of its own: its PRF sweeps run in stack tiles, its epoch
-//!   cipher and `K_t⁻¹` use the Montgomery context built at setup, and a
-//!   serial evaluation sums in place, so a warm SIES epoch makes zero
-//!   allocations (the `sies_alloc` test). With `threads > 1` the first
-//!   shard runs on the calling thread and each of the other
-//!   `threads − 1` is a scoped-worker spawn; the spawns and the parallel
-//!   evaluation's chunk vectors allocate a constant number of times per
-//!   epoch, whatever the population: 10 times at `threads = 2`, which
-//!   `sies_alloc` pins too. An evaluation from pooled totals runs no
-//!   chunks, so it allocates nothing.
+//!   (readings, merge stacks, one chunk's jobs and init results per
+//!   shard) lives in the engine's reused walk buffers; schemes write
+//!   init results through [`AggregationScheme::batch_source_init_into`].
+//!   After a warm-up epoch, [`Engine::run_epochs`] itself performs no
+//!   heap allocation per epoch at `threads = 1` (the `alloc_free`
+//!   integration test pins this with a counting allocator and a trivial
+//!   scheme). SIES adds none of its own: its PRF sweeps run in stack
+//!   tiles, its epoch cipher and `K_t⁻¹` use the Montgomery context
+//!   built at setup, and a serial evaluation sums in place, so a warm
+//!   SIES epoch makes zero allocations (the `sies_alloc` test). With
+//!   `threads > 1` the first shard runs on the calling thread and each
+//!   of the other `threads − 1` is a scoped-worker spawn; the spawns
+//!   and the parallel evaluation's chunk vectors allocate a constant
+//!   number of times per epoch, whatever the population: 10 times at
+//!   `threads = 2`, which `sies_alloc` pins too. An evaluation from
+//!   pooled totals runs no chunks, so it allocates nothing.
 //!
 //! ## Merge order
 //!
@@ -94,13 +95,18 @@ use std::ops::Range;
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
+/// Live sources a shard walk initialises in one batch: its working set.
+/// A multiple of every hash-lane width (1/4/8/16), so only a shard's
+/// last chunk runs a partial lane tile.
+pub const CHUNK: usize = 2048;
+
 /// One contiguous run of the post-order array below the sink, walked
 /// serially by one worker.
 #[derive(Debug, Clone)]
 pub(crate) struct Shard {
     /// Post-order positions this shard covers.
     range: Range<usize>,
-    /// Sources inside the range (pre-sizes the job buffers).
+    /// Sources inside the range (with [`CHUNK`], sizes the job buffers).
     sources: usize,
     /// The nodes inside the range whose subtrees begin before it, by
     /// ascending position, all proper ancestors of its first position.
@@ -269,6 +275,7 @@ impl<P> WalkState<P> {
         self.stack.capacity() * size_of::<P>()
             + self.uneven.capacity() * size_of::<(u32, u32)>()
             + self.lost.cuts.capacity() * size_of::<Range<usize>>()
+            + self.lost.events.capacity_bytes()
     }
 }
 
@@ -291,9 +298,10 @@ struct Checkpoint {
 
 /// Reusable per-shard working state.
 pub(crate) struct ShardState<P> {
-    /// `(source, value)` jobs of the shard's live sources, in post-order.
+    /// `(source, value)` jobs of the current chunk's live sources, in
+    /// post-order: at most [`CHUNK`] of them.
     jobs: Vec<(SourceId, u64)>,
-    /// Per-job init results, aligned with `jobs`.
+    /// The current chunk's init results, aligned with `jobs`.
     inits: Vec<Result<P, SchemeError>>,
     /// The shard's merge walk over every node but its deferred ones.
     walk: WalkState<P>,
@@ -304,8 +312,8 @@ pub(crate) struct ShardState<P> {
 impl<P> ShardState<P> {
     fn with_capacity(shard: &Shard) -> Self {
         ShardState {
-            jobs: Vec::with_capacity(shard.sources),
-            inits: Vec::with_capacity(shard.sources),
+            jobs: Vec::with_capacity(shard.sources.min(CHUNK)),
+            inits: Vec::with_capacity(shard.sources.min(CHUNK)),
             walk: WalkState::default(),
             checkpoints: Vec::with_capacity(shard.deferred.len()),
         }
@@ -337,11 +345,6 @@ impl<P> WalkBuf<P> {
     /// The joined walk state, once `produce` has run: the first shard's.
     pub(crate) fn joined(&mut self) -> &mut WalkState<P> {
         &mut self.shards[0].walk
-    }
-
-    /// Sources the last source phase initialised.
-    pub(crate) fn live_sources(&self) -> u64 {
-        self.shards.iter().map(|st| st.jobs.len() as u64).sum()
     }
 
     pub(crate) fn bytes(&self) -> usize {
@@ -517,8 +520,7 @@ impl<S: AggregationScheme> Exec<'_, S> {
             &mut buf.shards,
             |_, shard, st| {
                 let _shard_span = tel::span!("pipeline.shard");
-                self.init_shard(epoch, shard, values, st);
-                self.merge_shard::<MARKED, RECOVERING>(epoch, shard, st);
+                self.walk_shard::<MARKED, RECOVERING>(epoch, shard, values, st);
             },
         );
         self.join::<MARKED, RECOVERING>(epoch, buf);
@@ -536,53 +538,58 @@ impl<S: AggregationScheme> Exec<'_, S> {
         range.zip(post.iter().map(|&id| id as usize))
     }
 
-    /// Batched init of the shard's live (not failed) sources.
-    fn init_shard(&self, epoch: Epoch, shard: &Shard, values: &[u64], st: &mut ShardState<S::Psr>) {
-        st.walk.clear();
-        st.checkpoints.clear();
-        st.jobs.clear();
-        let mut marks = self.marks_from(shard.range.start);
-        for (pos, id) in self.walk(shard.range.clone()) {
-            if let Some(sid) = self.topo.source_id(id) {
-                if !marks.at(pos).failed {
-                    st.jobs.push((sid, values[sid as usize]));
-                }
-            }
-        }
-        let t0 = Instant::now();
-        self.scheme
-            .batch_source_init_into(epoch, &st.jobs, &mut st.inits);
-        st.walk.counts.source_ns = now_ns(t0);
-        debug_assert_eq!(st.inits.len(), st.jobs.len(), "one result per job");
-    }
-
-    /// The shard's post-order merge walk over its init results: every
-    /// node but the deferred ones, where it records a checkpoint for the
-    /// join instead. It stops at the first scheme error.
-    fn merge_shard<const MARKED: bool, const RECOVERING: bool>(
+    /// The shard's post-order walk, one chunk at a time: batched init of
+    /// the next [`CHUNK`] live (not failed) sources, then the merge up to
+    /// the next chunk's first job or the shard's end, with a checkpoint for
+    /// the join at each deferred node. It stops at the first scheme error.
+    fn walk_shard<const MARKED: bool, const RECOVERING: bool>(
         &self,
         epoch: Epoch,
         shard: &Shard,
+        values: &[u64],
         st: &mut ShardState<S::Psr>,
     ) {
-        let ShardState {
-            inits,
-            walk,
-            checkpoints,
-            ..
-        } = st;
-        let t0 = Instant::now();
+        st.walk.clear();
+        st.checkpoints.clear();
         // Counted in a local, so the per-node updates stay in registers.
-        let mut walked = EpochCounts {
-            source_ns: walk.counts.source_ns,
-            ..EpochCounts::default()
-        };
+        let mut walked = EpochCounts::default();
+        let mut live = self.marks_from(shard.range.start);
         let mut marks = self.marks_from(shard.range.start);
-        let mut inits = inits.iter();
-        let mut start = shard.range.start;
-        let ends = shard.deferred.iter().map(|&pos| pos as usize);
-        'walk: for end in ends.chain([shard.range.end]) {
-            for node in self.walk(start..end) {
+        let mut deferred = shard.deferred.iter().map(|&pos| pos as usize);
+        let mut next_deferred = deferred.next().unwrap_or(usize::MAX);
+        let (mut start, end) = (shard.range.start, shard.range.end);
+        let mut t0 = Instant::now();
+        while start < end && st.walk.err.is_none() {
+            st.jobs.clear();
+            let mut stop = end;
+            for (pos, id) in self.walk(start..end) {
+                if let Some(sid) = self.topo.source_id(id) {
+                    if !live.at(pos).failed {
+                        if st.jobs.len() == CHUNK {
+                            // The next chunk's gather finds this mark
+                            // consumed and reads the default: live, as it is.
+                            stop = pos;
+                            break;
+                        }
+                        st.jobs.push((sid, values[sid as usize]));
+                    }
+                }
+            }
+            self.scheme
+                .batch_source_init_into(epoch, &st.jobs, &mut st.inits);
+            debug_assert_eq!(st.inits.len(), st.jobs.len(), "one result per job");
+            let t1 = Instant::now();
+            walked.source_ns += (t1 - t0).as_nanos() as u64;
+            let mut inits = st.inits.iter();
+            for node in self.walk(start..stop) {
+                if node.0 == next_deferred {
+                    st.checkpoints.push(Checkpoint {
+                        at: st.walk.heights(),
+                        counts: std::mem::take(&mut walked),
+                    });
+                    next_deferred = deferred.next().unwrap_or(usize::MAX);
+                    continue;
+                }
                 let mark = if MARKED {
                     marks.at(node.0)
                 } else {
@@ -593,24 +600,19 @@ impl<S: AggregationScheme> Exec<'_, S> {
                     node,
                     mark,
                     &mut inits,
-                    walk,
+                    &mut st.walk,
                     &mut walked,
                 );
                 if let Err(e) = step {
-                    walk.err = Some(e);
-                    break 'walk;
+                    st.walk.err = Some(e);
+                    break;
                 }
             }
-            if end < shard.range.end {
-                checkpoints.push(Checkpoint {
-                    at: walk.heights(),
-                    counts: std::mem::take(&mut walked),
-                });
-            }
-            start = end + 1;
+            t0 = Instant::now();
+            walked.aggregator_ns += (t0 - t1).as_nanos() as u64;
+            start = stop;
         }
-        walked.aggregator_ns = now_ns(t0);
-        walk.counts = walked;
+        st.walk.counts = walked;
     }
 
     /// The serial join: replays the later shard walks in order onto the
@@ -1086,6 +1088,47 @@ mod tests {
         }
     }
 
+    /// Rejects every reading of one epoch, so the walk aborts at its
+    /// first live source.
+    struct Rejecting(Epoch);
+
+    impl AggregationScheme for Rejecting {
+        type Psr = u64;
+        fn name(&self) -> &'static str {
+            "REJ"
+        }
+        fn source_init(&self, _s: SourceId, _e: Epoch, v: u64) -> u64 {
+            v
+        }
+        fn try_source_init(&self, _s: SourceId, epoch: Epoch, v: u64) -> Result<u64, SchemeError> {
+            if epoch == self.0 {
+                Err(SchemeError::Malformed("reading rejected".into()))
+            } else {
+                Ok(v)
+            }
+        }
+        fn merge(&self, psrs: &[u64]) -> u64 {
+            psrs.iter().sum()
+        }
+        fn evaluate(
+            &self,
+            f: &u64,
+            _e: Epoch,
+            _c: &[SourceId],
+        ) -> Result<EvaluatedSum, SchemeError> {
+            Ok(EvaluatedSum {
+                sum: *f as f64,
+                integrity_checked: false,
+            })
+        }
+        fn psr_wire_size(&self, _p: &u64) -> usize {
+            8
+        }
+        fn tamper(&self, p: &mut u64) {
+            *p += 1;
+        }
+    }
+
     type Seen = Vec<(Option<PlainPsr>, Result<EvaluatedSum, SchemeError>)>;
 
     /// What the sink sees over `epochs` clean epochs from `first`.
@@ -1316,52 +1359,8 @@ mod tests {
 
     #[test]
     fn stale_last_final_on_abort_matches_engine() {
-        // count mismatch via a scheme error: use merge of zero inputs —
-        // instead drive a verification failure by lying about epochs.
-        struct Rejecting;
-        impl AggregationScheme for Rejecting {
-            type Psr = u64;
-            fn name(&self) -> &'static str {
-                "REJ"
-            }
-            fn source_init(&self, _s: SourceId, _e: Epoch, v: u64) -> u64 {
-                v
-            }
-            fn try_source_init(
-                &self,
-                _s: SourceId,
-                epoch: Epoch,
-                v: u64,
-            ) -> Result<u64, SchemeError> {
-                if epoch == 1 {
-                    Err(SchemeError::Malformed("reading rejected".into()))
-                } else {
-                    Ok(v)
-                }
-            }
-            fn merge(&self, psrs: &[u64]) -> u64 {
-                psrs.iter().sum()
-            }
-            fn evaluate(
-                &self,
-                f: &u64,
-                _e: Epoch,
-                _c: &[SourceId],
-            ) -> Result<EvaluatedSum, SchemeError> {
-                Ok(EvaluatedSum {
-                    sum: *f as f64,
-                    integrity_checked: false,
-                })
-            }
-            fn psr_wire_size(&self, _p: &u64) -> usize {
-                8
-            }
-            fn tamper(&self, p: &mut u64) {
-                *p += 1;
-            }
-        }
         let topo = Topology::complete_tree(8, 2);
-        let mut engine = Engine::new(&Rejecting, &topo);
+        let mut engine = Engine::new(&Rejecting(1), &topo);
         let mut finals = Vec::new();
         engine.run_epochs(
             0,
@@ -1376,5 +1375,76 @@ mod tests {
         assert_eq!(finals[0], (0, Some(40), true));
         assert_eq!(finals[1], (1, Some(40), false));
         assert_eq!(finals[2], (2, Some(40), true));
+    }
+
+    /// A warm walk's state grows with the population only by a clean
+    /// run's readings and contributor list: each shard's jobs and init
+    /// results hold one chunk, whatever the shard's size.
+    #[test]
+    fn working_set_stops_growing_with_the_population() {
+        use std::mem::size_of;
+        let per_source = size_of::<u64>() + size_of::<SourceId>();
+        for threads in [1, 2] {
+            let state = |n: usize| {
+                let topo = Topology::complete_tree(n as u64, 4);
+                let mut engine =
+                    Engine::new(&PlainSum, &topo).with_threads(Threads::fixed(threads));
+                run_from(&mut engine, 0, 2);
+                engine.state_bytes()
+            };
+            let (small, large) = (state(8 * CHUNK), state(32 * CHUNK));
+            let added = 24 * CHUNK;
+            assert!(
+                large <= small + added * per_source,
+                "threads {threads}: {small} B at N = {} and {large} B at N = {}, \
+                 {:.1} B per added source (budget: {per_source})",
+                8 * CHUNK,
+                32 * CHUNK,
+                (large - small) as f64 / added as f64
+            );
+        }
+    }
+
+    /// `SourceInit` counts the sources not failed this epoch, once per
+    /// epoch, when a rejected reading aborts the walk in the first of
+    /// three chunks: a failed aggregator's sources still count.
+    #[test]
+    fn source_init_counts_live_sources_when_the_first_chunk_aborts() {
+        use std::collections::HashSet;
+        let n = 3 * CHUNK as u32;
+        let topo = Topology::complete_tree(n.into(), 4);
+        let node = |sid| topo.source_node(sid).unwrap();
+        let agg = topo.parent(node(40)).unwrap();
+        let failed = HashSet::from([node(3), node(CHUNK as u32), node(n - 1), agg]);
+        let epoch = 0x5EED;
+        let scheme = Rejecting(epoch);
+        let _lock = tel::switch_lock();
+        tel::set_enabled(true);
+        for threads in [1, 2] {
+            let mut engine = Engine::new(&scheme, &topo).with_threads(Threads::fixed(threads));
+            let out = engine.run_epoch_with(epoch, &vec![1; n as usize], &failed, &[]);
+            assert!(out.result.is_err(), "threads {threads}: the walk aborts");
+            let counts: Vec<u64> = tel::journal()
+                .drain()
+                .into_iter()
+                .filter(|e| e.epoch == epoch && e.kind == EventKind::SourceInit)
+                .map(|e| e.a)
+                .collect();
+            assert_eq!(counts, [u64::from(n) - 3], "threads {threads}");
+        }
+        tel::clear_enabled();
+    }
+
+    /// A recovering walk's buffered events are part of its state.
+    #[test]
+    fn walk_bytes_count_the_recovery_events() {
+        let _lock = tel::switch_lock();
+        tel::set_enabled(true);
+        let mut walk = WalkState::<u64>::default();
+        let empty = walk.bytes();
+        walk.lost.events.push(0, EventKind::Retransmit, 1, 1);
+        tel::clear_enabled();
+        assert!(walk.lost.events.capacity_bytes() >= 32);
+        assert_eq!(walk.bytes() - empty, walk.lost.events.capacity_bytes());
     }
 }

@@ -14,7 +14,9 @@
 //! is the sources' probe (`hits`, `misses` and the `net.prewarm.{lookups,
 //! hits,misses}` counters, whose ratio is the pool's miss rate), and
 //! [`PrewarmPool::lookup_querier`] the querier's (`querier_hits`,
-//! `querier_misses`, `net.prewarm.querier_*`).
+//! `querier_misses`, `net.prewarm.querier_*`). SIES probes once per walk
+//! chunk ([`crate::pipeline::CHUNK`] sources), so the sources' counts are
+//! chunk lookups, and an entry that lands mid-epoch serves later chunks.
 //!
 //! The split is deliberate: [`PrewarmPolicy`] is pure arithmetic (what
 //! to derive next, what to evict) and [`PrewarmPool`] is a plain keyed
@@ -88,9 +90,9 @@ impl PrewarmPolicy {
 /// while the policy is enabled, so a disabled pool reports all zeros.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrewarmStats {
-    /// Sources' lookups served from the pool.
+    /// Sources' chunk lookups served from the pool.
     pub hits: u64,
-    /// Enabled sources' lookups that fell through to on-demand
+    /// Enabled sources' chunk lookups that fell through to on-demand
     /// derivation.
     pub misses: u64,
     /// Querier lookups served from the pool.
@@ -173,9 +175,9 @@ impl<T> PrewarmPool<T> {
     }
 
     /// The sources' lookup, non-destructive: the entry stays pooled, so
-    /// concurrent shard workers of one epoch all hit. Counts a hit or
-    /// miss only while enabled — a disabled pool is invisible in the
-    /// stats.
+    /// every chunk and concurrent shard worker of one epoch hits. Counts
+    /// a hit or miss only while enabled — a disabled pool is invisible
+    /// in the stats.
     pub fn lookup(&mut self, epoch: Epoch) -> Option<&T> {
         if !self.policy.enabled {
             return None;

@@ -70,7 +70,7 @@ pub trait AggregationScheme: Sync {
         Ok(self.source_init(source, epoch, value))
     }
 
-    /// Batched initialization over one shard of an epoch's job list:
+    /// Batched initialization over a batch of an epoch's jobs:
     /// returns one result per `(source, value)` pair, in input order,
     /// element-wise equal to calling
     /// [`try_source_init`](Self::try_source_init) in a loop. Fills a
@@ -92,12 +92,13 @@ pub trait AggregationScheme: Sync {
     /// element-wise equal to calling
     /// [`try_source_init`](Self::try_source_init) in a loop (which is
     /// exactly what the default does). The epoch walk calls this once
-    /// per shard and epoch with a reused buffer, so once `out` has grown
-    /// to the shard size the default allocates nothing in steady state.
+    /// per chunk of at most [`CHUNK`](crate::pipeline::CHUNK) live
+    /// sources, with a reused buffer of that size, so the default
+    /// allocates nothing in steady state.
     ///
     /// Schemes override this to hoist epoch-shared work out of the
     /// per-source loop and batch across sources: SIES derives `K_t` and
-    /// builds its Montgomery context once per shard, and runs its PRF
+    /// builds its Montgomery context once per call, and runs its PRF
     /// sweeps stack-tiled, allocating nothing here either; CMT derives
     /// every pad in one multi-lane pass.
     fn batch_source_init_into(

@@ -24,11 +24,15 @@
 //! * One deterministic test refuses, crashes and silences every
 //!   aggregator of two trees in turn at threads 1–8, so every node the
 //!   shard walk defers to the join meets every fault.
+//! * Another places faults at the edges of the chunks a shard walk
+//!   initialises in one batch ([`CHUNK`] live sources), at a population
+//!   of several chunks per shard.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use sies_net::engine::{Attack, EdgeBytes, Engine, EpochOutcome, RecoveredEpoch};
+use sies_net::pipeline::CHUNK;
 use sies_net::radio::LossyRadio;
 use sies_net::recovery::{
     uplink_stream, RecoveryConfig, RecoveryReport, ACK_BYTES, FAILURE_REPORT_BYTES, NACK_BYTES,
@@ -1255,6 +1259,148 @@ fn every_aggregator_fault_matches_reference_at_every_thread_count() {
                     "{case}: silenced"
                 );
             }
+        }
+    }
+}
+
+/// Faults at the walk's chunk edges, held field for field to the
+/// reference fold at threads 1, 2, 3 and 8. At N = 40 000 every shard
+/// holds at least two full chunks at threads 8. Shard 0 begins at the
+/// first source in post-order at every thread count, so with nothing
+/// failed before them its chunks begin at the same sources, every
+/// [`CHUNK`]-th, and the faults sit there:
+///
+/// * failed sources at an inner chunk's first and last job, and just
+///   past an edge, alone and together;
+/// * a failed aggregator whose subtree spans an edge;
+/// * a rejected reading in the second chunk: the first-error abort;
+/// * that aggregator's merge refused;
+/// * crashes at the edges over lossy links, in recovering epochs;
+/// * clean runs, one of them aborted by the rejected reading.
+#[test]
+fn faults_at_chunk_edges_match_reference() {
+    let n = 40_000u64;
+    let (topo, tree) = random_trees(0xC4, n, 5);
+    let ranked: Vec<u32> = topo
+        .post_order()
+        .iter()
+        .filter_map(|&id| topo.source_id(id as usize))
+        .collect();
+    let source = |rank: usize| topo.source_node(ranked[rank]).unwrap();
+    let sources =
+        |ranks: &[usize]| -> HashSet<NodeId> { ranks.iter().map(|&r| source(r)).collect() };
+    let (edge, next_edge) = (CHUNK, 2 * CHUNK);
+    // The lowest aggregator holding the sources either side of `edge`.
+    let mut spanning = topo.parent(source(edge)).unwrap();
+    while topo.subtree_range(spanning).start > topo.post_position(source(edge - 1)) {
+        spanning = topo.parent(spanning).unwrap();
+    }
+    assert_ne!(
+        spanning,
+        topo.root(),
+        "the edge splits a subtree below the sink"
+    );
+    let rejecting = WeightedSum {
+        reject: Some(ranked[edge + 100]),
+        ..WSUM
+    };
+    let refusing = WeightedSum {
+        refuse_node: Some(merge_id(&tree, spanning)),
+        ..WSUM
+    };
+    let values = |epoch: u64| -> Vec<u64> { (0..n).map(|i| mix(n ^ epoch, i) & 0xFFFF).collect() };
+    let none = HashSet::new();
+    let threads = [1, 2, 3, 8].map(Threads::fixed);
+
+    let faulted = [
+        ("no fault", &WSUM, none.clone()),
+        (
+            "failed first job, just past an edge",
+            &WSUM,
+            sources(&[edge]),
+        ),
+        ("failed last job", &WSUM, sources(&[next_edge - 1])),
+        ("failed second job", &WSUM, sources(&[next_edge + 1])),
+        (
+            "failed sources either side of both edges",
+            &WSUM,
+            sources(&[edge - 1, edge, next_edge - 1, next_edge, next_edge + 1]),
+        ),
+        (
+            "failed aggregator spanning an edge",
+            &WSUM,
+            HashSet::from([spanning]),
+        ),
+        (
+            "rejected reading in the second chunk",
+            &rejecting,
+            none.clone(),
+        ),
+        ("refused merge spanning an edge", &refusing, none.clone()),
+    ];
+    for (case, scheme, failed) in &faulted {
+        let want = Reference::new(*scheme, &tree).epoch(0, &values(0), failed, &[]);
+        let aborts = scheme.reject.is_some() || scheme.refuse_node.is_some();
+        assert_eq!(want.result.is_err(), aborts, "{case}: {:?}", want.result);
+        for threads in threads {
+            let mut engine = Engine::new(*scheme, &topo).with_threads(threads);
+            let out = engine.run_epoch_with(0, &values(0), failed, &[]);
+            let got = observed(&engine, out);
+            assert!(got == want, "{case}, {threads:?}");
+        }
+    }
+
+    let radio = LossyRadio::new(0.3, 1);
+    let recovery = RecoveryConfig::new(1, 0.5);
+    let crashes = [
+        (&WSUM, HashSet::from([spanning, source(next_edge)])),
+        (&rejecting, sources(&[edge, next_edge - 1])),
+    ];
+    for (k, (scheme, crashed)) in crashes.iter().enumerate() {
+        let links = || StdRng::seed_from_u64(k as u64);
+        let mut reference = Reference::new(*scheme, &tree);
+        let want =
+            reference.recovering(0, &values(0), crashed, &[], &radio, &recovery, &mut links());
+        for threads in threads {
+            let mut engine = Engine::new(*scheme, &topo).with_threads(threads);
+            let run = engine.run_epoch_recovering(
+                0,
+                &values(0),
+                crashed,
+                &[],
+                &radio,
+                &recovery,
+                &mut links(),
+            );
+            let got = observed_recovering(&engine, run);
+            assert!(got == want, "crashes {crashed:?}, {threads:?}");
+        }
+    }
+
+    for scheme in [&WSUM, &rejecting] {
+        let mut reference = Reference::new(scheme, &tree);
+        let want: Vec<_> = (0..2)
+            .map(|epoch| {
+                let want = reference.epoch(epoch, &values(epoch), &none, &[]);
+                (want.last_final, want.result, want.contributors)
+            })
+            .collect();
+        for threads in threads {
+            let mut engine = Engine::new(scheme, &topo).with_threads(threads);
+            let mut got = Vec::new();
+            engine.run_epochs(
+                0,
+                2,
+                |epoch, slots| slots.copy_from_slice(&values(epoch)),
+                |_, final_psr, result, contributors| {
+                    got.push((final_psr.copied(), result.clone(), contributors.to_vec()));
+                },
+            );
+            assert!(
+                got == want,
+                "clean run, reject {:?}, {threads:?}",
+                scheme.reject
+            );
         }
     }
 }

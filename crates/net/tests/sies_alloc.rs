@@ -3,15 +3,16 @@
 //! allocation at all — not in the lane-batched PRF sweeps at the
 //! sources, not in the epoch cipher, not in the querier's Σss
 //! recomputation, `K_t⁻¹` or decryption — and so none per source,
-//! whatever the population. A warm `threads = 2` epoch makes the same
-//! few allocations at every population: the scoped spawns of the walk
-//! and of the parallel evaluation, and the evaluation's two chunk
-//! vectors, 10 in all where a spawn makes 4. A warm recovering epoch
-//! over a lossy radio stays within a small constant too: it reuses the
-//! walk's buffers and allocates only its reported contributor set. An
-//! evaluation over every source of an epoch the prewarm pool holds
-//! makes none at threads 1 or 2: it reads the pooled totals and runs no
-//! chunked sweep. A deployment holds each source's key once: the heap
+//! whatever the population, nor per walk chunk (N = 4 096 takes two).
+//! A warm `threads = 2` epoch makes the same few allocations at every
+//! population: the scoped spawns of the walk and of the parallel
+//! evaluation, and the evaluation's two chunk vectors, 10 in all where
+//! a spawn makes 4. A warm recovering epoch over a lossy radio stays
+//! within a small constant too: it reuses the walk's buffers and
+//! allocates only its reported contributor set. An evaluation over
+//! every source of an epoch the prewarm pool holds makes none at
+//! threads 1 or 2: it reads the pooled totals and runs no chunked
+//! sweep. A deployment holds each source's key once: the heap
 //! it leaves resident grows by one 104-byte pre-absorbed key per source.
 //! The topology arena is all a built tree leaves on the heap, at most
 //! 28 bytes per node, and an engine borrows it without allocating. With

@@ -33,7 +33,9 @@ pub(crate) fn note_events_dropped(n: u64) {
 pub enum EventKind {
     /// Querier broadcast the epoch query. `(n_sources, 0)`
     QueryDisseminated,
-    /// A source produced its PSR. `(source_id, 0)`
+    /// The epoch's sources not failed this epoch, which the walk
+    /// initialises unless a first error stops it; one per epoch.
+    /// `(live sources, 0)`
     SourceInit,
     /// Epoch verdict: accepted. `(contributors, 0)`
     EpochAccepted,

@@ -175,6 +175,12 @@ impl EventBuf {
         self.buf.is_empty()
     }
 
+    /// Heap bytes the buffer holds: its capacity in events, 32 bytes
+    /// each.
+    pub fn capacity_bytes(&self) -> usize {
+        self.buf.capacity() * std::mem::size_of::<(u64, EventKind, u64, u64)>()
+    }
+
     /// Drops everything buffered, retaining the allocation.
     pub fn clear(&mut self) {
         self.buf.clear();
